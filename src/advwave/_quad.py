@@ -35,8 +35,3 @@ def n_for_oscillation(omega: float, a: float, b: float,
     n = int(np.ceil(per_period * max(periods, 1.0)))
     return max(n + (n % 2), n_min)
 
-
-def osc_trapezoid(f, a: float, b: float, omega: float,
-                  per_period: int = _DEFAULT_PER_PERIOD):
-    """Refined trapezoid with node count chosen for oscillation rate ``omega``."""
-    return refined_trapezoid(f, a, b, n_for_oscillation(omega, a, b, per_period))

@@ -505,7 +505,7 @@ def _build_parser():
     p_val.add_argument("--span", type=float, default=50.0,
                        help="oracle comb span in units of gamma")
     p_val.add_argument("--full", action="store_true",
-                       help="include the slow two-excitation oracle check")
+                       help="include the two-excitation oracle check")
 
     return parser
 
@@ -540,6 +540,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except ValueError as exc:
         print(f"advwave: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"advwave: error: out of memory ({str(exc) or 'allocation failed'}); "
+              "reduce the grid size", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"advwave: i/o error: {exc}", file=sys.stderr)

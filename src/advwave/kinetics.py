@@ -182,7 +182,11 @@ def longtime_fit(curve: DiffusionCurve, window: tuple[float, float], which: str 
     sel = (curve.times >= t_lo) & (curve.times <= t_hi)
     if np.count_nonzero(sel) < 10:
         raise ValueError("fit window contains fewer than 10 grid points")
-    y = {"total": curve.cum_total, "source": curve.cum_source, "vacsource": curve.cum_vacsource}[which]
+    columns = {"total": curve.cum_total, "source": curve.cum_source,
+               "vacsource": curve.cum_vacsource}
+    if which not in columns:
+        raise ValueError(f"which must be 'total', 'source' or 'vacsource', got {which!r}")
+    y = columns[which]
     slope, intercept = np.polyfit(curve.times[sel], y[sel], 1)
     return float(slope), float(intercept)
 

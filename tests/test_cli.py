@@ -150,6 +150,18 @@ def test_usage_errors():
     assert run_cli("power", "pert", "--gamma", "-3") == EXIT_USAGE
 
 
+def test_out_of_memory_is_a_usage_error(monkeypatch, capsys):
+    import advwave.cli
+
+    def exhausted(cfg):
+        raise MemoryError("Unable to allocate 4.9 GiB")
+
+    monkeypatch.setattr(advwave.cli, "cmd_corr", exhausted)
+    assert run_cli("corr") == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "out of memory" in err and "4.9 GiB" in err
+
+
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(

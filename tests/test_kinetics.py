@@ -105,7 +105,7 @@ def test_longtime_fit_slope():
         longtime_fit(curve, (1.0, 13.0))
     with pytest.raises(ValueError, match="2/gamma"):
         longtime_fit(curve, (6.0, 7.0))
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="'total', 'source' or 'vacsource'"):
         longtime_fit(curve, (6.0, 13.0), which="glauber")
 
 

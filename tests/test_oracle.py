@@ -5,7 +5,11 @@ acceptance suite; here the grids are small and every run is a few seconds.
 """
 import numpy as np
 import pytest
+from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply as scipy_expm_multiply
 
+from advwave import oracle
+from advwave._quad import n_for_oscillation
 from advwave.atomdyn import (
     AtomCorrKind,
     commutator_expect,
@@ -17,6 +21,8 @@ from advwave.core import DipoleParams
 from advwave.oracle import (
     ModeGrid,
     SectorState,
+    _chirp_z,
+    _h_two,
     angular_reduction_check,
     build_grid,
     markov_kernel_check,
@@ -89,14 +95,14 @@ def test_single_mode_rabi():
     grid = ModeGrid(omegas=np.array([P30.omega0]), couplings=np.array([g_c]),
                     omega0=P30.omega0, gamma=P30.gamma)
     ts = np.array([3.0, 7.0])
-    sz = oracle_sigma_z(ts, grid, P30, dt=1e-3)
-    assert np.allclose(sz, np.cos(2.0 * g_c * ts), atol=1e-6)
+    sz = oracle_sigma_z(ts, grid, P30)
+    np.testing.assert_allclose(sz, np.cos(2.0 * g_c * ts), rtol=0.0, atol=1e-12)
 
 
 def test_zero_couplings_freeze_the_state():
     grid = ModeGrid(omegas=np.array([29.0, 31.0]), couplings=np.zeros(2),
                     omega0=P30.omega0, gamma=P30.gamma)
-    out = propagate(SectorState.excited(grid), grid, P30, 2.0, dt=1e-3)
+    out = propagate(SectorState.excited(grid), grid, P30, 2.0)
     assert out.amp_e0 == 1.0 + 0.0j
     assert out.norm == pytest.approx(1.0, abs=1e-12)
 
@@ -106,19 +112,51 @@ def test_propagate_guards():
     state = SectorState.excited(grid)
     with pytest.raises(ValueError, match="forward"):
         propagate(propagate(state, grid, P30, 1.0), grid, P30, 0.5)
-    with pytest.raises(ValueError, match="dt"):
-        propagate(state, grid, P30, 1.0, dt=1.0)
     other = DipoleParams.from_rates(omega0=31.0, gamma=1.0)
     with pytest.raises(ValueError, match="different dipole"):
         propagate(state, grid, other, 1.0)
 
 
-def test_propagate_norm_drift_guard():
-    # absurdly strong coupling + coarse step: RK4 loses unitarity and must say so
-    grid = ModeGrid(omegas=np.array([30.0]), couplings=np.array([5.0]),
+def test_propagate_strong_coupling_is_exact():
+    # one mode, g = 5, t = 10: far beyond any fixed-step integrator's comfort
+    g_c, t = 5.0, 10.0
+    grid = ModeGrid(omegas=np.array([30.0]), couplings=np.array([g_c]),
                     omega0=30.0, gamma=1.0)
-    with pytest.raises(RuntimeError, match="norm drift"):
-        propagate(SectorState.excited(grid), grid, P30, 10.0, dt=0.4)
+    out = propagate(SectorState.excited(grid), grid, P30, t)
+    assert 2.0 * abs(out.amp_e0) ** 2 - 1.0 == pytest.approx(np.cos(2.0 * g_c * t), abs=1e-12)
+    assert out.norm == pytest.approx(1.0, abs=1e-12)
+
+
+def test_propagate_two_excitation_matches_dense_expm():
+    grid = build_grid(P30, count=8, span_gammas=8.0, enforce=False)
+    n_pairs = grid.count * (grid.count + 1) // 2
+    rng = np.random.default_rng(3)
+    amps = np.array([1.0, 1j]) @ rng.normal(size=(2, grid.count + n_pairs))
+    amps /= np.linalg.norm(amps)
+    state = SectorState(t=0.3, amp_e1=amps[:grid.count], amp_g2=amps[grid.count:])
+    out = propagate(state, grid, P30, 1.5)
+    ref = expm(-1j * 1.2 * _h_two(grid).toarray()) @ amps
+    np.testing.assert_allclose(np.concatenate((out.amp_e1, out.amp_g2)), ref,
+                               rtol=0.0, atol=1e-12)
+    assert out.t == 1.5
+
+
+def test_propagate_composes():
+    grid = build_grid(P30, count=200, span_gammas=25.0, enforce=False)
+    start = SectorState.excited(grid)
+    two_steps = propagate(propagate(start, grid, P30, 1.0), grid, P30, 2.0)
+    one_step = propagate(start, grid, P30, 2.0)
+    assert abs(two_steps.amp_e0 - one_step.amp_e0) < 1e-12
+    np.testing.assert_allclose(two_steps.amp_g1, one_step.amp_g1, rtol=0.0, atol=1e-12)
+
+
+def test_propagate_unitarity_guard(monkeypatch):
+    # a non-unitary action (scaled by 1 + 1e-6) must be caught
+    grid = build_grid(P30, count=200, span_gammas=25.0, enforce=False)
+    monkeypatch.setattr(oracle, "expm_multiply",
+                        lambda a, v: (1.0 + 1e-6) * scipy_expm_multiply(a, v))
+    with pytest.raises(RuntimeError, match="unitarity residual"):
+        propagate(SectorState.excited(grid), grid, P30, 1.0)
 
 
 def test_sigma_z_start_and_decay():
@@ -210,6 +248,40 @@ def test_markov_absent_packet():
                               window=(1.5 - 12.0 * sigma, 8.0))
     assert rep.weight_advanced == 0.0
     assert rep.action_advanced == 0.0
+
+
+def _dense_action(t_r, t_a, center, band, window, sigma, per_period):
+    # the dense exp(i w t') product that the chirp-z transform replaces
+    w0 = P30.omega0
+    (a, b), (w_lo, w_hi) = window, band
+    n_t = n_for_oscillation(max(w_hi - w0, w0 - w_lo), a, b, per_period)
+    rel_scale = (b - a) + 12.0 * sigma + max(0.0, a - min(t_r, t_a)) + max(0.0, max(t_r, t_a) - b)
+    n_w = n_for_oscillation(rel_scale, w_lo, w_hi, per_period)
+    tp, ws = np.linspace(a, b, n_t + 1), np.linspace(w_lo, w_hi, n_w + 1)
+    g = np.exp(-((tp - center) ** 2) / (2.0 * sigma**2)) * np.exp(-1j * w0 * tp)
+    ghat = np.trapezoid(np.exp(1j * np.outer(ws, tp)) * g, tp, axis=1)
+    return np.trapezoid((np.exp(-1j * ws * t_r) + np.exp(-1j * ws * t_a)) * ghat, ws)
+
+
+def test_markov_chirp_z_matches_dense_action():
+    sigma, per_period = 10.0 / P30.omega0, 8
+    kw = dict(t_r=1.0, t_a=2.0, band=(20.0, 40.0), window=(-1.0, 4.0))
+    rep = markov_kernel_check(CONST, params=P30, sigma=sigma, per_period=per_period, **kw)
+    for center, act in ((1.0, rep.action_retarded), (2.0, rep.action_advanced)):
+        ref = _dense_action(center=center, sigma=sigma, per_period=per_period, **kw)
+        assert abs(act - ref) <= 1e-9 * abs(ref)
+
+
+def test_markov_chirp_z_matches_dense_kernel_scan():
+    # the FWHM scan of |K|: 801 delays around t_r against the kernel samples
+    w_lo, w_hi, t_r = 0.0, 300.0, 1.5
+    ws = np.linspace(w_lo, w_hi, 4001)
+    kf = np.exp(-1j * ws * t_r) + np.exp(-1j * ws * 4.5)
+    half_span = 10.0 * np.pi / (w_hi - w_lo)
+    td = np.linspace(t_r - half_span, t_r + half_span, 801)
+    ref = np.exp(1j * np.outer(td, ws)) @ kf
+    got = _chirp_z(kf, w_lo, ws[1] - ws[0], td[0], td[1] - td[0], td.size)
+    assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
 def test_markov_width_tracks_cutoff():
