@@ -257,39 +257,25 @@ def cmd_corr(cfg: RunConfig, geometry=None) -> int:
     import numpy as np
 
     from ._report import write_csv
-    from .core import Event, FieldKind
-    from .correlations import c_tensor, delta_expect_tensor, glauber_tensor
+    from .core import FieldKind
+    from .correlations import corr_traces
 
     params, position = _dipole_geometry(cfg)
     x_a, x_b = (position, position) if geometry is None else geometry
     n = cfg.points if cfg.points is not None else 41
     ts = np.linspace(0.0, cfg.tmax_gamma / cfg.gamma, n)
-
-    cols = {k: [] for k in ("t_gamma", "tp_gamma", "re_g", "im_g",
-                            "re_delta", "im_delta", "re_c", "im_c")}
-    kind = FieldKind.ELECTRIC
-    for t in ts:
-        ev_a = Event(t, x_a)
-        for tp in ts:
-            ev_b = Event(tp, x_b)
-            g = glauber_tensor(kind, kind, ev_a, ev_b, params).trace
-            d = delta_expect_tensor(kind, kind, ev_a, ev_b, params).trace
-            c = c_tensor(kind, kind, ev_a, ev_b, params).trace
-            cols["t_gamma"].append(t * cfg.gamma)
-            cols["tp_gamma"].append(tp * cfg.gamma)
-            cols["re_g"].append(g.real)
-            cols["im_g"].append(g.imag)
-            cols["re_delta"].append(d.real)
-            cols["im_delta"].append(d.imag)
-            cols["re_c"].append(c.real)
-            cols["im_c"].append(c.imag)
+    t, tp = np.meshgrid(ts, ts, indexing="ij")
+    g, d = corr_traces(FieldKind.ELECTRIC, FieldKind.ELECTRIC, t, x_a, tp, x_b, params)
+    c = g + d
+    cols = {"t_gamma": t * cfg.gamma, "tp_gamma": tp * cfg.gamma, "re_g": g.real, "im_g": g.imag,
+            "re_delta": d.real, "im_delta": d.imag, "re_c": c.real, "im_c": c.imag}
 
     meta = cfg.meta()
     meta.update(field="E", trace="sum over field components",
                 gate_tp_minus_t_gamma="%.17g" % (2.0 * cfg.r0_gamma),
                 note="interference trace vanishes on the t = t' diagonal and "
                      "switches on across |t' - t| = 2*r0")
-    write_csv(_outpath(cfg, "corr.csv"), meta, cols)
+    write_csv(_outpath(cfg, "corr.csv"), meta, {k: v.ravel() for k, v in cols.items()})
     return EXIT_OK
 
 

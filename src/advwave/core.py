@@ -20,8 +20,6 @@ __all__ = [
     "DipoleParams",
     "Event",
     "FieldKind",
-    "retarded_time",
-    "advanced_time",
     "greens_support",
 ]
 
@@ -144,16 +142,6 @@ class Event:
     def t_adv(self) -> float:
         """Advanced time t + |x| (source time on the future light cone)."""
         return self.t + self.r
-
-
-def retarded_time(event: Event) -> float:
-    """t - |x| for an observation event relative to the origin."""
-    return event.t_ret
-
-
-def advanced_time(event: Event) -> float:
-    """t + |x| for an observation event relative to the origin."""
-    return event.t_adv
 
 
 def greens_support(kind: str, ev1: Event, ev2: Event, tol: float | None = None) -> bool:

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from . import atomdyn
-from .core import DipoleParams, _vec3
+from .core import DipoleParams, FieldKind, _vec3
+from .correlations import corr_traces
 from .fieldcoeffs import coeffs_two_level
 
 __all__ = [
@@ -191,24 +191,6 @@ def longtime_fit(curve: DiffusionCurve, window: tuple[float, float], which: str 
     return float(slope), float(intercept)
 
 
-def _c_trace_rad(t3, t4, params: DipoleParams, e2: float, r0: float):
-    """Trace of the radiation-zone C kernel at (t3, r0), (t4, r0); broadcasts."""
-    g3, g4 = t3 - r0 >= 0.0, t4 - r0 >= 0.0
-    tr3 = np.where(g3, t3 - r0, 0.0)
-    tr4 = np.where(g4, t4 - r0, 0.0)
-    out = np.where(g3 & g4, 2.0 * e2 * atomdyn._pm_raw(tr3, tr4, params), 0.0j)
-    # advanced-wave terms: t_a = t + r0 of one leg inside the other's retarded past
-    m1 = (t4 - t3 >= 2.0 * r0) & g4
-    u1 = np.where(m1, t3 + r0, 0.0)
-    v1 = np.where(m1, t4 - r0, u1)
-    out = out + np.where(m1, e2 * atomdyn._comm_raw(u1, v1, params), 0.0j)
-    m2 = (t3 - t4 >= 2.0 * r0) & g3
-    u2 = np.where(m2, t4 + r0, 0.0)
-    v2 = np.where(m2, t3 - r0, u2)
-    out = out + np.where(m2, e2 * np.conj(atomdyn._comm_raw(u2, v2, params)), 0.0j)
-    return out
-
-
 def posdisp_change(t: float, params: DipoleParams, charge: ChargeParams,
                    delta_p0: float = 0.0, per_period: int = 160) -> float:
     """Position-dispersion change Dr(t) - Dr(0) of the test charge.
@@ -218,9 +200,9 @@ def posdisp_change(t: float, params: DipoleParams, charge: ChargeParams,
         (q^2 / m^2) * 2 Re Int_0^t Int_0^t (t - t3)(t - t4) C_EE_trace dt3 dt4
 
     (the nested four-fold time-ordered integral reduced exactly with the
-    (t - s) weight trick), radiation-zone kernel at the charge position.
-    Uniform tensor-product trapezoid; ``per_period`` >= 40 points per optical
-    period are required to resolve the advanced-wave fringes.
+    (t - s) weight trick), radiation-zone kernel at the charge position from
+    :func:`advwave.correlations.corr_traces`.  Uniform tensor-product trapezoid;
+    ``per_period`` >= 40 points per optical period resolve the fringes.
     """
     if per_period < _MIN_PER_PERIOD:
         raise ValueError(f"per_period must be >= {_MIN_PER_PERIOD}")
@@ -229,8 +211,6 @@ def posdisp_change(t: float, params: DipoleParams, charge: ChargeParams,
     free = t**2 / (2.0 * charge.m**2) * delta_p0
     if t == 0.0 or charge.q == 0.0:
         return free
-    r0 = charge.r0_abs
-    e2 = _e_rad_abs2(params, charge)
     n = max(64, int(np.ceil(per_period * params.omega0 * t / (2.0 * np.pi))))
     ts = np.linspace(0.0, t, n + 1)
     w = np.full(n + 1, t / n)
@@ -239,7 +219,7 @@ def posdisp_change(t: float, params: DipoleParams, charge: ChargeParams,
     acc = 0.0 + 0.0j
     block = max(1, int(4e6) // (n + 1))
     for lo in range(0, n + 1, block):
-        hi = min(lo + block, n + 1)
-        kern = _c_trace_rad(ts[lo:hi, None], ts[None, :], params, e2, r0)
-        acc += np.einsum("i,ij,j->", wt[lo:hi], kern, wt)
+        g, d = corr_traces(FieldKind.ELECTRIC, FieldKind.ELECTRIC, ts[lo:lo + block, None],
+                           charge.r0, ts[None, :], charge.r0, params, part="rad")
+        acc += np.einsum("i,ij,j->", wt[lo:lo + block], g + d, wt)
     return free + charge.q**2 / charge.m**2 * 2.0 * float(np.real(acc))

@@ -54,12 +54,10 @@ class DetectorConfig:
 
 
 def _contractions(cfg: DetectorConfig, part: str):
-    cs = coeffs_two_level(cfg.position, cfg.source)
-    e = cs.e_coeff if part == "full" else cs.e_rad
     if part not in ("full", "rad"):
         raise ValueError(f"part must be 'full' or 'rad', got {part!r}")
-    de = complex(cfg.dvec @ e)
-    return de
+    cs = coeffs_two_level(cfg.position, cfg.source)
+    return complex(cfg.dvec @ (cs.e_coeff if part == "full" else cs.e_rad))
 
 
 def detection_rate_G(t: float, cfg: DetectorConfig, part: str = "full",
@@ -67,10 +65,9 @@ def detection_rate_G(t: float, cfg: DetectorConfig, part: str = "full",
     """Glauber-kernel detection rate at time t (zero until light arrives)."""
     p = cfg.source
     x = cfg.r
+    c2 = abs(_contractions(cfg, part)) ** 2  # validates ``part`` before the gate
     if t <= x:
         return 0.0
-    de = _contractions(cfg, part)
-    c2 = abs(de) ** 2
 
     def integrand(tp):
         return 2.0 * c2 * atomdyn._pm_raw(t - x, tp - x, p) * np.exp(-1j * p.omega0 * (t - tp))
@@ -93,8 +90,7 @@ def detection_rate_C(t: float, cfg: DetectorConfig, part: str = "full",
     b = t - 2.0 * x
     if b < 0.0:
         return rate
-    de = _contractions(cfg, part)
-    coeff = np.conj(de) ** 2
+    coeff = np.conj(_contractions(cfg, part)) ** 2
 
     def integrand(tp):
         return coeff * np.conj(atomdyn._comm_raw(tp + x, t - x, p)) * np.exp(-1j * p.omega0 * (t - tp))

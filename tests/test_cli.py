@@ -3,6 +3,8 @@ import numpy as np
 import pytest
 
 from advwave.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
+from advwave.core import DipoleParams, Event, FieldKind
+from advwave.correlations import c_tensor
 
 
 def run_cli(*argv):
@@ -109,6 +111,16 @@ def test_corr_grid(tmp_path):
     # inside the gate the total is the normal-ordered piece alone
     gated = np.abs(cols["tp_gamma"] - cols["t_gamma"]) < 2.0 / 3.0
     np.testing.assert_array_equal(cols["re_c"][gated], cols["re_g"][gated])
+    # cells against the per-pair tensor path at the default gamma = 1e8 / s
+    gamma = 1e8
+    params = DipoleParams.from_rates(100.0 * gamma, gamma)
+    x = np.array([1.0 / 3.0 / gamma, 0.0, 0.0])
+    ts = np.linspace(0.0, 3.0 / gamma, 4)
+    for i, j in ((0, 0), (1, 1), (0, 3), (3, 0), (2, 3)):
+        c = c_tensor(FieldKind.ELECTRIC, FieldKind.ELECTRIC, Event(ts[i], x), Event(ts[j], x),
+                     params).trace
+        for col, ref in (("re_c", c.real), ("im_c", c.imag)):
+            assert abs(cols[col][4 * i + j] - ref) <= 1e-14 * np.max(np.abs(cols[col]))
 
 
 def test_detect_outputs(tmp_path):

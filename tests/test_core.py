@@ -8,9 +8,7 @@ from advwave.core import (
     DipoleParams,
     Event,
     FieldKind,
-    advanced_time,
     greens_support,
-    retarded_time,
 )
 
 finite_t = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
@@ -63,8 +61,6 @@ def test_event_basic_geometry():
     assert ev.r == 5.0
     assert ev.t_ret == -3.0
     assert ev.t_adv == 7.0
-    assert retarded_time(ev) == ev.t_ret
-    assert advanced_time(ev) == ev.t_adv
 
 
 def test_event_arrays_are_frozen():

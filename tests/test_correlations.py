@@ -9,6 +9,7 @@ from advwave.correlations import (
     CorrLabel,
     CorrTensor,
     c_tensor,
+    corr_traces,
     delta_expect_tensor,
     glauber_tensor,
     source_source_commutator,
@@ -128,8 +129,45 @@ def test_vac_source_direction_validation():
 
 def test_part_validation():
     ev = _event(2.0, (1.0, 0, 0))
-    with pytest.raises(ValueError):
-        glauber_tensor(FieldKind.ELECTRIC, FieldKind.ELECTRIC, ev, ev, P, part="nearish")
+    early = _event(0.3, (1.0, 0, 0))  # t < |x|: every gate is shut
+    e = FieldKind.ELECTRIC
+    for a, b in ((ev, ev), (early, early), (early, ev)):
+        for fn in (glauber_tensor, delta_expect_tensor, c_tensor, source_source_commutator):
+            with pytest.raises(ValueError, match="part"):
+                fn(e, e, a, b, P, part="nearish")
+        with pytest.raises(ValueError, match="part"):
+            corr_traces(e, e, a.t, a.x, b.t, b.x, P, part="nearish")
+
+
+# --- broadcast trace kernel ---------------------------------------------------
+
+times = st.lists(st.floats(min_value=-0.5, max_value=8.0), min_size=1, max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ts=times, tps=times, x=off_origin, y=off_origin, kx=kind, ky=kind,
+       part=st.sampled_from(("full", "rad")))
+def test_corr_traces_match_tensor_traces(ts, tps, x, y, kx, ky, part):
+    # t = t' + |x| + |y| puts t_r on t_a': the edge of the second Delta gate
+    ts = ts + [tps[0] + float(np.linalg.norm(y)) + float(np.linalg.norm(x))]
+    g, d = corr_traces(kx, ky, np.array(ts)[:, None], x, np.array(tps)[None, :], y, P, part)
+    assert g.shape == d.shape == (len(ts), len(tps))
+    g0, d0 = corr_traces(kx, ky, ts[0], x, tps[0], y, P, part)  # scalar times
+    assert g0.shape == d0.shape == ()
+    for i, t in enumerate(ts):
+        for j, tp in enumerate(tps):
+            ex, ey = _event(t, x), _event(tp, y)
+            pairs = ((g[i, j], glauber_tensor), (d[i, j], delta_expect_tensor))
+            if i == j == 0:
+                pairs += ((g0, glauber_tensor), (d0, delta_expect_tensor))
+            for val, fn in pairs:
+                ref = fn(kx, ky, ex, ey, P, part)
+                # a gated-out tensor is an exact zero on both paths; a nonzero
+                # tensor may still have a trace that cancels to rounding level
+                # (E . B), which the tolerance below bounds
+                if np.all(ref.values == 0.0):
+                    assert val == 0.0
+                assert abs(val - ref.trace) <= 1e-14 * np.max(np.abs(ref.values))
 
 
 def test_radiative_part_differs_from_full():

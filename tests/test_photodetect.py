@@ -56,8 +56,13 @@ def test_rate_positive_and_decaying():
 
 
 def test_part_validation():
-    with pytest.raises(ValueError):
-        detection_rate_G(1.0, CFG, part="mid")
+    # 1.0 is past the 2|x| round trip, 0.2 is before light arrives (t <= |x|)
+    for t in (1.0, 0.2):
+        for rate in (detection_rate_G, detection_rate_C):
+            with pytest.raises(ValueError, match="part"):
+                rate(t, CFG, part="mid")
+    with pytest.raises(ValueError, match="part"):
+        suppression_report(CFG, [0.1, 0.2], part="mid")
 
 
 def test_suppression_report_structure():
