@@ -1,28 +1,10 @@
-"""Internal quadrature helpers: refined trapezoid for oscillatory kernels."""
+"""Internal quadrature helper: node counts that resolve an optical oscillation."""
 from __future__ import annotations
 
 import numpy as np
 
 _DEFAULT_PER_PERIOD = 160
 _MIN_INTERVALS = 32
-
-
-def refined_trapezoid(f, a: float, b: float, n: int):
-    """Trapezoid on n intervals plus one Richardson step (Simpson-equivalent).
-
-    ``f`` must accept a numpy array of nodes.  Returns 0 for b <= a.
-    """
-    if b <= a:
-        return 0.0
-    if n < 2:
-        n = 2
-    if n % 2:
-        n += 1
-    xs = np.linspace(a, b, n + 1)
-    ys = np.asarray(f(xs))
-    t_h = np.trapezoid(ys, xs)
-    t_2h = np.trapezoid(ys[::2], xs[::2])
-    return (4.0 * t_h - t_2h) / 3.0
 
 
 def n_for_oscillation(omega: float, a: float, b: float,
@@ -34,4 +16,3 @@ def n_for_oscillation(omega: float, a: float, b: float,
     periods = abs(omega) * (b - a) / (2.0 * np.pi)
     n = int(np.ceil(per_period * max(periods, 1.0)))
     return max(n + (n % 2), n_min)
-

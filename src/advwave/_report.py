@@ -1,10 +1,11 @@
 """Deterministic CSV and SVG output helpers for the command line tools."""
 from __future__ import annotations
 
-import math
+import numpy as np
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
 _FMT = "%.17g"
+_BLOCK_ROWS = 8192  # rows (points) formatted at a time: bounds the temporaries
 
 
 def write_csv(path, meta: dict, columns: dict) -> None:
@@ -20,12 +21,15 @@ def write_csv(path, meta: dict, columns: dict) -> None:
     length = len(cols[0]) if cols else 0
     if any(len(c) != length for c in cols):
         raise ValueError("columns must have equal length")
+    arrays = [np.asarray(col, dtype=float) for col in cols]
+    row_fmt = ",".join([_FMT] * len(cols)) + "\n"
     with open(path, "w", newline="") as fh:
         for key, value in meta.items():
             fh.write(f"# {key} = {value}\n")
         fh.write(",".join(names) + "\n")
-        for row in range(length):
-            fh.write(",".join(_FMT % float(col[row]) for col in cols) + "\n")
+        for start in range(0, length, _BLOCK_ROWS):
+            block = [a[start:start + _BLOCK_ROWS].tolist() for a in arrays]
+            fh.writelines(map(row_fmt.__mod__, zip(*block)))
 
 
 def _ticks(lo: float, hi: float, n: int = 5):
@@ -38,12 +42,16 @@ def write_svg(path, x, series: dict, title: str, xlabel: str, ylabel: str) -> No
     """Plot ``series`` (name -> y array) against ``x`` as SVG polylines."""
     width, height = 860, 560
     ml, mr, mt, mb = 80, 24, 48, 56
-    xs = [float(v) for v in x]
-    ys_all = [float(v) for ys in series.values() for v in ys if math.isfinite(v)]
-    if not xs or not ys_all:
+    xa = np.asarray(x, dtype=float)
+    yas = [np.asarray(ys, dtype=float) for ys in series.values()]
+    masks = [np.isfinite(ya) for ya in yas]
+    if not xa.size or not any(m.any() for m in masks):
         raise ValueError("nothing to plot")
+    xs = xa.tolist()  # Python's min/max, not numpy's, which would propagate a NaN
     x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys_all), max(ys_all)
+    # a +-0 extreme pads to the same range whichever zero numpy picks
+    y_lo = min(float(np.min(ya, initial=np.inf, where=m)) for ya, m in zip(yas, masks))
+    y_hi = max(float(np.max(ya, initial=-np.inf, where=m)) for ya, m in zip(yas, masks))
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     pad = 0.05 * (y_hi - y_lo) or 1.0
@@ -73,9 +81,16 @@ def write_svg(path, x, series: dict, title: str, xlabel: str, ylabel: str) -> No
     for ty in _ticks(y_lo, y_hi):
         parts.append(f'<line x1="{ml - 5}" y1="{py(ty):.2f}" x2="{ml}" y2="{py(ty):.2f}" stroke="black"/>')
         parts.append(f'<text x="{ml - 8}" y="{py(ty) + 4:.2f}" text-anchor="end">{ty:.4g}</text>')
-    for idx, (name, ys) in enumerate(series.items()):
+    for idx, (name, ya, mask) in enumerate(zip(series, yas, masks)):
         color = _PALETTE[idx % len(_PALETTE)]
-        pts = " ".join(f"{px(a):.2f},{py(float(b)):.2f}" for a, b in zip(xs, ys) if math.isfinite(float(b)))
+        chunks = []
+        for i in range(0, xa.size, _BLOCK_ROWS):
+            keep = mask[i:i + _BLOCK_ROWS]
+            # same operation order as px/py, so each coordinate rounds identically
+            pxs = ml + (xa[i:i + _BLOCK_ROWS][keep] - x_lo) / (x_hi - x_lo) * (width - ml - mr)
+            pys = height - mb - (ya[i:i + _BLOCK_ROWS][keep] - y_lo) / (y_hi - y_lo) * (height - mt - mb)
+            chunks.extend(map("%.2f,%.2f".__mod__, zip(pxs.tolist(), pys.tolist())))
+        pts = " ".join(chunks)
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         parts.append(f'<text x="{width - mr - 8}" y="{mt + 20 * (idx + 1)}" text-anchor="end" '
                      f'fill="{color}">{name}</text>')

@@ -72,6 +72,13 @@ class CoeffSet:
         return self.b_rad + self.b_mid
 
 
+def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b for two 3-vectors, in np.cross's operation order (same bits, no dispatch cost)."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def _structures(x, omega: float, dvec) -> CoeffSet:
     pos = _vec3(x, "x")
     d = _vec3(dvec, "dvec")
@@ -81,7 +88,7 @@ def _structures(x, omega: float, dvec) -> CoeffSet:
     xhat = pos / r
     longit = 3.0 * xhat * float(xhat @ d) - d          # near/intermediate structure
     transv = d - xhat * float(xhat @ d)                # radiation structure
-    cross = np.cross(xhat, d)
+    cross = _cross3(xhat, d)
     pre_rad = omega**2 / (4.0 * np.pi * r)
     pre_mid = omega / (4.0 * np.pi * r**2)
     pre_near = 1.0 / (4.0 * np.pi * r**3)

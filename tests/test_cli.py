@@ -137,6 +137,18 @@ def test_detect_outputs(tmp_path):
     assert (tmp_path / "detect.svg").exists()
 
 
+def test_detect_runs_at_optical_frequency(tmp_path):
+    # closed-form rates: the cost no longer grows with omega0/gamma
+    assert run_cli("detect", "--omega0-ratio", "1e8", "--points", "50",
+                   "--out", str(tmp_path)) == EXIT_OK
+    meta, names, cols = read_csv(tmp_path / "detect.csv")
+    assert len(cols["t_gamma"]) == 50
+    assert all(np.all(np.isfinite(cols[n])) for n in names)
+    early = cols["t_gamma"] < float(meta["onset_t_gamma"])
+    assert np.all(cols["rate_c"][early] == cols["rate_g"][early])
+    assert 0.0 < float(meta["max_interference_ratio"]) < 1e-6
+
+
 def test_validate_passes_at_default_resolution(tmp_path, capsys):
     assert run_cli("validate", "--out", str(tmp_path)) == EXIT_OK
     out = capsys.readouterr().out

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from advwave.core import DipoleParams
-from advwave.fieldcoeffs import LevelScheme, coeffs_multilevel, coeffs_two_level, tau_kernel
+from advwave.fieldcoeffs import LevelScheme, _cross3, coeffs_multilevel, coeffs_two_level, tau_kernel
 
 P = DipoleParams.from_rates(omega0=25.0, gamma=1.0)
 X = np.array([0.4, -0.7, 1.1])
@@ -17,6 +17,16 @@ def test_radiation_coefficient_is_transverse():
     longit = 3.0 * xhat * (xhat @ P.dvec) - P.dvec
     assert np.allclose(np.cross(cs.e_near, longit), 0.0, atol=1e-18)
     assert np.allclose(np.cross(cs.e_mid, longit), 0.0, atol=1e-18)
+
+
+def test_cross_product_matches_numpy_exactly():
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        a, b = rng.normal(size=(2, 3)) * 10.0 ** rng.integers(-8, 9, size=(2, 1))
+        assert np.array_equal(_cross3(a, b), np.cross(a, b))
+    cs = coeffs_two_level(X, P)
+    assert np.array_equal(cs.b_rad, P.omega0**2 / (4.0 * np.pi * np.linalg.norm(X))
+                          * np.cross(X / np.linalg.norm(X), P.dvec))
 
 
 def test_zone_scaling_with_distance():

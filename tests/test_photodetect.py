@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from advwave import atomdyn
+from advwave._quad import n_for_oscillation
 from advwave.core import DipoleParams
+from advwave.fieldcoeffs import coeffs_two_level
 from advwave.photodetect import (
     DetectorConfig,
     SuppressionReport,
@@ -12,6 +17,45 @@ from advwave.photodetect import (
 
 P = DipoleParams.from_rates(omega0=50.0, gamma=1.0)
 CFG = DetectorConfig(position=np.array([0.4, 0.0, 0.0]), source=P)
+
+
+# Independent route: the detection integrands written out from the atomic
+# correlators, integrated by a trapezoid plus one Richardson step.
+def _richardson_trapezoid(f, a, b, n):
+    if b <= a:
+        return 0.0
+    n += n % 2
+    xs = np.linspace(a, b, n + 1)
+    ys = f(xs)
+    return (4.0 * np.trapezoid(ys, xs) - np.trapezoid(ys[::2], xs[::2])) / 3.0
+
+
+def _contraction(cfg, part):
+    cs = coeffs_two_level(cfg.position, cfg.source)
+    return complex(cfg.dvec @ (cs.e_coeff if part == "full" else cs.e_rad))
+
+
+def _quad_rate_g(t, cfg, part, per_period):
+    p, x = cfg.source, cfg.r
+    c2 = abs(_contraction(cfg, part)) ** 2
+
+    def integrand(tp):
+        return 2.0 * c2 * atomdyn._pm_raw(t - x, tp - x, p) * np.exp(-1j * p.omega0 * (t - tp))
+
+    n = n_for_oscillation(p.omega0, x, t, per_period)
+    return 2.0 * float(np.real(_richardson_trapezoid(integrand, x, t, n)))
+
+
+def _quad_diff(t, cfg, part, per_period):
+    p, x = cfg.source, cfg.r
+    coeff = np.conj(_contraction(cfg, part)) ** 2
+
+    def integrand(tp):
+        return coeff * np.conj(atomdyn._comm_raw(tp + x, t - x, p)) * np.exp(-1j * p.omega0 * (t - tp))
+
+    b = t - 2.0 * x
+    n = n_for_oscillation(2.0 * p.omega0, 0.0, b, per_period)
+    return 2.0 * float(np.real(_richardson_trapezoid(integrand, 0.0, b, n)))
 
 
 def test_config_validation():
@@ -55,6 +99,42 @@ def test_rate_positive_and_decaying():
     assert 0.0 <= late < early
 
 
+@pytest.mark.parametrize("part", ["full", "rad"])
+@pytest.mark.parametrize("ratio", [10.0, 50.0, 100.0, 1000.0])
+def test_closed_forms_match_quadrature(ratio, part):
+    cfg = DetectorConfig(position=CFG.position, source=DipoleParams.from_rates(omega0=ratio, gamma=1.0))
+    ts = np.array([0.6, 0.95, 1.7, 2.5])
+    rep = suppression_report(cfg, ts, part=part)
+    ref_g = np.array([_quad_rate_g(t, cfg, part, 2560) for t in ts])
+    ref_d = np.array([_quad_diff(t, cfg, part, 2560) for t in ts])
+    assert np.all(np.abs(rep.rate_g - ref_g) <= 1e-9 * np.abs(ref_g))
+    assert np.all(np.abs(rep.diff - ref_d) <= 1e-9 * np.max(np.abs(ref_d)))
+    assert ref_d[0] == 0.0 and np.all(ref_d[1:] != 0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=st.floats(0.05, 3.0), frac=st.floats(-1.0, 1.0, exclude_max=True),
+       ratio=st.sampled_from([10.0, 100.0, 1e8]), part=st.sampled_from(["full", "rad"]))
+def test_rates_equal_before_round_trip_property(x, frac, ratio, part):
+    # every t < 2|x|, including t < 0 and t < |x|, on the array and scalar paths
+    cfg = DetectorConfig(position=np.array([0.0, x, 0.0]),
+                         source=DipoleParams.from_rates(omega0=ratio, gamma=1.0))
+    t = 2.0 * x * frac
+    assume(t < 2.0 * x)
+    rep = suppression_report(cfg, [t, 0.5 * t], part=part)
+    assert np.all(rep.rate_c == rep.rate_g)
+    assert detection_rate_C(t, cfg, part) == detection_rate_G(t, cfg, part)
+
+
+def test_nonfinite_times_are_rejected():
+    for bad in (np.nan, np.inf, -np.inf):
+        for rate in (detection_rate_G, detection_rate_C):
+            with pytest.raises(ValueError, match="times t must be finite"):
+                rate(bad, CFG)
+        with pytest.raises(ValueError, match="times t must be finite"):
+            suppression_report(CFG, [1.0, bad])
+
+
 def test_part_validation():
     # 1.0 is past the 2|x| round trip, 0.2 is before light arrives (t <= |x|)
     for t in (1.0, 0.2):
@@ -73,6 +153,7 @@ def test_suppression_report_structure():
     assert rep.max_ratio > 0.0
     for i, t in enumerate(ts):
         assert rep.rate_g[i] == detection_rate_G(float(t), CFG)
+        assert rep.rate_c[i] == detection_rate_C(float(t), CFG)
 
 
 def test_suppression_report_silent_grid():
