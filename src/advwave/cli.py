@@ -9,9 +9,11 @@ detect         photo-detection rates with and without vacuum interference
 validate       self-check suite; exit code 2 if any check fails
 
 Exit codes: 0 success, 1 usage/configuration error, 2 numerical-validation
-failure, 3 I/O failure.  ``ADVWAVE_THREADS`` caps BLAS/OpenMP parallelism and
-is applied before the numeric stack is first imported, which is why all numpy
-imports in this module are local to the command functions.
+failure, 3 I/O failure.  A table of more than ``_MAX_ROWS`` rows (corr has
+points^2) is a usage error, raised before any grid is allocated.
+``ADVWAVE_THREADS`` caps BLAS/OpenMP parallelism and is applied before the
+numeric stack is first imported, which is why all numpy imports in this
+module are local to the command functions.
 
 Configuration precedence: per-command defaults < ``--config`` file < flags.
 The config file holds ``key = value`` lines (``#`` comments allowed) with keys
@@ -144,9 +146,7 @@ def _resolve_config(ns, **command_defaults) -> RunConfig:
     values = dict(command_defaults)
     if getattr(ns, "config", None):
         values.update(_read_config(ns.config))
-    for flag, field in (("gamma", "gamma"), ("omega0_ratio", "omega0_over_gamma"),
-                        ("r0_gamma", "r0_gamma"), ("tmax_gamma", "tmax_gamma"),
-                        ("points", "points"), ("out", "out")):
+    for flag, (field, _) in _CONFIG_KEYS.items():  # config keys double as flag names
         v = getattr(ns, flag, None)
         if v is not None:
             values[field] = v
@@ -167,11 +167,31 @@ def _dipole_geometry(cfg: RunConfig):
     return params, position
 
 
-def _auto_points(cfg: RunConfig, per_period: int = 64) -> int:
+# Output rows per table (the corr table has points^2 rows), checked before any
+# grid is allocated: about ten times the largest grid the commands are timed on
+# (figure 3 at omega0 = 1000 gamma, 203 720 rows).
+_MAX_ROWS = 2_000_000
+
+
+def _points(cfg: RunConfig, command: str, auto, square: bool = False) -> int:
+    """``cfg.points``, else the automatic count; refused above the row limit."""
+    n = cfg.points if cfg.points is not None else auto
+    rows = float(n) ** 2 if square else float(n)
+    if not rows <= _MAX_ROWS:
+        hint = ("lower --points" if cfg.points is not None
+                else "pass --points, or lower --omega0-ratio or --tmax-gamma")
+        raise _UsageError(f"the {command} grid needs {rows:,.0f} rows, more than the "
+                          f"limit of {_MAX_ROWS:,}; {hint}")
+    return int(n)
+
+
+def _auto_points(cfg: RunConfig, per_period: int = 64):
+    """Automatic figure grid size; above the row limit a float, which may be inf."""
     import math
 
     tmax = cfg.tmax_gamma / cfg.gamma
-    return max(2, int(math.ceil(per_period * cfg.omega0 * tmax / (2.0 * math.pi))) + 1)
+    intervals = per_period * cfg.omega0 * tmax / (2.0 * math.pi)
+    return max(2, int(math.ceil(intervals)) + 1) if intervals < _MAX_ROWS else intervals + 1.0
 
 
 def cmd_figure(cfg: RunConfig, which: int) -> int:
@@ -186,7 +206,7 @@ def cmd_figure(cfg: RunConfig, which: int) -> int:
                           "onset lies inside the window")
     params, position = _dipole_geometry(cfg)
     charge = ChargeParams(q=1.0, m=1.0, r0=position)
-    n = cfg.points if cfg.points is not None else _auto_points(cfg)
+    n = _points(cfg, "figure", _auto_points(cfg))
     t = np.linspace(0.0, cfg.tmax_gamma / cfg.gamma, n)
     curve = dispersion_change(t, params, charge)
 
@@ -236,7 +256,7 @@ def cmd_power(cfg: RunConfig, model: str) -> int:
             "p_vacs": [pb.vacsource], "p_total": [pb.total],
         }
     else:
-        n = cfg.points if cfg.points is not None else 201
+        n = _points(cfg, "power", 201)
         t_ret = np.linspace(0.0, cfg.tmax_gamma / cfg.gamma, n)
         pb = power_curves_2lvl(t_ret, params)
         columns = {
@@ -262,7 +282,7 @@ def cmd_corr(cfg: RunConfig, geometry=None) -> int:
 
     params, position = _dipole_geometry(cfg)
     x_a, x_b = (position, position) if geometry is None else geometry
-    n = cfg.points if cfg.points is not None else 41
+    n = _points(cfg, "corr", 41, square=True)
     ts = np.linspace(0.0, cfg.tmax_gamma / cfg.gamma, n)
     t, tp = np.meshgrid(ts, ts, indexing="ij")
     g, d = corr_traces(FieldKind.ELECTRIC, FieldKind.ELECTRIC, t, x_a, tp, x_b, params)
@@ -288,7 +308,7 @@ def cmd_detect(cfg: RunConfig) -> int:
 
     params, position = _dipole_geometry(cfg)
     det = DetectorConfig(position=position, source=params)
-    n = cfg.points if cfg.points is not None else 120
+    n = _points(cfg, "detect", 120)
     x = det.r
     t = np.linspace(x, 2.0 * x + cfg.tmax_gamma / cfg.gamma, n)
     rep = suppression_report(det, t)

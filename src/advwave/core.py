@@ -106,7 +106,10 @@ class DipoleParams:
         norm = np.linalg.norm(n)
         if norm == 0.0:
             raise ValueError("direction must be nonzero")
-        d_abs = np.sqrt(3.0 * np.pi * float(gamma) / float(omega0) ** 3)
+        try:
+            d_abs = np.sqrt(3.0 * np.pi * float(gamma) / float(omega0) ** 3)
+        except OverflowError:
+            raise ValueError(f"omega0 = {float(omega0):.6g} is too large: omega0^3 overflows") from None
         return cls(omega0=float(omega0), gamma=float(gamma), dvec=n / norm * d_abs, consistent=True)
 
     @property

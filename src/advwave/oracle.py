@@ -44,7 +44,7 @@ import scipy.sparse as sp
 from scipy.fft import fft, ifft, next_fast_len
 from scipy.sparse.linalg import expm_multiply
 
-from ._quad import n_for_oscillation
+from ._quad import n_for_oscillation, trapezoid_weights
 from .core import DipoleParams
 
 __all__ = [
@@ -460,8 +460,7 @@ def markov_kernel_check(freq_fn, t_r: float, t_a: float, params: DipoleParams,
 
     n_t = n_for_oscillation(osc_t, a, b, per_period)
     tp = np.linspace(a, b, n_t + 1)
-    wt = np.full(n_t + 1, (b - a) / n_t)
-    wt[0] = wt[-1] = (b - a) / (2 * n_t)
+    wt = trapezoid_weights(a, b, n_t)
 
     def kernel_factor(ws):
         return np.asarray(freq_fn(ws), dtype=complex) * (
@@ -470,8 +469,7 @@ def markov_kernel_check(freq_fn, t_r: float, t_a: float, params: DipoleParams,
     def action(w_lo: float, w_hi: float, center: float) -> complex:
         n_w = n_for_oscillation(rel_scale, w_lo, w_hi, per_period)
         ws = np.linspace(w_lo, w_hi, n_w + 1)
-        ww = np.full(n_w + 1, (w_hi - w_lo) / n_w)
-        ww[0] = ww[-1] = (w_hi - w_lo) / (2 * n_w)
+        ww = trapezoid_weights(w_lo, w_hi, n_w)
         ghat = _chirp_z(wt * g_val(tp, center), a, (b - a) / n_t, w_lo, (w_hi - w_lo) / n_w, n_w + 1)
         return complex(np.sum(ww * kernel_factor(ws) * ghat))
 
@@ -510,8 +508,7 @@ def markov_kernel_check(freq_fn, t_r: float, t_a: float, params: DipoleParams,
     td = np.linspace(t_r - half_span, t_r + half_span, 801)
     n_w = n_for_oscillation(rel_scale + half_span, w_lo, w_hi, per_period)
     ws = np.linspace(w_lo, w_hi, n_w + 1)
-    ww = np.full(n_w + 1, (w_hi - w_lo) / n_w)
-    ww[0] = ww[-1] = (w_hi - w_lo) / (2 * n_w)
+    ww = trapezoid_weights(w_lo, w_hi, n_w)
     kf = ww * kernel_factor(ws)
     kvals = _chirp_z(kf, w_lo, (w_hi - w_lo) / n_w, td[0], 2.0 * half_span / (td.size - 1),
                      td.size)

@@ -31,7 +31,6 @@ def read_csv(path):
 
 
 def test_figure1_outputs(tmp_path):
-    # 500 points keeps 40+ samples per optical period at omega0 = 10 gamma
     assert run_cli("figure", "1", "--points", "500", "--out", str(tmp_path)) == EXIT_OK
     meta, names, cols = read_csv(tmp_path / "fig1.csv")
     assert names == ["t_gamma", "n_dps", "n_dpvacs", "n_dptotal"]
@@ -172,6 +171,32 @@ def test_usage_errors():
     assert run_cli("no-such-command") == EXIT_USAGE
     assert run_cli("figure", "1", "--points", "1") == EXIT_USAGE
     assert run_cli("power", "pert", "--gamma", "-3") == EXIT_USAGE
+
+
+def test_figure_rejects_an_overflowing_omega0(capsys):
+    assert run_cli("figure", "1", "--omega0-ratio", "1e300") == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "omega0" in err and "too large" in err
+
+
+@pytest.mark.parametrize("argv,rows", [
+    (("figure", "1", "--omega0-ratio", "1e7"), "611,154,982"),   # automatic grid, 64 per period
+    (("corr", "--points", "2000"), "4,000,000"),                  # points^2 cells
+    (("detect", "--points", "3000000"), "3,000,000"),
+    (("power", "nonpert", "--points", "3000000"), "3,000,000"),
+])
+def test_oversized_grids_are_refused_before_allocating(argv, rows, monkeypatch, capsys, tmp_path):
+    import time
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was allocated")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    start = time.perf_counter()
+    assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_USAGE
+    assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"needs {rows} rows" in err and "2,000,000" in err
 
 
 def test_out_of_memory_is_a_usage_error(monkeypatch, capsys):

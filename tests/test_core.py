@@ -44,6 +44,8 @@ def test_params_validation():
         DipoleParams(omega0=-1.0, gamma=1.0, dvec=np.array([0.0, 0.0, 0.1]))
     with pytest.raises(ValueError):
         DipoleParams.from_rates(omega0=10.0, gamma=0.0)
+    with pytest.raises(ValueError, match="too large"):
+        DipoleParams.from_rates(omega0=1e308, gamma=1e8)   # omega0^3 overflows a float
     with pytest.raises(ValueError):
         DipoleParams(omega0=10.0, gamma=1.0, dvec=np.zeros(4))
     with pytest.raises(ValueError):

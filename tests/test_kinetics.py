@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import cumulative_trapezoid
 
 from advwave.core import DipoleParams, Event, FieldKind
-from advwave.correlations import c_tensor
+from advwave.correlations import c_tensor, corr_traces
 from advwave.kinetics import (
     ChargeParams,
+    _moments,
     dispersion_change,
     longtime_fit,
     momdiff_source,
@@ -15,6 +19,86 @@ from advwave.kinetics import (
 
 P = DipoleParams.from_rates(omega0=100.0, gamma=1.0)
 CH = ChargeParams(q=1.0, m=1.0, r0=np.array([1.0 / 3.0, 0.0, 0.0]))
+EE = FieldKind.ELECTRIC
+
+
+# Independent routes for the closed forms: the rates and the radiation-zone
+# kernel integrated numerically.
+
+def _trapezoid_curves(t, params, charge):
+    """Cumulative trapezoid of the N-scaled source and vacuum-source rates."""
+    n = norm_constant(params, charge)
+    return (cumulative_trapezoid(n * momdiff_source(t, params, charge), t, initial=0.0),
+            cumulative_trapezoid(n * momdiff_vacsource(t, params, charge), t, initial=0.0))
+
+
+def _richardson_curves(t, params, charge):
+    """Two Richardson steps on cumulative trapezoids with the steps of t, halved and quartered.
+
+    Exact to O(h^6) at the nodes of ``t`` when every kink of the rates (at
+    |r0| and 2|r0|) is a node.
+    """
+    fine = np.linspace(t[0], t[-1], 4 * (t.size - 1) + 1)
+    levels = [_trapezoid_curves(fine[::k], params, charge) for k in (4, 2, 1)]
+    out = []
+    for coarse, mid, finest in zip(*levels):
+        r1, r2 = (4.0 * mid[::2] - coarse) / 3.0, (4.0 * finest[::2] - mid) / 3.0
+        out.append((16.0 * r2[::2] - r1) / 15.0)
+    return out
+
+
+def _trapezoid_posdisp(t, params, charge, n):
+    """Field part of the position dispersion: uniform tensor-product trapezoid.
+
+    First order in 1/n, because the advanced-wave gate |t3 - t4| >= 2 |r0|
+    cuts the grid diagonally.
+    """
+    ts = np.linspace(0.0, t, n + 1)
+    w = np.full(n + 1, t / n)
+    w[0] = w[-1] = t / (2 * n)
+    wt = w * (t - ts)
+    acc = 0.0 + 0.0j
+    block = max(1, int(4e6) // (n + 1))
+    for lo in range(0, n + 1, block):
+        g, d = corr_traces(EE, EE, ts[lo:lo + block, None], charge.r0, ts[None, :], charge.r0,
+                           params, part="rad")
+        acc += np.einsum("i,ij,j->", wt[lo:lo + block], g + d, wt)
+    return charge.q**2 / charge.m**2 * 2.0 * float(np.real(acc))
+
+
+def _gauss_legendre(lo, hi, n):
+    x, w = np.polynomial.legendre.leggauss(n)
+    return lo + (hi - lo) * (x + 1.0) / 2.0, w * (hi - lo) / 2.0
+
+
+def _gauss_legendre_posdisp(t, params, charge):
+    """Field part of the position dispersion, each gated segment by Gauss-Legendre.
+
+    The Glauber square t3, t4 in [|r0|, t] is a tensor product; each
+    advanced-wave triangle (one time at least 2|r0| after the other) takes
+    outer nodes on [2|r0|, t] and inner nodes on [0, outer - 2|r0|].  All
+    nodes are interior, so no gate edge is sampled.
+    """
+    r0 = charge.r0_abs
+
+    def nodes(length):
+        return int(0.6 * params.omega0 * length) + 40
+
+    total = 0.0j
+    s, w = _gauss_legendre(r0, t, nodes(t - r0))
+    g, _ = corr_traces(EE, EE, s[:, None], charge.r0, s[None, :], charge.r0, params, part="rad")
+    total += (w * (t - s)) @ g @ (w * (t - s))
+    b = t - 2.0 * r0
+    if b > 0.0:
+        outer, w_out = _gauss_legendre(2.0 * r0, t, nodes(b))
+        x, w_in = np.polynomial.legendre.leggauss(nodes(b))
+        span = outer[:, None] - 2.0 * r0
+        inner = span * (x + 1.0) / 2.0
+        weight = w_out[:, None] * (t - outer[:, None]) * (w_in * span / 2.0) * (t - inner)
+        for first, second in ((inner, outer[:, None]), (outer[:, None], inner)):
+            _, d = corr_traces(EE, EE, first, charge.r0, second, charge.r0, params, part="rad")
+            total += np.sum(weight * d)
+    return charge.q**2 / charge.m**2 * 2.0 * total.real
 
 
 def test_charge_validation():
@@ -68,6 +152,50 @@ def _grid(tmax, per_period=60):
     return np.linspace(0.0, tmax, n + 1)
 
 
+@pytest.mark.parametrize("ratio", [10.0, 100.0, 1000.0])
+def test_dispersion_matches_richardson_quadrature(ratio):
+    p = DipoleParams.from_rates(omega0=ratio, gamma=1.0)
+    ch = ChargeParams(q=1.0, m=1.0, r0=np.array([0.0, 0.25, 0.0]))
+    # |r0| = 1/4 and 2|r0| = 1/2 are nodes of a grid on [0, 3] with 12 k steps;
+    # 128 or more steps per optical period
+    steps = 12 * int(np.ceil(128.0 * ratio * 3.0 / (2.0 * np.pi) / 12.0))
+    t = np.linspace(0.0, 3.0, steps + 1)
+    curve = dispersion_change(t, p, ch)
+    ref_s, ref_v = _richardson_curves(t, p, ch)
+    assert np.max(np.abs(curve.cum_source - ref_s)) <= 1e-9 * np.max(np.abs(ref_s))
+    assert np.max(np.abs(curve.cum_vacsource - ref_v)) <= 1e-9 * np.max(np.abs(ref_v))
+
+
+def test_dispersion_is_exact_on_any_grid():
+    # a point's value does not depend on the rest of the grid
+    coarse = np.linspace(0.0, 3.0, 7)
+    fine = np.union1d(coarse, np.linspace(0.0, 3.0, 1001))
+    a, b = dispersion_change(coarse, P, CH), dispersion_change(fine, P, CH)
+    shared = np.isin(fine, coarse)
+    for name in ("cum_source", "cum_vacsource", "cum_total"):
+        assert np.all(getattr(a, name) == getattr(b, name)[shared])
+    # and at an optical frequency on a coarse grid
+    p = DipoleParams.from_rates(omega0=1e8, gamma=1.0)
+    curve = dispersion_change(np.linspace(0.0, 20.0, 101), p, CH)
+    assert np.all(np.isfinite(curve.cum_total))
+    slope, _ = longtime_fit(curve, (10.0, 20.0))
+    assert slope == pytest.approx(1.0, rel=0.02)
+
+
+def test_moments_match_gauss_legendre():
+    # both branches (series below |c b| = 1, recurrence above), including
+    # |c b| = 1e-8 where the recurrence alone would cancel catastrophically
+    for c in (1.0, -1.0, 1j, complex(-0.5, 100.0), complex(0.5, -3.0)):
+        for z in (1e-8, 0.3, 1.0 - 1e-12, 1.0 + 1e-12, 7.0):
+            b = z / abs(c)
+            s, w = _gauss_legendre(0.0, b, 40)
+            for k, m in enumerate(_moments(c, b)):
+                assert abs(m - w @ (s**k * np.exp(c * s))) <= 1e-13 * abs(m)
+    # a shift merged into the exponent: no overflow where e^{c b} alone would
+    m0, _, m2 = _moments(1.0, 1000.0, 1000.0)
+    assert m0 == pytest.approx(1.0, rel=1e-15) and np.isfinite(m2)
+
+
 def test_dispersion_curve_consistency():
     t = _grid(3.0)
     curve = dispersion_change(t, P, CH)
@@ -90,8 +218,6 @@ def test_dispersion_curves_are_charge_independent():
 def test_dispersion_grid_validation():
     with pytest.raises(ValueError, match="start at 0"):
         dispersion_change(np.linspace(1.0, 2.0, 50_000), P, CH)
-    with pytest.raises(ValueError, match="too coarse"):
-        dispersion_change(np.linspace(0.0, 10.0, 100), P, CH)
     with pytest.raises(ValueError, match="at least two"):
         dispersion_change(np.array([0.0]), P, CH)
 
@@ -117,10 +243,9 @@ def test_posdisp_free_part():
 
 
 def test_posdisp_validation():
-    with pytest.raises(ValueError):
-        posdisp_change(-0.1, P, CH)
-    with pytest.raises(ValueError):
-        posdisp_change(0.5, P, CH, per_period=10)
+    for t in (-0.1, np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            posdisp_change(t, P, CH)
 
 
 def test_posdisp_against_literal_quadrature():
@@ -142,3 +267,53 @@ def test_posdisp_against_literal_quadrature():
     wt = w * (t - ts)
     ref = 2.0 * float(np.real(wt @ vals @ wt)) * ch.q**2 / ch.m**2
     assert lib == pytest.approx(ref, rel=0.05)
+
+
+# off-axis charge, 2|r0| = 0.671: times on both sides of the advanced-wave onset
+@pytest.mark.parametrize("ratio,t", [(40.0, 0.5), (40.0, 1.0), (40.0, 2.5), (100.0, 0.5),
+                                     (100.0, 0.675), (100.0, 1.0), (100.0, 2.5), (1000.0, 0.5),
+                                     (1000.0, 1.0)])
+def test_posdisp_matches_gauss_legendre(ratio, t):
+    p = DipoleParams.from_rates(omega0=ratio, gamma=1.0)
+    ch = ChargeParams(q=1.5, m=0.5, r0=np.array([0.2, -0.1, 0.25]))
+    ref = _gauss_legendre_posdisp(t, p, ch)
+    assert abs(posdisp_change(t, p, ch) - ref) <= 1e-10 * abs(ref)
+
+
+def test_posdisp_trapezoid_converges_to_closed_form():
+    p = DipoleParams.from_rates(omega0=40.0, gamma=1.0)
+    ch = ChargeParams(q=1.0, m=1.0, r0=np.array([0.02, 0.0, 0.0]))
+    exact = posdisp_change(0.1, p, ch)
+    coarse, fine = (_trapezoid_posdisp(0.1, p, ch, n) for n in (1000, 2000))
+    # first-order error: halves with the step, and one Richardson step removes it
+    assert 0.4 <= (fine - exact) / (coarse - exact) <= 0.6
+    assert abs(2.0 * fine - coarse - exact) <= 5e-5 * exact
+
+
+def test_posdisp_benchmark_references():
+    # converged Gauss-Legendre values at omega0 = 100 gamma, r0 = (1/3, 0, 0) / gamma
+    refs = (0.007755788246617296, 0.007878511381536281, 0.007997904640318158,
+            0.00811048974475664, 0.008213217328804581, 0.00830365866034825,
+            0.00838015961356714, 0.008441947130400777, 0.008489181324548227)
+    for k, ref in enumerate(refs):
+        assert posdisp_change(1.0 + 0.0025 * (k - 4), P, CH) == pytest.approx(ref, rel=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_ratio=st.floats(1.0, 8.0), r0_gamma=st.floats(0.01, 5.0),
+       t_gamma=st.floats(0.0, 1e3), gamma=st.sampled_from([1.0, 1e8]))
+def test_closed_forms_at_any_ratio_property(log_ratio, r0_gamma, t_gamma, gamma):
+    p = DipoleParams.from_rates(omega0=10.0**log_ratio * gamma, gamma=gamma)
+    ch = ChargeParams(q=1.0, m=1.0, r0=np.array([r0_gamma / gamma, 0.0, 0.0]))
+    onset = 2.0 * ch.r0_abs
+    assert np.isfinite(posdisp_change(t_gamma / gamma, p, ch))
+    # continuous where the advanced-wave triangles open
+    before, at, after = (posdisp_change(onset * f, p, ch) for f in (1.0 - 1e-9, 1.0, 1.0 + 1e-9))
+    assert abs(after - before) <= 1e-6 * abs(at)
+    t = np.union1d(np.linspace(0.0, max(t_gamma, 2.0 * r0_gamma) / gamma, 101),
+                   [ch.r0_abs, onset * (1.0 - 1e-12), onset])
+    curve = dispersion_change(t, p, ch)
+    for name in ("cum_source", "cum_vacsource", "cum_total"):
+        assert np.all(np.isfinite(getattr(curve, name)))
+    assert np.all(curve.cum_vacsource[t < onset] == 0.0)
+    assert np.all(curve.cum_source[t < ch.r0_abs] == 0.0)

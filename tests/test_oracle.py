@@ -3,13 +3,15 @@
 The slow pieces (count = 400 grids, long two-time propagations) live in the
 acceptance suite; here the grids are small and every run is a few seconds.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply as scipy_expm_multiply
 
 from advwave import oracle
-from advwave._quad import n_for_oscillation
+from advwave._quad import n_for_oscillation, trapezoid_weights
 from advwave.atomdyn import (
     AtomCorrKind,
     commutator_expect,
@@ -302,6 +304,26 @@ def test_markov_banded_mass():
     cubic = markov_kernel_check(lambda w: (w / P100.omega0) ** 3,
                                 band=(P100.omega0 - 25.0, P100.omega0 + 25.0), **kw)
     assert cubic.mass_rel_err < 0.02
+
+
+def _hand_built_weights(a, b, n):
+    # the weights markov_kernel_check built inline before the shared helper
+    w = np.full(n + 1, (b - a) / n)
+    w[0] = w[-1] = (b - a) / (2 * n)
+    return w
+
+
+def test_trapezoid_weights_keep_the_markov_report_bits(monkeypatch):
+    for a, b, n in ((0.0, 1.0, 1), (-1.3, 4.7, 999), (20.0, 40.0, 1234), (75.0, 125.0, 64)):
+        assert np.array_equal(trapezoid_weights(a, b, n), _hand_built_weights(a, b, n))
+    sigma = 25.0 / P100.omega0
+    cases = (dict(t_r=1.5, t_a=4.5, params=P30, per_period=16),
+             dict(t_r=2.0 * sigma, t_a=22.0 * sigma, params=P100, sigma=sigma))
+    reports = [markov_kernel_check(CONST, **kw) for kw in cases]
+    monkeypatch.setattr(oracle, "trapezoid_weights", _hand_built_weights)
+    for kw, rep in zip(cases, reports):
+        ref = markov_kernel_check(CONST, **kw)
+        assert [repr(v) for v in dataclasses.astuple(rep)] == [repr(v) for v in dataclasses.astuple(ref)]
 
 
 def test_markov_validation():
