@@ -38,10 +38,30 @@ def _ticks(lo: float, hi: float, n: int = 5):
     return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
 
 
+def _pixel_extremes(column, y):
+    """Indices of the first, minimum, maximum and last point of each run of
+    consecutive points that share a pixel column, in index order, each once."""
+    starts = np.diff(column, prepend=column[0] - 1) != 0
+    run = np.cumsum(starts)
+    first = np.flatnonzero(starts)
+    last = np.append(first[1:], run.size) - 1
+    by_value = np.lexsort((y, run))  # runs stay in place; each sorted by y, stably
+    keep = np.zeros(run.size, dtype=bool)
+    keep[np.concatenate([first, last, by_value[first], by_value[last]])] = True
+    return np.flatnonzero(keep)
+
+
 def write_svg(path, x, series: dict, title: str, xlabel: str, ylabel: str) -> None:
-    """Plot ``series`` (name -> y array) against ``x`` as SVG polylines."""
+    """Plot ``series`` (name -> y array) against ``x`` as SVG polylines.
+
+    Non-finite points are skipped.  A series with more finite points than the
+    plot has pixel columns keeps, per pixel column (for x in order), only its
+    first, minimum, maximum and last point: the line looks the same at the
+    plot's resolution, and the file stops growing with the number of points.
+    """
     width, height = 860, 560
     ml, mr, mt, mb = 80, 24, 48, 56
+    plot_w = width - ml - mr
     xa = np.asarray(x, dtype=float)
     yas = [np.asarray(ys, dtype=float) for ys in series.values()]
     masks = [np.isfinite(ya) for ya in yas]
@@ -58,7 +78,7 @@ def write_svg(path, x, series: dict, title: str, xlabel: str, ylabel: str) -> No
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
     def px(v):
-        return ml + (v - x_lo) / (x_hi - x_lo) * (width - ml - mr)
+        return ml + (v - x_lo) / (x_hi - x_lo) * plot_w
 
     def py(v):
         return height - mb - (v - y_lo) / (y_hi - y_lo) * (height - mt - mb)
@@ -83,14 +103,13 @@ def write_svg(path, x, series: dict, title: str, xlabel: str, ylabel: str) -> No
         parts.append(f'<text x="{ml - 8}" y="{py(ty) + 4:.2f}" text-anchor="end">{ty:.4g}</text>')
     for idx, (name, ya, mask) in enumerate(zip(series, yas, masks)):
         color = _PALETTE[idx % len(_PALETTE)]
-        chunks = []
-        for i in range(0, xa.size, _BLOCK_ROWS):
-            keep = mask[i:i + _BLOCK_ROWS]
-            # same operation order as px/py, so each coordinate rounds identically
-            pxs = ml + (xa[i:i + _BLOCK_ROWS][keep] - x_lo) / (x_hi - x_lo) * (width - ml - mr)
-            pys = height - mb - (ya[i:i + _BLOCK_ROWS][keep] - y_lo) / (y_hi - y_lo) * (height - mt - mb)
-            chunks.extend(map("%.2f,%.2f".__mod__, zip(pxs.tolist(), pys.tolist())))
-        pts = " ".join(chunks)
+        # same operation order as px/py, so each coordinate rounds identically
+        pxs = ml + (xa[mask] - x_lo) / (x_hi - x_lo) * plot_w
+        pys = height - mb - (ya[mask] - y_lo) / (y_hi - y_lo) * (height - mt - mb)
+        if pxs.size > plot_w:
+            keep = _pixel_extremes(np.minimum((pxs - ml).astype(np.int64), plot_w - 1), ya[mask])
+            pxs, pys = pxs[keep], pys[keep]
+        pts = " ".join(map("%.2f,%.2f".__mod__, zip(pxs.tolist(), pys.tolist())))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         parts.append(f'<text x="{width - mr - 8}" y="{mt + 20 * (idx + 1)}" text-anchor="end" '
                      f'fill="{color}">{name}</text>')

@@ -2,7 +2,9 @@
 
 Commands
 --------
-figure 1|2|3   momentum-diffusion curve data (CSV + SVG)
+figure 1|2|3   momentum-diffusion curve data (CSV + SVG): the raw curves where
+               the grid resolves the optical period, else their cycle
+               averages and envelopes
 power          emitted-power table, perturbative or two-level
 corr           correlation-function traces on a (t, t') grid
 detect         photo-detection rates with and without vacuum interference
@@ -10,7 +12,8 @@ validate       self-check suite; exit code 2 if any check fails
 
 Exit codes: 0 success, 1 usage/configuration error, 2 numerical-validation
 failure, 3 I/O failure.  A table of more than ``_MAX_ROWS`` rows (corr has
-points^2) is a usage error, raised before any grid is allocated.
+points^2) is a usage error, raised before any grid is allocated; only an
+explicit ``--points`` can ask for one.
 ``ADVWAVE_THREADS`` caps BLAS/OpenMP parallelism and is applied before the
 numeric stack is first imported, which is why all numpy imports in this
 module are local to the command functions.
@@ -168,38 +171,47 @@ def _dipole_geometry(cfg: RunConfig):
 
 
 # Output rows per table (the corr table has points^2 rows), checked before any
-# grid is allocated: about ten times the largest grid the commands are timed on
-# (figure 3 at omega0 = 1000 gamma, 203 720 rows).
+# grid is allocated.  Every automatic grid stays far below it (the largest is a
+# figure grid of _RESOLVED_ROWS rows), so only an explicit --points reaches it.
 _MAX_ROWS = 2_000_000
+# The automatic figure grid takes 64 points per optical period while that needs
+# at most _RESOLVED_ROWS rows (every paper figure does), else _AVERAGED_ROWS
+# points, on which the figure shows cycle averages and envelopes.
+_RESOLVED_ROWS = 65_536
+_AVERAGED_ROWS = 2_001
 
 
-def _points(cfg: RunConfig, command: str, auto, square: bool = False) -> int:
+def _points(cfg: RunConfig, command: str, auto: int, square: bool = False) -> int:
     """``cfg.points``, else the automatic count; refused above the row limit."""
     n = cfg.points if cfg.points is not None else auto
-    rows = float(n) ** 2 if square else float(n)
-    if not rows <= _MAX_ROWS:
-        hint = ("lower --points" if cfg.points is not None
-                else "pass --points, or lower --omega0-ratio or --tmax-gamma")
-        raise _UsageError(f"the {command} grid needs {rows:,.0f} rows, more than the "
-                          f"limit of {_MAX_ROWS:,}; {hint}")
-    return int(n)
+    rows = n**2 if square else n
+    if rows > _MAX_ROWS:
+        raise _UsageError(f"the {command} grid needs {rows:,} rows, more than the "
+                          f"limit of {_MAX_ROWS:,}; lower --points")
+    return n
 
 
-def _auto_points(cfg: RunConfig, per_period: int = 64):
-    """Automatic figure grid size; above the row limit a float, which may be inf."""
+def _auto_points(cfg: RunConfig, per_period: int = 64) -> int:
+    """Automatic figure grid size: ``per_period`` points per optical period if that fits."""
     import math
 
     tmax = cfg.tmax_gamma / cfg.gamma
     intervals = per_period * cfg.omega0 * tmax / (2.0 * math.pi)
-    return max(2, int(math.ceil(intervals)) + 1) if intervals < _MAX_ROWS else intervals + 1.0
+    return max(2, int(math.ceil(intervals)) + 1) if intervals <= _RESOLVED_ROWS - 1 else _AVERAGED_ROWS
 
 
 def cmd_figure(cfg: RunConfig, which: int) -> int:
-    """Write figN.csv / figN.svg: scaled momentum-diffusion curves vs t*gamma."""
+    """Write figN.csv / figN.svg: scaled momentum-diffusion curves vs t*gamma.
+
+    A grid with a step of at most 1/16 optical period gets the raw curves
+    (n_dps, n_dpvacs, n_dptotal).  A coarser one gets, for each curve, its
+    average over one period and its lower and upper envelopes (avg_, lo_ and
+    hi_ columns); figure 3 then fits the averaged total.
+    """
     import numpy as np
 
     from ._report import write_csv, write_svg
-    from .kinetics import ChargeParams, dispersion_change, longtime_fit
+    from .kinetics import ChargeParams, cycle_averaged, dispersion_change, longtime_fit
 
     if cfg.tmax_gamma < 2.0 * cfg.r0_gamma:
         raise _UsageError("tmax_gamma must be >= 2*r0_gamma so the vacuum-source "
@@ -207,30 +219,41 @@ def cmd_figure(cfg: RunConfig, which: int) -> int:
     params, position = _dipole_geometry(cfg)
     charge = ChargeParams(q=1.0, m=1.0, r0=position)
     n = _points(cfg, "figure", _auto_points(cfg))
-    t = np.linspace(0.0, cfg.tmax_gamma / cfg.gamma, n)
-    curve = dispersion_change(t, params, charge)
-
+    tmax = cfg.tmax_gamma / cfg.gamma
+    t = np.linspace(0.0, tmax, n)
     meta = cfg.meta()
-    meta.update(figure=str(which),
-                columns="t_gamma, N-scaled momentum changes (source, vac-source, total)")
-    columns = {
-        "t_gamma": t * cfg.gamma,
-        "n_dps": curve.cum_source,
-        "n_dpvacs": curve.cum_vacsource,
-        "n_dptotal": curve.cum_total,
-    }
+    meta["figure"] = str(which)
+    columns = {"t_gamma": t * cfg.gamma}
+    if tmax / (n - 1) <= 2.0 * np.pi / params.omega0 / 16.0:
+        curve = dispersion_change(t, params, charge)
+        meta["columns"] = "t_gamma, N-scaled momentum changes (source, vac-source, total)"
+        columns.update(n_dps=curve.cum_source, n_dpvacs=curve.cum_vacsource,
+                       n_dptotal=curve.cum_total)
+        plotted, fit_column = ("n_dps", "n_dpvacs", "n_dptotal"), None
+    else:
+        curve = cycle_averaged(t, params, charge)
+        meta["columns"] = ("t_gamma, N-scaled momentum changes (source dps, vac-source "
+                           "dpvacs, total dptotal): avg_ their average over one optical "
+                           "period, lo_ and hi_ their lower and upper envelopes")
+        for name, part in (("dps", "source"), ("dpvacs", "vacsource"), ("dptotal", "total")):
+            for kind in ("avg", "lo", "hi"):
+                columns[f"{kind}_{name}"] = getattr(curve, f"{kind}_{part}")
+        plotted = ("avg_dps", "avg_dpvacs", "avg_dptotal", "lo_dptotal", "hi_dptotal")
+        fit_column = "avg_dptotal"
     csv_path = _outpath(cfg, f"fig{which}.csv")
     write_csv(csv_path, meta, columns)
     if which == 3:
-        window = (cfg.tmax_gamma / 2.0 / cfg.gamma, cfg.tmax_gamma / cfg.gamma)
+        window = (tmax / 2.0, tmax)
         slope, intercept = longtime_fit(curve, window, which="total")
         with open(csv_path, "a") as fh:
+            if fit_column:  # the raw table has a single total column
+                fh.write(f"# fit_column = {fit_column}\n")
             fh.write("# fit_window_gamma = [%.17g, %.17g]\n"
                      % (window[0] * cfg.gamma, window[1] * cfg.gamma))
             fh.write("# fit_slope_over_gamma = %.17g\n" % (slope / cfg.gamma))
             fh.write("# fit_intercept = %.17g\n" % intercept)
     write_svg(_outpath(cfg, f"fig{which}.svg"), columns["t_gamma"],
-              {k: columns[k] for k in ("n_dps", "n_dpvacs", "n_dptotal")},
+              {k: columns[k] for k in plotted},
               title=f"Scaled momentum diffusion (figure {which})",
               xlabel="t * gamma", ylabel="N * dp")
     return EXIT_OK
@@ -459,6 +482,10 @@ def _run_checks(cfg: RunConfig, count: int, span: float, full: bool):
 
 def cmd_validate(cfg: RunConfig, count: int, span: float, full: bool) -> int:
     """Run the self-check table; exit 2 when any check fails."""
+    if count < 1:
+        raise _UsageError(f"count must be >= 1, got {count}")
+    if not 0.0 < span < float("inf"):
+        raise _UsageError(f"span must be positive and finite, got {span}")
     rows = list(_run_checks(cfg, count, span, full))
     width = max(len(r[0]) for r in rows)
     lines = [f"{'check':<{width}}  {'tolerance':>11}  {'measured':>12}  result",
@@ -497,7 +524,9 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fig = sub.add_parser("figure", parents=[common],
-                           help="momentum-diffusion figure data")
+                           help="momentum-diffusion figure data: raw curves, or cycle "
+                                "averages and envelopes where the grid is coarser than "
+                                "1/16 optical period")
     p_fig.add_argument("which", type=int, choices=(1, 2, 3))
 
     p_pow = sub.add_parser("power", parents=[common], help="emitted-power table")

@@ -27,6 +27,14 @@ _GAMMA_REL_TOL = 1e-12
 _MARKOV_RATIO_WARN = 0.1
 
 
+def _omega0_cubed(omega0) -> float:
+    """omega0**3 as a float; ValueError, not OverflowError, when it overflows."""
+    try:
+        return float(omega0) ** 3
+    except OverflowError:
+        raise ValueError(f"omega0 = {float(omega0):.6g} is too large: omega0^3 overflows") from None
+
+
 def _vec3(value, name: str, dtype=float) -> np.ndarray:
     arr = np.asarray(value, dtype=dtype)
     if arr.shape != (3,):
@@ -64,6 +72,7 @@ class DipoleParams:
     gamma = omega0**3 |d|**2 / (3 pi) holds.  The named constructors
     (:meth:`from_dipole`, :meth:`from_rates`) always produce consistent
     parameter sets, and every cross-check in the test-suite uses those.
+    Every path that forms omega0**3 raises ``ValueError`` when it overflows.
     """
 
     omega0: float
@@ -78,7 +87,7 @@ class DipoleParams:
             raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         object.__setattr__(self, "dvec", _vec3(self.dvec, "dvec"))
         if self.consistent:
-            derived = self.omega0**3 * self.d_abs2 / (3.0 * np.pi)
+            derived = _omega0_cubed(self.omega0) * self.d_abs2 / (3.0 * np.pi)
             if abs(derived - self.gamma) > _GAMMA_REL_TOL * self.gamma:
                 raise ValueError(
                     "inconsistent parameters: gamma = "
@@ -96,7 +105,7 @@ class DipoleParams:
     def from_dipole(cls, omega0: float, dvec) -> "DipoleParams":
         """Build with gamma derived from the dipole vector (always consistent)."""
         d = _vec3(dvec, "dvec")
-        gamma = float(omega0) ** 3 * float(d @ d) / (3.0 * np.pi)
+        gamma = _omega0_cubed(omega0) * float(d @ d) / (3.0 * np.pi)
         return cls(omega0=float(omega0), gamma=gamma, dvec=d, consistent=True)
 
     @classmethod
@@ -106,10 +115,7 @@ class DipoleParams:
         norm = np.linalg.norm(n)
         if norm == 0.0:
             raise ValueError("direction must be nonzero")
-        try:
-            d_abs = np.sqrt(3.0 * np.pi * float(gamma) / float(omega0) ** 3)
-        except OverflowError:
-            raise ValueError(f"omega0 = {float(omega0):.6g} is too large: omega0^3 overflows") from None
+        d_abs = np.sqrt(3.0 * np.pi * float(gamma) / _omega0_cubed(omega0))
         return cls(omega0=float(omega0), gamma=float(gamma), dvec=n / norm * d_abs, consistent=True)
 
     @property

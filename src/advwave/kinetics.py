@@ -12,13 +12,17 @@ All rates carry the physical prefactor 1/N with
     N = ((gamma/2)^2 + omega0^2) / (q^2 |E_rad(r0)|^2),
 
 so the dimensionless curves N * rate are charge-independent; `DiffusionCurve`
-stores those scaled curves.
+and `CycleAverage` store those scaled curves.  They do not depend on E_rad
+either, so they exist for a charge on the dipole axis (E_rad = 0), where N
+is infinite.
 
 Every kernel is a gated sum of complex exponentials in a = i omega0 - gamma/2,
 so the cumulative curves and the position dispersion are evaluated in closed
 form (through the moments Int_0^b s^k e^{c s} ds, k <= 2).  They are exact on
 any time grid and at any omega0/gamma; no step size has to resolve the
-optical period.
+optical period.  `cycle_averaged` gives what a coarse grid can show at an
+optical ratio: each cumulative curve averaged over one optical period, and
+its exact lower and upper envelopes.
 """
 from __future__ import annotations
 
@@ -32,10 +36,12 @@ from .fieldcoeffs import coeffs_two_level
 __all__ = [
     "ChargeParams",
     "DiffusionCurve",
+    "CycleAverage",
     "norm_constant",
     "momdiff_source",
     "momdiff_vacsource",
     "dispersion_change",
+    "cycle_averaged",
     "longtime_fit",
     "posdisp_change",
 ]
@@ -81,6 +87,30 @@ class DiffusionCurve:
     gamma: float
 
 
+@dataclass(frozen=True)
+class CycleAverage:
+    """N-scaled cumulative curves seen through one optical period P = 2 pi/omega0.
+
+    For each of source, vacsource and total, ``avg_*`` is the curve averaged
+    over [t - P/2, t + P/2], and ``lo_*``/``hi_*`` are the lower and upper
+    envelopes of the raw curve at t.
+    """
+
+    times: np.ndarray
+    period: float
+    avg_source: np.ndarray
+    lo_source: np.ndarray
+    hi_source: np.ndarray
+    avg_vacsource: np.ndarray
+    lo_vacsource: np.ndarray
+    hi_vacsource: np.ndarray
+    avg_total: np.ndarray
+    lo_total: np.ndarray
+    hi_total: np.ndarray
+    norm_constant: float
+    gamma: float
+
+
 def _e_rad_abs2(params: DipoleParams, charge: ChargeParams) -> float:
     e_rad = coeffs_two_level(charge.r0, params).e_rad
     return float(np.real(e_rad @ np.conj(e_rad)))
@@ -92,10 +122,47 @@ def _inv_norm(params: DipoleParams, charge: ChargeParams) -> float:
 
 
 def norm_constant(params: DipoleParams, charge: ChargeParams) -> float:
-    """N = ((gamma/2)^2 + omega0^2) / (q^2 |E_rad(r0)|^2)."""
+    """N = ((gamma/2)^2 + omega0^2) / (q^2 |E_rad(r0)|^2).
+
+    Raises ValueError where N is infinite: for q = 0, and for a charge on the
+    dipole axis, where E_rad(r0) = 0.
+    """
     if charge.q == 0.0:
         raise ValueError("norm constant is undefined for an uncharged particle")
+    if _e_rad_abs2(params, charge) == 0.0:
+        raise ValueError("norm constant is undefined where E_rad(r0) = 0 "
+                         "(a charge on the dipole axis)")
     return 1.0 / _inv_norm(params, charge)
+
+
+def _curve_norm(params: DipoleParams, charge: ChargeParams) -> float:
+    # N for the curve records: inf where the rates vanish (q = 0 or E_rad(r0) = 0)
+    inv = _inv_norm(params, charge)
+    return 1.0 / inv if inv != 0.0 else float("inf")
+
+
+def _scaled_source_rate(t, params: DipoleParams, r0: float) -> np.ndarray:
+    """N * momdiff_source: defined for every charge, E_rad(r0) = 0 included."""
+    g, w0 = params.gamma, params.omega0
+    tr = np.asarray(t, dtype=float) - r0
+    gate = tr >= 0.0
+    trc = np.where(gate, tr, 0.0)
+    bracket = np.exp(-g * trc / 2.0) * (g * np.cos(w0 * trc) + 2.0 * w0 * np.sin(w0 * trc)) - g * np.exp(-g * trc)
+    return 2.0 * np.where(gate, bracket, 0.0)
+
+
+def _scaled_vacsource_rate(t, params: DipoleParams, r0: float) -> np.ndarray:
+    """N * momdiff_vacsource: defined for every charge, E_rad(r0) = 0 included."""
+    g, w0 = params.gamma, params.omega0
+    tt = np.asarray(t, dtype=float)
+    gate = tt - r0 >= r0
+    ttc = np.where(gate, tt, 2.0 * r0)
+    trc = ttc - r0
+    phase = w0 * (ttc - 2.0 * r0)
+    bracket = g * (2.0 * np.exp(-g * trc) + 1.0) - np.exp(-g * ttc / 2.0) * (
+        g * (np.exp(g * r0) + 2.0) * np.cos(phase) - 2.0 * w0 * (np.exp(g * r0) - 2.0) * np.sin(phase)
+    )
+    return np.where(gate, bracket, 0.0)
 
 
 def momdiff_source(t, params: DipoleParams, charge: ChargeParams):
@@ -104,12 +171,7 @@ def momdiff_source(t, params: DipoleParams, charge: ChargeParams):
     (2/N) theta(t_r) [exp(-g t_r / 2)(g cos(w0 t_r) + 2 w0 sin(w0 t_r))
                       - g exp(-g t_r)],   t_r = t - |r0|.
     """
-    g, w0 = params.gamma, params.omega0
-    tr = np.asarray(t, dtype=float) - charge.r0_abs
-    gate = tr >= 0.0
-    trc = np.where(gate, tr, 0.0)
-    bracket = np.exp(-g * trc / 2.0) * (g * np.cos(w0 * trc) + 2.0 * w0 * np.sin(w0 * trc)) - g * np.exp(-g * trc)
-    out = 2.0 * _inv_norm(params, charge) * np.where(gate, bracket, 0.0)
+    out = _inv_norm(params, charge) * _scaled_source_rate(t, params, charge.r0_abs)
     return out.item() if np.isscalar(t) else out
 
 
@@ -123,19 +185,15 @@ def momdiff_vacsource(t, params: DipoleParams, charge: ChargeParams):
            - exp(-g t / 2)(g (exp(g r0) + 2) cos(w0 (t - 2 r0))
                            - 2 w0 (exp(g r0) - 2) sin(w0 (t - 2 r0)))].
     """
-    g, w0 = params.gamma, params.omega0
-    r0 = charge.r0_abs
-    tt = np.asarray(t, dtype=float)
-    tr = tt - r0
-    gate = tr >= r0
-    ttc = np.where(gate, tt, 2.0 * r0)
-    trc = ttc - r0
-    phase = w0 * (ttc - 2.0 * r0)
-    bracket = g * (2.0 * np.exp(-g * trc) + 1.0) - np.exp(-g * ttc / 2.0) * (
-        g * (np.exp(g * r0) + 2.0) * np.cos(phase) - 2.0 * w0 * (np.exp(g * r0) - 2.0) * np.sin(phase)
-    )
-    out = _inv_norm(params, charge) * np.where(gate, bracket, 0.0)
+    out = _inv_norm(params, charge) * _scaled_vacsource_rate(t, params, charge.r0_abs)
     return out.item() if np.isscalar(t) else out
+
+
+def _vacsource_terms(params: DipoleParams, r0: float):
+    """(e^{-gamma |r0|}, e^{-gamma |r0|} (A + i B)): the constants of cum_vacsource."""
+    g, w0 = params.gamma, params.omega0
+    damp = np.exp(-g * r0)
+    return damp, complex(g * (1.0 + 2.0 * damp), 2.0 * w0 * (1.0 - 2.0 * damp))
 
 
 def _moments(c: complex, b, shift=0.0, order: int = 2):
@@ -176,19 +234,15 @@ def dispersion_change(t_grid, params: DipoleParams, charge: ChargeParams) -> Dif
                         - Re[e^{-gamma |r0|} (A + i B) (e^{a b} - 1) / a]   (b >= 0)
 
     with A = gamma (e^{gamma |r0|} + 2), B = 2 omega0 (e^{gamma |r0|} - 2);
-    both are exactly 0 before their gates open.
+    both are exactly 0 before their gates open.  ``norm_constant`` is inf
+    where N is (q = 0, or a charge on the dipole axis); the N-scaled curves
+    are the same there.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 2:
         raise ValueError("t_grid must be a 1-d grid with at least two points")
     if t[0] != 0.0 or np.any(np.diff(t) <= 0.0):
         raise ValueError("t_grid must be strictly increasing and start at 0")
-    # N-scaled rates are q-independent: evaluate them with a unit charge.
-    unit = ChargeParams(q=1.0, m=charge.m, r0=charge.r0)
-    n_unit = norm_constant(params, unit)
-    ds = n_unit * np.asarray(momdiff_source(t, params, unit))
-    dv = n_unit * np.asarray(momdiff_vacsource(t, params, unit))
-
     g, w0, r0 = params.gamma, params.omega0, charge.r0_abs
     a = complex(-g / 2.0, w0)
     tr, b = t - r0, t - 2.0 * r0
@@ -196,24 +250,110 @@ def dispersion_change(t_grid, params: DipoleParams, charge: ChargeParams) -> Dif
     # |e^{aT} - 1|^2 as a sum of two squares, which has no cancellation at small T
     cs = 2.0 * (np.expm1(-g * half) ** 2 + 4.0 * np.exp(-g * half) * np.sin(w0 * half) ** 2)
     bc = np.maximum(b, 0.0)
-    damp = np.exp(-g * r0)
-    amp = complex(g * (1.0 + 2.0 * damp), 2.0 * w0 * (1.0 - 2.0 * damp))  # e^{-g r0} (A + i B)
+    damp, amp = _vacsource_terms(params, r0)
     cv = g * bc - 2.0 * damp * np.expm1(-g * bc) - np.real(amp * _moments(a, bc, order=0)[0])
     cv = np.where(b >= 0.0, cv, 0.0)
     return DiffusionCurve(
-        times=t.copy(), d_source=ds, d_vacsource=dv,
+        times=t.copy(), d_source=_scaled_source_rate(t, params, r0),
+        d_vacsource=_scaled_vacsource_rate(t, params, r0),
         cum_source=cs, cum_vacsource=cv, cum_total=cs + cv,
-        norm_constant=(norm_constant(params, charge) if charge.q != 0.0 else float("inf")),
-        gamma=params.gamma,
+        norm_constant=_curve_norm(params, charge), gamma=params.gamma,
     )
 
 
-def longtime_fit(curve: DiffusionCurve, window: tuple[float, float], which: str = "total"):
+def _gated_window(t, half, gate):
+    """Start x1 - gate (>= 0) and length L of the part of [t - half, t + half] after ``gate``.
+
+    L is 2 half exactly for a window wholly after the gate, and 0 exactly
+    wherever t + half <= gate.
+    """
+    x1, x2 = t - half, t + half
+    clipped = x1 < gate
+    return (np.where(clipped, 0.0, x1 - gate),
+            np.where(clipped, np.maximum(x2 - gate, 0.0), 2.0 * half))
+
+
+def cycle_averaged(t_grid, params: DipoleParams, charge: ChargeParams) -> CycleAverage:
+    """Cycle averages and exact envelopes of the `dispersion_change` curves.
+
+    ``t_grid`` is any 1-d array of finite times; each point is independent.
+    With P = 2 pi/omega0, T = t - |r0| and b = t - 2 |r0|, the raw curves are
+
+        cum_source    = 2 + 2 e^{-gamma T} - 4 Re e^{a T}                   (T >= 0)
+        cum_vacsource = gamma b - 2 damp expm1(-gamma b) + Re[osc] - Re[osc e^{a b}]  (b >= 0)
+
+    with damp = e^{-gamma |r0|} and osc = damp (A + i B) / a.  Each average
+    over [t - P/2, t + P/2] integrates only the part of the window after the
+    gate, from x1 to x1 + L: polynomials, e^{-gamma x1} expm1 terms, and
+    e^{a x1} M0(a, L) from `_moments`.  An unclipped window has L = P
+    exactly, so nothing cancels even where P << 1/gamma.
+
+    Both oscillating terms are multiples of e^{a T}, so each envelope is the
+    smooth part +- |complex amplitude| e^{-gamma T/2}:
+
+        source    2 (1 -+ e^{-gamma T/2})^2
+        vacsource gamma b - 2 damp expm1(-gamma b) + Re[osc] -+ |osc| e^{-gamma b/2}
+        total     their smooth parts -+ |4 e^{a |r0|} + osc| e^{-gamma b/2} for b >= 0,
+                  the source envelopes for b < 0.
+
+    Every curve is exactly 0 before its gate (the averages: while the whole
+    window is).  ``norm_constant`` is inf for q = 0 or a charge on the dipole
+    axis, as in `dispersion_change`.
+    """
+    t = np.asarray(t_grid, dtype=float)
+    if t.ndim != 1 or not np.all(np.isfinite(t)):
+        raise ValueError("t_grid must be a 1-d array of finite times")
+    g, w0, r0 = params.gamma, params.omega0, charge.r0_abs
+    a = complex(-g / 2.0, w0)
+    period = 2.0 * np.pi / w0
+    damp, amp = _vacsource_terms(params, r0)
+    osc = amp / a
+
+    def exp_integral(c, x1, length):  # Int_{x1}^{x1 + length} e^{c x} dx
+        return np.exp(c * x1) * _moments(c, length, order=0)[0]
+
+    def decay_integral(x1, length):  # Int_{x1}^{x1 + length} e^{-gamma x} dx, by expm1
+        return -np.exp(-g * x1) * np.expm1(-g * length) / g
+
+    u1, ls = _gated_window(t, period / 2.0, r0)
+    avg_s = (2.0 * ls + 2.0 * decay_integral(u1, ls)
+             - 4.0 * np.real(exp_integral(a, u1, ls))) / period
+    v1, lv = _gated_window(t, period / 2.0, 2.0 * r0)
+    avg_v = (lv * (g * (v1 + lv / 2.0) + 2.0 * damp + osc.real) - 2.0 * damp * decay_integral(v1, lv)
+             - np.real(osc * exp_integral(a, v1, lv))) / period
+    avg_s, avg_v = np.where(ls > 0.0, avg_s, 0.0), np.where(lv > 0.0, avg_v, 0.0)
+
+    on_s, on_v = t - r0 >= 0.0, t - 2.0 * r0 >= 0.0
+    tr, b = np.maximum(t - r0, 0.0), np.maximum(t - 2.0 * r0, 0.0)  # T and b, clipped at 0
+    es, ev = np.exp(-g * tr / 2.0), np.exp(-g * b / 2.0)
+    lo_s = np.where(on_s, 2.0 * np.expm1(-g * tr / 2.0) ** 2, 0.0)
+    hi_s = np.where(on_s, 2.0 * (1.0 + es) ** 2, 0.0)
+    smooth_v = g * b - 2.0 * damp * np.expm1(-g * b) + osc.real
+    smooth_t = smooth_v + 2.0 + 2.0 * es**2
+    amp_t = abs(4.0 * np.exp(a * r0) + osc)
+
+    def envelope(smooth, modulus, before):
+        return np.where(on_v, smooth + modulus * ev, before)
+
+    return CycleAverage(
+        times=t.copy(), period=period,
+        avg_source=avg_s, lo_source=lo_s, hi_source=hi_s,
+        avg_vacsource=avg_v, lo_vacsource=envelope(smooth_v, -abs(osc), 0.0),
+        hi_vacsource=envelope(smooth_v, abs(osc), 0.0),
+        avg_total=avg_s + avg_v, lo_total=envelope(smooth_t, -amp_t, lo_s),
+        hi_total=envelope(smooth_t, amp_t, hi_s),
+        norm_constant=_curve_norm(params, charge), gamma=params.gamma,
+    )
+
+
+def longtime_fit(curve: DiffusionCurve | CycleAverage, window: tuple[float, float],
+                 which: str = "total"):
     """Least-squares line through an N-scaled cumulative curve on ``window``.
 
-    The late-time total curve approaches slope gamma.  The window must start
-    at t >= 5/gamma (transients have died out) and span at least 2/gamma.
-    Returns (slope, intercept).
+    Fits ``cum_<which>`` of a `DiffusionCurve`, or ``avg_<which>`` of a
+    `CycleAverage`.  The late-time total curve approaches slope gamma.  The
+    window must start at t >= 5/gamma (transients have died out) and span at
+    least 2/gamma.  Returns (slope, intercept).
     """
     t_lo, t_hi = float(window[0]), float(window[1])
     g = curve.gamma
@@ -224,11 +364,9 @@ def longtime_fit(curve: DiffusionCurve, window: tuple[float, float], which: str 
     sel = (curve.times >= t_lo) & (curve.times <= t_hi)
     if np.count_nonzero(sel) < 10:
         raise ValueError("fit window contains fewer than 10 grid points")
-    columns = {"total": curve.cum_total, "source": curve.cum_source,
-               "vacsource": curve.cum_vacsource}
-    if which not in columns:
+    if which not in ("total", "source", "vacsource"):
         raise ValueError(f"which must be 'total', 'source' or 'vacsource', got {which!r}")
-    y = columns[which]
+    y = getattr(curve, ("avg_" if isinstance(curve, CycleAverage) else "cum_") + which)
     slope, intercept = np.polyfit(curve.times[sel], y[sel], 1)
     return float(slope), float(intercept)
 

@@ -67,6 +67,49 @@ def test_figure3_records_longtime_fit(tmp_path):
     assert float(meta["fit_intercept"]) > 0.0
 
 
+def test_figure_at_an_optical_ratio_writes_cycle_averages(tmp_path):
+    import time
+
+    start = time.perf_counter()
+    assert run_cli("figure", "3", "--omega0-ratio", "1e8", "--out", str(tmp_path)) == EXIT_OK
+    assert time.perf_counter() - start < 1.0
+    for name in ("fig3.csv", "fig3.svg"):
+        assert (tmp_path / name).stat().st_size < 1_000_000
+    meta, names, cols = read_csv(tmp_path / "fig3.csv")
+    assert names == ["t_gamma"] + [f"{kind}_{curve}" for curve in ("dps", "dpvacs", "dptotal")
+                                   for kind in ("avg", "lo", "hi")]
+    assert "avg_" in meta["columns"] and "envelope" in meta["columns"]
+    assert len(cols["t_gamma"]) == 2001
+    assert all(np.all(np.isfinite(c)) for c in cols.values())
+    assert meta["fit_column"] == "avg_dptotal"
+    assert abs(float(meta["fit_slope_over_gamma"]) - 1.0) <= 0.02
+    # the three fit lines stay the last lines of the table
+    tail = (tmp_path / "fig3.csv").read_text().splitlines()[-3:]
+    assert [line.split(" = ")[0] for line in tail] == ["# fit_window_gamma",
+                                                       "# fit_slope_over_gamma",
+                                                       "# fit_intercept"]
+    assert np.all(cols["lo_dptotal"] <= cols["avg_dptotal"])
+    assert np.all(cols["avg_dptotal"] <= cols["hi_dptotal"])
+    assert (tmp_path / "fig3.svg").read_text().count("<polyline") == 5
+
+
+def test_figure_columns_follow_the_grid_step(tmp_path):
+    # 64 points per period while that fits in 65 536 rows, else 2 001 points;
+    # raw columns only where the step is at most 1/16 period, for --points too
+    def columns(*argv):
+        assert run_cli("figure", "1", *argv, "--out", str(tmp_path)) == EXIT_OK
+        _, names, cols = read_csv(tmp_path / "fig1.csv")
+        return names, len(cols["t_gamma"])
+
+    raw = ["t_gamma", "n_dps", "n_dpvacs", "n_dptotal"]
+    assert columns() == (raw, 613)
+    assert columns("--omega0-ratio", "1000") == (raw, 61_117)
+    names, rows = columns("--omega0-ratio", "1100")
+    assert rows == 2001 and names[1:4] == ["avg_dps", "lo_dps", "hi_dps"]
+    assert columns("--omega0-ratio", "1100", "--points", "16808")[0] == raw    # step just below P/16
+    assert columns("--omega0-ratio", "1100", "--points", "16807")[0] == names  # just above
+
+
 def test_figure_rejects_window_shorter_than_onset(tmp_path, capsys):
     code = run_cli("figure", "1", "--tmax-gamma", "0.5", "--out", str(tmp_path))
     assert code == EXIT_USAGE
@@ -165,6 +208,16 @@ def test_validate_flags_an_underresolved_grid(tmp_path, capsys):
     assert "FAIL" in (tmp_path / "validate.txt").read_text()
 
 
+@pytest.mark.parametrize("flag,value", [("--count", "0"), ("--count", "-3"), ("--span", "nan"),
+                                        ("--span", "inf"), ("--span", "0"), ("--span", "-50")])
+def test_validate_rejects_bad_oracle_sizes(flag, value, tmp_path, capsys):
+    assert run_cli("validate", flag, value, "--out", str(tmp_path)) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""      # no check ran
+    assert captured.err.count("\n") == 1 and flag[2:] in captured.err
+    assert not (tmp_path / "validate.txt").exists()
+
+
 def test_usage_errors():
     assert run_cli("figure", "5") == EXIT_USAGE          # not a known figure
     assert run_cli("power", "bogus") == EXIT_USAGE
@@ -180,7 +233,7 @@ def test_figure_rejects_an_overflowing_omega0(capsys):
 
 
 @pytest.mark.parametrize("argv,rows", [
-    (("figure", "1", "--omega0-ratio", "1e7"), "611,154,982"),   # automatic grid, 64 per period
+    (("figure", "1", "--points", "3000000"), "3,000,000"),
     (("corr", "--points", "2000"), "4,000,000"),                  # points^2 cells
     (("detect", "--points", "3000000"), "3,000,000"),
     (("power", "nonpert", "--points", "3000000"), "3,000,000"),

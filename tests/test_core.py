@@ -53,6 +53,18 @@ def test_params_validation():
         DipoleParams(omega0=10.0, gamma=1.0, dvec=np.array([0.0, 0.0, 1.0]), consistent=True)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: DipoleParams.from_rates(omega0=1e308, gamma=1e8),
+    lambda: DipoleParams.from_dipole(1e200, (0.0, 0.0, 1e-300)),
+    lambda: DipoleParams(omega0=1e200, gamma=1.0, dvec=(0.0, 0.0, 1e-300), consistent=True),
+    lambda: DipoleParams(omega0=np.float64(1e200), gamma=1.0, dvec=(0.0, 0.0, 1e-300),
+                         consistent=True),
+], ids=["from_rates", "from_dipole", "consistent", "consistent-float64"])
+def test_omega0_cubed_overflow_is_a_value_error(build):
+    with pytest.raises(ValueError, match=r"omega0 = 1e\+(200|308) is too large: omega0\^3 overflows"):
+        build()
+
+
 def test_overdamped_parameters_warn():
     with pytest.warns(UserWarning, match="unreliable"):
         DipoleParams.from_rates(omega0=1.0, gamma=0.5)

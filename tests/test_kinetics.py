@@ -8,7 +8,9 @@ from advwave.core import DipoleParams, Event, FieldKind
 from advwave.correlations import c_tensor, corr_traces
 from advwave.kinetics import (
     ChargeParams,
+    CycleAverage,
     _moments,
+    cycle_averaged,
     dispersion_change,
     longtime_fit,
     momdiff_source,
@@ -45,6 +47,36 @@ def _richardson_curves(t, params, charge):
         r1, r2 = (4.0 * mid[::2] - coarse) / 3.0, (4.0 * finest[::2] - mid) / 3.0
         out.append((16.0 * r2[::2] - r1) / 15.0)
     return out
+
+
+def _raw_curves(x, params, charge):
+    """cum_source and cum_vacsource at increasing times x >= 0 (zero where x <= 0)."""
+    k = 0 if x[0] == 0.0 else 1
+    curve = dispersion_change(np.concatenate(([0.0], x))[1 - k:], params, charge)
+    return curve.cum_source[k:], curve.cum_vacsource[k:]
+
+
+def _richardson_window_average(t, period, params, charge, n=256):
+    """Average of the raw curves over [t - P/2, t + P/2] by a Richardson trapezoid.
+
+    The window is split at 0, |r0| and 2|r0|, so each piece is smooth; each
+    piece takes trapezoids with n, 2n and 4n steps and two Richardson steps.
+    """
+    lo, hi = t - period / 2.0, t + period / 2.0
+    cuts = [lo] + [c for c in (0.0, charge.r0_abs, 2.0 * charge.r0_abs) if lo < c < hi] + [hi]
+    total = np.zeros(2)
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        if b <= 0.0:
+            continue
+        levels = []
+        for k in (n, 2 * n, 4 * n):
+            x = np.linspace(a, b, k + 1)
+            w = np.full(k + 1, (b - a) / k)
+            w[0] = w[-1] = (b - a) / (2 * k)
+            levels.append(np.array([w @ y for y in _raw_curves(x, params, charge)]))
+        r1, r2 = (4.0 * levels[1] - levels[0]) / 3.0, (4.0 * levels[2] - levels[1]) / 3.0
+        total += (16.0 * r2 - r1) / 15.0
+    return total / period
 
 
 def _trapezoid_posdisp(t, params, charge, n):
@@ -317,3 +349,94 @@ def test_closed_forms_at_any_ratio_property(log_ratio, r0_gamma, t_gamma, gamma)
         assert np.all(np.isfinite(getattr(curve, name)))
     assert np.all(curve.cum_vacsource[t < onset] == 0.0)
     assert np.all(curve.cum_source[t < ch.r0_abs] == 0.0)
+
+
+ALL_CYCLE_COLUMNS = tuple(f"{kind}_{part}" for part in ("source", "vacsource", "total")
+                          for kind in ("avg", "lo", "hi"))
+
+
+@pytest.mark.parametrize("ratio", [10.0, 100.0, 1000.0])
+def test_cycle_averages_match_richardson_quadrature(ratio):
+    p = DipoleParams.from_rates(omega0=ratio, gamma=1.0)
+    ch = ChargeParams(q=1.0, m=1.0, r0=np.array([0.2, -0.1, 0.25]))
+    period = 2.0 * np.pi / ratio
+    # windows straddling each gate at several offsets, and three late windows
+    offsets = period * np.array([-0.6, -0.5, -0.3, 0.0, 0.2, 0.5, 0.7])
+    t = np.concatenate([ch.r0_abs + offsets, 2.0 * ch.r0_abs + offsets, [1.0, 2.5, 5.0]])
+    curves = cycle_averaged(t, p, ch)
+    ref = np.array([_richardson_window_average(ti, period, p, ch) for ti in t])
+    for k, name in enumerate(("avg_source", "avg_vacsource")):
+        got = getattr(curves, name)
+        assert np.max(np.abs(got - ref[:, k])) <= 1e-10 * np.max(np.abs(ref[:, k]))
+    assert np.all(curves.avg_total == curves.avg_source + curves.avg_vacsource)
+
+
+@pytest.mark.parametrize("ratio", [10.0, 100.0])
+def test_envelopes_bound_the_raw_curves(ratio):
+    p = DipoleParams.from_rates(omega0=ratio, gamma=1.0)
+    ch = ChargeParams(q=1.0, m=1.0, r0=np.array([0.2, -0.1, 0.25]))
+    period = 2.0 * np.pi / ratio
+    t = np.linspace(0.0, 4.0, int(4.0 / period * 2000) + 1)   # 2 000 points per period
+    raw, env = dispersion_change(t, p, ch), cycle_averaged(t, p, ch)
+    for part, gate in (("source", ch.r0_abs), ("vacsource", 2.0 * ch.r0_abs),
+                       ("total", 2.0 * ch.r0_abs)):
+        y, lo, hi = (getattr(raw, "cum_" + part), getattr(env, "lo_" + part),
+                     getattr(env, "hi_" + part))
+        assert np.all(lo - 1e-12 <= y) and np.all(y <= hi + 1e-12)
+        # the raw curve touches both envelopes once per period, to O(gamma/omega0)
+        for start in np.arange(gate, t[-1] - period, period):
+            sel = (t >= start) & (t < start + period)
+            assert np.min(hi[sel] - y[sel]) <= 0.05 / ratio
+            assert np.min(y[sel] - lo[sel]) <= 0.05 / ratio
+
+
+def test_cycle_averaged_slope_at_an_optical_ratio():
+    # criterion 6's 2 % on the late-time slope, on 101 points over 20/gamma
+    p = DipoleParams.from_rates(omega0=1e8, gamma=1.0)
+    curves = cycle_averaged(np.linspace(0.0, 20.0, 101), p, CH)
+    slope, _ = longtime_fit(curves, (10.0, 20.0))
+    assert slope == pytest.approx(1.0, rel=0.02)
+    assert isinstance(curves, CycleAverage) and curves.period == 2.0 * np.pi / 1e8
+
+
+def test_cycle_averaged_grid_validation():
+    for bad in (np.zeros((2, 2)), np.array([0.0, np.nan])):
+        with pytest.raises(ValueError, match="1-d array of finite times"):
+            cycle_averaged(bad, P, CH)
+
+
+def test_charge_on_the_dipole_axis():
+    # E_rad(r0) = 0 on the axis of the z dipole: N is infinite, the N-scaled
+    # curves are those of any charge at the same distance
+    on_axis = ChargeParams(q=1.0, m=1.0, r0=np.array([0.0, 0.0, 0.4]))
+    off_axis = ChargeParams(q=1.0, m=1.0, r0=np.array([0.4, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="E_rad"):
+        norm_constant(P, on_axis)
+    t = np.linspace(0.0, 3.0, 301)
+    for build, names in ((dispersion_change, ("d_source", "d_vacsource", "cum_source",
+                                              "cum_vacsource", "cum_total")),
+                         (cycle_averaged, ALL_CYCLE_COLUMNS)):
+        on, off = build(t, P, on_axis), build(t, P, off_axis)
+        assert on.norm_constant == np.inf and np.isfinite(off.norm_constant)
+        for name in names:
+            assert np.array_equal(getattr(on, name), getattr(off, name))
+    assert momdiff_source(1.0, P, on_axis) == 0.0 and momdiff_vacsource(1.0, P, on_axis) == 0.0
+    assert posdisp_change(1.0, P, on_axis) == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_ratio=st.floats(1.0, 8.0), r0_gamma=st.floats(0.01, 5.0),
+       t_gamma=st.floats(0.0, 1e3), gamma=st.sampled_from([1.0, 1e8]))
+def test_cycle_averages_at_any_ratio_property(log_ratio, r0_gamma, t_gamma, gamma):
+    p = DipoleParams.from_rates(omega0=10.0**log_ratio * gamma, gamma=gamma)
+    ch = ChargeParams(q=1.0, m=1.0, r0=np.array([r0_gamma / gamma, 0.0, 0.0]))
+    half = np.pi / p.omega0
+    onset = 2.0 * ch.r0_abs
+    edges = [c + f * half for c in (ch.r0_abs, onset) for f in (-1.0 - 1e-9, -1.0, -0.5, 0.0, 1.0)]
+    t = np.union1d(np.linspace(0.0, max(t_gamma, 2.0 * r0_gamma) / gamma, 101), edges)
+    curves = cycle_averaged(t, p, ch)
+    for name in ALL_CYCLE_COLUMNS:
+        assert np.all(np.isfinite(getattr(curves, name))), name
+    assert np.all(curves.avg_vacsource[t + half <= onset] == 0.0)
+    assert np.all(curves.avg_source[t + half <= ch.r0_abs] == 0.0)
+    assert np.all(curves.lo_total <= curves.hi_total)

@@ -59,3 +59,41 @@ def test_write_svg_exact_bytes(tmp_path):
               {"a": np.array([1.0, np.inf, 3.0]), "b": [2.0, 2.5, float("nan")]},
               title="T", xlabel="x", ylabel="y")
     assert path.read_bytes() == PINNED_SVG.encode()
+
+
+def _polyline_points(svg):
+    line = next(ln for ln in svg.splitlines() if ln.startswith("<polyline"))
+    return line.split('points="', 1)[1].split('"', 1)[0].split()
+
+
+def test_write_svg_decimation_keeps_each_pixel_columns_extremes(tmp_path):
+    rng = np.random.default_rng(7)
+    x = np.linspace(0.0, 3.0, 20_000)
+    y = np.cumsum(rng.normal(size=x.size)) + 5.0 * np.sin(40.0 * x)
+    y[::997] = np.nan
+    path = tmp_path / "d.svg"
+    write_svg(path, x, {"y": y}, title="T", xlabel="x", ylabel="y")
+    kept = _polyline_points(path.read_text())
+    finite = np.isfinite(y)
+    assert len(kept) <= 4 * 756 < np.count_nonzero(finite)
+    # the plot's own coordinates: 756 pixel columns from x = 80, y range padded by 5 %
+    y_lo, y_hi = np.nanmin(y), np.nanmax(y)
+    pad = 0.05 * (y_hi - y_lo)
+    px = 80 + (x[finite] - 0.0) / 3.0 * 756
+    py = 504 - (y[finite] - (y_lo - pad)) / (y_hi - y_lo + 2.0 * pad) * 456
+    points = ["%.2f,%.2f" % p for p in zip(px, py)]
+    column = np.minimum(np.floor(px - 80).astype(int), 755)
+    kept_x = [float(p.split(",")[0]) for p in kept]
+    assert kept_x == sorted(kept_x)  # in index order
+    for c in np.unique(column):
+        idx = np.flatnonzero(column == c)
+        for i in (idx[0], idx[-1], idx[np.argmin(y[finite][idx])], idx[np.argmax(y[finite][idx])]):
+            assert points[i] in kept
+
+
+def test_write_svg_keeps_every_point_up_to_the_plot_width(tmp_path):
+    # 700 of the 756 points share the first pixel column: still all kept
+    x = np.concatenate([np.linspace(0.0, 1e-3, 700), np.linspace(0.5, 1.0, 56)])
+    path = tmp_path / "w.svg"
+    write_svg(path, x, {"y": np.sin(50.0 * x)}, title="T", xlabel="x", ylabel="y")
+    assert len(_polyline_points(path.read_text())) == 756
