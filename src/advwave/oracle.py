@@ -7,10 +7,10 @@ Three independent machines live here:
   ``span`` centered on the transition, with flat couplings
   g_k = sqrt(gamma * dw / 2 pi) chosen so the comb's golden-rule rate
   reproduces gamma.  Each sector Hamiltonian H is time independent, so states
-  are propagated exactly, exp(-i tau H) psi by ``expm_multiply`` (Al-Mohy &
-  Higham, SIAM J. Sci. Comput. 33, 2011), in the frame rotating at the
-  transition frequency; excitation number is conserved, so the Hamiltonian is
-  block sparse over the sectors
+  are propagated exactly, exp(-i tau H) psi by a Chebyshev series on the
+  Gershgorin interval of H (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
+  (1984)), in the frame rotating at the transition frequency; excitation
+  number is conserved, so the Hamiltonian is block sparse over the sectors
 
       N=1:  {excited, vacuum} + {ground, one photon in mode k}
       N=2:  {excited, one photon k} + {ground, photon pair (k <= l)}
@@ -41,8 +41,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.fft import fft, ifft, next_fast_len
-from scipy.sparse.linalg import expm_multiply
 
 from ._quad import n_for_oscillation, trapezoid_weights
 from .core import DipoleParams
@@ -265,15 +263,72 @@ def _check_grid(grid: ModeGrid, params: DipoleParams):
         raise ValueError("grid was built for different dipole parameters")
 
 
+def _chebyshev_coeffs(a: float) -> np.ndarray:
+    """(2 - delta_k0) (-i)^k J_k(a), the cosine series of e^{-i a cos(theta)}.
+
+    One FFT of the periodic samples gives every coefficient to the rounding
+    of the sampled phase, eps * max(1, a); the series is cut at the first
+    k > a whose coefficient is below that.  J_k(a) falls monotonically past
+    k = a, so a transform at least twice as long as the kept series leaves the
+    aliased tail below the cut.
+    """
+    cut = np.finfo(float).eps * max(1.0, a)
+    size = 64
+    while size < 2.0 * a + 64.0:
+        size *= 2
+    while True:
+        theta = (2.0 * np.pi / size) * np.arange(size)
+        coeffs = np.fft.fft(np.exp(-1j * a * np.cos(theta)))[: size // 2] / size
+        coeffs[1:] *= 2.0
+        k = np.arange(coeffs.size)
+        small = np.flatnonzero((k > a) & (np.abs(coeffs) < cut))
+        if small.size and 2 * small[0] <= size:
+            return coeffs[: max(int(small[0]), 2)]
+        size *= 2
+
+
+def _gershgorin(h: sp.csr_matrix) -> tuple[float, float]:
+    """[lo, hi] holding the spectrum of a real symmetric sparse H (Gershgorin discs)."""
+    diag = h.diagonal()
+    radius = np.asarray(abs(h - sp.diags(diag)).sum(axis=1)).ravel()
+    return float(np.min(diag - radius)), float(np.max(diag + radius))
+
+
+def _chebyshev_expm(h: sp.csr_matrix, tau: float, vec: np.ndarray) -> np.ndarray:
+    """exp(-i tau H) vec for a sparse real symmetric H, to double precision.
+
+    The spectrum of H lies in its Gershgorin interval [c - r, c + r].  On the
+    rescaled X = (H - c) / r the Chebyshev series
+    e^{-i tau r X} = sum_k (2 - delta_k0) (-i)^k J_k(tau r) T_k(X)
+    converges super-exponentially once k > tau r (Tal-Ezer & Kosloff,
+    J. Chem. Phys. 81, 3967 (1984)); the three-term recurrence of T_k costs
+    one sparse product per term.  A diagonal H is applied exactly.
+    """
+    diag = h.diagonal()
+    if h.count_nonzero() == np.count_nonzero(diag):
+        return np.exp(-1j * tau * diag) * vec
+    lo, hi = _gershgorin(h)
+    center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    coeffs = _chebyshev_coeffs(tau * half)
+    # 2 X as one complex matrix, so T_{k+1} = 2 X T_k - T_{k-1} is one product
+    two_x = ((h - center * sp.identity(diag.size)) * (2.0 / half)).astype(complex).tocsr()
+    prev, cur = vec, 0.5 * (two_x @ vec)
+    out = coeffs[0] * prev + coeffs[1] * cur
+    for c in coeffs[2:]:
+        prev, cur = cur, two_x @ cur - prev
+        out += c * cur
+    return np.exp(-1j * tau * center) * out
+
+
 def propagate(state: SectorState, grid: ModeGrid, params: DipoleParams,
               t_end: float) -> SectorState:
     """Propagate a sector state forward to ``t_end`` in the rotating frame.
 
     The sector Hamiltonian H is time independent, so the result is the exact
-    action exp(-i (t_end - t) H) psi, computed to double precision by
-    ``scipy.sparse.linalg.expm_multiply``.  A norm change beyond 1e-8 means
-    that action was not unitary and raises.  Backward propagation is not
-    supported.
+    action exp(-i (t_end - t) H) psi, computed to double precision by a
+    Chebyshev series on the Gershgorin interval of H.  A norm change beyond
+    1e-8 means that action was not unitary and raises.  Backward propagation
+    is not supported.
     """
     _check_grid(grid, params)
     if t_end < state.t:
@@ -289,7 +344,7 @@ def propagate(state: SectorState, grid: ModeGrid, params: DipoleParams,
     if t_end == state.t:
         return _unpack(vec, layout, state.t)
     norm0 = float(np.linalg.norm(vec))
-    vec = expm_multiply((-1j * (t_end - state.t)) * h, vec)
+    vec = _chebyshev_expm(h, t_end - state.t, vec)
     residual = abs(float(np.linalg.norm(vec)) - norm0)
     if residual > _UNITARITY_LIMIT * max(norm0, 1e-300):
         raise RuntimeError(f"unitarity residual {residual:.3e} exceeds {_UNITARITY_LIMIT}")
@@ -370,12 +425,12 @@ def _chirp_z(x: np.ndarray, x0: float, dx: float, y0: float, dy: float, m: int) 
     n = x.size
     idx = np.arange(max(n, m), dtype=float)
     chirp = np.exp(0.5j * (dx * dy) * idx**2)
-    size = next_fast_len(n + m - 1)
+    size = 1 << (n + m - 2).bit_length()     # power of two >= n + m - 1
     kernel = np.zeros(size, dtype=complex)
     kernel[:m] = chirp[:m].conj()
     kernel[size - n + 1:] = chirp[1:n][::-1].conj()
     y = x * np.exp(1j * (y0 * dx) * idx[:n]) * chirp[:n]
-    conv = ifft(fft(y, size) * fft(kernel))[:m]
+    conv = np.fft.ifft(np.fft.fft(y, size) * np.fft.fft(kernel))[:m]
     return np.exp(1j * (y0 + dy * idx[:m]) * x0) * chirp[:m] * conv
 
 
@@ -533,35 +588,33 @@ def markov_kernel_check(freq_fn, t_r: float, t_a: float, params: DipoleParams,
     )
 
 
+def _transverse_quadrature(xhats: np.ndarray, z_values, order: int) -> np.ndarray:
+    """(1/4 pi) Int dOmega_k (delta_ij - k_i k_j) e^{i z k.xhat}, shape (Z, D, 3, 3).
+
+    One pass over the sphere rule's (M, 3) node array for every z and every
+    row of ``xhats``.
+    """
+    from .radiometry import _sphere_nodes
+
+    dirs, weights = _sphere_nodes(order)
+    proj = np.eye(3) - dirs[:, :, None] * dirs[:, None, :]
+    phase = weights * np.exp(1j * np.multiply.outer(np.asarray(z_values, dtype=float),
+                                                    xhats @ dirs.T))
+    return np.einsum("zdm,mij->zdij", phase, proj) / (4.0 * np.pi)
+
+
 def angular_reduction_check(z_values=(5.0, 1e-3), n_dirs: int = 3, order: int = 24,
                             seed: int = 0) -> float:
     """Max abs error of the quadrature'd transverse angular integral vs tau_ij.
 
     For random unit directions xhat and each z, compares
     (1/4 pi) Int dOmega_k (delta_ij - k_i k_j) e^{i z k.xhat} against
-    tau_kernel(z, xhat), component by component (real and imaginary parts).
+    tau_kernel(z, xhat), component by component.
     """
     from .fieldcoeffs import tau_kernel
-    from .radiometry import sphere_integrate
 
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_dirs):
-        xhat = rng.normal(size=3)
-        xhat /= np.linalg.norm(xhat)
-        for z in z_values:
-            ref = tau_kernel(z, xhat)
-            for i in range(3):
-                for j in range(3):
-                    def re_part(khat, i=i, j=j, z=z):
-                        proj = (1.0 if i == j else 0.0) - khat[i] * khat[j]
-                        return proj * np.cos(z * (khat @ xhat))
-
-                    def im_part(khat, i=i, j=j, z=z):
-                        proj = (1.0 if i == j else 0.0) - khat[i] * khat[j]
-                        return proj * np.sin(z * (khat @ xhat))
-
-                    num = (sphere_integrate(re_part, 1.0, order)
-                           + 1j * sphere_integrate(im_part, 1.0, order)) / (4.0 * np.pi)
-                    worst = max(worst, abs(num - ref[i, j]))
-    return worst
+    xhats = np.random.default_rng(seed).normal(size=(n_dirs, 3))
+    xhats /= np.linalg.norm(xhats, axis=1, keepdims=True)
+    num = _transverse_quadrature(xhats, z_values, order)
+    ref = np.array([[tau_kernel(z, xhat) for xhat in xhats] for z in z_values])
+    return float(np.max(np.abs(num - ref.reshape(num.shape)), initial=0.0))

@@ -155,6 +155,22 @@ def antinormal_source_trace(t, x, params: DipoleParams, part: str = "rad"):
     return out.item() if np.isscalar(t) else out
 
 
+def _sphere_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit directions (M, 3) and solid-angle weights (M,) of the sphere rule.
+
+    Gauss-Legendre in cos(theta) x 2*order uniform phi, M = 2 order^2, with
+    cos(theta) the slow index.
+    """
+    if order < 2:
+        raise ValueError("order must be >= 2")
+    mu, w_mu = leggauss(order)
+    phi = np.arange(2 * order) * (np.pi / order)
+    s = np.sqrt(1.0 - mu * mu)[:, None]
+    dirs = np.stack(np.broadcast_arrays(s * np.cos(phi), s * np.sin(phi), mu[:, None]), axis=-1)
+    weights = np.repeat(w_mu * (np.pi / order), phi.size)
+    return dirs.reshape(-1, 3), weights
+
+
 def sphere_integrate(f, radius: float, order: int) -> float:
     """radius^2 * Int dOmega f(xhat), Gauss-Legendre in cos(theta) x uniform phi.
 
@@ -164,18 +180,11 @@ def sphere_integrate(f, radius: float, order: int) -> float:
     """
     if radius <= 0.0:
         raise ValueError("radius must be positive")
-    if order < 2:
-        raise ValueError("order must be >= 2")
-    nodes, weights = leggauss(order)
-    phis = np.arange(2 * order) * (np.pi / order)
-    w_phi = np.pi / order
+    dirs, weights = _sphere_nodes(order)
     acc = 0.0
-    for mu, w in zip(nodes, weights):
-        s = np.sqrt(1.0 - mu * mu)
-        for phi in phis:
-            xhat = np.array([s * np.cos(phi), s * np.sin(phi), mu])
-            val = f(xhat)
-            if not np.isfinite(val):
-                raise ValueError("integrand returned a non-finite value")
-            acc += w * w_phi * val
+    for xhat, w in zip(dirs, weights):
+        val = f(xhat)
+        if not np.isfinite(val):
+            raise ValueError("integrand returned a non-finite value")
+        acc += w * val
     return radius**2 * acc

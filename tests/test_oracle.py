@@ -24,6 +24,7 @@ from advwave.oracle import (
     ModeGrid,
     SectorState,
     _chirp_z,
+    _h_one,
     _h_two,
     angular_reduction_check,
     build_grid,
@@ -32,6 +33,7 @@ from advwave.oracle import (
     oracle_two_time,
     propagate,
 )
+from advwave.radiometry import sphere_integrate
 
 P30 = DipoleParams.from_rates(omega0=30.0, gamma=1.0)
 P100 = DipoleParams.from_rates(omega0=100.0, gamma=1.0)
@@ -155,10 +157,49 @@ def test_propagate_composes():
 def test_propagate_unitarity_guard(monkeypatch):
     # a non-unitary action (scaled by 1 + 1e-6) must be caught
     grid = build_grid(P30, count=200, span_gammas=25.0, enforce=False)
-    monkeypatch.setattr(oracle, "expm_multiply",
-                        lambda a, v: (1.0 + 1e-6) * scipy_expm_multiply(a, v))
+    kernel = oracle._chebyshev_expm
+    monkeypatch.setattr(oracle, "_chebyshev_expm",
+                        lambda h, tau, v: (1.0 + 1e-6) * kernel(h, tau, v))
     with pytest.raises(RuntimeError, match="unitarity residual"):
         propagate(SectorState.excited(grid), grid, P30, 1.0)
+
+
+@pytest.mark.parametrize("sector, count, tau", [(1, 400, 0.5), (1, 400, 6.5), (2, 200, 1.0)])
+def test_chebyshev_action_matches_expm_multiply(sector, count, tau):
+    # scipy's Al-Mohy & Higham action is the independent route
+    grid = build_grid(P100, count=count, span_gammas=50.0)
+    h = _h_one(grid) if sector == 1 else _h_two(grid)
+    rng = np.random.default_rng(count + sector)
+    vec = rng.normal(size=(h.shape[0], 2)) @ np.array([1.0, 1j])
+    states = [vec / np.linalg.norm(vec)]
+    if sector == 1:
+        states.append(np.eye(h.shape[0], dtype=complex)[0])   # |excited, vacuum>
+    for v in states:
+        got = oracle._chebyshev_expm(h, tau, v)
+        ref = scipy_expm_multiply(-1j * tau * h, v)
+        assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("density, count", [("flat", 8), ("flat", 13), ("cubic", 10)])
+def test_gershgorin_interval_encloses_the_spectrum(density, count):
+    grid = build_grid(P30, count=count, span_gammas=8.0, density=density, enforce=False)
+    for h in (_h_one(grid), _h_two(grid)):
+        lo, hi = oracle._gershgorin(h)
+        eig = np.linalg.eigvalsh(h.toarray())
+        assert lo <= eig[0] and eig[-1] <= hi
+
+
+def test_chebyshev_coefficients_are_bessel_values():
+    from scipy.special import jv
+
+    for a in (0.0, 0.3, 37.3, 400.0, 3000.0):
+        coeffs = oracle._chebyshev_coeffs(a)
+        k = np.arange(coeffs.size)
+        ref = np.where(k == 0, 1.0, 2.0) * (-1j) ** k * jv(k, a)
+        rounding = np.finfo(float).eps * max(1.0, a)
+        assert np.max(np.abs(coeffs - ref)) <= rounding
+        # the first dropped term is below the rounding of the sampled phase
+        assert coeffs.size > a and 2.0 * abs(jv(coeffs.size, a)) < rounding
 
 
 def test_sigma_z_start_and_decay():
@@ -339,3 +380,21 @@ def test_markov_validation():
 
 def test_angular_reduction():
     assert angular_reduction_check() < 1e-10
+
+
+def test_angular_quadrature_matches_the_per_direction_loop():
+    # the per-node sphere_integrate callbacks the one-pass einsum replaced
+    z_values, order = (5.0, 1e-3), 24
+    xhats = np.random.default_rng(0).normal(size=(3, 3))
+    xhats /= np.linalg.norm(xhats, axis=1, keepdims=True)
+    num = oracle._transverse_quadrature(xhats, z_values, order)
+    for iz, z in enumerate(z_values):
+        for d, xhat in enumerate(xhats):
+            for i in range(3):
+                for j in range(3):
+                    def part(khat, fn, i=i, j=j):
+                        return (float(i == j) - khat[i] * khat[j]) * fn(z * (khat @ xhat))
+
+                    ref = (sphere_integrate(lambda k: part(k, np.cos), 1.0, order)
+                           + 1j * sphere_integrate(lambda k: part(k, np.sin), 1.0, order))
+                    assert abs(num[iz, d, i, j] - ref / (4.0 * np.pi)) <= 1e-14
