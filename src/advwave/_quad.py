@@ -8,14 +8,13 @@ _MIN_INTERVALS = 32
 
 
 def n_for_oscillation(omega: float, a: float, b: float,
-                      per_period: int = _DEFAULT_PER_PERIOD,
-                      n_min: int = _MIN_INTERVALS) -> int:
-    """Interval count resolving exp(i omega t) on [a, b] at per_period points."""
+                      per_period: int = _DEFAULT_PER_PERIOD) -> int:
+    """Interval count resolving exp(i omega t) on [a, b] at per_period points (at least 32)."""
     if b <= a:
-        return n_min
+        return _MIN_INTERVALS
     periods = abs(omega) * (b - a) / (2.0 * np.pi)
     n = int(np.ceil(per_period * max(periods, 1.0)))
-    return max(n + (n % 2), n_min)
+    return max(n + (n % 2), _MIN_INTERVALS)
 
 
 def trapezoid_weights(a: float, b: float, n: int) -> np.ndarray:

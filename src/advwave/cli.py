@@ -191,12 +191,12 @@ def _points(cfg: RunConfig, command: str, auto: int, square: bool = False) -> in
     return n
 
 
-def _auto_points(cfg: RunConfig, per_period: int = 64) -> int:
-    """Automatic figure grid size: ``per_period`` points per optical period if that fits."""
+def _auto_points(cfg: RunConfig) -> int:
+    """Automatic figure grid size: 64 points per optical period if that fits."""
     import math
 
     tmax = cfg.tmax_gamma / cfg.gamma
-    intervals = per_period * cfg.omega0 * tmax / (2.0 * math.pi)
+    intervals = 64 * cfg.omega0 * tmax / (2.0 * math.pi)
     return max(2, int(math.ceil(intervals)) + 1) if intervals <= _RESOLVED_ROWS - 1 else _AVERAGED_ROWS
 
 
@@ -240,18 +240,21 @@ def cmd_figure(cfg: RunConfig, which: int) -> int:
                 columns[f"{kind}_{name}"] = getattr(curve, f"{kind}_{part}")
         plotted = ("avg_dps", "avg_dpvacs", "avg_dptotal", "lo_dptotal", "hi_dptotal")
         fit_column = "avg_dptotal"
-    csv_path = _outpath(cfg, f"fig{which}.csv")
-    write_csv(csv_path, meta, columns)
-    if which == 3:
+    fit_lines = []
+    if which == 3:  # fit before writing anything, so a failing fit leaves no files
         window = (tmax / 2.0, tmax)
         slope, intercept = longtime_fit(curve, window, which="total")
+        if fit_column:  # the raw table has a single total column
+            fit_lines.append(f"# fit_column = {fit_column}\n")
+        fit_lines += ["# fit_window_gamma = [%.17g, %.17g]\n"
+                      % (window[0] * cfg.gamma, window[1] * cfg.gamma),
+                      "# fit_slope_over_gamma = %.17g\n" % (slope / cfg.gamma),
+                      "# fit_intercept = %.17g\n" % intercept]
+    csv_path = _outpath(cfg, f"fig{which}.csv")
+    write_csv(csv_path, meta, columns)
+    if fit_lines:
         with open(csv_path, "a") as fh:
-            if fit_column:  # the raw table has a single total column
-                fh.write(f"# fit_column = {fit_column}\n")
-            fh.write("# fit_window_gamma = [%.17g, %.17g]\n"
-                     % (window[0] * cfg.gamma, window[1] * cfg.gamma))
-            fh.write("# fit_slope_over_gamma = %.17g\n" % (slope / cfg.gamma))
-            fh.write("# fit_intercept = %.17g\n" % intercept)
+            fh.writelines(fit_lines)
     write_svg(_outpath(cfg, f"fig{which}.svg"), columns["t_gamma"],
               {k: columns[k] for k in plotted},
               title=f"Scaled momentum diffusion (figure {which})",
@@ -291,11 +294,10 @@ def cmd_power(cfg: RunConfig, model: str) -> int:
     return EXIT_OK
 
 
-def cmd_corr(cfg: RunConfig, geometry=None) -> int:
+def cmd_corr(cfg: RunConfig) -> int:
     """Write corr.csv: G, interference and total traces on a (t, t') grid.
 
-    ``geometry`` overrides the two observation points; the default puts both
-    at the standard position r0 on the x axis.
+    Both observation points sit at the standard position r0 on the x axis.
     """
     import numpy as np
 
@@ -304,11 +306,10 @@ def cmd_corr(cfg: RunConfig, geometry=None) -> int:
     from .correlations import corr_traces
 
     params, position = _dipole_geometry(cfg)
-    x_a, x_b = (position, position) if geometry is None else geometry
     n = _points(cfg, "corr", 41, square=True)
     ts = np.linspace(0.0, cfg.tmax_gamma / cfg.gamma, n)
     t, tp = np.meshgrid(ts, ts, indexing="ij")
-    g, d = corr_traces(FieldKind.ELECTRIC, FieldKind.ELECTRIC, t, x_a, tp, x_b, params)
+    g, d = corr_traces(FieldKind.ELECTRIC, FieldKind.ELECTRIC, t, position, tp, position, params)
     c = g + d
     cols = {"t_gamma": t * cfg.gamma, "tp_gamma": tp * cfg.gamma, "re_g": g.real, "im_g": g.imag,
             "re_delta": d.real, "im_delta": d.imag, "re_c": c.real, "im_c": c.imag}

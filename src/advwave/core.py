@@ -1,4 +1,4 @@
-"""Shared value types and light-cone geometry.
+"""Shared value types: dipole parameters, spacetime events, field kinds.
 
 Natural units throughout the package: hbar = c = epsilon_0 = 1.  Every time,
 frequency and length is therefore expressed in one unit (inverse seconds, say),
@@ -20,7 +20,6 @@ __all__ = [
     "DipoleParams",
     "Event",
     "FieldKind",
-    "greens_support",
 ]
 
 _GAMMA_REL_TOL = 1e-12
@@ -53,11 +52,6 @@ class FieldKind(Enum):
     MAGNETIC = "B"
 
     @property
-    def parity_exponent(self) -> int:
-        """Exponent alpha in the (-1)**alpha advanced-wave sign (E: 0, B: 1)."""
-        return 0 if self is FieldKind.ELECTRIC else 1
-
-    @property
     def advanced_sign(self) -> int:
         """Sign (-1)**alpha carried by the advanced-wave terms."""
         return 1 if self is FieldKind.ELECTRIC else -1
@@ -69,9 +63,9 @@ class DipoleParams:
 
     ``gamma`` may be chosen independently of ``dvec`` for parameter scans;
     ``consistent`` records whether the free-space relation
-    gamma = omega0**3 |d|**2 / (3 pi) holds.  The named constructors
-    (:meth:`from_dipole`, :meth:`from_rates`) always produce consistent
-    parameter sets, and every cross-check in the test-suite uses those.
+    gamma = omega0**3 |d|**2 / (3 pi) holds.  The named constructor
+    :meth:`from_rates` always produces a consistent parameter set, and every
+    cross-check in the test-suite uses it.
     Every path that forms omega0**3 raises ``ValueError`` when it overflows.
     """
 
@@ -100,13 +94,6 @@ class DipoleParams:
                 "rotating-wave closed forms used throughout are unreliable here",
                 stacklevel=3,
             )
-
-    @classmethod
-    def from_dipole(cls, omega0: float, dvec) -> "DipoleParams":
-        """Build with gamma derived from the dipole vector (always consistent)."""
-        d = _vec3(dvec, "dvec")
-        gamma = _omega0_cubed(omega0) * float(d @ d) / (3.0 * np.pi)
-        return cls(omega0=float(omega0), gamma=gamma, dvec=d, consistent=True)
 
     @classmethod
     def from_rates(cls, omega0: float, gamma: float, direction=(0.0, 0.0, 1.0)) -> "DipoleParams":
@@ -151,29 +138,3 @@ class Event:
     def t_adv(self) -> float:
         """Advanced time t + |x| (source time on the future light cone)."""
         return self.t + self.r
-
-
-def greens_support(kind: str, ev1: Event, ev2: Event, tol: float | None = None) -> bool:
-    """Whether the free propagator connects two events on the chosen branch.
-
-    ``kind="retarded"`` tests that ``ev2`` lies on the *forward* light cone of
-    ``ev1`` (t2 - t1 = +|x2 - x1|, signal emitted at ev1 arrives at ev2);
-    ``kind="advanced"`` tests the backward cone (t2 - t1 = -|x2 - x1|).  Hence
-    ``greens_support("retarded", a, b) == greens_support("advanced", b, a)``.
-
-    ``tol`` is the absolute slack on the cone condition; it defaults to
-    1e-9 * max(1, |t1|, |t2|) to stay meaningful for both microscopic and
-    order-one time scales.  Coincident events (zero spatial separation) have
-    no well-defined cone and raise ``ValueError``.
-    """
-    if kind not in ("retarded", "advanced"):
-        raise ValueError(f"kind must be 'retarded' or 'advanced', got {kind!r}")
-    sep = np.asarray(ev2.x, dtype=float) - np.asarray(ev1.x, dtype=float)
-    r = float(np.linalg.norm(sep))
-    if r == 0.0:
-        raise ValueError("coincident spatial points: light-cone support is singular")
-    if tol is None:
-        tol = 1e-9 * max(1.0, abs(ev1.t), abs(ev2.t))
-    dt = ev2.t - ev1.t
-    branch = r if kind == "retarded" else -r
-    return bool(abs(dt - branch) <= tol)

@@ -39,8 +39,9 @@ from enum import Enum
 
 import numpy as np
 
-from . import atomdyn, fieldcoeffs
+from . import atomdyn
 from .core import DipoleParams, Event, FieldKind, _vec3
+from .fieldcoeffs import _check_part, field_coeff
 
 __all__ = [
     "CorrLabel",
@@ -51,7 +52,6 @@ __all__ = [
     "c_tensor",
     "source_source_commutator",
     "vac_source_commutator_expect",
-    "vacuum_wightman_trace",
 ]
 
 
@@ -88,19 +88,6 @@ class CorrTensor:
         return complex(np.trace(self.values))
 
 
-def _check_part(part: str) -> None:
-    if part not in ("full", "rad"):
-        raise ValueError(f"part must be 'full' or 'rad', got {part!r}")
-
-
-def _coeff(kind: FieldKind, x, p: DipoleParams, part: str) -> np.ndarray:
-    _check_part(part)
-    cs = fieldcoeffs.coeffs_two_level(x, p)
-    if part == "full":
-        return cs.e_coeff if kind is FieldKind.ELECTRIC else cs.b_coeff
-    return cs.e_rad if kind is FieldKind.ELECTRIC else cs.b_rad
-
-
 def _gated_terms(kind_x: FieldKind, kind_y: FieldKind, t, x, tp, y,
                  p: DipoleParams, part: str):
     """(gate, term) pairs for G and the two Delta terms; term() -> (left, right, factor).
@@ -114,7 +101,8 @@ def _gated_terms(kind_x: FieldKind, kind_y: FieldKind, t, x, tp, y,
     rx, ry = float(np.linalg.norm(x)), float(np.linalg.norm(y))
     tr, ta, tr2, ta2 = t - rx, t + rx, tp - ry, tp + ry
     u, v = np.maximum(tr, 0.0), np.maximum(tr2, 0.0)
-    coeffs = functools.cache(lambda: (_coeff(kind_x, x, p, part), _coeff(kind_y, y, p, part)))
+    coeffs = functools.cache(lambda: (field_coeff(kind_x, x, p, part),
+                                      field_coeff(kind_y, y, p, part)))
 
     def glauber():
         xc, yc = coeffs()
@@ -194,8 +182,8 @@ def source_source_commutator(kind_x: FieldKind, kind_y: FieldKind, ev_x: Event, 
     tr, tr2 = ev_x.t_ret, ev_y.t_ret
     vals = np.zeros((3, 3), dtype=complex)
     if tr >= 0.0 and tr2 >= 0.0:
-        xc = _coeff(kind_x, ev_x.x, params, part)
-        yc = _coeff(kind_y, ev_y.x, params, part)
+        xc = field_coeff(kind_x, ev_x.x, params, part)
+        yc = field_coeff(kind_y, ev_y.x, params, part)
         comm = atomdyn._comm_raw(min(tr, tr2), max(tr, tr2), params)  # hermitian reflection
         vals = np.outer(np.conj(xc), yc) * (comm if tr <= tr2 else np.conj(comm))
     return CorrTensor(CorrLabel.SOURCE_SOURCE, kind_x, kind_y, ev_x, ev_y, vals)
@@ -215,8 +203,8 @@ def vac_source_commutator_expect(direction: CorrLabel, kind_x: FieldKind, kind_y
         raise ValueError("direction must be CorrLabel.VAC_SOURCE or CorrLabel.SOURCE_VAC")
     tr, ta = ev_x.t_ret, ev_x.t_adv
     tr2, ta2 = ev_y.t_ret, ev_y.t_adv
-    xc = _coeff(kind_x, ev_x.x, params, part)
-    yc = _coeff(kind_y, ev_y.x, params, part)
+    xc = field_coeff(kind_x, ev_x.x, params, part)
+    yc = field_coeff(kind_y, ev_y.x, params, part)
     vals = np.zeros((3, 3), dtype=complex)
     if direction is CorrLabel.VAC_SOURCE:
         if tr >= 0.0 and tr2 >= tr:
@@ -231,34 +219,3 @@ def vac_source_commutator_expect(direction: CorrLabel, kind_x: FieldKind, kind_y
                 atomdyn._comm_raw(ta2, tr, params)
             )
     return CorrTensor(direction, kind_x, kind_y, ev_x, ev_y, vals)
-
-
-def vacuum_wightman_trace(ev_x: Event, ev_y: Event, cutoff: float) -> complex:
-    """Trace of the free-vacuum electric two-point function, soft cutoff.
-
-    Sum over i of <0| E_i(t, x) E_i(t', x') |0> with each mode damped by
-    exp(-omega / cutoff).  Evaluates the regularized closed form
-
-        (1 / (2 pi^2 r)) (1 / i) [1 / a^3 - 1 / b^3],
-        a = 1/cutoff + i (dt - r),  b = 1/cutoff + i (dt + r),
-
-    where dt = t - t', r = |x - x'|.  At r = 0 this tends to
-    3 / (pi^2 (1/cutoff + i dt)^4); a two-term series is substituted for
-    r << |1/cutoff + i dt| to avoid cancellation.  For the cutoff-free limit
-    pass ``cutoff=numpy.inf`` (singular exactly on the light cone).
-    """
-    if not cutoff > 0.0:
-        raise ValueError("cutoff must be positive (may be numpy.inf)")
-    dt = ev_x.t - ev_y.t
-    r = float(np.linalg.norm(ev_x.x - ev_y.x))
-    eps = 0.0 if np.isinf(cutoff) else 1.0 / cutoff
-    base = eps + 1j * dt
-    if r <= 1e-4 * abs(base):
-        if base == 0.0:
-            raise ValueError("coincident events need a finite cutoff")
-        return complex(3.0 / (np.pi**2 * base**4) - 10.0 * r**2 / (np.pi**2 * base**6))
-    a = base - 1j * r
-    b = base + 1j * r
-    if a == 0.0 or b == 0.0:
-        raise ValueError("events on the light cone need a finite cutoff")
-    return complex((1.0 / (2.0 * np.pi**2 * r)) * (1.0 / 1j) * (1.0 / a**3 - 1.0 / b**3))

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DipoleParams, _vec3
+from .core import DipoleParams, FieldKind, _vec3
 
-__all__ = ["CoeffSet", "LevelScheme", "coeffs_two_level", "coeffs_multilevel", "tau_kernel"]
+__all__ = ["CoeffSet", "LevelScheme", "coeffs_two_level", "tau_kernel"]
 
 
 @dataclass(frozen=True)
@@ -36,23 +36,16 @@ class CoeffSet:
     """Zone-resolved source-field coefficient vectors at one position.
 
     ``e_rad``/``e_mid``/``e_near`` scale as 1/x, 1/x^2, 1/x^3; ``b_rad``/
-    ``b_mid`` as 1/x, 1/x^2.  ``levels`` tags the transition pair (n, m) for
-    multilevel schemes and is None for a plain two-level emitter.
+    ``b_mid`` as 1/x, 1/x^2.
     """
 
-    position: np.ndarray
-    omega: float
-    dvec: np.ndarray
     e_rad: np.ndarray
     e_mid: np.ndarray
     e_near: np.ndarray
     b_rad: np.ndarray
     b_mid: np.ndarray
-    levels: tuple[int, int] | None = None
 
     def __post_init__(self):
-        for name in ("position", "dvec"):
-            object.__setattr__(self, name, _vec3(getattr(self, name), name))
         for name in ("e_rad", "e_mid", "e_near", "b_rad", "b_mid"):
             arr = np.asarray(getattr(self, name), dtype=complex)
             if arr.shape != (3,):
@@ -93,9 +86,6 @@ def _structures(x, omega: float, dvec) -> CoeffSet:
     pre_mid = omega / (4.0 * np.pi * r**2)
     pre_near = 1.0 / (4.0 * np.pi * r**3)
     return CoeffSet(
-        position=pos,
-        omega=float(omega),
-        dvec=d,
         e_rad=pre_rad * transv + 0j,
         e_mid=1j * pre_mid * longit,
         e_near=pre_near * longit + 0j,
@@ -107,6 +97,25 @@ def _structures(x, omega: float, dvec) -> CoeffSet:
 def coeffs_two_level(x, params: DipoleParams) -> CoeffSet:
     """Coefficient set of a two-level dipole at observation point ``x``."""
     return _structures(x, params.omega0, params.dvec)
+
+
+def _check_part(part: str) -> None:
+    if part not in ("full", "rad"):
+        raise ValueError(f"part must be 'full' or 'rad', got {part!r}")
+
+
+def field_coeff(kind: FieldKind, x, params: DipoleParams, part: str) -> np.ndarray:
+    """Coefficient of field ``kind`` at ``x``: all zones (``part="full"``) or 1/x alone ("rad").
+
+    This selector and ``_check_part`` are the one place that knows what
+    ``part`` names.  A caller that must reject a bad ``part`` before it
+    evaluates any coefficient calls ``_check_part`` itself.
+    """
+    _check_part(part)
+    cs = coeffs_two_level(x, params)
+    if kind is FieldKind.ELECTRIC:
+        return cs.e_coeff if part == "full" else cs.e_rad
+    return cs.b_coeff if part == "full" else cs.b_rad
 
 
 @dataclass(frozen=True)
@@ -147,37 +156,12 @@ class LevelScheme:
         """Signed transition frequency E[upper] - E[lower]."""
         return float(self.energies[upper] - self.energies[lower])
 
-    def pairs(self):
-        """All (n, m) with n < m, ascending."""
-        n = self.n_levels
-        return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
     @classmethod
     def two_level(cls, params: DipoleParams) -> "LevelScheme":
         """The scheme {0, omega0} with the given transition dipole."""
         dip = np.zeros((2, 2, 3))
         dip[0, 1] = dip[1, 0] = params.dvec
         return cls(energies=np.array([0.0, params.omega0]), dipoles=dip)
-
-
-def coeffs_multilevel(scheme: LevelScheme, x) -> tuple[CoeffSet, ...]:
-    """One coefficient set per level pair (n < m), at the pair frequency.
-
-    Each pair enters with its positive frequency E[m] - E[n] and dipole
-    d[n, m]; a two-level scheme therefore reproduces ``coeffs_two_level``
-    exactly.
-    """
-    out = []
-    for n, m in scheme.pairs():
-        cs = _structures(x, scheme.omega(m, n), scheme.dipoles[n, m])
-        out.append(
-            CoeffSet(
-                position=cs.position, omega=cs.omega, dvec=cs.dvec,
-                e_rad=cs.e_rad, e_mid=cs.e_mid, e_near=cs.e_near,
-                b_rad=cs.b_rad, b_mid=cs.b_mid, levels=(n, m),
-            )
-        )
-    return tuple(out)
 
 
 _TAU_SERIES_CUT = 1e-3

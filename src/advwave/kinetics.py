@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DipoleParams, _vec3
-from .fieldcoeffs import coeffs_two_level
+from .core import DipoleParams, FieldKind, _vec3
+from .fieldcoeffs import field_coeff
 
 __all__ = [
     "ChargeParams",
@@ -112,7 +112,7 @@ class CycleAverage:
 
 
 def _e_rad_abs2(params: DipoleParams, charge: ChargeParams) -> float:
-    e_rad = coeffs_two_level(charge.r0, params).e_rad
+    e_rad = field_coeff(FieldKind.ELECTRIC, charge.r0, params, "rad")
     return float(np.real(e_rad @ np.conj(e_rad)))
 
 
@@ -400,7 +400,7 @@ def posdisp_change(t: float, params: DipoleParams, charge: ChargeParams,
         return free
     g, r0 = params.gamma, charge.r0_abs
     a = complex(-g / 2.0, params.omega0)
-    e = coeffs_two_level(charge.r0, params).e_rad
+    e = field_coeff(FieldKind.ELECTRIC, charge.r0, params, "rad")
     m0, m1 = _moments(a, tr, order=1)
     field = 4.0 * float(np.real(e @ np.conj(e))) * float(abs(tr * m0 - m1)) ** 2  # I = T M0 - M1
     b = t - 2.0 * r0

@@ -42,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DipoleParams, _vec3
-from .fieldcoeffs import coeffs_two_level
+from .core import DipoleParams, FieldKind, _vec3
+from .fieldcoeffs import field_coeff
 
 __all__ = ["DetectorConfig", "detection_rate_G", "detection_rate_C", "suppression_report", "SuppressionReport"]
 
@@ -72,16 +72,10 @@ class DetectorConfig:
         return self.dipole if self.dipole is not None else self.source.dvec
 
 
-def _contractions(cfg: DetectorConfig, part: str):
-    if part not in ("full", "rad"):
-        raise ValueError(f"part must be 'full' or 'rad', got {part!r}")
-    cs = coeffs_two_level(cfg.position, cfg.source)
-    return complex(cfg.dvec @ (cs.e_coeff if part == "full" else cs.e_rad))
-
-
 def _rates(times: np.ndarray, cfg: DetectorConfig, part: str):
     """Closed-form (rate_G, rate_C) at every time of a 1-d float array."""
-    c = _contractions(cfg, part)  # validates ``part`` before any gate
+    # field_coeff checks ``part`` before any gate
+    c = complex(cfg.dvec @ field_coeff(FieldKind.ELECTRIC, cfg.position, cfg.source, part))
     if not np.all(np.isfinite(times)):
         raise ValueError("detection times t must be finite")
     p = cfg.source

@@ -19,20 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .core import DipoleParams
-from .fieldcoeffs import LevelScheme, coeffs_two_level
+from .core import DipoleParams, FieldKind
+from .fieldcoeffs import LevelScheme, field_coeff
 
 __all__ = [
     "PowerBreakdown",
     "spont_rate",
-    "total_power_pert",
-    "glauber_power_pert",
-    "source_power_pert",
-    "vacsource_power_pert",
     "pert_power_breakdown",
     "power_curves_2lvl",
     "intensity_trace_2lvl",
-    "antinormal_source_trace",
     "sphere_integrate",
 ]
 
@@ -69,32 +64,21 @@ def _channel_terms(scheme: LevelScheme, emitter: int):
     ]
 
 
-def total_power_pert(scheme: LevelScheme, emitter: int) -> float:
-    """Sum over downward channels of omega_em * gamma_em."""
-    return sum(w * g for w, g in _channel_terms(scheme, emitter) if w > 0.0)
-
-
-def glauber_power_pert(scheme: LevelScheme, emitter: int) -> float:
-    """Half the downward sum (normal-ordered part)."""
-    return 0.5 * total_power_pert(scheme, emitter)
-
-
-def source_power_pert(scheme: LevelScheme, emitter: int) -> float:
-    """Half the sum over *all* channels, upward (virtual) ones included."""
-    return 0.5 * sum(w * g for w, g in _channel_terms(scheme, emitter))
-
-
-def vacsource_power_pert(scheme: LevelScheme, emitter: int) -> float:
-    """Signed half-sum: downward channels add, upward channels subtract."""
-    return 0.5 * sum(np.sign(w) * w * g for w, g in _channel_terms(scheme, emitter))
-
-
 def pert_power_breakdown(scheme: LevelScheme, emitter: int) -> PowerBreakdown:
+    """Perturbative power split of level ``emitter``, summed over its channels m.
+
+    total is the sum of omega_em * gamma_em over downward channels and glauber
+    half of it; source is half the sum over *all* channels, upward (virtual)
+    ones included, and vacsource the signed half-sum in which downward
+    channels add and upward ones subtract.
+    """
+    terms = _channel_terms(scheme, emitter)
+    total = sum(w * g for w, g in terms if w > 0.0)
     return PowerBreakdown(
-        glauber=glauber_power_pert(scheme, emitter),
-        source=source_power_pert(scheme, emitter),
-        vacsource=vacsource_power_pert(scheme, emitter),
-        total=total_power_pert(scheme, emitter),
+        glauber=0.5 * total,
+        source=0.5 * sum(w * g for w, g in terms),
+        vacsource=0.5 * sum(np.sign(w) * w * g for w, g in terms),
+        total=total,
     )
 
 
@@ -126,32 +110,13 @@ def power_curves_2lvl(t_ret, params: DipoleParams) -> PowerBreakdown:
     )
 
 
-def _coeff_abs2(x, params: DipoleParams, part: str) -> float:
-    cs = coeffs_two_level(x, params)
-    if part == "rad":
-        vec = cs.e_rad
-    elif part == "full":
-        vec = cs.e_coeff
-    else:
-        raise ValueError(f"part must be 'rad' or 'full', got {part!r}")
-    return float(np.real(vec @ np.conj(vec)))
-
-
 def intensity_trace_2lvl(t, x, params: DipoleParams, part: str = "rad"):
     """Normal-ordered intensity |Ec(x)|^2 exp(-g t_r) theta(t_r) at (t, x)."""
-    c2 = _coeff_abs2(x, params, part)
+    vec = field_coeff(FieldKind.ELECTRIC, x, params, part)
+    c2 = float(np.real(vec @ np.conj(vec)))
     tr = np.asarray(t, dtype=float) - float(np.linalg.norm(np.asarray(x, dtype=float)))
     gate = (tr >= 0.0).astype(float)
     out = c2 * np.exp(-params.gamma * np.where(tr >= 0.0, tr, 0.0)) * gate
-    return out.item() if np.isscalar(t) else out
-
-
-def antinormal_source_trace(t, x, params: DipoleParams, part: str = "rad"):
-    """Antinormally ordered source intensity |Ec|^2 (1 - exp(-g t_r)) theta(t_r)."""
-    c2 = _coeff_abs2(x, params, part)
-    tr = np.asarray(t, dtype=float) - float(np.linalg.norm(np.asarray(x, dtype=float)))
-    gate = (tr >= 0.0).astype(float)
-    out = c2 * (1.0 - np.exp(-params.gamma * np.where(tr >= 0.0, tr, 0.0))) * gate
     return out.item() if np.isscalar(t) else out
 
 

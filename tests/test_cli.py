@@ -116,6 +116,17 @@ def test_figure_rejects_window_shorter_than_onset(tmp_path, capsys):
     assert "onset" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("--tmax-gamma", "8"), "fit window must start"),   # window [4, 8]/gamma starts too early
+    (("--points", "5"), "fewer than 10 grid points"),
+])
+def test_figure3_failing_fit_writes_nothing(argv, message, tmp_path, capsys):
+    assert run_cli("figure", "3", *argv, "--out", str(tmp_path)) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "fig3.csv").exists()
+    assert not (tmp_path / "fig3.svg").exists()
+
+
 def test_power_pert_single_row(tmp_path):
     assert run_cli("power", "pert", "--out", str(tmp_path)) == EXIT_OK
     meta, names, cols = read_csv(tmp_path / "power.csv")

@@ -1,4 +1,4 @@
-"""Field correlation tensors: gating, hermiticity, reconstruction, vacuum trace."""
+"""Field correlation tensors: gating, hermiticity, reconstruction, broadcast traces."""
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -14,7 +14,6 @@ from advwave.correlations import (
     glauber_tensor,
     source_source_commutator,
     vac_source_commutator_expect,
-    vacuum_wightman_trace,
 )
 
 P = DipoleParams.from_rates(omega0=60.0, gamma=1.0)
@@ -175,50 +174,3 @@ def test_radiative_part_differs_from_full():
     full = glauber_tensor(FieldKind.ELECTRIC, FieldKind.ELECTRIC, ev, ev, P, part="full").trace
     rad = glauber_tensor(FieldKind.ELECTRIC, FieldKind.ELECTRIC, ev, ev, P, part="rad").trace
     assert abs(full - rad) > 1e-6 * abs(full)
-
-
-# --- vacuum Wightman trace ---------------------------------------------------
-
-# frozen values, independently cross-checked against the spectral quadrature
-_WIGHTMAN_PINS = [
-    (0.3, 0.7, 40.0, -1.1766715129130616 + 0.20387323249900258j),
-    (1.1, 0.2, 25.0, 0.22872693166438957 + 0.035415970682307785j),
-]
-
-
-def _wightman_events(dt, r):
-    return Event(t=dt, x=np.zeros(3)), Event(t=0.0, x=np.array([r, 0.0, 0.0]))
-
-
-@pytest.mark.parametrize("dt,r,lam,expected", _WIGHTMAN_PINS)
-def test_wightman_pinned_values(dt, r, lam, expected):
-    ex, ey = _wightman_events(dt, r)
-    assert vacuum_wightman_trace(ex, ey, cutoff=lam) == pytest.approx(expected, rel=1e-12)
-
-
-@pytest.mark.parametrize("dt,r,lam", [(0.3, 0.7, 40.0), (-0.9, 1.3, 15.0)])
-def test_wightman_against_spectral_quadrature(dt, r, lam):
-    # direct frequency integral of the transverse vacuum spectrum with the
-    # same exponential cutoff
-    w = np.linspace(1e-9, 45.0 * lam, 2_000_001)
-    spec = w**3 * (np.sin(w * r) / (w * r)) * np.exp(-1j * w * dt) * np.exp(-w / lam)
-    ref = np.trapezoid(spec, w) / (2.0 * np.pi**2)
-    ex, ey = _wightman_events(dt, r)
-    val = vacuum_wightman_trace(ex, ey, cutoff=lam)
-    assert val == pytest.approx(ref, rel=1e-6)
-
-
-def test_wightman_equal_time_limit():
-    # dt = 0, cutoff -> infinity: trace -> -1 / (pi^2 r^4)
-    r = 0.5
-    ex, ey = _wightman_events(0.0, r)
-    val = vacuum_wightman_trace(ex, ey, cutoff=1e7)
-    assert val.imag == pytest.approx(0.0, abs=1e-4 / (np.pi**2 * r**4))
-    assert val.real == pytest.approx(-1.0 / (np.pi**2 * r**4), rel=1e-5)
-
-
-def test_wightman_swap_conjugates():
-    ex, ey = _wightman_events(0.7, 1.1)
-    assert vacuum_wightman_trace(ex, ey, cutoff=30.0) == pytest.approx(
-        np.conj(vacuum_wightman_trace(ey, ex, cutoff=30.0)), rel=1e-13
-    )

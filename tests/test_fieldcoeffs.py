@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from advwave.core import DipoleParams
-from advwave.fieldcoeffs import LevelScheme, _cross3, coeffs_multilevel, coeffs_two_level, tau_kernel
+from advwave.fieldcoeffs import LevelScheme, _cross3, coeffs_two_level, tau_kernel
 
 P = DipoleParams.from_rates(omega0=25.0, gamma=1.0)
 X = np.array([0.4, -0.7, 1.1])
@@ -101,7 +101,6 @@ def test_level_scheme_two_level():
     assert s.n_levels == 2
     assert s.omega(1, 0) == P.omega0
     assert s.omega(0, 1) == -P.omega0
-    assert s.pairs() == [(0, 1)]
     assert np.allclose(s.dipoles[0, 1], P.dvec)
 
 
@@ -120,25 +119,3 @@ def test_level_scheme_validation():
     diag[0, 0] = [0.1, 0.0, 0.0]
     with pytest.raises(ValueError, match="permanent"):
         LevelScheme(energies=np.array([0.0, 1.0]), dipoles=diag)
-
-
-def test_multilevel_reduces_to_two_level():
-    s = LevelScheme.two_level(P)
-    (cs,) = coeffs_multilevel(s, X)
-    ref = coeffs_two_level(X, P)
-    assert cs.levels == (0, 1)
-    assert np.allclose(cs.e_coeff, ref.e_coeff)
-    assert np.allclose(cs.b_coeff, ref.b_coeff)
-
-
-def test_multilevel_pair_frequencies():
-    d = np.zeros((3, 3, 3))
-    d[0, 1] = d[1, 0] = [0.0, 0.0, 0.01]
-    d[1, 2] = d[2, 1] = [0.01, 0.0, 0.0]
-    d[0, 2] = d[2, 0] = [0.0, 0.01, 0.0]
-    s = LevelScheme(energies=np.array([0.0, 2.0, 5.0]), dipoles=d)
-    sets = coeffs_multilevel(s, X)
-    assert [c.levels for c in sets] == [(0, 1), (0, 2), (1, 2)]
-    assert [c.omega for c in sets] == [2.0, 5.0, 3.0]
-    for c in sets:
-        assert c.omega > 0.0

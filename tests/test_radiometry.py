@@ -6,13 +6,11 @@ from hypothesis import strategies as st
 from advwave.core import DipoleParams
 from advwave.fieldcoeffs import LevelScheme
 from advwave.radiometry import (
-    antinormal_source_trace,
     intensity_trace_2lvl,
     pert_power_breakdown,
     power_curves_2lvl,
     sphere_integrate,
     spont_rate,
-    total_power_pert,
 )
 
 P = DipoleParams.from_rates(omega0=80.0, gamma=1.0)
@@ -50,7 +48,7 @@ def test_spont_rate_validation():
     with pytest.raises(ValueError):
         spont_rate(s, 2, 0)
     with pytest.raises(ValueError):
-        total_power_pert(s, 5)
+        pert_power_breakdown(s, 5)
 
 
 @settings(max_examples=60)
@@ -107,16 +105,6 @@ def test_intensity_vanishes_along_dipole_axis():
 def test_intensity_part_validation():
     with pytest.raises(ValueError):
         intensity_trace_2lvl(1.0, np.array([1.0, 0, 0]), P, part="near")
-
-
-def test_antinormal_trace():
-    x = np.array([1.0, 0.0, 0.0])
-    assert antinormal_source_trace(0.5, x, P) == 0.0  # gate shut
-    tr = 2.0
-    val = antinormal_source_trace(1.0 + tr, x, P, part="rad")
-    glauber = intensity_trace_2lvl(1.0 + tr, x, P, part="rad")
-    # shares the coefficient square: ratio is (1 - e^{-gt}) / e^{-gt}
-    assert val / glauber == pytest.approx(np.expm1(P.gamma * tr), rel=1e-12)
 
 
 def test_sphere_integrate_polynomials():
