@@ -31,7 +31,6 @@ class AtomCorrKind(Enum):
     PLUS_MINUS = "plus_minus"        # <sigma^+(u) sigma^-(v)>
     MINUS_PLUS = "minus_plus"        # <sigma^-(u) sigma^+(v)>
     COMMUTATOR = "commutator"        # <[sigma^-(u), sigma^+(v)]>
-    POPULATION_Z = "population_z"    # <sigma_z(t)>
 
 
 def _times(t, name="t"):

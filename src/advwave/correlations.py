@@ -1,23 +1,24 @@
 """Two-time, two-point field correlation tensors of a decaying dipole.
 
-The tensor functions return a 3x3 complex tensor over field components i
+The tensor functions return a plain 3x3 complex array over field components i
 (first event) and j (second event), for field kinds X, Y in {E, B}.  Writing
 t_r = t - |x| and t_a = t + |x| for the retarded/advanced source times of each
 event and Xc(x), Yc(x') for the spatial coefficient vectors
-(:mod:`advwave.fieldcoeffs`), the implemented pieces are
+(:func:`advwave.fieldcoeffs.field_coeff`), the implemented pieces are
 
-  glauber_tensor          G_ij  = 2 Xc_i Yc*_j th(t_r) th(t_r') <s+(t_r) s-(t_r')>
-  delta_expect_tensor     D_ij  = (-1)^aX Xc_i Yc_j  th(t_r'-t_a) th(t_r') th(t_a)  <[s-(t_a), s+(t_r')]>
-                                + (-1)^aY Xc*_i Yc*_j th(t_r-t_a') th(t_r) th(t_a') <[s-(t_r), s+(t_a')]>
-  c_tensor                C_ij  = G_ij + D_ij
-  corr_traces             the traces of G and D on broadcast time arrays
-  source_source_commutator       Xc*_i Yc_j th(t_r) th(t_r') <[s-(t_r), s+(t_r')]>
-  vac_source_commutator_expect   the vacuum-source cross commutators; their
-                                 retarded parts cancel the source-source term
-                                 and their advanced parts build D_ij.
+  glauber_tensor       G_ij  = 2 Xc_i Yc*_j th(t_r) th(t_r') <s+(t_r) s-(t_r')>
+  delta_expect_tensor  D_ij  = (-1)^aX Xc_i Yc_j  th(t_r'-t_a) th(t_r') th(t_a)  <[s-(t_a), s+(t_r')]>
+                             + (-1)^aY Xc*_i Yc*_j th(t_r-t_a') th(t_r) th(t_a') <[s-(t_r), s+(t_a')]>
+  corr_traces          the traces of G and D on broadcast time arrays; the
+                       detector-ordered correlation is C = G + D
+  commutator_parts     (source_source, vac_source, source_vac):
+                       source_source = Xc*_i Yc_j th(t_r) th(t_r') <[s-(t_r), s+(t_r')]>,
+                       and the two vacuum-source cross commutators, whose
+                       retarded parts cancel the source-source term and whose
+                       advanced parts build D_ij.
 
 The gates of G and D are written once, for ``corr_traces`` and the tensor functions;
-the commutators keep their own as the independent side of the identity below.
+``commutator_parts`` keeps its own as the independent side of the identity below.
 
 th is the unit step with th(0) := 1, so all support boundaries are inclusive.
 With that convention the cancellation identity
@@ -34,8 +35,6 @@ Commutator expectations with reversed time order are obtained from hermiticity,
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -44,48 +43,11 @@ from .core import DipoleParams, Event, FieldKind, _vec3
 from .fieldcoeffs import _check_part, field_coeff
 
 __all__ = [
-    "CorrLabel",
-    "CorrTensor",
     "corr_traces",
     "glauber_tensor",
     "delta_expect_tensor",
-    "c_tensor",
-    "source_source_commutator",
-    "vac_source_commutator_expect",
+    "commutator_parts",
 ]
-
-
-class CorrLabel(Enum):
-    GLAUBER = "G"
-    DELTA_EXPECT = "DeltaExpect"
-    C_FULL = "C"
-    SOURCE_SOURCE = "SourceSource"
-    VAC_SOURCE = "VacSource"
-    SOURCE_VAC = "SourceVac"
-
-
-@dataclass(frozen=True)
-class CorrTensor:
-    """A labelled 3x3 correlation tensor between two field observations."""
-
-    label: CorrLabel
-    kind_x: FieldKind
-    kind_y: FieldKind
-    ev_x: Event
-    ev_y: Event
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=complex)
-        if arr.shape != (3, 3):
-            raise ValueError("values must be a 3x3 tensor")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def trace(self) -> complex:
-        return complex(np.trace(self.values))
 
 
 def _gated_terms(kind_x: FieldKind, kind_y: FieldKind, t, x, tp, y,
@@ -151,71 +113,51 @@ def _tensor(*terms) -> np.ndarray:  # a shut gate costs no field evaluation
 
 
 def glauber_tensor(kind_x: FieldKind, kind_y: FieldKind, ev_x: Event, ev_y: Event,
-                   params: DipoleParams, part: str = "full") -> CorrTensor:
+                   params: DipoleParams, part: str = "full") -> np.ndarray:
     """Normal-ordered (Glauber) source correlation tensor G."""
     g, _, _ = _gated_terms(kind_x, kind_y, ev_x.t, ev_x.x, ev_y.t, ev_y.x, params, part)
-    return CorrTensor(CorrLabel.GLAUBER, kind_x, kind_y, ev_x, ev_y, _tensor(g))
+    return _tensor(g)
 
 
 def delta_expect_tensor(kind_x: FieldKind, kind_y: FieldKind, ev_x: Event, ev_y: Event,
-                        params: DipoleParams, part: str = "full") -> CorrTensor:
+                        params: DipoleParams, part: str = "full") -> np.ndarray:
     """Expectation of the advanced-wave correction Delta = C - G.
 
     Nonzero only when one event's *advanced* source time falls inside the other
     event's retarded past; at equal observation times it vanishes identically.
     """
     _, d1, d2 = _gated_terms(kind_x, kind_y, ev_x.t, ev_x.x, ev_y.t, ev_y.x, params, part)
-    return CorrTensor(CorrLabel.DELTA_EXPECT, kind_x, kind_y, ev_x, ev_y, _tensor(d1, d2))
+    return _tensor(d1, d2)
 
 
-def c_tensor(kind_x: FieldKind, kind_y: FieldKind, ev_x: Event, ev_y: Event,
-             params: DipoleParams, part: str = "full") -> CorrTensor:
-    """Full detector-ordered correlation C = G + <Delta>."""
-    g, d1, d2 = _gated_terms(kind_x, kind_y, ev_x.t, ev_x.x, ev_y.t, ev_y.x, params, part)
-    return CorrTensor(CorrLabel.C_FULL, kind_x, kind_y, ev_x, ev_y, _tensor(g) + _tensor(d1, d2))
+def commutator_parts(kind_x: FieldKind, kind_y: FieldKind, ev_x: Event, ev_y: Event,
+                     params: DipoleParams,
+                     part: str = "full") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(source_source, vac_source, source_vac) commutator tensors; their sum is <Delta>.
 
-
-def source_source_commutator(kind_x: FieldKind, kind_y: FieldKind, ev_x: Event, ev_y: Event,
-                             params: DipoleParams, part: str = "full") -> CorrTensor:
-    """<[X_s^(+), Y_s^(-)]> between the two source-field parts."""
-    _check_part(part)
-    tr, tr2 = ev_x.t_ret, ev_y.t_ret
-    vals = np.zeros((3, 3), dtype=complex)
-    if tr >= 0.0 and tr2 >= 0.0:
-        xc = field_coeff(kind_x, ev_x.x, params, part)
-        yc = field_coeff(kind_y, ev_y.x, params, part)
-        comm = atomdyn._comm_raw(min(tr, tr2), max(tr, tr2), params)  # hermitian reflection
-        vals = np.outer(np.conj(xc), yc) * (comm if tr <= tr2 else np.conj(comm))
-    return CorrTensor(CorrLabel.SOURCE_SOURCE, kind_x, kind_y, ev_x, ev_y, vals)
-
-
-def vac_source_commutator_expect(direction: CorrLabel, kind_x: FieldKind, kind_y: FieldKind,
-                                 ev_x: Event, ev_y: Event, params: DipoleParams,
-                                 part: str = "full") -> CorrTensor:
-    """Vacuum-source cross commutators <[X0^(+), Ys^(-)]> / <[Xs^(+), Y0^(-)]>.
-
-    ``direction=CorrLabel.VAC_SOURCE`` takes the vacuum part at the first
-    event; ``CorrLabel.SOURCE_VAC`` at the second.  Each splits into a retarded
-    term (which cancels against ``source_source_commutator``) and an
-    advanced-wave term (which survives into ``delta_expect_tensor``).
+    source_source is <[X_s^(+), Y_s^(-)]> between the two source-field parts;
+    vac_source <[X_0^(+), Y_s^(-)]> and source_vac <[X_s^(+), Y_0^(-)]> take the
+    vacuum part at the first and at the second event.  Each cross term splits
+    into a retarded term, which cancels against source_source, and an
+    advanced-wave term, which survives into ``delta_expect_tensor``.
     """
-    if direction not in (CorrLabel.VAC_SOURCE, CorrLabel.SOURCE_VAC):
-        raise ValueError("direction must be CorrLabel.VAC_SOURCE or CorrLabel.SOURCE_VAC")
-    tr, ta = ev_x.t_ret, ev_x.t_adv
-    tr2, ta2 = ev_y.t_ret, ev_y.t_adv
     xc = field_coeff(kind_x, ev_x.x, params, part)
     yc = field_coeff(kind_y, ev_y.x, params, part)
-    vals = np.zeros((3, 3), dtype=complex)
-    if direction is CorrLabel.VAC_SOURCE:
-        if tr >= 0.0 and tr2 >= tr:
-            vals = vals - np.outer(np.conj(xc), yc) * atomdyn._comm_raw(tr, tr2, params)
-        if ta >= 0.0 and tr2 >= ta:
-            vals = vals + kind_x.advanced_sign * np.outer(xc, yc) * atomdyn._comm_raw(ta, tr2, params)
-    else:
-        if tr2 >= 0.0 and tr >= tr2:
-            vals = vals - np.outer(np.conj(xc), yc) * np.conj(atomdyn._comm_raw(tr2, tr, params))
-        if ta2 >= 0.0 and tr >= ta2:
-            vals = vals + kind_y.advanced_sign * np.outer(np.conj(xc), np.conj(yc)) * np.conj(
-                atomdyn._comm_raw(ta2, tr, params)
-            )
-    return CorrTensor(direction, kind_x, kind_y, ev_x, ev_y, vals)
+    tr, ta = ev_x.t_ret, ev_x.t_adv
+    tr2, ta2 = ev_y.t_ret, ev_y.t_adv
+    ret = np.outer(np.conj(xc), yc)
+    source_source, vac_source, source_vac = (np.zeros((3, 3), dtype=complex) for _ in range(3))
+    if tr >= 0.0 and tr2 >= 0.0:
+        comm = atomdyn._comm_raw(min(tr, tr2), max(tr, tr2), params)  # hermitian reflection
+        source_source = ret * (comm if tr <= tr2 else np.conj(comm))
+    if tr >= 0.0 and tr2 >= tr:
+        vac_source = vac_source - ret * atomdyn._comm_raw(tr, tr2, params)
+    if ta >= 0.0 and tr2 >= ta:
+        vac_source = vac_source + kind_x.advanced_sign * np.outer(xc, yc) * atomdyn._comm_raw(ta, tr2, params)
+    if tr2 >= 0.0 and tr >= tr2:
+        source_vac = source_vac - ret * np.conj(atomdyn._comm_raw(tr2, tr, params))
+    if ta2 >= 0.0 and tr >= ta2:
+        source_vac = source_vac + kind_y.advanced_sign * np.outer(np.conj(xc), np.conj(yc)) * np.conj(
+            atomdyn._comm_raw(ta2, tr, params)
+        )
+    return source_source, vac_source, source_vac

@@ -11,10 +11,11 @@ and the magnetic coefficient is
 
     B(x) = (w^2 / 4 pi x - i w / 4 pi x^2) (xhat x d),
 
-with x = |x|.  The three inverse powers of x (radiation 1/x, intermediate
-1/x^2, near 1/x^3) are kept separate because several consumers (momentum
-diffusion, detection at radiation-zone distances) contract against the 1/x
-part alone.
+with x = |x|.  ``field_coeff`` returns either coefficient as a plain complex
+3-vector: all three inverse powers of x (radiation 1/x, intermediate 1/x^2,
+near 1/x^3) with ``part="full"``, or the 1/x radiation part alone with
+``part="rad"``, which momentum diffusion and detection at radiation-zone
+distances contract against.
 
 ``tau_kernel`` is the transverse angular average
 (1 / 4 pi) Int dOmega_k (delta_ij - khat_i khat_j) exp(i w khat . x),
@@ -28,41 +29,7 @@ import numpy as np
 
 from .core import DipoleParams, FieldKind, _vec3
 
-__all__ = ["CoeffSet", "LevelScheme", "coeffs_two_level", "tau_kernel"]
-
-
-@dataclass(frozen=True)
-class CoeffSet:
-    """Zone-resolved source-field coefficient vectors at one position.
-
-    ``e_rad``/``e_mid``/``e_near`` scale as 1/x, 1/x^2, 1/x^3; ``b_rad``/
-    ``b_mid`` as 1/x, 1/x^2.
-    """
-
-    e_rad: np.ndarray
-    e_mid: np.ndarray
-    e_near: np.ndarray
-    b_rad: np.ndarray
-    b_mid: np.ndarray
-
-    def __post_init__(self):
-        for name in ("e_rad", "e_mid", "e_near", "b_rad", "b_mid"):
-            arr = np.asarray(getattr(self, name), dtype=complex)
-            if arr.shape != (3,):
-                raise ValueError(f"{name} must be a complex 3-vector")
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-    @property
-    def e_coeff(self) -> np.ndarray:
-        """Full electric coefficient vector (all zones)."""
-        return self.e_rad + self.e_mid + self.e_near
-
-    @property
-    def b_coeff(self) -> np.ndarray:
-        """Full magnetic coefficient vector (all zones)."""
-        return self.b_rad + self.b_mid
+__all__ = ["LevelScheme", "field_coeff", "tau_kernel"]
 
 
 def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -70,33 +37,6 @@ def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a0, a1, a2 = a.tolist()
     b0, b1, b2 = b.tolist()
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
-
-
-def _structures(x, omega: float, dvec) -> CoeffSet:
-    pos = _vec3(x, "x")
-    d = _vec3(dvec, "dvec")
-    r = float(np.linalg.norm(pos))
-    if r == 0.0:
-        raise ValueError("source-field coefficients are singular at the dipole position")
-    xhat = pos / r
-    longit = 3.0 * xhat * float(xhat @ d) - d          # near/intermediate structure
-    transv = d - xhat * float(xhat @ d)                # radiation structure
-    cross = _cross3(xhat, d)
-    pre_rad = omega**2 / (4.0 * np.pi * r)
-    pre_mid = omega / (4.0 * np.pi * r**2)
-    pre_near = 1.0 / (4.0 * np.pi * r**3)
-    return CoeffSet(
-        e_rad=pre_rad * transv + 0j,
-        e_mid=1j * pre_mid * longit,
-        e_near=pre_near * longit + 0j,
-        b_rad=pre_rad * cross + 0j,
-        b_mid=-1j * pre_mid * cross,
-    )
-
-
-def coeffs_two_level(x, params: DipoleParams) -> CoeffSet:
-    """Coefficient set of a two-level dipole at observation point ``x``."""
-    return _structures(x, params.omega0, params.dvec)
 
 
 def _check_part(part: str) -> None:
@@ -107,15 +47,34 @@ def _check_part(part: str) -> None:
 def field_coeff(kind: FieldKind, x, params: DipoleParams, part: str) -> np.ndarray:
     """Coefficient of field ``kind`` at ``x``: all zones (``part="full"``) or 1/x alone ("rad").
 
-    This selector and ``_check_part`` are the one place that knows what
+    Returns a fresh complex 3-vector; only the zones asked for are evaluated.
+    This function and ``_check_part`` are the one place that knows what
     ``part`` names.  A caller that must reject a bad ``part`` before it
     evaluates any coefficient calls ``_check_part`` itself.
     """
     _check_part(part)
-    cs = coeffs_two_level(x, params)
+    pos = _vec3(x, "x")
+    r = float(np.linalg.norm(pos))
+    if r == 0.0:
+        raise ValueError("source-field coefficients are singular at the dipole position")
+    xhat, d = pos / r, params.dvec
+    pre_rad = params.omega0**2 / (4.0 * np.pi * r)
+    pre_mid = params.omega0 / (4.0 * np.pi * r**2)
     if kind is FieldKind.ELECTRIC:
-        return cs.e_coeff if part == "full" else cs.e_rad
-    return cs.b_coeff if part == "full" else cs.b_rad
+        along = float(xhat @ d)
+        e_rad = pre_rad * (d - xhat * along) + 0j
+        if part == "rad":
+            return e_rad
+        longit = 3.0 * xhat * along - d          # near/intermediate structure
+        e_mid = 1j * pre_mid * longit
+        e_near = 1.0 / (4.0 * np.pi * r**3) * longit + 0j
+        return e_rad + e_mid + e_near
+    cross = _cross3(xhat, d)
+    b_rad = pre_rad * cross + 0j
+    if part == "rad":
+        return b_rad
+    b_mid = -1j * pre_mid * cross
+    return b_rad + b_mid
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,11 @@ Three independent machines live here:
   ``span`` centered on the transition, with flat couplings
   g_k = sqrt(gamma * dw / 2 pi) chosen so the comb's golden-rule rate
   reproduces gamma.  Each sector Hamiltonian H is time independent, so states
-  are propagated exactly, exp(-i tau H) psi by a Chebyshev series on the
-  Gershgorin interval of H (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
-  (1984)), in the frame rotating at the transition frequency; excitation
-  number is conserved, so the Hamiltonian is block sparse over the sectors
+  are propagated exactly, exp(-i tau H) psi by a Chebyshev series on an
+  interval that holds the spectrum of H (Tal-Ezer & Kosloff, J. Chem. Phys.
+  81, 3967 (1984)), in the frame rotating at the transition frequency;
+  excitation number is conserved, so the Hamiltonian is block sparse over
+  the sectors
 
       N=1:  {excited, vacuum} + {ground, one photon in mode k}
       N=2:  {excited, one photon k} + {ground, photon pair (k <= l)}
@@ -123,10 +124,15 @@ def build_grid(params: DipoleParams, count: int = 400, span_gammas: float = 50.0
     ``enforce=True`` (default) requires count >= 200 and span >= 50 gamma,
     the resolution needed for percent-level agreement over a few lifetimes;
     diagnostics that deliberately under-resolve pass ``enforce=False``.
-    The comb must stay at positive frequencies: omega0 > span/2.
+    The comb must stay at positive frequencies: omega0 > span/2.  The
+    one-excitation sector (count + 1 states) must fit the sector budget
+    ``_TWO_PHOTON_DIM_BUDGET``; a larger count raises before any allocation.
     """
     if count < 2:
         raise ValueError("count must be >= 2")
+    if count + 1 > _TWO_PHOTON_DIM_BUDGET:
+        raise ValueError(f"count = {count:,} exceeds the sector budget: need count + 1 <= "
+                         f"{_TWO_PHOTON_DIM_BUDGET:,}")
     if enforce:
         if count < 200:
             raise ValueError(f"count = {count} under-resolves the comb; need >= 200 (or enforce=False)")
@@ -287,17 +293,26 @@ def _chebyshev_coeffs(a: float) -> np.ndarray:
         size *= 2
 
 
-def _gershgorin(h: sp.csr_matrix) -> tuple[float, float]:
-    """[lo, hi] holding the spectrum of a real symmetric sparse H (Gershgorin discs)."""
+def _spectral_interval(h: sp.csr_matrix) -> tuple[float, float]:
+    """[lo, hi] holding the spectrum of a real symmetric sparse H.
+
+    The Gershgorin discs intersected with Weyl's bound: writing H = D + E
+    with D the diagonal, E moves no eigenvalue by more than |E|_2 <= |E|_F,
+    so the spectrum lies in [min D - |E|_F, max D + |E|_F].  For the N=1 star
+    Hamiltonian that is about half as wide as the Gershgorin disc of row 0.
+    """
     diag = h.diagonal()
-    radius = np.asarray(abs(h - sp.diags(diag)).sum(axis=1)).ravel()
-    return float(np.min(diag - radius)), float(np.max(diag + radius))
+    off = abs(h - sp.diags(diag))
+    radius = np.asarray(off.sum(axis=1)).ravel()
+    weyl = float(np.linalg.norm(off.data))
+    return (max(float(np.min(diag - radius)), float(np.min(diag)) - weyl),
+            min(float(np.max(diag + radius)), float(np.max(diag)) + weyl))
 
 
 def _chebyshev_expm(h: sp.csr_matrix, tau: float, vec: np.ndarray) -> np.ndarray:
     """exp(-i tau H) vec for a sparse real symmetric H, to double precision.
 
-    The spectrum of H lies in its Gershgorin interval [c - r, c + r].  On the
+    The spectrum of H lies in its spectral interval [c - r, c + r].  On the
     rescaled X = (H - c) / r the Chebyshev series
     e^{-i tau r X} = sum_k (2 - delta_k0) (-i)^k J_k(tau r) T_k(X)
     converges super-exponentially once k > tau r (Tal-Ezer & Kosloff,
@@ -307,7 +322,7 @@ def _chebyshev_expm(h: sp.csr_matrix, tau: float, vec: np.ndarray) -> np.ndarray
     diag = h.diagonal()
     if h.count_nonzero() == np.count_nonzero(diag):
         return np.exp(-1j * tau * diag) * vec
-    lo, hi = _gershgorin(h)
+    lo, hi = _spectral_interval(h)
     center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     coeffs = _chebyshev_coeffs(tau * half)
     # 2 X as one complex matrix, so T_{k+1} = 2 X T_k - T_{k-1} is one product
@@ -326,7 +341,7 @@ def propagate(state: SectorState, grid: ModeGrid, params: DipoleParams,
 
     The sector Hamiltonian H is time independent, so the result is the exact
     action exp(-i (t_end - t) H) psi, computed to double precision by a
-    Chebyshev series on the Gershgorin interval of H.  A norm change beyond
+    Chebyshev series on ``_spectral_interval(H)``.  A norm change beyond
     1e-8 means that action was not unitary and raises.  Backward propagation
     is not supported.
     """
@@ -392,8 +407,6 @@ def oracle_two_time(kind, u: float, v: float, grid: ModeGrid,
         amp_u, amp_v = (amp_first, amp_second) if u <= v else (amp_second, amp_first)
         return complex(np.exp(1j * w0 * (u - v)) * np.conj(amp_u) * amp_v)
 
-    if kind is AtomCorrKind.POPULATION_Z:
-        raise ValueError("use oracle_sigma_z for populations")
     if u > v:
         raise ValueError(f"{kind.value} requires u <= v")
 

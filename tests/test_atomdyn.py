@@ -18,7 +18,7 @@ times = st.floats(min_value=0.0, max_value=12.0, allow_nan=False)
 
 
 def test_kind_values():
-    assert {k.value for k in AtomCorrKind} == {"plus_minus", "minus_plus", "commutator", "population_z"}
+    assert {k.value for k in AtomCorrKind} == {"plus_minus", "minus_plus", "commutator"}
 
 
 def test_sigma_z_endpoints():

@@ -4,7 +4,7 @@ import pytest
 
 from advwave.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from advwave.core import DipoleParams, Event, FieldKind
-from advwave.correlations import c_tensor
+from advwave.correlations import delta_expect_tensor, glauber_tensor
 
 
 def run_cli(*argv):
@@ -170,8 +170,9 @@ def test_corr_grid(tmp_path):
     x = np.array([1.0 / 3.0 / gamma, 0.0, 0.0])
     ts = np.linspace(0.0, 3.0 / gamma, 4)
     for i, j in ((0, 0), (1, 1), (0, 3), (3, 0), (2, 3)):
-        c = c_tensor(FieldKind.ELECTRIC, FieldKind.ELECTRIC, Event(ts[i], x), Event(ts[j], x),
-                     params).trace
+        ev_i, ev_j = Event(ts[i], x), Event(ts[j], x)
+        c = np.trace(glauber_tensor(FieldKind.ELECTRIC, FieldKind.ELECTRIC, ev_i, ev_j, params)
+                     + delta_expect_tensor(FieldKind.ELECTRIC, FieldKind.ELECTRIC, ev_i, ev_j, params))
         for col, ref in (("re_c", c.real), ("im_c", c.imag)):
             assert abs(cols[col][4 * i + j] - ref) <= 1e-14 * np.max(np.abs(cols[col]))
 
@@ -261,6 +262,21 @@ def test_oversized_grids_are_refused_before_allocating(argv, rows, monkeypatch, 
     assert time.perf_counter() - start < 2.0
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"needs {rows} rows" in err and "2,000,000" in err
+
+
+def test_validate_refuses_an_oversized_count_before_any_check(monkeypatch, capsys, tmp_path):
+    import advwave.cli
+    from advwave.oracle import _TWO_PHOTON_DIM_BUDGET
+
+    def no_check(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(advwave.cli, "_run_checks", no_check)
+    monkeypatch.setattr(np, "arange", no_check)
+    assert run_cli("validate", "--count", str(_TWO_PHOTON_DIM_BUDGET), "--out", str(tmp_path)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "count must be <= 1,999,999" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_out_of_memory_is_a_usage_error(monkeypatch, capsys):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid
 
 from advwave.core import DipoleParams, Event, FieldKind
-from advwave.correlations import c_tensor, corr_traces
+from advwave.correlations import corr_traces, delta_expect_tensor, glauber_tensor
 from advwave.kinetics import (
     ChargeParams,
     CycleAverage,
@@ -293,7 +293,9 @@ def test_posdisp_against_literal_quadrature():
     vals = np.empty((n, n), dtype=complex)
     for i, t3 in enumerate(ts):
         for j, t4 in enumerate(ts):
-            vals[i, j] = c_tensor(ee, ee, Event(t=t3, x=ch.r0), Event(t=t4, x=ch.r0), p, part="rad").trace
+            e3, e4 = Event(t=t3, x=ch.r0), Event(t=t4, x=ch.r0)
+            vals[i, j] = np.trace(glauber_tensor(ee, ee, e3, e4, p, part="rad")
+                                  + delta_expect_tensor(ee, ee, e3, e4, p, part="rad"))
     w = np.full(n, t / (n - 1))
     w[0] = w[-1] = 0.5 * t / (n - 1)
     wt = w * (t - ts)

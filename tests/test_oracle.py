@@ -76,6 +76,16 @@ def test_build_grid_enforcement():
         build_grid(P30, n2_window_gammas=-1.0)
 
 
+def test_oversized_count_is_refused_before_allocating(monkeypatch):
+    def no_comb(*args, **kwargs):
+        raise AssertionError("a comb was allocated")
+
+    monkeypatch.setattr(np, "arange", no_comb)
+    monkeypatch.setattr(np, "full", no_comb)
+    with pytest.raises(ValueError, match="budget"):
+        build_grid(P30, count=oracle._TWO_PHOTON_DIM_BUDGET, enforce=False)
+
+
 def test_pair_window_restricts_second_sector():
     g = build_grid(P30, count=200, span_gammas=25.0, enforce=False, n2_window_gammas=5.0)
     assert 0 < g.pair_modes.size < g.count
@@ -184,9 +194,31 @@ def test_chebyshev_action_matches_expm_multiply(sector, count, tau):
 def test_gershgorin_interval_encloses_the_spectrum(density, count):
     grid = build_grid(P30, count=count, span_gammas=8.0, density=density, enforce=False)
     for h in (_h_one(grid), _h_two(grid)):
-        lo, hi = oracle._gershgorin(h)
+        lo, hi = oracle._spectral_interval(h)
         eig = np.linalg.eigvalsh(h.toarray())
         assert lo <= eig[0] and eig[-1] <= hi
+        g_lo, g_hi = _gershgorin(h)
+        slack = 1e-14 * max(abs(g_lo), abs(g_hi))
+        assert g_lo - slack <= lo and hi <= g_hi + slack
+
+
+def _gershgorin(h):
+    dense = h.toarray()
+    diag = np.diag(dense)
+    radius = np.abs(dense - np.diag(diag)).sum(axis=1)
+    return np.min(diag - radius), np.max(diag + radius)
+
+
+def test_spectral_interval_halves_the_one_excitation_gershgorin_width():
+    # row 0 of the N=1 star couples to every mode: its Gershgorin radius is
+    # sum_k g_k = 56.4 gamma at count 400, twice the spectrum's +-24.9 gamma
+    h = _h_one(build_grid(P30, count=400, span_gammas=50.0))
+    lo, hi = oracle._spectral_interval(h)
+    g_lo, g_hi = _gershgorin(h)
+    eig = np.linalg.eigvalsh(h.toarray())
+    assert lo <= eig[0] and eig[-1] <= hi
+    assert hi - lo <= 0.52 * (g_hi - g_lo)
+    assert hi - lo <= 1.2 * (eig[-1] - eig[0])
 
 
 def test_chebyshev_coefficients_are_bessel_values():
@@ -256,8 +288,8 @@ def test_minus_plus_zero_at_origin(grid120):
 def test_two_time_guards(grid120):
     with pytest.raises(ValueError, match="u <= v"):
         oracle_two_time(AtomCorrKind.MINUS_PLUS, 2.0, 1.0, grid120, P30)
-    with pytest.raises(ValueError, match="oracle_sigma_z"):
-        oracle_two_time(AtomCorrKind.POPULATION_Z, 0.5, 1.0, grid120, P30)
+    with pytest.raises(ValueError, match="population_z"):
+        oracle_two_time("population_z", 0.5, 1.0, grid120, P30)   # populations: oracle_sigma_z
 
 
 # --- Markov kernel checks ----------------------------------------------------

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from advwave import atomdyn
 from advwave._quad import n_for_oscillation
-from advwave.core import DipoleParams
-from advwave.fieldcoeffs import coeffs_two_level
+from advwave.core import DipoleParams, FieldKind
+from advwave.fieldcoeffs import field_coeff
 from advwave.photodetect import (
     DetectorConfig,
     SuppressionReport,
@@ -31,8 +31,7 @@ def _richardson_trapezoid(f, a, b, n):
 
 
 def _contraction(cfg, part):
-    cs = coeffs_two_level(cfg.position, cfg.source)
-    return complex(cfg.dvec @ (cs.e_coeff if part == "full" else cs.e_rad))
+    return complex(cfg.dvec @ field_coeff(FieldKind.ELECTRIC, cfg.position, cfg.source, part))
 
 
 def _quad_rate_g(t, cfg, part, per_period):
@@ -83,9 +82,7 @@ def test_rates_equal_before_round_trip():
 def test_glauber_rate_closed_form():
     # radiation-zone integrand is non-oscillatory: rate_G = (8 c^2 / gamma)
     # * exp(-gamma tau / 2) (1 - exp(-gamma tau / 2)) with tau = t - |x|
-    from advwave.fieldcoeffs import coeffs_two_level
-
-    c2 = abs(complex(CFG.dvec @ coeffs_two_level(CFG.position, P).e_rad)) ** 2
+    c2 = abs(_contraction(CFG, "rad")) ** 2
     for t in (0.6, 1.1, 2.7):
         tau = t - CFG.r
         ref = 8.0 * c2 / P.gamma * np.exp(-P.gamma * tau / 2.0) * (1.0 - np.exp(-P.gamma * tau / 2.0))
