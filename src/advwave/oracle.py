@@ -6,15 +6,22 @@ Three independent machines live here:
   coupled to ``count`` modes on a uniform frequency comb of total width
   ``span`` centered on the transition, with flat couplings
   g_k = sqrt(gamma * dw / 2 pi) chosen so the comb's golden-rule rate
-  reproduces gamma.  Each sector Hamiltonian H is time independent, so states
-  are propagated exactly, exp(-i tau H) psi by a Chebyshev series on an
-  interval that holds the spectrum of H (Tal-Ezer & Kosloff, J. Chem. Phys.
-  81, 3967 (1984)), in the frame rotating at the transition frequency;
-  excitation number is conserved, so the Hamiltonian is block sparse over
-  the sectors
+  reproduces gamma.  Excitation number is conserved, so each sector
+  Hamiltonian acts on its own block
 
       N=1:  {excited, vacuum} + {ground, one photon in mode k}
       N=2:  {excited, one photon k} + {ground, photon pair (k <= l)}
+
+  and is time independent, so states are propagated exactly,
+  exp(-i tau H) psi by a Chebyshev series on an interval that holds the
+  spectrum of H (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)), in the
+  frame rotating at the transition frequency.  No matrix is assembled: H is
+  applied from the grid's detunings d and couplings g.  N=1 is a star,
+  H (v_0, v_1) = (g . v_1, g v_0 + d o v_1).  In N=2 the pair amplitudes are
+  held, while a state propagates, as a symmetric matrix S (an isometric
+  embedding of the k <= l list), so the pair block is the elementwise
+  product with d_k + d_l and the coupling is a matrix-vector product plus a
+  rank-2 update.  The spectral interval comes in closed form from the grid.
 
   Populations need only N=1; two-time products that *raise* the dipole reach
   N=2 by applying the raising operator between two forward propagation
@@ -41,7 +48,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from ._quad import n_for_oscillation, trapezoid_weights
 from .core import DipoleParams
@@ -60,6 +66,7 @@ __all__ = [
 
 _TWO_PHOTON_DIM_BUDGET = 2_000_000
 _UNITARITY_LIMIT = 1e-8
+_BLOCK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -181,8 +188,7 @@ class SectorState:
         """Apply the dipole raising operator (maps N=1 into N=2; kills amp_e0)."""
         if self.amp_g1 is None:
             raise ValueError("raising needs a one-excitation state")
-        n_win = grid.pair_modes.size
-        n_pairs = n_win * (n_win + 1) // 2
+        n_pairs = _pair_count(grid)
         return SectorState(
             t=self.t,
             amp_e1=self.amp_g1.astype(complex).copy(),
@@ -200,40 +206,177 @@ class SectorState:
         return float(np.sqrt(total))
 
 
-def _h_one(grid: ModeGrid) -> sp.csr_matrix:
-    n = grid.count
-    diag = np.concatenate(([0.0], grid.detunings))
-    rows = np.concatenate((np.zeros(n, dtype=int), np.arange(1, n + 1)))
-    cols = np.concatenate((np.arange(1, n + 1), np.zeros(n, dtype=int)))
-    data = np.concatenate((grid.couplings, grid.couplings))
-    h = sp.coo_matrix((data, (rows, cols)), shape=(n + 1, n + 1))
-    return (h + sp.diags(diag)).tocsr()
-
-
-def _h_two(grid: ModeGrid) -> sp.csr_matrix:
-    n = grid.count
-    win = grid.pair_modes
-    nw = win.size
+def _pair_count(grid: ModeGrid) -> int:
+    """Number of N=2 pair states; raises before any allocation past the budget."""
+    nw = grid.pair_modes.size
     n_pairs = nw * (nw + 1) // 2
-    dim = n + n_pairs
+    dim = grid.count + n_pairs
     if dim > _TWO_PHOTON_DIM_BUDGET:
         max_nw = int((2 * _TWO_PHOTON_DIM_BUDGET) ** 0.5)
         raise ValueError(
             f"two-excitation dimension {dim} exceeds the budget {_TWO_PHOTON_DIM_BUDGET}; "
             f"reduce count (or n2_window) so that at most ~{max_nw} modes carry pairs"
         )
-    a, b = np.triu_indices(nw)
-    mi, mj = win[a], win[b]                 # global mode indices of each pair
-    pair_col = n + np.arange(n_pairs)
-    diag = np.concatenate((grid.detunings, grid.detunings[mi] + grid.detunings[mj]))
-    # <e, 1_i | V | g, {k,l}>: g_l on i=k, g_k on i=l, sqrt(2) g_k on k=l.
-    off = mi != mj
-    w_first = grid.couplings[mj] * np.where(off, 1.0, np.sqrt(2.0))
-    rows = np.concatenate((mi, mj[off]))
-    cols = np.concatenate((pair_col, pair_col[off]))
-    data = np.concatenate((w_first, grid.couplings[mi[off]]))
-    upper = sp.coo_matrix((data, (rows, cols)), shape=(dim, dim))
-    return (upper + upper.T + sp.diags(diag)).tocsr()
+    return n_pairs
+
+
+class _Sector:
+    """A sector Hamiltonian H = D + V, applied without assembling a matrix.
+
+    Subclasses map the packed ``SectorState`` amplitudes to a working layout
+    (``embed``/``extract``), give the diagonal D on that layout, the exact
+    operator norm of the coupling V, bounds for the spectral interval, and
+    ``coupling(scale)``, which adds scale * V x to an output vector.
+    """
+
+    dim: int
+    coupling_norm: float
+
+    def scaled(self, scale: float, shift: float):
+        """apply(x, out): out = scale * (H - shift) x on the working layout.
+
+        The scaled diagonal and couplings are complex copies, so every
+        product stays on numpy's complex (BLAS) paths.
+        """
+        diag = (scale * (self.diagonal() - shift)).astype(complex)
+        add = self.coupling(scale)
+
+        def apply(x, out):
+            np.multiply(diag, x, out=out)
+            add(x, out)
+
+        return apply
+
+
+class _OneSector(_Sector):
+    """N=1: {excited, vacuum} + {ground, one photon in mode k}.
+
+    H is a star, H v = [g . v_1, g v_0 + d o v_1] with d the detunings and g
+    the couplings, and the working layout is the packed one.
+    """
+
+    def __init__(self, grid: ModeGrid):
+        self.d, self.g = grid.detunings, grid.couplings
+        self.dim = grid.count + 1
+        self.coupling_norm = float(np.linalg.norm(self.g))
+
+    def embed(self, vec: np.ndarray) -> np.ndarray:
+        return np.asarray(vec, dtype=complex)
+
+    def extract(self, x: np.ndarray) -> np.ndarray:
+        return x
+
+    def diagonal(self) -> np.ndarray:
+        return np.concatenate(([0.0], self.d))
+
+    def bounds(self):
+        """(Gershgorin lo, hi), (min D, max D)."""
+        ag = np.abs(self.g)
+        hub = float(np.sum(ag))                 # row 0 couples to every mode
+        return ((min(-hub, float(np.min(self.d - ag))), max(hub, float(np.max(self.d + ag)))),
+                (min(0.0, float(np.min(self.d))), max(0.0, float(np.max(self.d)))))
+
+    def coupling(self, scale: float):
+        g = (scale * self.g).astype(complex)
+
+        def add(x, out):
+            out[0] += g @ x[1:]
+            out[1:] += x[0] * g
+
+        return add
+
+
+class _TwoSector(_Sector):
+    """N=2: {excited, one photon k} + {ground, photon pair (k <= l)}.
+
+    The pair amplitudes c_kl of the nw window modes are held as a symmetric
+    nw x nw matrix S with S_kl = S_lk = c_kl / sqrt(2) for k < l and
+    S_kk = c_kk.  That embedding keeps the norm, and on (e, S)
+
+        H (e, S) = (d o e + sqrt(2) S g_w,  Delta o S + (e_w g_w^T + g_w e_w^T) / sqrt(2))
+
+    with Delta_kl = d_k + d_l and e_w, g_w, d_w the window entries; the first
+    term of the excited part lands on the window modes only.  Every working
+    vector holds count + nw^2 amplitudes, about twice the packed
+    count + nw (nw + 1) / 2, and a propagation keeps about eight of them (the
+    rolling block of at least three T_k, the sum, the scaled diagonal, the
+    rank-2 buffer and one product): about 0.5 GB at the budget, nw ~ 2 000.
+    """
+
+    def __init__(self, grid: ModeGrid):
+        self.dim = grid.count + _pair_count(grid)
+        self.n, self.win = grid.count, grid.pair_modes
+        self.d = grid.detunings
+        self.dw, self.gw = self.d[self.win], grid.couplings[self.win]
+        self.coupling_norm = float(np.sqrt(2.0) * np.linalg.norm(self.gw))
+        a, b = np.triu_indices(self.win.size)
+        self.rows, self.cols, self.diag_pair = a, b, a == b
+
+    def _split(self, x: np.ndarray):
+        nw = self.win.size
+        return x[:self.n], x[self.n:].reshape(nw, nw)
+
+    def embed(self, vec: np.ndarray) -> np.ndarray:
+        x = np.zeros(self.n + self.win.size ** 2, dtype=complex)
+        e, s = self._split(x)
+        e[:] = vec[:self.n]
+        pairs = vec[self.n:] * np.where(self.diag_pair, 1.0, np.sqrt(0.5))
+        s[self.rows, self.cols] = pairs
+        s[self.cols, self.rows] = pairs
+        return x
+
+    def extract(self, x: np.ndarray) -> np.ndarray:
+        """The adjoint of ``embed``, exact on symmetric S."""
+        e, s = self._split(x)
+        pairs = (s[self.rows, self.cols] + s[self.cols, self.rows]) * np.where(
+            self.diag_pair, 0.5, np.sqrt(0.5))
+        return np.concatenate((e, pairs))
+
+    def diagonal(self) -> np.ndarray:
+        return np.concatenate((self.d, np.add.outer(self.dw, self.dw).ravel()))
+
+    def bounds(self):
+        """(Gershgorin lo, hi), (min D, max D), both from the grid in O(count)."""
+        ag = np.abs(self.gw)
+        radius = np.zeros(self.n)
+        # row (e, 1_k), k in the window: g_l for every pair {k, l}, sqrt(2) g_k for {k, k}
+        radius[self.win] = np.sum(ag) + (np.sqrt(2.0) - 1.0) * ag
+        lo, hi = float(np.min(self.d - radius)), float(np.max(self.d + radius))
+        d_lo, d_hi = float(np.min(self.d)), float(np.max(self.d))
+        if self.win.size:
+            # row (g, {k, k}): 2 d_k +- sqrt(2) g_k
+            lo = min(lo, float(np.min(2.0 * self.dw - np.sqrt(2.0) * ag)))
+            hi = max(hi, float(np.max(2.0 * self.dw + np.sqrt(2.0) * ag)))
+            d_lo = min(d_lo, 2.0 * float(np.min(self.dw)))
+            d_hi = max(d_hi, 2.0 * float(np.max(self.dw)))
+        if self.win.size >= 2:
+            # row (g, {k, l}), k < l: d_k + d_l +- (g_k + g_l), extreme at the two extreme modes
+            lo = min(lo, float(np.sum(np.partition(self.dw - ag, 1)[:2])))
+            hi = max(hi, float(np.sum(np.partition(self.dw + ag, -2)[-2:])))
+        return (lo, hi), (d_lo, d_hi)
+
+    def coupling(self, scale: float):
+        nw = self.win.size
+        g_exc = (scale * np.sqrt(2.0) * self.gw).astype(complex)
+        g_pair = scale * np.sqrt(0.5) * self.gw
+        # e_w g^T + g e_w^T as one real product on the (re, im) view of the
+        # amplitudes: [re e_w, im e_w, g] @ [g (x) (1, 0); g (x) (0, 1); e_w]
+        left = np.empty((nw, 3))
+        right = np.zeros((3, 2 * nw))
+        left[:, 2] = right[0, 0::2] = right[1, 1::2] = g_pair
+        rank2 = np.empty((nw, nw), dtype=complex)
+
+        def add(x, out):
+            e, s = self._split(x)
+            out_e, out_s = self._split(out)
+            e_w = e[self.win].view(float)
+            out_e[self.win] += s @ g_exc
+            left[:, :2] = e_w.reshape(nw, 2)
+            right[2] = e_w
+            np.matmul(left, right, out=rank2.view(float))
+            out_s += rank2
+
+        return add
 
 
 def _pack(state: SectorState):
@@ -293,46 +436,58 @@ def _chebyshev_coeffs(a: float) -> np.ndarray:
         size *= 2
 
 
-def _spectral_interval(h: sp.csr_matrix) -> tuple[float, float]:
-    """[lo, hi] holding the spectrum of a real symmetric sparse H.
+def _spectral_interval(h: _Sector) -> tuple[float, float]:
+    """[lo, hi] holding the spectrum of the sector Hamiltonian H = D + V.
 
-    The Gershgorin discs intersected with Weyl's bound: writing H = D + E
-    with D the diagonal, E moves no eigenvalue by more than |E|_2 <= |E|_F,
-    so the spectrum lies in [min D - |E|_F, max D + |E|_F].  For the N=1 star
-    Hamiltonian that is about half as wide as the Gershgorin disc of row 0.
+    The Gershgorin discs intersected with Weyl's bound: V moves no eigenvalue
+    by more than |V|_2, so the spectrum lies in [min D - |V|_2, max D + |V|_2].
+    |V|_2 is exact here: |g| for the N=1 star, sqrt(2) |g_w| for N=2 (the
+    pair matrix S = g_w g_w^T / |g_w|^2 attains it).  For the N=1 star that
+    is about half as wide as the Gershgorin disc of row 0.
     """
-    diag = h.diagonal()
-    off = abs(h - sp.diags(diag))
-    radius = np.asarray(off.sum(axis=1)).ravel()
-    weyl = float(np.linalg.norm(off.data))
-    return (max(float(np.min(diag - radius)), float(np.min(diag)) - weyl),
-            min(float(np.max(diag + radius)), float(np.max(diag)) + weyl))
+    (g_lo, g_hi), (d_lo, d_hi) = h.bounds()
+    return max(g_lo, d_lo - h.coupling_norm), min(g_hi, d_hi + h.coupling_norm)
 
 
-def _chebyshev_expm(h: sp.csr_matrix, tau: float, vec: np.ndarray) -> np.ndarray:
-    """exp(-i tau H) vec for a sparse real symmetric H, to double precision.
+def _chebyshev_expm(h: _Sector, tau: float, vec: np.ndarray) -> np.ndarray:
+    """exp(-i tau H) vec for a sector Hamiltonian, to double precision.
 
     The spectrum of H lies in its spectral interval [c - r, c + r].  On the
     rescaled X = (H - c) / r the Chebyshev series
     e^{-i tau r X} = sum_k (2 - delta_k0) (-i)^k J_k(tau r) T_k(X)
     converges super-exponentially once k > tau r (Tal-Ezer & Kosloff,
     J. Chem. Phys. 81, 3967 (1984)); the three-term recurrence of T_k costs
-    one sparse product per term.  A diagonal H is applied exactly.
+    one matrix-free product per term.  An uncoupled H is applied exactly.
     """
-    diag = h.diagonal()
-    if h.count_nonzero() == np.count_nonzero(diag):
-        return np.exp(-1j * tau * diag) * vec
+    x = h.embed(vec)
+    if h.coupling_norm == 0.0:
+        return h.extract(np.exp(-1j * tau * h.diagonal()) * x)
     lo, hi = _spectral_interval(h)
     center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     coeffs = _chebyshev_coeffs(tau * half)
-    # 2 X as one complex matrix, so T_{k+1} = 2 X T_k - T_{k-1} is one product
-    two_x = ((h - center * sp.identity(diag.size)) * (2.0 / half)).astype(complex).tocsr()
-    prev, cur = vec, 0.5 * (two_x @ vec)
-    out = coeffs[0] * prev + coeffs[1] * cur
-    for c in coeffs[2:]:
-        prev, cur = cur, two_x @ cur - prev
-        out += c * cur
-    return np.exp(-1j * tau * center) * out
+    two_x = h.scaled(2.0 / half, center)
+    # T_k(X) x goes to row k % width of a rolling block; each full block joins
+    # the sum as one matrix-vector product
+    width = int(np.clip(_BLOCK_BYTES // (16 * x.size), 3, 16))
+    block = np.zeros((width, x.size), dtype=complex)
+    weights = np.zeros(width, dtype=complex)
+    out = np.zeros_like(x)
+    block[0] = x
+    del x
+    two_x(block[0], block[1])
+    block[1] *= 0.5
+    for k, c in enumerate(coeffs):
+        row = k % width
+        if k >= 2:
+            # T_k = 2 X T_{k-1} - T_{k-2}
+            two_x(block[(k - 1) % width], block[row])
+            block[row] -= block[(k - 2) % width]
+        weights[row] = c
+        if row == width - 1 or k == coeffs.size - 1:
+            out += weights @ block
+            weights[:] = 0.0
+    out *= np.exp(-1j * tau * center)
+    return h.extract(out)
 
 
 def propagate(state: SectorState, grid: ModeGrid, params: DipoleParams,
@@ -352,9 +507,9 @@ def propagate(state: SectorState, grid: ModeGrid, params: DipoleParams,
     two = state.amp_e1 is not None or state.amp_g2 is not None
     if one and two:
         raise ValueError("state mixes excitation sectors")
-    h = _h_one(grid) if one else _h_two(grid)
+    h = _OneSector(grid) if one else _TwoSector(grid)
     vec, layout = _pack(state)
-    if h.shape[0] != vec.size:
+    if h.dim != vec.size:
         raise ValueError("state size does not match the grid")
     if t_end == state.t:
         return _unpack(vec, layout, state.t)
@@ -389,7 +544,9 @@ def oracle_two_time(kind, u: float, v: float, grid: ModeGrid,
 
         <s-(u) s+(v)> = e^{i w0 (v-u)} <U(v-u) s+ psi(u), s+ psi(v)>
 
-    with every factor evaluated in the rotating frame.
+    with every factor evaluated in the rotating frame.  The N=2 sector must
+    fit ``_TWO_PHOTON_DIM_BUDGET`` (2 000 000 states), which is checked before
+    any propagation; at the budget one N=2 propagation peaks at about 0.5 GB.
     """
     from .atomdyn import AtomCorrKind
 
@@ -410,6 +567,7 @@ def oracle_two_time(kind, u: float, v: float, grid: ModeGrid,
     if u > v:
         raise ValueError(f"{kind.value} requires u <= v")
 
+    _pair_count(grid)           # refuse an oversized N=2 sector before any work
     state_u = propagate(SectorState.excited(grid), grid, params, u)
     left = propagate(state_u.raised(grid), grid, params, v)
     state_v = propagate(state_u, grid, params, v)

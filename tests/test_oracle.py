@@ -4,10 +4,15 @@ The slow pieces (count = 400 grids, long two-time propagations) live in the
 acceptance suite; here the grids are small and every run is a few seconds.
 """
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import expm
+from scipy.sparse.linalg import eigsh
 from scipy.sparse.linalg import expm_multiply as scipy_expm_multiply
 
 from advwave import oracle
@@ -24,8 +29,8 @@ from advwave.oracle import (
     ModeGrid,
     SectorState,
     _chirp_z,
-    _h_one,
-    _h_two,
+    _OneSector,
+    _TwoSector,
     angular_reduction_check,
     build_grid,
     markov_kernel_check,
@@ -102,6 +107,77 @@ def test_mode_grid_validation():
     assert single.spacing == 0.0
 
 
+# --- sector Hamiltonians ----------------------------------------------------
+#
+# The independent route: each sector Hamiltonian assembled as a scipy.sparse
+# matrix from its matrix elements, in the packed SectorState layout.
+
+def _sparse_h_one(grid):
+    n = grid.count
+    diag = np.concatenate(([0.0], grid.detunings))
+    rows = np.concatenate((np.zeros(n, dtype=int), np.arange(1, n + 1)))
+    cols = np.concatenate((np.arange(1, n + 1), np.zeros(n, dtype=int)))
+    data = np.concatenate((grid.couplings, grid.couplings))
+    h = sp.coo_matrix((data, (rows, cols)), shape=(n + 1, n + 1))
+    return (h + sp.diags(diag)).tocsr()
+
+
+def _sparse_h_two(grid):
+    n = grid.count
+    win = grid.pair_modes
+    nw = win.size
+    n_pairs = nw * (nw + 1) // 2
+    dim = n + n_pairs
+    a, b = np.triu_indices(nw)
+    mi, mj = win[a], win[b]                 # global mode indices of each pair
+    pair_col = n + np.arange(n_pairs)
+    diag = np.concatenate((grid.detunings, grid.detunings[mi] + grid.detunings[mj]))
+    # <e, 1_i | V | g, {k,l}>: g_l on i=k, g_k on i=l, sqrt(2) g_k on k=l.
+    off = mi != mj
+    w_first = grid.couplings[mj] * np.where(off, 1.0, np.sqrt(2.0))
+    rows = np.concatenate((mi, mj[off]))
+    cols = np.concatenate((pair_col, pair_col[off]))
+    data = np.concatenate((w_first, grid.couplings[mi[off]]))
+    upper = sp.coo_matrix((data, (rows, cols)), shape=(dim, dim))
+    return (upper + upper.T + sp.diags(diag)).tocsr()
+
+
+def _sectors(grid):
+    """(matrix-free operator, assembled matrix) for N=1 and N=2."""
+    return ((_OneSector(grid), _sparse_h_one(grid)), (_TwoSector(grid), _sparse_h_two(grid)))
+
+
+def _product(op, vec):
+    x = op.embed(vec)
+    out = np.empty_like(x)
+    op.scaled(1.0, 0.0)(x, out)
+    return op.extract(out)
+
+
+SINGLE_MODE = ModeGrid(omegas=np.array([30.0]), couplings=np.array([0.2]),
+                       omega0=30.0, gamma=1.0)
+
+
+@pytest.mark.parametrize("grid, n_pair_modes", [
+    (build_grid(P30, count=13, span_gammas=8.0, enforce=False), 13),
+    (build_grid(P30, count=10, span_gammas=8.0, density="cubic", enforce=False), 10),
+    (build_grid(P30, count=200, span_gammas=50.0, density="cubic", n2_window_gammas=5.0), 40),
+    (build_grid(P30, count=10, span_gammas=8.0, enforce=False, n2_window_gammas=0.1), 0),
+    (SINGLE_MODE, 1),
+], ids=["flat", "cubic", "narrow-window", "empty-window", "single-mode"])
+def test_matrix_free_product_matches_the_assembled_matrix(grid, n_pair_modes):
+    assert grid.pair_modes.size == n_pair_modes
+    rng = np.random.default_rng(grid.count)
+    for op, h in _sectors(grid):
+        assert op.dim == h.shape[0]
+        vec = rng.normal(size=(op.dim, 2)) @ np.array([1.0, 1j])
+        ref = h @ vec
+        assert np.max(np.abs(_product(op, vec) - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # the pair embedding keeps the norm and round-trips
+        assert np.linalg.norm(op.embed(vec)) == pytest.approx(np.linalg.norm(vec), rel=1e-14)
+        np.testing.assert_allclose(op.extract(op.embed(vec)), vec, rtol=0.0, atol=1e-15)
+
+
 # --- propagation -------------------------------------------------------------
 
 def test_single_mode_rabi():
@@ -149,7 +225,7 @@ def test_propagate_two_excitation_matches_dense_expm():
     amps /= np.linalg.norm(amps)
     state = SectorState(t=0.3, amp_e1=amps[:grid.count], amp_g2=amps[grid.count:])
     out = propagate(state, grid, P30, 1.5)
-    ref = expm(-1j * 1.2 * _h_two(grid).toarray()) @ amps
+    ref = expm(-1j * 1.2 * _sparse_h_two(grid).toarray()) @ amps
     np.testing.assert_allclose(np.concatenate((out.amp_e1, out.amp_g2)), ref,
                                rtol=0.0, atol=1e-12)
     assert out.t == 1.5
@@ -178,14 +254,14 @@ def test_propagate_unitarity_guard(monkeypatch):
 def test_chebyshev_action_matches_expm_multiply(sector, count, tau):
     # scipy's Al-Mohy & Higham action is the independent route
     grid = build_grid(P100, count=count, span_gammas=50.0)
-    h = _h_one(grid) if sector == 1 else _h_two(grid)
+    op, h = _sectors(grid)[sector - 1]
     rng = np.random.default_rng(count + sector)
     vec = rng.normal(size=(h.shape[0], 2)) @ np.array([1.0, 1j])
     states = [vec / np.linalg.norm(vec)]
     if sector == 1:
         states.append(np.eye(h.shape[0], dtype=complex)[0])   # |excited, vacuum>
     for v in states:
-        got = oracle._chebyshev_expm(h, tau, v)
+        got = oracle._chebyshev_expm(op, tau, v)
         ref = scipy_expm_multiply(-1j * tau * h, v)
         assert np.max(np.abs(got - ref)) <= 1e-12
 
@@ -193,32 +269,67 @@ def test_chebyshev_action_matches_expm_multiply(sector, count, tau):
 @pytest.mark.parametrize("density, count", [("flat", 8), ("flat", 13), ("cubic", 10)])
 def test_gershgorin_interval_encloses_the_spectrum(density, count):
     grid = build_grid(P30, count=count, span_gammas=8.0, density=density, enforce=False)
-    for h in (_h_one(grid), _h_two(grid)):
-        lo, hi = oracle._spectral_interval(h)
-        eig = np.linalg.eigvalsh(h.toarray())
-        assert lo <= eig[0] and eig[-1] <= hi
-        g_lo, g_hi = _gershgorin(h)
-        slack = 1e-14 * max(abs(g_lo), abs(g_hi))
-        assert g_lo - slack <= lo and hi <= g_hi + slack
+    for op, h in _sectors(grid):
+        _check_interval(op, h)
+
+
+def test_gershgorin_bounds_off_resonance():
+    # two strongly coupled modes on each side of resonance: the rows of the
+    # outer pairs {0, 1} and {2, 3} set the Gershgorin bounds, not an excited
+    # row or a {k, k} row
+    grid = ModeGrid(omegas=np.array([28.95, 29.0, 31.0, 31.05]), couplings=np.full(4, 0.3),
+                    omega0=30.0, gamma=1.0)
+    for op, h in _sectors(grid):
+        _check_interval(op, h)
+
+
+def _check_interval(op, h):
+    lo, hi = oracle._spectral_interval(op)
+    eig = np.linalg.eigvalsh(h.toarray())
+    assert lo <= eig[0] and eig[-1] <= hi
+    g_lo, g_hi = _gershgorin(h)
+    slack = 1e-14 * max(abs(g_lo), abs(g_hi))
+    assert g_lo - slack <= lo and hi <= g_hi + slack
+    # the closed forms behind the interval, against the assembled matrix
+    diag = h.diagonal()
+    (op_g_lo, op_g_hi), (d_lo, d_hi) = op.bounds()
+    np.testing.assert_allclose([op_g_lo, op_g_hi], [g_lo, g_hi], rtol=1e-14)
+    assert (d_lo, d_hi) == (np.min(diag), np.max(diag))
+    off_eig = np.linalg.eigvalsh((h - sp.diags(diag)).toarray())
+    assert op.coupling_norm == pytest.approx(np.max(np.abs(off_eig)), rel=1e-13)
 
 
 def _gershgorin(h):
-    dense = h.toarray()
-    diag = np.diag(dense)
-    radius = np.abs(dense - np.diag(diag)).sum(axis=1)
+    diag = h.diagonal()
+    radius = np.asarray(abs(h - sp.diags(diag)).sum(axis=1)).ravel()
     return np.min(diag - radius), np.max(diag + radius)
 
 
 def test_spectral_interval_halves_the_one_excitation_gershgorin_width():
     # row 0 of the N=1 star couples to every mode: its Gershgorin radius is
     # sum_k g_k = 56.4 gamma at count 400, twice the spectrum's +-24.9 gamma
-    h = _h_one(build_grid(P30, count=400, span_gammas=50.0))
-    lo, hi = oracle._spectral_interval(h)
+    grid = build_grid(P30, count=400, span_gammas=50.0)
+    h = _sparse_h_one(grid)
+    lo, hi = oracle._spectral_interval(_OneSector(grid))
     g_lo, g_hi = _gershgorin(h)
     eig = np.linalg.eigvalsh(h.toarray())
     assert lo <= eig[0] and eig[-1] <= hi
     assert hi - lo <= 0.52 * (g_hi - g_lo)
     assert hi - lo <= 1.2 * (eig[-1] - eig[0])
+
+
+def test_two_excitation_interval_uses_the_exact_coupling_norm():
+    # Weyl with |V|_2 = sqrt(2) |g_w| instead of |V|_F: at count 200, span 50
+    # the N=2 half-width is 53.7 gamma (64.9 on the Gershgorin discs alone)
+    grid = build_grid(P30, count=200, span_gammas=50.0)
+    lo, hi = oracle._spectral_interval(_TwoSector(grid))
+    h = _sparse_h_two(grid)
+    (eig_lo,) = eigsh(h, k=1, which="SA", return_eigenvectors=False)
+    (eig_hi,) = eigsh(h, k=1, which="LA", return_eigenvectors=False)
+    assert lo <= eig_lo and eig_hi <= hi
+    assert 0.5 * (hi - lo) <= 54.0
+    g_lo, g_hi = _gershgorin(h)
+    assert 0.5 * (g_hi - g_lo) > 64.0
 
 
 def test_chebyshev_coefficients_are_bessel_values():
@@ -283,6 +394,23 @@ def test_plus_minus_any_order(grid120):
 
 def test_minus_plus_zero_at_origin(grid120):
     assert oracle_two_time(AtomCorrKind.MINUS_PLUS, 0.0, 1.0, grid120, P30) == 0.0
+
+
+def test_oversized_pair_sector_is_refused_before_any_work(monkeypatch):
+    # 2 000 modes all carrying pairs: 2 000 + 2 001 000 states > the budget
+    grid = build_grid(P30, count=2000, span_gammas=50.0, n2_window_gammas=1e6)
+    state = SectorState(t=0.0, amp_e0=0j, amp_g1=np.zeros(grid.count, dtype=complex))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("propagated or allocated before the budget check")
+
+    monkeypatch.setattr(oracle, "propagate", no_work)
+    monkeypatch.setattr(np, "zeros", no_work)
+    for kind in (AtomCorrKind.MINUS_PLUS, AtomCorrKind.COMMUTATOR):
+        with pytest.raises(ValueError, match="budget"):
+            oracle_two_time(kind, 0.5, 1.0, grid, P30)
+    with pytest.raises(ValueError, match="budget"):
+        state.raised(grid)
 
 
 def test_two_time_guards(grid120):
@@ -430,3 +558,28 @@ def test_angular_quadrature_matches_the_per_direction_loop():
                     ref = (sphere_integrate(lambda k: part(k, np.cos), 1.0, order)
                            + 1j * sphere_integrate(lambda k: part(k, np.sin), 1.0, order))
                     assert abs(num[iz, d, i, j] - ref / (4.0 * np.pi)) <= 1e-14
+
+
+# --- runtime dependencies ----------------------------------------------------
+
+def test_commands_run_without_scipy(tmp_path):
+    # scipy serves only the independent routes in these tests; no command
+    # (the oracle included) may import it
+    code = (
+        "import sys\n"
+        "from advwave.cli import main\n"
+        f"out = {str(tmp_path)!r}\n"
+        "for argv, allowed in (\n"
+        "        (['validate', '--full', '--count', '4', '--span', '1'], (0, 2)),\n"
+        "        (['figure', '3'], (0,)), (['power', 'pert'], (0,)),\n"
+        "        (['corr', '--points', '2'], (0,)), (['detect', '--points', '2'], (0,))):\n"
+        "    assert main(argv + ['--out', out]) in allowed, argv\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not loaded, loaded\n"
+    )
+    src_dir = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src_dir, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
