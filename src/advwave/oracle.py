@@ -21,13 +21,14 @@ Three independent machines live here:
   held, while a state propagates, as a symmetric matrix S (an isometric
   embedding of the k <= l list), so the pair block is the elementwise
   product with d_k + d_l and the coupling is a matrix-vector product plus a
-  rank-2 update.  The spectral interval comes in closed form from the grid.
+  rank-2 update.  The spectral interval is Weyl's bound, in closed form from
+  the grid.
 
   Populations need only N=1; two-time products that *raise* the dipole reach
   N=2 by applying the raising operator between two forward propagation
-  segments -- no backward evolution is ever performed.  Photon pairs are kept
-  only when both modes lie within ``n2_window`` of resonance (anti-normal
-  correlators are resonance dominated), which bounds the N=2 memory.
+  segments -- no backward evolution is ever performed.  Every comb mode
+  carries pairs, so N=2 holds count + count (count + 1) / 2 states and the
+  sector budget allows count ~2 000.
 
 * A windowed frequency-integral check of the resonance (delta-kernel)
   collapse used for mode sums: the exact kernel
@@ -45,6 +46,7 @@ Three independent machines live here:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,17 +73,16 @@ _BLOCK_BYTES = 8 << 20
 
 @dataclass(frozen=True)
 class ModeGrid:
-    """Uniform frequency comb and couplings for the discretized field.
+    """Frequency comb and couplings for the discretized field.
 
-    ``n2_window`` is the absolute half-width around omega0 within which modes
-    may carry the second photon of a pair state.
+    ``build_grid`` gives the uniform, flat-coupled comb; any other couplings
+    (or frequencies) can be passed here directly.
     """
 
     omegas: np.ndarray
     couplings: np.ndarray
     omega0: float
     gamma: float
-    n2_window: float = np.inf
 
     def __post_init__(self):
         for name in ("omegas", "couplings"):
@@ -109,24 +110,15 @@ class ModeGrid:
     def detunings(self) -> np.ndarray:
         return self.omegas - self.omega0
 
-    @property
-    def pair_modes(self) -> np.ndarray:
-        """Indices of modes eligible for two-photon pair states."""
-        tol = 1.0 + 1e-12
-        return np.flatnonzero(np.abs(self.detunings) <= self.n2_window * tol)
-
 
 def build_grid(params: DipoleParams, count: int = 400, span_gammas: float = 50.0,
-               density: str = "flat", enforce: bool = True,
-               n2_window_gammas: float = 25.0) -> ModeGrid:
+               enforce: bool = True) -> ModeGrid:
     """Build the mode comb: ``count`` modes spanning ``span_gammas * gamma``.
 
     The comb is symmetric about omega0 (mode k sits at
-    omega0 + (k - (count-1)/2) * dw, dw = span/count), which makes the
-    discretized level shift vanish by symmetry for the flat density.  With
-    ``density="cubic"`` the couplings instead carry the free-space
-    (omega/omega0)^3 weight; that option exists to probe departures from the
-    flat-density idealization and is not used by any closed-form comparison.
+    omega0 + (k - (count-1)/2) * dw, dw = span/count) and its couplings are
+    flat, g_k = sqrt(gamma dw / 2 pi), which makes the discretized level shift
+    vanish by symmetry.
 
     ``enforce=True`` (default) requires count >= 200 and span >= 50 gamma,
     the resolution needed for percent-level agreement over a few lifetimes;
@@ -134,6 +126,7 @@ def build_grid(params: DipoleParams, count: int = 400, span_gammas: float = 50.0
     The comb must stay at positive frequencies: omega0 > span/2.  The
     one-excitation sector (count + 1 states) must fit the sector budget
     ``_TWO_PHOTON_DIM_BUDGET``; a larger count raises before any allocation.
+    The two-excitation sector is checked where it is first needed.
     """
     if count < 2:
         raise ValueError("count must be >= 2")
@@ -145,22 +138,14 @@ def build_grid(params: DipoleParams, count: int = 400, span_gammas: float = 50.0
             raise ValueError(f"count = {count} under-resolves the comb; need >= 200 (or enforce=False)")
         if span_gammas < 50.0:
             raise ValueError(f"span = {span_gammas} gamma is too narrow; need >= 50 (or enforce=False)")
-    if n2_window_gammas <= 0.0:
-        raise ValueError("n2_window_gammas must be positive")
     span = span_gammas * params.gamma
     if params.omega0 <= span / 2.0:
         raise ValueError("comb would cross zero frequency: need omega0 > span/2")
     dw = span / count
     omegas = params.omega0 + (np.arange(count) - (count - 1) / 2.0) * dw
-    g_flat = np.sqrt(params.gamma * dw / (2.0 * np.pi))
-    if density == "flat":
-        couplings = np.full(count, g_flat)
-    elif density == "cubic":
-        couplings = g_flat * np.sqrt((omegas / params.omega0) ** 3)
-    else:
-        raise ValueError(f"density must be 'flat' or 'cubic', got {density!r}")
+    couplings = np.full(count, np.sqrt(params.gamma * dw / (2.0 * np.pi)))
     return ModeGrid(omegas=omegas, couplings=couplings, omega0=params.omega0,
-                    gamma=params.gamma, n2_window=n2_window_gammas * params.gamma)
+                    gamma=params.gamma)
 
 
 @dataclass
@@ -168,9 +153,9 @@ class SectorState:
     """Amplitudes in the rotating frame at time ``t``.
 
     The one-excitation sector uses (amp_e0, amp_g1); the two-excitation sector
-    (amp_e1, amp_g2) stores photon pairs of the grid's ``pair_modes`` in
-    upper-triangular order k <= l as produced by ``numpy.triu_indices``.
-    Unused sectors are None.
+    (amp_e1, amp_g2) stores the photon pairs of all ``count`` modes in
+    upper-triangular order k <= l as produced by ``numpy.triu_indices(count)``,
+    count + count (count + 1) / 2 amplitudes.  Unused sectors are None.
     """
 
     t: float
@@ -188,7 +173,7 @@ class SectorState:
         """Apply the dipole raising operator (maps N=1 into N=2; kills amp_e0)."""
         if self.amp_g1 is None:
             raise ValueError("raising needs a one-excitation state")
-        n_pairs = _pair_count(grid)
+        n_pairs = _pair_count(grid.count)
         return SectorState(
             t=self.t,
             amp_e1=self.amp_g1.astype(complex).copy(),
@@ -206,16 +191,16 @@ class SectorState:
         return float(np.sqrt(total))
 
 
-def _pair_count(grid: ModeGrid) -> int:
-    """Number of N=2 pair states; raises before any allocation past the budget."""
-    nw = grid.pair_modes.size
-    n_pairs = nw * (nw + 1) // 2
-    dim = grid.count + n_pairs
+def _pair_count(count: int) -> int:
+    """Number of N=2 pair states of ``count`` modes; raises past the sector budget."""
+    n_pairs = count * (count + 1) // 2
+    dim = count + n_pairs
     if dim > _TWO_PHOTON_DIM_BUDGET:
-        max_nw = int((2 * _TWO_PHOTON_DIM_BUDGET) ** 0.5)
+        # the largest n with n + n (n + 1) / 2 <= budget
+        max_count = (math.isqrt(9 + 8 * _TWO_PHOTON_DIM_BUDGET) - 3) // 2
         raise ValueError(
-            f"two-excitation dimension {dim} exceeds the budget {_TWO_PHOTON_DIM_BUDGET}; "
-            f"reduce count (or n2_window) so that at most ~{max_nw} modes carry pairs"
+            f"count = {count:,} needs {dim:,} two-excitation states, more than the "
+            f"budget of {_TWO_PHOTON_DIM_BUDGET:,}; need count <= {max_count:,}"
         )
     return n_pairs
 
@@ -225,8 +210,8 @@ class _Sector:
 
     Subclasses map the packed ``SectorState`` amplitudes to a working layout
     (``embed``/``extract``), give the diagonal D on that layout, the exact
-    operator norm of the coupling V, bounds for the spectral interval, and
-    ``coupling(scale)``, which adds scale * V x to an output vector.
+    operator norm of the coupling V, and ``coupling(scale)``, which adds
+    scale * V x to an output vector.
     """
 
     dim: int
@@ -269,13 +254,6 @@ class _OneSector(_Sector):
     def diagonal(self) -> np.ndarray:
         return np.concatenate(([0.0], self.d))
 
-    def bounds(self):
-        """(Gershgorin lo, hi), (min D, max D)."""
-        ag = np.abs(self.g)
-        hub = float(np.sum(ag))                 # row 0 couples to every mode
-        return ((min(-hub, float(np.min(self.d - ag))), max(hub, float(np.max(self.d + ag)))),
-                (min(0.0, float(np.min(self.d))), max(0.0, float(np.max(self.d)))))
-
     def coupling(self, scale: float):
         g = (scale * self.g).astype(complex)
 
@@ -289,35 +267,32 @@ class _OneSector(_Sector):
 class _TwoSector(_Sector):
     """N=2: {excited, one photon k} + {ground, photon pair (k <= l)}.
 
-    The pair amplitudes c_kl of the nw window modes are held as a symmetric
-    nw x nw matrix S with S_kl = S_lk = c_kl / sqrt(2) for k < l and
-    S_kk = c_kk.  That embedding keeps the norm, and on (e, S)
+    The pair amplitudes c_kl are held as a symmetric count x count matrix S
+    with S_kl = S_lk = c_kl / sqrt(2) for k < l and S_kk = c_kk.  That
+    embedding keeps the norm, and on (e, S)
 
-        H (e, S) = (d o e + sqrt(2) S g_w,  Delta o S + (e_w g_w^T + g_w e_w^T) / sqrt(2))
+        H (e, S) = (d o e + sqrt(2) S g,  Delta o S + (e g^T + g e^T) / sqrt(2))
 
-    with Delta_kl = d_k + d_l and e_w, g_w, d_w the window entries; the first
-    term of the excited part lands on the window modes only.  Every working
-    vector holds count + nw^2 amplitudes, about twice the packed
-    count + nw (nw + 1) / 2, and a propagation keeps about eight of them (the
-    rolling block of at least three T_k, the sum, the scaled diagonal, the
-    rank-2 buffer and one product): about 0.5 GB at the budget, nw ~ 2 000.
+    with Delta_kl = d_k + d_l.  Every working vector holds count + count^2
+    amplitudes, about twice the packed count + count (count + 1) / 2, and a
+    propagation keeps about eight of them (the rolling block of at least
+    three T_k, the sum, the scaled diagonal, the rank-2 buffer and one
+    product): about 0.5 GB at the budget, count ~2 000.
     """
 
     def __init__(self, grid: ModeGrid):
-        self.dim = grid.count + _pair_count(grid)
-        self.n, self.win = grid.count, grid.pair_modes
-        self.d = grid.detunings
-        self.dw, self.gw = self.d[self.win], grid.couplings[self.win]
-        self.coupling_norm = float(np.sqrt(2.0) * np.linalg.norm(self.gw))
-        a, b = np.triu_indices(self.win.size)
+        self.n = grid.count
+        self.dim = self.n + _pair_count(self.n)
+        self.d, self.g = grid.detunings, grid.couplings
+        self.coupling_norm = float(np.sqrt(2.0) * np.linalg.norm(self.g))
+        a, b = np.triu_indices(self.n)
         self.rows, self.cols, self.diag_pair = a, b, a == b
 
     def _split(self, x: np.ndarray):
-        nw = self.win.size
-        return x[:self.n], x[self.n:].reshape(nw, nw)
+        return x[:self.n], x[self.n:].reshape(self.n, self.n)
 
     def embed(self, vec: np.ndarray) -> np.ndarray:
-        x = np.zeros(self.n + self.win.size ** 2, dtype=complex)
+        x = np.zeros(self.n + self.n ** 2, dtype=complex)
         e, s = self._split(x)
         e[:] = vec[:self.n]
         pairs = vec[self.n:] * np.where(self.diag_pair, 1.0, np.sqrt(0.5))
@@ -333,46 +308,26 @@ class _TwoSector(_Sector):
         return np.concatenate((e, pairs))
 
     def diagonal(self) -> np.ndarray:
-        return np.concatenate((self.d, np.add.outer(self.dw, self.dw).ravel()))
-
-    def bounds(self):
-        """(Gershgorin lo, hi), (min D, max D), both from the grid in O(count)."""
-        ag = np.abs(self.gw)
-        radius = np.zeros(self.n)
-        # row (e, 1_k), k in the window: g_l for every pair {k, l}, sqrt(2) g_k for {k, k}
-        radius[self.win] = np.sum(ag) + (np.sqrt(2.0) - 1.0) * ag
-        lo, hi = float(np.min(self.d - radius)), float(np.max(self.d + radius))
-        d_lo, d_hi = float(np.min(self.d)), float(np.max(self.d))
-        if self.win.size:
-            # row (g, {k, k}): 2 d_k +- sqrt(2) g_k
-            lo = min(lo, float(np.min(2.0 * self.dw - np.sqrt(2.0) * ag)))
-            hi = max(hi, float(np.max(2.0 * self.dw + np.sqrt(2.0) * ag)))
-            d_lo = min(d_lo, 2.0 * float(np.min(self.dw)))
-            d_hi = max(d_hi, 2.0 * float(np.max(self.dw)))
-        if self.win.size >= 2:
-            # row (g, {k, l}), k < l: d_k + d_l +- (g_k + g_l), extreme at the two extreme modes
-            lo = min(lo, float(np.sum(np.partition(self.dw - ag, 1)[:2])))
-            hi = max(hi, float(np.sum(np.partition(self.dw + ag, -2)[-2:])))
-        return (lo, hi), (d_lo, d_hi)
+        return np.concatenate((self.d, np.add.outer(self.d, self.d).ravel()))
 
     def coupling(self, scale: float):
-        nw = self.win.size
-        g_exc = (scale * np.sqrt(2.0) * self.gw).astype(complex)
-        g_pair = scale * np.sqrt(0.5) * self.gw
-        # e_w g^T + g e_w^T as one real product on the (re, im) view of the
-        # amplitudes: [re e_w, im e_w, g] @ [g (x) (1, 0); g (x) (0, 1); e_w]
-        left = np.empty((nw, 3))
-        right = np.zeros((3, 2 * nw))
+        n = self.n
+        g_exc = (scale * np.sqrt(2.0) * self.g).astype(complex)
+        g_pair = scale * np.sqrt(0.5) * self.g
+        # e g^T + g e^T as one real product on the (re, im) view of the
+        # amplitudes: [re e, im e, g] @ [g (x) (1, 0); g (x) (0, 1); e]
+        left = np.empty((n, 3))
+        right = np.zeros((3, 2 * n))
         left[:, 2] = right[0, 0::2] = right[1, 1::2] = g_pair
-        rank2 = np.empty((nw, nw), dtype=complex)
+        rank2 = np.empty((n, n), dtype=complex)
 
         def add(x, out):
             e, s = self._split(x)
             out_e, out_s = self._split(out)
-            e_w = e[self.win].view(float)
-            out_e[self.win] += s @ g_exc
-            left[:, :2] = e_w.reshape(nw, 2)
-            right[2] = e_w
+            e_parts = e.view(float)
+            out_e += s @ g_exc
+            left[:, :2] = e_parts.reshape(n, 2)
+            right[2] = e_parts
             np.matmul(left, right, out=rank2.view(float))
             out_s += rank2
 
@@ -439,14 +394,14 @@ def _chebyshev_coeffs(a: float) -> np.ndarray:
 def _spectral_interval(h: _Sector) -> tuple[float, float]:
     """[lo, hi] holding the spectrum of the sector Hamiltonian H = D + V.
 
-    The Gershgorin discs intersected with Weyl's bound: V moves no eigenvalue
-    by more than |V|_2, so the spectrum lies in [min D - |V|_2, max D + |V|_2].
-    |V|_2 is exact here: |g| for the N=1 star, sqrt(2) |g_w| for N=2 (the
-    pair matrix S = g_w g_w^T / |g_w|^2 attains it).  For the N=1 star that
-    is about half as wide as the Gershgorin disc of row 0.
+    Weyl's bound: V moves no eigenvalue by more than |V|_2, so the spectrum
+    lies in [min D - |V|_2, max D + |V|_2].  |V|_2 is exact here: |g| for the
+    N=1 star, sqrt(2) |g| for N=2 (the pair matrix S = g g^T / |g|^2 attains
+    it).  For the N=1 star that is about half as wide as the Gershgorin disc
+    of row 0.
     """
-    (g_lo, g_hi), (d_lo, d_hi) = h.bounds()
-    return max(g_lo, d_lo - h.coupling_norm), min(g_hi, d_hi + h.coupling_norm)
+    diag = h.diagonal()
+    return float(np.min(diag)) - h.coupling_norm, float(np.max(diag)) + h.coupling_norm
 
 
 def _chebyshev_expm(h: _Sector, tau: float, vec: np.ndarray) -> np.ndarray:
@@ -545,8 +500,9 @@ def oracle_two_time(kind, u: float, v: float, grid: ModeGrid,
         <s-(u) s+(v)> = e^{i w0 (v-u)} <U(v-u) s+ psi(u), s+ psi(v)>
 
     with every factor evaluated in the rotating frame.  The N=2 sector must
-    fit ``_TWO_PHOTON_DIM_BUDGET`` (2 000 000 states), which is checked before
-    any propagation; at the budget one N=2 propagation peaks at about 0.5 GB.
+    fit ``_TWO_PHOTON_DIM_BUDGET`` (2 000 000 states, count <= 1 998), which is
+    checked before any propagation; at the budget one N=2 propagation peaks at
+    about 0.5 GB.
     """
     from .atomdyn import AtomCorrKind
 
@@ -567,7 +523,7 @@ def oracle_two_time(kind, u: float, v: float, grid: ModeGrid,
     if u > v:
         raise ValueError(f"{kind.value} requires u <= v")
 
-    _pair_count(grid)           # refuse an oversized N=2 sector before any work
+    _pair_count(grid.count)     # refuse an oversized N=2 sector before any work
     state_u = propagate(SectorState.excited(grid), grid, params, u)
     left = propagate(state_u.raised(grid), grid, params, v)
     state_v = propagate(state_u, grid, params, v)

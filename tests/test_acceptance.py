@@ -241,7 +241,7 @@ def test_criterion_6_longtime_slope():
 def test_criterion_7_mode_grid_oracle():
     t0 = time.perf_counter()
     p = DipoleParams.from_rates(omega0=30.0, gamma=1.0)
-    grid = build_grid(p, count=400, span_gammas=50.0, density="flat")
+    grid = build_grid(p, count=400, span_gammas=50.0)
 
     # population decay; sampled away from the initial transient, where the
     # finite-span mode grid genuinely deviates from pure exponential decay

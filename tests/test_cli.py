@@ -220,6 +220,17 @@ def test_validate_flags_an_underresolved_grid(tmp_path, capsys):
     assert "FAIL" in (tmp_path / "validate.txt").read_text()
 
 
+def test_validate_passes_at_an_optical_ratio(tmp_path, capsys):
+    argv = ("validate", "--full", "--count", "200", "--omega0-ratio", "1e8")
+    assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_OK
+    assert "all 9 checks passed" in capsys.readouterr().out
+    # a comb too narrow for the dynamics still fails the kernel-mass row
+    assert run_cli(*argv, "--span", "10", "--out", str(tmp_path)) == EXIT_VALIDATION
+    row = next(line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("markov-mass"))
+    assert "FAIL" in row
+
+
 @pytest.mark.parametrize("flag,value", [("--count", "0"), ("--count", "-3"), ("--span", "nan"),
                                         ("--span", "inf"), ("--span", "0"), ("--span", "-50")])
 def test_validate_rejects_bad_oracle_sizes(flag, value, tmp_path, capsys):
@@ -277,6 +288,31 @@ def test_validate_refuses_an_oversized_count_before_any_check(monkeypatch, capsy
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "count must be <= 1,999,999" in err
     assert not list(tmp_path.iterdir())
+
+
+def test_validate_full_refuses_an_oversized_pair_sector_before_any_check(monkeypatch, capsys,
+                                                                         tmp_path):
+    import advwave.cli
+
+    def no_check(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(advwave.cli, "_run_checks", no_check)
+    monkeypatch.setattr(np, "arange", no_check)
+    assert run_cli("validate", "--full", "--count", "2000", "--out", str(tmp_path)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "count = 2,000" in err and "count <= 1,998" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_common_flags_belong_to_the_subcommand(tmp_path, capsys):
+    flags = ("--omega0-ratio", "1e3", "--points", "11")
+    assert run_cli(*flags, "figure", "2", "--out", str(tmp_path / "a")) == EXIT_USAGE
+    assert not (tmp_path / "a").exists()
+    assert run_cli("figure", "2", *flags, "--out", str(tmp_path / "b")) == EXIT_OK
+    meta, _, cols = read_csv(tmp_path / "b" / "fig2.csv")
+    assert meta["omega0_over_gamma"] == "1000" and meta["points"] == "11"
+    assert len(cols["t_gamma"]) == 11
 
 
 def test_out_of_memory_is_a_usage_error(monkeypatch, capsys):
