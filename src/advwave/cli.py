@@ -400,49 +400,55 @@ def _run_checks(cfg: RunConfig, count: int, span: float, full: bool):
             err = max(err, abs(val - ref) / ref)
         return err, ""
 
-    def light_cone_gating():
-        # exact zeros before signal arrival
-        charge = ChargeParams(q=1.0, m=1.0, r0=(cfg.r0_gamma, 0.0, 0.0))
-        worst = 0.0
-        for t in np.linspace(0.0, cfg.r0_gamma, 7, endpoint=False):
-            worst = max(worst, abs(momdiff_source(float(t), p, charge)))
-        for t in np.linspace(0.0, 2.0 * cfg.r0_gamma, 7, endpoint=False):
-            worst = max(worst, abs(momdiff_vacsource(float(t), p, charge)))
+    def random_event_pairs(draw_times):
+        # 200 random draws; each kept pair of events joins the batch of its
+        # (kind_x, kind_y), so a check makes one tensor call per kind pair
+        batches = {}
         for _ in range(200):
-            t = float(rng.uniform(0.0, 10.0))
+            ta, tb = draw_times()
             xa = rng.uniform(-2.0, 2.0, size=3)
             xb = rng.uniform(-2.0, 2.0, size=3)
             if np.linalg.norm(xa) < 1e-3 or np.linalg.norm(xb) < 1e-3:
                 continue
-            dt = delta_expect_tensor(kinds[rng.integers(2)], kinds[rng.integers(2)],
-                                     Event(t, xa), Event(t, xb), p)
-            worst = max(worst, float(np.max(np.abs(dt))))
+            kinds_ab = kinds[rng.integers(2)], kinds[rng.integers(2)]
+            batches.setdefault(kinds_ab, []).append((ta, tb, xa, xb))
+        for (ka, kb), rows in batches.items():
+            ta, tb, xa, xb = (np.array(col) for col in zip(*rows))
+            yield ka, kb, Event(ta, xa), Event(tb, xb)
+
+    def light_cone_gating():
+        # exact zeros before signal arrival
+        charge = ChargeParams(q=1.0, m=1.0, r0=(cfg.r0_gamma, 0.0, 0.0))
+        before_arrival = np.linspace(0.0, cfg.r0_gamma, 7, endpoint=False)
+        before_round_trip = np.linspace(0.0, 2.0 * cfg.r0_gamma, 7, endpoint=False)
+        worst = float(max(np.max(np.abs(momdiff_source(before_arrival, p, charge))),
+                          np.max(np.abs(momdiff_vacsource(before_round_trip, p, charge)))))
+
+        def equal_times():
+            t = float(rng.uniform(0.0, 10.0))
+            return t, t
+
+        for ka, kb, ea, eb in random_event_pairs(equal_times):
+            worst = max(worst, float(np.max(np.abs(delta_expect_tensor(ka, kb, ea, eb, p)))))
         return worst, "exact zeros required"
 
     def commutator_reconstruction():
         # from the three partitions
+        def peak(tensors):
+            return np.max(np.abs(tensors), axis=(-2, -1))
+
         err = 0.0
-        for _ in range(200):
-            ta, tb = sorted(rng.uniform(0.0, 8.0, size=2))
-            xa = rng.uniform(-2.0, 2.0, size=3)
-            xb = rng.uniform(-2.0, 2.0, size=3)
-            if np.linalg.norm(xa) < 1e-3 or np.linalg.norm(xb) < 1e-3:
-                continue
-            ka, kb = kinds[rng.integers(2)], kinds[rng.integers(2)]
-            ea, eb = Event(float(ta), xa), Event(float(tb), xb)
+        for ka, kb, ea, eb in random_event_pairs(lambda: sorted(rng.uniform(0.0, 8.0, size=2))):
             total = sum(commutator_parts(ka, kb, ea, eb, p))
             ref = delta_expect_tensor(ka, kb, ea, eb, p)
-            scale = max(float(np.max(np.abs(ref))), float(np.max(np.abs(total))), 1e-30)
-            err = max(err, float(np.max(np.abs(total - ref))) / scale)
+            scale = np.maximum(np.maximum(peak(ref), peak(total)), 1e-30)  # per event
+            err = max(err, float(np.max(peak(total - ref) / scale)))
         return err, ""
 
     def commutator_diagonal():
         # equal-time commutator against the population difference
-        err = 0.0
-        for t in rng.uniform(0.0, 10.0, size=100):
-            err = max(err, abs(commutator_expect(float(t), float(t), p)
-                               + sigma_z_expect(float(t), p)))
-        return err, ""
+        t = rng.uniform(0.0, 10.0, size=100)
+        return float(np.max(np.abs(commutator_expect(t, t, p) + sigma_z_expect(t, p)))), ""
 
     def oracle_population():
         # discretized-field oracle for the population decay
@@ -495,7 +501,11 @@ def _run_checks(cfg: RunConfig, count: int, span: float, full: bool):
 
 
 def cmd_validate(cfg: RunConfig, count: int, span: float, full: bool) -> int:
-    """Run the self-check table; exit 2 when any check fails."""
+    """Run the self-check table; exit 2 when any check fails.
+
+    The table goes to stdout and to validate.txt, which first records the
+    resolved configuration, count, span and full as a ``# key = value`` block.
+    """
     from .oracle import _TWO_PHOTON_DIM_BUDGET, _pair_count
 
     if count < 1:
@@ -521,7 +531,10 @@ def cmd_validate(cfg: RunConfig, count: int, span: float, full: bool) -> int:
                  else f"all {len(rows)} checks passed")
     report = "\n".join(lines)
     print(report)
+    meta = cfg.meta()
+    meta.update(count=str(count), span="%.17g" % span, full=str(full).lower())
     with open(_outpath(cfg, "validate.txt"), "w") as fh:
+        fh.writelines(f"# {key} = {value}\n" for key, value in meta.items())
         fh.write(report + "\n")
     return EXIT_VALIDATION if n_fail else EXIT_OK
 
@@ -577,6 +590,10 @@ _FIGURE_DEFAULTS = {
 def main(argv=None) -> int:
     try:
         _apply_thread_env()
+        argv = sys.argv[1:] if argv is None else list(argv)
+        if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+            raise _UsageError(f"{argv[0]} comes before the command; flags follow the "
+                              "command: advwave COMMAND [flags]")
         ns = _build_parser().parse_args(argv)
         if ns.command == "figure":
             cfg = _resolve_config(ns, **_FIGURE_DEFAULTS[ns.which])

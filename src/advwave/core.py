@@ -7,6 +7,8 @@ and the free-space decay rate of a two-level dipole obeys
     gamma = omega0**3 * |d|**2 / (3 * pi).
 
 Complex 3-vectors and 3x3 tensors are plain ``numpy`` arrays; no wrapper types.
+An :class:`Event` holds a batch of spacetime points: times of shape S and
+positions of shape S + (3,), where a single event is the batch of shape ().
 """
 from __future__ import annotations
 
@@ -34,15 +36,27 @@ def _omega0_cubed(omega0) -> float:
         raise ValueError(f"omega0 = {float(omega0):.6g} is too large: omega0^3 overflows") from None
 
 
-def _vec3(value, name: str, dtype=float) -> np.ndarray:
-    arr = np.asarray(value, dtype=dtype)
-    if arr.shape != (3,):
-        raise ValueError(f"{name} must be a 3-vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+def _vecs3(value, name: str) -> np.ndarray:
+    """A read-only copy of ``value`` as finite 3-vectors, shape (..., 3)."""
+    arr = np.array(value, dtype=float)
+    if arr.shape[-1:] != (3,):
+        raise ValueError(f"{name} must hold 3-vectors along its last axis, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
-    arr = arr.copy()
     arr.flags.writeable = False
     return arr
+
+
+def _vec3(value, name: str) -> np.ndarray:
+    arr = _vecs3(value, name)
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be a 3-vector, got shape {arr.shape}")
+    return arr
+
+
+def _norm3(x: np.ndarray):
+    """|x| over the last axis: the same bits as ``np.linalg.norm`` of one 3-vector."""
+    return np.sqrt(np.vecdot(x, x))
 
 
 class FieldKind(Enum):
@@ -113,28 +127,40 @@ class DipoleParams:
 
 @dataclass(frozen=True)
 class Event:
-    """A spacetime point (t, x) relative to a dipole fixed at the origin."""
+    """Spacetime points (t, x) relative to a dipole fixed at the origin.
 
-    t: float
+    ``t`` has a batch shape S and ``x`` the shape S + (3,); a single event is
+    the batch of shape (), with ``t`` a scalar and ``x`` a 3-vector.  ``r``,
+    ``t_ret`` and ``t_adv`` have the shape S.  Positions may sit at the dipole;
+    ``field_coeff`` refuses them, so a tensor call raises once it needs their
+    coefficients.
+    """
+
+    t: float | np.ndarray
     x: np.ndarray
 
     def __post_init__(self):
-        if not np.isfinite(self.t):
+        t = np.array(self.t, dtype=float)
+        if not np.isfinite(t).all():
             raise ValueError("t must be finite")
-        object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "x", _vec3(self.x, "x"))
+        x = _vecs3(self.x, "x")
+        if x.shape != t.shape + (3,):
+            raise ValueError(f"x must have shape {t.shape + (3,)} to match t, got {x.shape}")
+        t.flags.writeable = False
+        object.__setattr__(self, "t", t[()])  # a scalar for the batch of shape ()
+        object.__setattr__(self, "x", x)
 
     @property
-    def r(self) -> float:
+    def r(self):
         """Distance |x| from the dipole."""
-        return float(np.linalg.norm(self.x))
+        return _norm3(self.x)
 
     @property
-    def t_ret(self) -> float:
+    def t_ret(self):
         """Retarded time t - |x| (source time on the past light cone)."""
         return self.t - self.r
 
     @property
-    def t_adv(self) -> float:
+    def t_adv(self):
         """Advanced time t + |x| (source time on the future light cone)."""
         return self.t + self.r

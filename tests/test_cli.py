@@ -371,3 +371,37 @@ def test_thread_cap_env(tmp_path, monkeypatch):
 
     monkeypatch.setenv("ADVWAVE_THREADS", "zero")
     assert run_cli("power", "pert", "--out", str(tmp_path)) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (("--omega0-ratio", "1e8", "figure", "3"), EXIT_USAGE, "--omega0-ratio comes before the command"),
+    (("--out", "X", "validate"), EXIT_USAGE, "--out comes before the command"),
+    (("--points=11", "corr"), EXIT_USAGE, "--points=11 comes before the command"),
+    (("no-such-command",), EXIT_USAGE, "invalid choice: 'no-such-command'"),
+    (("--help",), EXIT_OK, ""),
+])
+def test_flags_follow_the_command(argv, code, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv) == code
+    err = capsys.readouterr().err
+    assert message in err
+    if "before the command" in message:  # one line stating the rule, not argparse's guess
+        assert err.count("\n") == 1 and "flags follow the command" in err
+    assert not list(tmp_path.iterdir())   # nothing ran, so nothing was written
+
+
+def test_validate_txt_records_the_resolved_config(tmp_path, capsys):
+    argv = ("validate", "--omega0-ratio", "1e8", "--count", "200", "--out", str(tmp_path))
+    assert run_cli(*argv) == EXIT_OK
+    out = capsys.readouterr().out
+    text = (tmp_path / "validate.txt").read_text()
+    header = [line for line in text.splitlines() if line.startswith("#")]
+    meta = dict(line[1:].split(" = ", 1) for line in header)
+    meta = {k.strip(): v for k, v in meta.items()}
+    assert meta["omega0_over_gamma"] == "100000000"
+    assert meta["count"] == "200" and meta["span"] == "50" and meta["full"] == "false"
+    assert meta["out"] == str(tmp_path) and "advwave_version" in meta
+    # the header comes first, then exactly the table that went to stdout
+    assert text == "".join(line + "\n" for line in header) + out
+    assert "#" not in out
+    assert text.splitlines()[-1] == "all 8 checks passed"

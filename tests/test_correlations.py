@@ -11,6 +11,7 @@ from advwave.correlations import (
     delta_expect_tensor,
     glauber_tensor,
 )
+from advwave.fieldcoeffs import field_coeff
 
 P = DipoleParams.from_rates(omega0=60.0, gamma=1.0)
 KINDS = (FieldKind.ELECTRIC, FieldKind.MAGNETIC)
@@ -140,3 +141,98 @@ def test_radiative_part_differs_from_full():
     full = np.trace(glauber_tensor(FieldKind.ELECTRIC, FieldKind.ELECTRIC, ev, ev, P, part="full"))
     rad = np.trace(glauber_tensor(FieldKind.ELECTRIC, FieldKind.ELECTRIC, ev, ev, P, part="rad"))
     assert abs(full - rad) > 1e-6 * abs(full)
+
+
+# --- batched events -----------------------------------------------------------
+
+@st.composite
+def event_batches(draw):
+    """(shape, tx, x, ty, y): two batches of one shape, (n,) or (2, 3)."""
+    shape = draw(st.sampled_from([(draw(st.integers(1, 6)),), (2, 3)]))
+    size = int(np.prod(shape))
+
+    def column(elements):
+        return draw(st.lists(elements, min_size=size, max_size=size))
+
+    tx, x, ty, y = column(obs_time), column(off_origin), column(obs_time), column(off_origin)
+    # one pair on the edge of the second Delta gate: t_r == t_a'
+    tx[0] = ty[0] + float(np.linalg.norm(x[0])) + float(np.linalg.norm(y[0]))
+    return (shape, np.reshape(tx, shape), np.reshape(x, shape + (3,)),
+            np.reshape(ty, shape), np.reshape(y, shape + (3,)))
+
+
+def _assert_matches_per_event(batch, ref):
+    # same exact zeros, and every entry within 1e-12 of the tensor's maximum
+    assert np.array_equal(batch == 0.0, ref == 0.0)
+    assert np.max(np.abs(batch - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@settings(max_examples=80, deadline=None)
+@given(batches=event_batches(), kx=kind, ky=kind, part=st.sampled_from(("full", "rad")))
+def test_batched_tensors_match_per_event_calls(batches, kx, ky, part):
+    shape, tx, x, ty, y = batches
+    ex, ey = Event(tx, x), Event(ty, y)
+    fns = (glauber_tensor, delta_expect_tensor,
+           *(lambda *a, k=k: commutator_parts(*a)[k] for k in range(3)))
+    results = [fn(kx, ky, ex, ey, P, part) for fn in fns]
+    coeffs = field_coeff(kx, x, P, part), field_coeff(ky, y, P, part)
+    assert all(r.shape == shape + (3, 3) for r in results)
+    assert all(c.shape == shape + (3,) for c in coeffs)
+    for idx in np.ndindex(shape):
+        one_x, one_y = Event(float(tx[idx]), x[idx]), Event(float(ty[idx]), y[idx])
+        for fn, batch in zip(fns, results):
+            _assert_matches_per_event(batch[idx], fn(kx, ky, one_x, one_y, P, part))
+        _assert_matches_per_event(coeffs[0][idx], field_coeff(kx, x[idx], P, part))
+        _assert_matches_per_event(coeffs[1][idx], field_coeff(ky, y[idx], P, part))
+
+
+def test_scalar_events_broadcast_against_a_batch():
+    x = np.array([0.5, 0.2, -0.1])
+    ts = np.linspace(0.0, 4.0, 9)
+    batch = Event(ts, np.broadcast_to(x, (9, 3)))
+    got = delta_expect_tensor(FieldKind.ELECTRIC, FieldKind.MAGNETIC, batch, _event(0.3, x), P)
+    assert got.shape == (9, 3, 3)
+    for i, t in enumerate(ts):
+        ref = delta_expect_tensor(FieldKind.ELECTRIC, FieldKind.MAGNETIC, _event(t, x), _event(0.3, x), P)
+        assert np.array_equal(got[i] == 0.0, ref == 0.0)
+        assert np.max(np.abs(got[i] - ref), initial=0.0) <= 1e-12 * np.max(np.abs(ref), initial=0.0)
+
+
+@pytest.mark.parametrize("t,x", [
+    (np.zeros(3), np.ones((2, 3))),                     # batch shapes disagree
+    (np.zeros(2), np.ones((2, 2))),                     # not 3-vectors
+    (np.array([0.0, np.inf]), np.ones((2, 3))),         # a non-finite time
+    (np.zeros(2), np.array([[1.0, 0.0, 0.0], [np.nan, 0.0, 0.0]])),  # a non-finite position
+], ids=["shape", "not-3-vectors", "time", "position"])
+def test_event_batch_validation(t, x):
+    with pytest.raises(ValueError):
+        Event(t, x)
+
+
+def test_a_batch_with_a_position_at_the_dipole_raises():
+    # the coefficients are singular there, so any open gate refuses the batch
+    x = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    ev = Event(np.array([5.0, 5.0]), x)
+    for fn in (glauber_tensor, delta_expect_tensor, commutator_parts):
+        with pytest.raises(ValueError, match="singular"):
+            fn(FieldKind.ELECTRIC, FieldKind.ELECTRIC, ev, ev, P)
+    with pytest.raises(ValueError, match="singular"):
+        field_coeff(FieldKind.ELECTRIC, x, P, "full")
+
+
+def test_a_shut_batch_evaluates_no_coefficient(monkeypatch):
+    import advwave.correlations
+
+    def no_coeff(*args, **kwargs):
+        raise AssertionError("a field coefficient was evaluated")
+
+    monkeypatch.setattr(advwave.correlations, "field_coeff", no_coeff)
+    x = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.3, 0.3, 0.3]])
+    early = Event(np.array([0.5, 1.9, 0.1]), x)   # t < |x| everywhere: nothing has arrived
+    late = Event(np.array([5.0, 6.0, 7.0]), x)
+    shut = [(glauber_tensor, a, b) for a, b in ((early, early), (early, late), (late, early))]
+    # Delta also needs a round trip between the events, which equal times never make
+    shut += [(delta_expect_tensor, early, early), (delta_expect_tensor, late, late)]
+    for fn, a, b in shut:
+        vals = fn(FieldKind.ELECTRIC, FieldKind.MAGNETIC, a, b, P)
+        assert vals.shape == (3, 3, 3) and np.all(vals == 0.0)
