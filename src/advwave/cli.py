@@ -368,7 +368,7 @@ def _run_checks(cfg: RunConfig, count: int, span: float, full: bool):
     from .kinetics import ChargeParams, momdiff_source, momdiff_vacsource
     from .oracle import (angular_reduction_check, build_grid,
                          markov_kernel_check, oracle_sigma_z, oracle_two_time)
-    from .radiometry import power_curves_2lvl, sphere_integrate
+    from .radiometry import _sphere_nodes, power_curves_2lvl
 
     rng = np.random.default_rng(20260814)
     p = DipoleParams.from_rates(cfg.omega0_over_gamma, 1.0)
@@ -386,35 +386,26 @@ def _run_checks(cfg: RunConfig, count: int, span: float, full: bool):
         return err, ""
 
     def sphere_quadrature():
-        # transverse sphere quadrature
-        err = 0.0
-        for _ in range(3):
-            d = rng.normal(size=3)
+        # transverse sphere quadrature of three random vectors d, on the
+        # rule's (M, 3) node array in one pass
+        dirs, weights = _sphere_nodes(16)
+        d = rng.normal(size=(3, 3))
+        tr = d[:, None, :] - dirs * (d @ dirs.T)[:, :, None]
+        ref = 8.0 * np.pi / 3.0 * np.sum(d * d, axis=1)
+        return float(np.max(np.abs(np.sum(tr * tr, axis=2) @ weights - ref) / ref)), ""
 
-            def f(xhat, d=d):
-                tr = d - xhat * (xhat @ d)
-                return float(tr @ tr)
-
-            val = sphere_integrate(f, 1.0, order=16)
-            ref = 8.0 * np.pi / 3.0 * float(d @ d)
-            err = max(err, abs(val - ref) / ref)
-        return err, ""
-
-    def random_event_pairs(draw_times):
-        # 200 random draws; each kept pair of events joins the batch of its
-        # (kind_x, kind_y), so a check makes one tensor call per kind pair
-        batches = {}
-        for _ in range(200):
-            ta, tb = draw_times()
-            xa = rng.uniform(-2.0, 2.0, size=3)
-            xb = rng.uniform(-2.0, 2.0, size=3)
-            if np.linalg.norm(xa) < 1e-3 or np.linalg.norm(xb) < 1e-3:
-                continue
-            kinds_ab = kinds[rng.integers(2)], kinds[rng.integers(2)]
-            batches.setdefault(kinds_ab, []).append((ta, tb, xa, xb))
-        for (ka, kb), rows in batches.items():
-            ta, tb, xa, xb = (np.array(col) for col in zip(*rows))
-            yield ka, kb, Event(ta, xa), Event(tb, xb)
+    def random_event_pairs(ta, tb):
+        # positions and kinds drawn for each pair of times; the pairs with both
+        # events off the origin join the batch of their (kind_x, kind_y), one
+        # tensor call per kind pair
+        xa, xb = rng.uniform(-2.0, 2.0, size=(2, ta.size, 3))
+        pair = 2 * rng.integers(2, size=ta.size) + rng.integers(2, size=ta.size)
+        kept = (np.linalg.norm(xa, axis=1) >= 1e-3) & (np.linalg.norm(xb, axis=1) >= 1e-3)
+        for code in range(4):
+            sel = kept & (pair == code)
+            if sel.any():
+                yield (kinds[code // 2], kinds[code % 2], Event(ta[sel], xa[sel]),
+                       Event(tb[sel], xb[sel]))
 
     def light_cone_gating():
         # exact zeros before signal arrival
@@ -424,11 +415,8 @@ def _run_checks(cfg: RunConfig, count: int, span: float, full: bool):
         worst = float(max(np.max(np.abs(momdiff_source(before_arrival, p, charge))),
                           np.max(np.abs(momdiff_vacsource(before_round_trip, p, charge)))))
 
-        def equal_times():
-            t = float(rng.uniform(0.0, 10.0))
-            return t, t
-
-        for ka, kb, ea, eb in random_event_pairs(equal_times):
+        t = rng.uniform(0.0, 10.0, size=200)
+        for ka, kb, ea, eb in random_event_pairs(t, t):
             worst = max(worst, float(np.max(np.abs(delta_expect_tensor(ka, kb, ea, eb, p)))))
         return worst, "exact zeros required"
 
@@ -438,7 +426,8 @@ def _run_checks(cfg: RunConfig, count: int, span: float, full: bool):
             return np.max(np.abs(tensors), axis=(-2, -1))
 
         err = 0.0
-        for ka, kb, ea, eb in random_event_pairs(lambda: sorted(rng.uniform(0.0, 8.0, size=2))):
+        ta, tb = np.sort(rng.uniform(0.0, 8.0, size=(200, 2)), axis=1).T
+        for ka, kb, ea, eb in random_event_pairs(ta, tb):
             total = sum(commutator_parts(ka, kb, ea, eb, p))
             ref = delta_expect_tensor(ka, kb, ea, eb, p)
             scale = np.maximum(np.maximum(peak(ref), peak(total)), 1e-30)  # per event
@@ -508,8 +497,8 @@ def cmd_validate(cfg: RunConfig, count: int, span: float, full: bool) -> int:
     """
     from .oracle import _TWO_PHOTON_DIM_BUDGET, _pair_count
 
-    if count < 1:
-        raise _UsageError(f"count must be >= 1, got {count}")
+    if count < 2:
+        raise _UsageError(f"count must be >= 2, got {count}")
     if count + 1 > _TWO_PHOTON_DIM_BUDGET:
         raise _UsageError(f"count must be <= {_TWO_PHOTON_DIM_BUDGET - 1:,}, got {count:,}")
     if not 0.0 < span < float("inf"):

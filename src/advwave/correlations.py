@@ -38,6 +38,8 @@ Commutator expectations with reversed time order are obtained from hermiticity,
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import atomdyn
@@ -153,22 +155,27 @@ def commutator_parts(kind_x: FieldKind, kind_y: FieldKind, ev_x: Event, ev_y: Ev
     into a retarded term, which cancels against source_source, and an
     advanced-wave term, which survives into ``delta_expect_tensor``.
     """
-    xc = field_coeff(kind_x, ev_x.x, params, part)
-    yc = field_coeff(kind_y, ev_y.x, params, part)
+    _check_part(part)
     tr, ta = ev_x.t_ret, ev_x.t_adv
     tr2, ta2 = ev_y.t_ret, ev_y.t_adv
-    xs, ys = np.conj(xc), np.conj(yc)
+    coeffs = functools.cache(lambda: (field_coeff(kind_x, ev_x.x, params, part),
+                                      field_coeff(kind_y, ev_y.x, params, part)))
 
     def comm(u, v):  # the u <= v kernel, on times clipped to >= 0 so shut entries stay finite
         return atomdyn._comm_raw(np.maximum(u, 0.0), np.maximum(v, 0.0), params)
 
-    ordered = comm(np.minimum(tr, tr2), np.maximum(tr, tr2))
-    source_source = _masked_outer((tr >= 0.0) & (tr2 >= 0.0), xs, yc,
-                                  np.where(tr <= tr2, ordered, np.conj(ordered)))  # hermitian reflection
-    vac_source = (_masked_outer((tr >= 0.0) & (tr2 >= tr), -xs, yc, comm(tr, tr2))
-                  + _masked_outer((ta >= 0.0) & (tr2 >= ta), kind_x.advanced_sign * xc, yc,
-                                  comm(ta, tr2)))
-    source_vac = (_masked_outer((tr2 >= 0.0) & (tr >= tr2), -xs, yc, np.conj(comm(tr2, tr)))
-                  + _masked_outer((ta2 >= 0.0) & (tr >= ta2), kind_y.advanced_sign * xs, ys,
-                                  np.conj(comm(ta2, tr))))
-    return source_source, vac_source, source_vac
+    def source_source(xc, yc):  # the hermitian reflection of the ordered kernel
+        ordered = comm(np.minimum(tr, tr2), np.maximum(tr, tr2))
+        return np.conj(xc), yc, np.where(tr <= tr2, ordered, np.conj(ordered))
+
+    return (_tensor(coeffs, ((tr >= 0.0) & (tr2 >= 0.0), source_source)),
+            _tensor(coeffs,  # vac_source: the vacuum part at the first event
+                    ((tr >= 0.0) & (tr2 >= tr), lambda xc, yc: (-np.conj(xc), yc, comm(tr, tr2))),
+                    ((ta >= 0.0) & (tr2 >= ta),
+                     lambda xc, yc: (kind_x.advanced_sign * xc, yc, comm(ta, tr2)))),
+            _tensor(coeffs,  # source_vac: the vacuum part at the second event
+                    ((tr2 >= 0.0) & (tr >= tr2),
+                     lambda xc, yc: (-np.conj(xc), yc, np.conj(comm(tr2, tr)))),
+                    ((ta2 >= 0.0) & (tr >= ta2),
+                     lambda xc, yc: (kind_y.advanced_sign * np.conj(xc), np.conj(yc),
+                                     np.conj(comm(ta2, tr))))))

@@ -12,17 +12,17 @@ Three independent machines live here:
       N=1:  {excited, vacuum} + {ground, one photon in mode k}
       N=2:  {excited, one photon k} + {ground, photon pair (k <= l)}
 
-  and is time independent, so states are propagated exactly,
-  exp(-i tau H) psi by a Chebyshev series on an interval that holds the
-  spectrum of H (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)), in the
-  frame rotating at the transition frequency.  No matrix is assembled: H is
-  applied from the grid's detunings d and couplings g.  N=1 is a star,
-  H (v_0, v_1) = (g . v_1, g v_0 + d o v_1).  In N=2 the pair amplitudes are
-  held, while a state propagates, as a symmetric matrix S (an isometric
-  embedding of the k <= l list), so the pair block is the elementwise
-  product with d_k + d_l and the coupling is a matrix-vector product plus a
-  rank-2 update.  The spectral interval is Weyl's bound, in closed form from
-  the grid.
+  and is time independent, so states are propagated exactly, exp(-i tau H) psi
+  by a Chebyshev series on an interval that holds the spectrum of H (Tal-Ezer
+  & Kosloff, J. Chem. Phys. 81, 3967 (1984)), in the frame rotating at the
+  transition frequency; one recurrence serves a time grid, as only the Bessel
+  weights depend on tau.  No matrix is assembled: H is applied from the
+  grid's detunings d and couplings g.  N=1 is a star, H (v_0, v_1) =
+  (g . v_1, g v_0 + d o v_1).  In N=2 the pair amplitudes are held, while a
+  state propagates, as a symmetric matrix S (an isometric embedding of the
+  k <= l list), so the pair block is the elementwise product with d_k + d_l
+  and the coupling is a matrix-vector product plus a rank-2 update.  The
+  spectral interval is Weyl's bound, in closed form from the grid.
 
   Populations need only N=1; two-time products that *raise* the dipole reach
   N=2 by applying the raising operator between two forward propagation
@@ -69,6 +69,7 @@ __all__ = [
 _TWO_PHOTON_DIM_BUDGET = 2_000_000
 _UNITARITY_LIMIT = 1e-8
 _BLOCK_BYTES = 8 << 20
+_SUMS_BYTES = 1 << 29     # one N=2 propagation's peak at the sector budget
 
 
 @dataclass(frozen=True)
@@ -215,6 +216,7 @@ class _Sector:
     """
 
     dim: int
+    size: int   # amplitudes in the working layout
     coupling_norm: float
 
     def scaled(self, scale: float, shift: float):
@@ -242,7 +244,7 @@ class _OneSector(_Sector):
 
     def __init__(self, grid: ModeGrid):
         self.d, self.g = grid.detunings, grid.couplings
-        self.dim = grid.count + 1
+        self.dim = self.size = grid.count + 1
         self.coupling_norm = float(np.linalg.norm(self.g))
 
     def embed(self, vec: np.ndarray) -> np.ndarray:
@@ -276,13 +278,13 @@ class _TwoSector(_Sector):
     with Delta_kl = d_k + d_l.  Every working vector holds count + count^2
     amplitudes, about twice the packed count + count (count + 1) / 2, and a
     propagation keeps about eight of them (the rolling block of at least
-    three T_k, the sum, the scaled diagonal, the rank-2 buffer and one
-    product): about 0.5 GB at the budget, count ~2 000.
+    three T_k, one sum per output time, the scaled diagonal, the rank-2 buffer
+    and one product): about 0.5 GB for one time at the budget, count ~2 000.
     """
 
     def __init__(self, grid: ModeGrid):
         self.n = grid.count
-        self.dim = self.n + _pair_count(self.n)
+        self.dim, self.size = self.n + _pair_count(self.n), self.n + self.n ** 2
         self.d, self.g = grid.detunings, grid.couplings
         self.coupling_norm = float(np.sqrt(2.0) * np.linalg.norm(self.g))
         a, b = np.triu_indices(self.n)
@@ -350,15 +352,10 @@ def _pack(state: SectorState):
 
 
 def _unpack(vec: np.ndarray, layout, t: float) -> SectorState:
-    state = SectorState(t=t)
-    pos = 0
+    state, pos = SectorState(t=t), 0
     for name, size in layout:
-        chunk = vec[pos:pos + size]
-        pos += size
-        if name == "amp_e0":
-            state.amp_e0 = complex(chunk[0])
-        else:
-            setattr(state, name, chunk.copy())
+        chunk, pos = vec[pos:pos + size], pos + size
+        setattr(state, name, complex(chunk[0]) if name == "amp_e0" else chunk.copy())
     return state
 
 
@@ -404,45 +401,59 @@ def _spectral_interval(h: _Sector) -> tuple[float, float]:
     return float(np.min(diag)) - h.coupling_norm, float(np.max(diag)) + h.coupling_norm
 
 
-def _chebyshev_expm(h: _Sector, tau: float, vec: np.ndarray) -> np.ndarray:
-    """exp(-i tau H) vec for a sector Hamiltonian, to double precision.
+def _chebyshev_expm_many(h: _Sector, taus, vec: np.ndarray, observe) -> list:
+    """[observe(exp(-i tau H) vec) for tau in taus], from one Chebyshev recurrence.
 
-    The spectrum of H lies in its spectral interval [c - r, c + r].  On the
-    rescaled X = (H - c) / r the Chebyshev series
-    e^{-i tau r X} = sum_k (2 - delta_k0) (-i)^k J_k(tau r) T_k(X)
-    converges super-exponentially once k > tau r (Tal-Ezer & Kosloff,
-    J. Chem. Phys. 81, 3967 (1984)); the three-term recurrence of T_k costs
-    one matrix-free product per term.  An uncoupled H is applied exactly.
+    On X = (H - c) / r, [c - r, c + r] the spectral interval, e^{-i tau r X} =
+    sum_k (2 - delta_k0) (-i)^k J_k(tau r) T_k(X) converges super-exponentially
+    once k > tau r (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).  Only
+    the Bessel weights depend on tau: one recurrence out to the longest time
+    feeds a sum per distinct time.  Sums past ``_SUMS_BYTES`` are refused
+    before any allocation; a norm drift past 1e-8 at any time raises.
     """
+    taus = np.asarray(taus, dtype=float).tolist()
+    if not np.all(np.isfinite(taus)):
+        raise ValueError("times must be finite")
+    times = np.array(sorted(set(taus)))
+    if 16 * times.size * h.size > _SUMS_BYTES:
+        raise ValueError(f"{times.size:,} times of {h.size:,} amplitudes need more than "
+                         f"{_SUMS_BYTES >> 20} MiB of Chebyshev sums; use fewer times")
     x = h.embed(vec)
     if h.coupling_norm == 0.0:
-        return h.extract(np.exp(-1j * tau * h.diagonal()) * x)
-    lo, hi = _spectral_interval(h)
-    center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    coeffs = _chebyshev_coeffs(tau * half)
-    two_x = h.scaled(2.0 / half, center)
-    # T_k(X) x goes to row k % width of a rolling block; each full block joins
-    # the sum as one matrix-vector product
-    width = int(np.clip(_BLOCK_BYTES // (16 * x.size), 3, 16))
-    block = np.zeros((width, x.size), dtype=complex)
-    weights = np.zeros(width, dtype=complex)
-    out = np.zeros_like(x)
-    block[0] = x
-    del x
-    two_x(block[0], block[1])
-    block[1] *= 0.5
-    for k, c in enumerate(coeffs):
-        row = k % width
-        if k >= 2:
-            # T_k = 2 X T_{k-1} - T_{k-2}
-            two_x(block[(k - 1) % width], block[row])
-            block[row] -= block[(k - 2) % width]
-        weights[row] = c
-        if row == width - 1 or k == coeffs.size - 1:
-            out += weights @ block
-            weights[:] = 0.0
-    out *= np.exp(-1j * tau * center)
-    return h.extract(out)
+        sums = np.exp(-1j * np.multiply.outer(times, h.diagonal())) * x
+    else:
+        lo, hi = _spectral_interval(h)
+        center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        series = [_chebyshev_coeffs(tau * half) for tau in times]
+        terms = max((c.size for c in series), default=0)
+        coeffs = np.array([np.pad(c, (0, terms - c.size)) for c in series])
+        two_x = h.scaled(2.0 / half, center)
+        # T_k(X) x goes to row k % width of a rolling block; each full block
+        # joins each time's sum as one matrix-vector product with its weights
+        width = int(np.clip(_BLOCK_BYTES // (16 * h.size), 3, 16))
+        block = np.zeros((width, h.size), dtype=complex)
+        sums = np.zeros((times.size, h.size), dtype=complex)
+        block[0] = x
+        del x
+        two_x(block[0], block[1])
+        block[1] *= 0.5
+        for k in range(terms):
+            row = k % width
+            if k >= 2:
+                # T_k = 2 X T_{k-1} - T_{k-2}
+                two_x(block[(k - 1) % width], block[row])
+                block[row] -= block[(k - 2) % width]
+            if row == width - 1 or k == terms - 1:
+                for weights, s in zip(coeffs[:, k - row:k + 1], sums):
+                    s += weights @ block[:row + 1]
+        sums *= np.exp(-1j * times * center)[:, None]
+    norm0 = float(np.linalg.norm(vec))     # the embedding keeps the norm
+    for tau, residual in zip(times, (abs(float(np.linalg.norm(s)) - norm0) for s in sums)):
+        if residual > _UNITARITY_LIMIT * max(norm0, 1e-300):
+            raise RuntimeError(f"unitarity residual {residual:.3e} at tau = {tau:.6g} "
+                               f"exceeds {_UNITARITY_LIMIT}")
+    kept = dict(zip(times.tolist(), (observe(h.extract(s)) for s in sums)))
+    return [kept[tau] for tau in taus]
 
 
 def propagate(state: SectorState, grid: ModeGrid, params: DipoleParams,
@@ -450,10 +461,9 @@ def propagate(state: SectorState, grid: ModeGrid, params: DipoleParams,
     """Propagate a sector state forward to ``t_end`` in the rotating frame.
 
     The sector Hamiltonian H is time independent, so the result is the exact
-    action exp(-i (t_end - t) H) psi, computed to double precision by a
-    Chebyshev series on ``_spectral_interval(H)``.  A norm change beyond
-    1e-8 means that action was not unitary and raises.  Backward propagation
-    is not supported.
+    action exp(-i (t_end - t) H) psi: the one-time case of the Chebyshev
+    recurrence ``_chebyshev_expm_many`` that also serves whole time grids.
+    A norm change beyond 1e-8 raises.  Backward propagation is not supported.
     """
     _check_grid(grid, params)
     if t_end < state.t:
@@ -466,26 +476,23 @@ def propagate(state: SectorState, grid: ModeGrid, params: DipoleParams,
     vec, layout = _pack(state)
     if h.dim != vec.size:
         raise ValueError("state size does not match the grid")
-    if t_end == state.t:
-        return _unpack(vec, layout, state.t)
-    norm0 = float(np.linalg.norm(vec))
-    vec = _chebyshev_expm(h, t_end - state.t, vec)
-    residual = abs(float(np.linalg.norm(vec)) - norm0)
-    if residual > _UNITARITY_LIMIT * max(norm0, 1e-300):
-        raise RuntimeError(f"unitarity residual {residual:.3e} exceeds {_UNITARITY_LIMIT}")
+    (vec,) = _chebyshev_expm_many(h, [t_end - state.t], vec, lambda out: out)
     return _unpack(vec, layout, t_end)
 
 
+def _from_excited(times, grid: ModeGrid, params: DipoleParams, observe) -> list:
+    """[observe(psi(t)) for t in times]; psi is the packed N=1 state from |e, 0> at 0."""
+    _check_grid(grid, params)
+    start, _ = _pack(SectorState.excited(grid))
+    return _chebyshev_expm_many(_OneSector(grid), times, start, observe)
+
+
 def oracle_sigma_z(times, grid: ModeGrid, params: DipoleParams):
-    """<sigma_z(t)> on an ascending time grid by direct N=1 propagation."""
+    """<sigma_z(t)> on an ascending time grid from one N=1 Chebyshev recurrence."""
     ts = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(ts < 0.0) or np.any(np.diff(ts) < 0.0):
         raise ValueError("times must be ascending and >= 0")
-    state = SectorState.excited(grid)
-    out = np.empty(ts.size)
-    for k, t in enumerate(ts):
-        state = propagate(state, grid, params, t)
-        out[k] = 2.0 * abs(state.amp_e0) ** 2 - 1.0
+    out = 2.0 * np.abs(_from_excited(ts, grid, params, lambda psi: psi[0])) ** 2 - 1.0
     return out if np.ndim(times) else float(out[0])
 
 
@@ -499,10 +506,10 @@ def oracle_two_time(kind, u: float, v: float, grid: ModeGrid,
 
         <s-(u) s+(v)> = e^{i w0 (v-u)} <U(v-u) s+ psi(u), s+ psi(v)>
 
-    with every factor evaluated in the rotating frame.  The N=2 sector must
-    fit ``_TWO_PHOTON_DIM_BUDGET`` (2 000 000 states, count <= 1 998), which is
-    checked before any propagation; at the budget one N=2 propagation peaks at
-    about 0.5 GB.
+    with every factor evaluated in the rotating frame; psi(u) and psi(v) share
+    one N=1 recurrence.  The N=2 sector must fit ``_TWO_PHOTON_DIM_BUDGET``
+    (2 000 000 states, count <= 1 998), which is checked before any
+    propagation; at the budget one N=2 propagation peaks at about 0.5 GB.
     """
     from .atomdyn import AtomCorrKind
 
@@ -512,27 +519,20 @@ def oracle_two_time(kind, u: float, v: float, grid: ModeGrid,
     w0 = grid.omega0
 
     if kind is AtomCorrKind.PLUS_MINUS:
-        first, second = (u, v) if u <= v else (v, u)
-        state = propagate(SectorState.excited(grid), grid, params, first)
-        amp_first = state.amp_e0
-        state = propagate(state, grid, params, second)
-        amp_second = state.amp_e0
-        amp_u, amp_v = (amp_first, amp_second) if u <= v else (amp_second, amp_first)
+        amp_u, amp_v = _from_excited((u, v), grid, params, lambda psi: psi[0])
         return complex(np.exp(1j * w0 * (u - v)) * np.conj(amp_u) * amp_v)
 
     if u > v:
         raise ValueError(f"{kind.value} requires u <= v")
 
     _pair_count(grid.count)     # refuse an oversized N=2 sector before any work
-    state_u = propagate(SectorState.excited(grid), grid, params, u)
-    left = propagate(state_u.raised(grid), grid, params, v)
-    state_v = propagate(state_u, grid, params, v)
-    right = state_v.raised(grid)
-    minus_plus = complex(np.exp(1j * w0 * (v - u)) * np.vdot(left.amp_e1, right.amp_e1))
+    psi_u, psi_v = _from_excited((u, v), grid, params, lambda psi: psi)
+    left = propagate(SectorState(t=u, amp_g1=psi_u[1:]).raised(grid), grid, params, v)
+    minus_plus = complex(np.exp(1j * w0 * (v - u)) * np.vdot(left.amp_e1, psi_v[1:]))
     if kind is AtomCorrKind.MINUS_PLUS:
         return minus_plus
     # COMMUTATOR: subtract <s+(v) s-(u)>
-    plus_minus_rev = complex(np.exp(1j * w0 * (v - u)) * np.conj(state_v.amp_e0) * state_u.amp_e0)
+    plus_minus_rev = complex(np.exp(1j * w0 * (v - u)) * np.conj(psi_v[0]) * psi_u[0])
     return minus_plus - plus_minus_rev
 
 

@@ -231,8 +231,9 @@ def test_validate_passes_at_an_optical_ratio(tmp_path, capsys):
     assert "FAIL" in row
 
 
-@pytest.mark.parametrize("flag,value", [("--count", "0"), ("--count", "-3"), ("--span", "nan"),
-                                        ("--span", "inf"), ("--span", "0"), ("--span", "-50")])
+@pytest.mark.parametrize("flag,value", [("--count", "1"), ("--count", "0"), ("--count", "-3"),
+                                        ("--span", "nan"), ("--span", "inf"), ("--span", "0"),
+                                        ("--span", "-50")])
 def test_validate_rejects_bad_oracle_sizes(flag, value, tmp_path, capsys):
     assert run_cli("validate", flag, value, "--out", str(tmp_path)) == EXIT_USAGE
     captured = capsys.readouterr()

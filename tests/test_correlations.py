@@ -236,3 +236,6 @@ def test_a_shut_batch_evaluates_no_coefficient(monkeypatch):
     for fn, a, b in shut:
         vals = fn(FieldKind.ELECTRIC, FieldKind.MAGNETIC, a, b, P)
         assert vals.shape == (3, 3, 3) and np.all(vals == 0.0)
+    # before arrival at both events every commutator gate is shut as well
+    for vals in commutator_parts(FieldKind.ELECTRIC, FieldKind.MAGNETIC, early, early, P):
+        assert vals.shape == (3, 3, 3) and np.all(vals == 0.0)

@@ -186,6 +186,11 @@ def test_propagate_guards():
     other = DipoleParams.from_rates(omega0=31.0, gamma=1.0)
     with pytest.raises(ValueError, match="different dipole"):
         propagate(state, grid, other, 1.0)
+    # a NaN time passes every ordering test; the series length would never converge
+    with pytest.raises(ValueError, match="finite"):
+        propagate(state, grid, P30, float("nan"))
+    with pytest.raises(ValueError, match="finite"):
+        oracle_sigma_z(np.array([0.5, np.nan]), grid, P30)
 
 
 def test_propagate_strong_coupling_is_exact():
@@ -222,13 +227,83 @@ def test_propagate_composes():
 
 
 def test_propagate_unitarity_guard(monkeypatch):
-    # a non-unitary action (scaled by 1 + 1e-6) must be caught
+    # a non-unitary action (its series scaled by 1 + 1e-6) must be caught
     grid = build_grid(P30, count=200, span_gammas=25.0, enforce=False)
-    kernel = oracle._chebyshev_expm
-    monkeypatch.setattr(oracle, "_chebyshev_expm",
-                        lambda h, tau, v: (1.0 + 1e-6) * kernel(h, tau, v))
+    coeffs = oracle._chebyshev_coeffs
+    monkeypatch.setattr(oracle, "_chebyshev_coeffs", lambda a: (1.0 + 1e-6) * coeffs(a))
     with pytest.raises(RuntimeError, match="unitarity residual"):
         propagate(SectorState.excited(grid), grid, P30, 1.0)
+
+
+def test_unitarity_guard_holds_at_every_output_time(monkeypatch):
+    # only the series of tau = 1 drifts; the times around it stay unitary
+    grid = build_grid(P30, count=200, span_gammas=25.0, enforce=False)
+    lo, hi = oracle._spectral_interval(_OneSector(grid))
+    half = 0.5 * (hi - lo)
+    coeffs = oracle._chebyshev_coeffs
+    monkeypatch.setattr(oracle, "_chebyshev_coeffs", lambda a: coeffs(a) * (
+        1.0 + 1e-6 * np.isclose(a, half, rtol=1e-12, atol=0.0)))
+    oracle_sigma_z(np.array([0.5, 1.5]), grid, P30)
+    with pytest.raises(RuntimeError, match="unitarity residual .* at tau = 1 "):
+        oracle_sigma_z(np.array([0.5, 1.0, 1.5]), grid, P30)
+
+
+@pytest.mark.parametrize("sector, count", [(1, 400), (2, 120)])
+def test_one_recurrence_matches_stepwise_propagation(sector, count):
+    # the grid form against one propagate call per step between its times;
+    # t = 0 and a repeated time included, the grid given out of order
+    grid = build_grid(P30, count=count, span_gammas=50.0, enforce=False)
+    start = SectorState.excited(grid)
+    if sector == 2:
+        start = propagate(start, grid, P30, 0.7).raised(grid)
+    op = (_OneSector if sector == 1 else _TwoSector)(grid)
+    taus = np.array([1.1, 0.0, 0.4, 2.5, 0.4, 0.0])
+    got = oracle._chebyshev_expm_many(op, taus, oracle._pack(start)[0], lambda out: out)
+    state, stepwise = start, {}
+    for tau in np.unique(taus):
+        state = propagate(state, grid, P30, start.t + tau)
+        stepwise[tau] = oracle._pack(state)[0]
+    for tau, out in zip(taus, got):
+        assert np.max(np.abs(out - stepwise[tau])) <= 1e-12
+    assert np.array_equal(got[1], oracle._pack(start)[0])     # tau = 0 is exact
+
+
+def test_sigma_z_grid_runs_one_recurrence(monkeypatch):
+    # validate's grid, 13 times to 6.5/gamma at count 400, span 50: one
+    # propagate call per step applied H 520 times, one recurrence 235
+    applied = []
+    scaled = _OneSector.scaled
+
+    def counting(self, scale, shift):
+        apply = scaled(self, scale, shift)
+
+        def counted(x, out):
+            applied.append(1)
+            apply(x, out)
+
+        return counted
+
+    monkeypatch.setattr(_OneSector, "scaled", counting)
+    grid = build_grid(P100, count=400, span_gammas=50.0)
+    oracle_sigma_z(np.arange(0.5, 6.51, 0.5), grid, P100)
+    assert 0 < len(applied) <= 240
+
+
+def test_oversized_time_grid_is_refused_before_allocating(monkeypatch):
+    # 100 000 sums of 401 amplitudes would take 0.64 GB
+    grid = build_grid(P30, count=400, span_gammas=50.0)
+    start = oracle._pack(SectorState.excited(grid))[0]
+    taus = np.linspace(0.0, 1.0, 100_000)
+
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("allocated before the size check")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "zeros", no_alloc)
+        with pytest.raises(ValueError, match="MiB of Chebyshev sums"):
+            oracle._chebyshev_expm_many(_OneSector(grid), taus, start, lambda out: out[0])
+    with pytest.raises(ValueError, match="fewer times"):
+        oracle_sigma_z(taus, grid, P30)
 
 
 @pytest.mark.parametrize("sector, count, tau", [(1, 400, 0.5), (1, 400, 6.5), (2, 200, 1.0)])
@@ -242,7 +317,7 @@ def test_chebyshev_action_matches_expm_multiply(sector, count, tau):
     if sector == 1:
         states.append(np.eye(h.shape[0], dtype=complex)[0])   # |excited, vacuum>
     for v in states:
-        got = oracle._chebyshev_expm(op, tau, v)
+        (got,) = oracle._chebyshev_expm_many(op, [tau], v, lambda out: out)
         ref = scipy_expm_multiply(-1j * tau * h, v)
         assert np.max(np.abs(got - ref)) <= 1e-12
 
@@ -319,6 +394,7 @@ def test_sigma_z_start_and_decay():
     sz = oracle_sigma_z(ts, grid, P30)
     assert sz[0] == 1.0
     assert abs(sz[1] - sigma_z_expect(1.0, P30)) < 0.03
+    assert oracle_sigma_z(np.array([]), grid, P30).shape == (0,)
     with pytest.raises(ValueError, match="ascending"):
         oracle_sigma_z(np.array([1.0, 0.5]), grid, P30)
 
