@@ -51,16 +51,25 @@ def _pm_raw(u, v, p: DipoleParams):
     return np.exp((1j * p.omega0 - p.gamma / 2.0) * u) * np.exp((-1j * p.omega0 - p.gamma / 2.0) * v)
 
 
+def _raised_raw(u, v, p: DipoleParams, k: float):
+    """e^{-i w0 (u - v)} (e^{gamma (u - v) / 2} - k e^{-gamma (u + v) / 2}).
+
+    The envelope e^{-gamma (u + v) / 2} times (e^{gamma u} - k), merged so that
+    no factor grows with u: e^{gamma u} alone overflows once gamma u > 709.
+    Past u = v, outside the branch, the growing factor is held at 1, so the
+    entries that callers gate away stay finite too.
+    """
+    gap = np.minimum(u - v, 0.0)
+    return np.exp(-1j * p.omega0 * (u - v)) * (np.exp(p.gamma * gap / 2.0)
+                                               - k * np.exp(-p.gamma * (u + v) / 2.0))
+
+
 def _mp_raw(u, v, p: DipoleParams):
-    return np.exp((-1j * p.omega0 - p.gamma / 2.0) * u) * np.exp((1j * p.omega0 - p.gamma / 2.0) * v) * (
-        np.exp(p.gamma * u) - 1.0
-    )
+    return _raised_raw(u, v, p, 1.0)
 
 
 def _comm_raw(u, v, p: DipoleParams):
-    return np.exp((-1j * p.omega0 - p.gamma / 2.0) * u) * np.exp((1j * p.omega0 - p.gamma / 2.0) * v) * (
-        np.exp(p.gamma * u) - 2.0
-    )
+    return _raised_raw(u, v, p, 2.0)
 
 
 def sigma_z_expect(t, p: DipoleParams):

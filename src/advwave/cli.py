@@ -441,9 +441,9 @@ def _run_checks(cfg: RunConfig, count: int, span: float, full: bool):
 
     def oracle_population():
         # discretized-field oracle for the population decay
-        grid = build_grid(p, count=count, span_gammas=span, enforce=False)
+        grid = build_grid(p, count=count, span_gammas=span)
         times = np.arange(0.5, 6.51, 0.5)
-        vals = oracle_sigma_z(times, grid, p)
+        vals = oracle_sigma_z(times, grid)
         err = float(np.max(np.abs(vals - sigma_z_expect(times, p))))
         return err, f"count={count} span={span:g}, grid t in [0.5, 6.5]/gamma"
 
@@ -463,9 +463,9 @@ def _run_checks(cfg: RunConfig, count: int, span: float, full: bool):
 
     def oracle_minus_plus():
         # two-excitation-sector oracle for the anti-normal correlator
-        grid = build_grid(p, count=count, span_gammas=span, enforce=False)
+        grid = build_grid(p, count=count, span_gammas=span)
         u, v = 1.0, 2.0
-        num = oracle_two_time(AtomCorrKind.MINUS_PLUS, u, v, grid, p)
+        num = oracle_two_time(AtomCorrKind.MINUS_PLUS, u, v, grid)
         ref = corr_minus_plus(u, v, p)
         return abs(num - ref) / abs(ref), f"count={count} span={span:g}"
 
@@ -503,6 +503,9 @@ def cmd_validate(cfg: RunConfig, count: int, span: float, full: bool) -> int:
         raise _UsageError(f"count must be <= {_TWO_PHOTON_DIM_BUDGET - 1:,}, got {count:,}")
     if not 0.0 < span < float("inf"):
         raise _UsageError(f"span must be positive and finite, got {span}")
+    if span / 2.0 >= cfg.omega0_over_gamma:     # the comb would reach zero frequency
+        raise _UsageError(f"span must be below 2 * omega0-ratio = "
+                          f"{2.0 * cfg.omega0_over_gamma:g}, got {span:g}")
     if full:
         _pair_count(count)
     rows = list(_run_checks(cfg, count, span, full))

@@ -18,17 +18,17 @@ Three independent machines live here:
   transition frequency; one recurrence serves a time grid, as only the Bessel
   weights depend on tau.  No matrix is assembled: H is applied from the
   grid's detunings d and couplings g.  N=1 is a star, H (v_0, v_1) =
-  (g . v_1, g v_0 + d o v_1).  In N=2 the pair amplitudes are held, while a
-  state propagates, as a symmetric matrix S (an isometric embedding of the
-  k <= l list), so the pair block is the elementwise product with d_k + d_l
-  and the coupling is a matrix-vector product plus a rank-2 update.  The
-  spectral interval is Weyl's bound, in closed form from the grid.
+  (g . v_1, g v_0 + d o v_1).  An N=2 state is (e, S), its pair amplitudes a
+  symmetric matrix S, so the pair block is the elementwise product with
+  d_k + d_l and the coupling is a matrix-vector product plus a rank-2 update.
+  Every state is a plain vector in its sector's layout.  The spectral
+  interval is Weyl's bound, in closed form from the grid.
 
   Populations need only N=1; two-time products that *raise* the dipole reach
   N=2 by applying the raising operator between two forward propagation
   segments -- no backward evolution is ever performed.  Every comb mode
-  carries pairs, so N=2 holds count + count (count + 1) / 2 states and the
-  sector budget allows count ~2 000.
+  carries pairs, so N=2 holds count + count (count + 1) / 2 states (count +
+  count^2 amplitudes as (e, S)) and the sector budget allows count ~2 000.
 
 * A windowed frequency-integral check of the resonance (delta-kernel)
   collapse used for mode sums: the exact kernel
@@ -56,9 +56,7 @@ from .core import DipoleParams
 
 __all__ = [
     "ModeGrid",
-    "SectorState",
     "build_grid",
-    "propagate",
     "oracle_sigma_z",
     "oracle_two_time",
     "markov_kernel_check",
@@ -83,7 +81,6 @@ class ModeGrid:
     omegas: np.ndarray
     couplings: np.ndarray
     omega0: float
-    gamma: float
 
     def __post_init__(self):
         for name in ("omegas", "couplings"):
@@ -112,8 +109,7 @@ class ModeGrid:
         return self.omegas - self.omega0
 
 
-def build_grid(params: DipoleParams, count: int = 400, span_gammas: float = 50.0,
-               enforce: bool = True) -> ModeGrid:
+def build_grid(params: DipoleParams, count: int = 400, span_gammas: float = 50.0) -> ModeGrid:
     """Build the mode comb: ``count`` modes spanning ``span_gammas * gamma``.
 
     The comb is symmetric about omega0 (mode k sits at
@@ -121,11 +117,10 @@ def build_grid(params: DipoleParams, count: int = 400, span_gammas: float = 50.0
     flat, g_k = sqrt(gamma dw / 2 pi), which makes the discretized level shift
     vanish by symmetry.
 
-    ``enforce=True`` (default) requires count >= 200 and span >= 50 gamma,
-    the resolution needed for percent-level agreement over a few lifetimes;
-    diagnostics that deliberately under-resolve pass ``enforce=False``.
-    The comb must stay at positive frequencies: omega0 > span/2.  The
-    one-excitation sector (count + 1 states) must fit the sector budget
+    Percent-level agreement over a few lifetimes takes count >= 200 and
+    span >= 50 gamma; coarser combs are allowed, for diagnostics.  The comb
+    must stay at positive frequencies: omega0 > span/2.  The one-excitation
+    sector (count + 1 states) must fit the sector budget
     ``_TWO_PHOTON_DIM_BUDGET``; a larger count raises before any allocation.
     The two-excitation sector is checked where it is first needed.
     """
@@ -134,66 +129,17 @@ def build_grid(params: DipoleParams, count: int = 400, span_gammas: float = 50.0
     if count + 1 > _TWO_PHOTON_DIM_BUDGET:
         raise ValueError(f"count = {count:,} exceeds the sector budget: need count + 1 <= "
                          f"{_TWO_PHOTON_DIM_BUDGET:,}")
-    if enforce:
-        if count < 200:
-            raise ValueError(f"count = {count} under-resolves the comb; need >= 200 (or enforce=False)")
-        if span_gammas < 50.0:
-            raise ValueError(f"span = {span_gammas} gamma is too narrow; need >= 50 (or enforce=False)")
     span = span_gammas * params.gamma
     if params.omega0 <= span / 2.0:
         raise ValueError("comb would cross zero frequency: need omega0 > span/2")
     dw = span / count
     omegas = params.omega0 + (np.arange(count) - (count - 1) / 2.0) * dw
     couplings = np.full(count, np.sqrt(params.gamma * dw / (2.0 * np.pi)))
-    return ModeGrid(omegas=omegas, couplings=couplings, omega0=params.omega0,
-                    gamma=params.gamma)
-
-
-@dataclass
-class SectorState:
-    """Amplitudes in the rotating frame at time ``t``.
-
-    The one-excitation sector uses (amp_e0, amp_g1); the two-excitation sector
-    (amp_e1, amp_g2) stores the photon pairs of all ``count`` modes in
-    upper-triangular order k <= l as produced by ``numpy.triu_indices(count)``,
-    count + count (count + 1) / 2 amplitudes.  Unused sectors are None.
-    """
-
-    t: float
-    amp_e0: complex | None = None
-    amp_g1: np.ndarray | None = None
-    amp_e1: np.ndarray | None = None
-    amp_g2: np.ndarray | None = None
-
-    @classmethod
-    def excited(cls, grid: ModeGrid) -> "SectorState":
-        """|excited, vacuum> at t = 0."""
-        return cls(t=0.0, amp_e0=1.0 + 0.0j, amp_g1=np.zeros(grid.count, dtype=complex))
-
-    def raised(self, grid: ModeGrid) -> "SectorState":
-        """Apply the dipole raising operator (maps N=1 into N=2; kills amp_e0)."""
-        if self.amp_g1 is None:
-            raise ValueError("raising needs a one-excitation state")
-        n_pairs = _pair_count(grid.count)
-        return SectorState(
-            t=self.t,
-            amp_e1=self.amp_g1.astype(complex).copy(),
-            amp_g2=np.zeros(n_pairs, dtype=complex),
-        )
-
-    @property
-    def norm(self) -> float:
-        total = 0.0
-        if self.amp_e0 is not None:
-            total += abs(self.amp_e0) ** 2
-        for arr in (self.amp_g1, self.amp_e1, self.amp_g2):
-            if arr is not None:
-                total += float(np.vdot(arr, arr).real)
-        return float(np.sqrt(total))
+    return ModeGrid(omegas=omegas, couplings=couplings, omega0=params.omega0)
 
 
 def _pair_count(count: int) -> int:
-    """Number of N=2 pair states of ``count`` modes; raises past the sector budget."""
+    """Number of N=2 pair states k <= l of ``count`` modes; raises past the sector budget."""
     n_pairs = count * (count + 1) // 2
     dim = count + n_pairs
     if dim > _TWO_PHOTON_DIM_BUDGET:
@@ -209,18 +155,16 @@ def _pair_count(count: int) -> int:
 class _Sector:
     """A sector Hamiltonian H = D + V, applied without assembling a matrix.
 
-    Subclasses map the packed ``SectorState`` amplitudes to a working layout
-    (``embed``/``extract``), give the diagonal D on that layout, the exact
-    operator norm of the coupling V, and ``coupling(scale)``, which adds
-    scale * V x to an output vector.
+    Subclasses give the diagonal D on their state layout, the exact operator
+    norm of the coupling V, and ``coupling(scale)``, which adds scale * V x to
+    an output vector.
     """
 
-    dim: int
-    size: int   # amplitudes in the working layout
+    size: int   # amplitudes in a state vector
     coupling_norm: float
 
     def scaled(self, scale: float, shift: float):
-        """apply(x, out): out = scale * (H - shift) x on the working layout.
+        """apply(x, out): out = scale * (H - shift) x.
 
         The scaled diagonal and couplings are complex copies, so every
         product stays on numpy's complex (BLAS) paths.
@@ -238,20 +182,15 @@ class _Sector:
 class _OneSector(_Sector):
     """N=1: {excited, vacuum} + {ground, one photon in mode k}.
 
-    H is a star, H v = [g . v_1, g v_0 + d o v_1] with d the detunings and g
-    the couplings, and the working layout is the packed one.
+    A state is v = (v_0, v_1): the excited amplitude, then one per mode.  H is
+    a star, H v = [g . v_1, g v_0 + d o v_1] with d the detunings and g the
+    couplings.
     """
 
     def __init__(self, grid: ModeGrid):
         self.d, self.g = grid.detunings, grid.couplings
-        self.dim = self.size = grid.count + 1
+        self.size = grid.count + 1
         self.coupling_norm = float(np.linalg.norm(self.g))
-
-    def embed(self, vec: np.ndarray) -> np.ndarray:
-        return np.asarray(vec, dtype=complex)
-
-    def extract(self, x: np.ndarray) -> np.ndarray:
-        return x
 
     def diagonal(self) -> np.ndarray:
         return np.concatenate(([0.0], self.d))
@@ -269,45 +208,28 @@ class _OneSector(_Sector):
 class _TwoSector(_Sector):
     """N=2: {excited, one photon k} + {ground, photon pair (k <= l)}.
 
-    The pair amplitudes c_kl are held as a symmetric count x count matrix S
-    with S_kl = S_lk = c_kl / sqrt(2) for k < l and S_kk = c_kk.  That
-    embedding keeps the norm, and on (e, S)
+    A state is (e, S), flattened: e_k the amplitude of |excited, 1_k>, then a
+    symmetric count x count matrix S of pair amplitudes, S_kl = S_lk =
+    c_kl / sqrt(2) for k < l and S_kk = c_kk in terms of the Fock amplitudes
+    c_kl of |ground, 1_k 1_l>, so the norm is the Fock norm.  On it
 
         H (e, S) = (d o e + sqrt(2) S g,  Delta o S + (e g^T + g e^T) / sqrt(2))
 
-    with Delta_kl = d_k + d_l.  Every working vector holds count + count^2
-    amplitudes, about twice the packed count + count (count + 1) / 2, and a
-    propagation keeps about eight of them (the rolling block of at least
+    with Delta_kl = d_k + d_l.  A state holds count + count^2 amplitudes, and
+    a propagation keeps about eight of them (the rolling block of at least
     three T_k, one sum per output time, the scaled diagonal, the rank-2 buffer
     and one product): about 0.5 GB for one time at the budget, count ~2 000.
     """
 
     def __init__(self, grid: ModeGrid):
         self.n = grid.count
-        self.dim, self.size = self.n + _pair_count(self.n), self.n + self.n ** 2
+        _pair_count(self.n)     # refuse an oversized sector before any work
+        self.size = self.n + self.n ** 2
         self.d, self.g = grid.detunings, grid.couplings
         self.coupling_norm = float(np.sqrt(2.0) * np.linalg.norm(self.g))
-        a, b = np.triu_indices(self.n)
-        self.rows, self.cols, self.diag_pair = a, b, a == b
 
     def _split(self, x: np.ndarray):
         return x[:self.n], x[self.n:].reshape(self.n, self.n)
-
-    def embed(self, vec: np.ndarray) -> np.ndarray:
-        x = np.zeros(self.n + self.n ** 2, dtype=complex)
-        e, s = self._split(x)
-        e[:] = vec[:self.n]
-        pairs = vec[self.n:] * np.where(self.diag_pair, 1.0, np.sqrt(0.5))
-        s[self.rows, self.cols] = pairs
-        s[self.cols, self.rows] = pairs
-        return x
-
-    def extract(self, x: np.ndarray) -> np.ndarray:
-        """The adjoint of ``embed``, exact on symmetric S."""
-        e, s = self._split(x)
-        pairs = (s[self.rows, self.cols] + s[self.cols, self.rows]) * np.where(
-            self.diag_pair, 0.5, np.sqrt(0.5))
-        return np.concatenate((e, pairs))
 
     def diagonal(self) -> np.ndarray:
         return np.concatenate((self.d, np.add.outer(self.d, self.d).ravel()))
@@ -334,34 +256,6 @@ class _TwoSector(_Sector):
             out_s += rank2
 
         return add
-
-
-def _pack(state: SectorState):
-    parts, layout = [], []
-    if state.amp_e0 is not None:
-        parts.append(np.array([state.amp_e0], dtype=complex))
-        layout.append(("amp_e0", 1))
-    for name in ("amp_g1", "amp_e1", "amp_g2"):
-        arr = getattr(state, name)
-        if arr is not None:
-            parts.append(np.asarray(arr, dtype=complex))
-            layout.append((name, len(arr)))
-    if not parts:
-        raise ValueError("empty state")
-    return np.concatenate(parts), layout
-
-
-def _unpack(vec: np.ndarray, layout, t: float) -> SectorState:
-    state, pos = SectorState(t=t), 0
-    for name, size in layout:
-        chunk, pos = vec[pos:pos + size], pos + size
-        setattr(state, name, complex(chunk[0]) if name == "amp_e0" else chunk.copy())
-    return state
-
-
-def _check_grid(grid: ModeGrid, params: DipoleParams):
-    if grid.omega0 != params.omega0 or grid.gamma != params.gamma:
-        raise ValueError("grid was built for different dipole parameters")
 
 
 def _chebyshev_coeffs(a: float) -> np.ndarray:
@@ -401,14 +295,15 @@ def _spectral_interval(h: _Sector) -> tuple[float, float]:
     return float(np.min(diag)) - h.coupling_norm, float(np.max(diag)) + h.coupling_norm
 
 
-def _chebyshev_expm_many(h: _Sector, taus, vec: np.ndarray, observe) -> list:
-    """[observe(exp(-i tau H) vec) for tau in taus], from one Chebyshev recurrence.
+def _chebyshev_expm_many(h: _Sector, taus, x: np.ndarray, observe) -> list:
+    """[observe(exp(-i tau H) x) for tau in taus], from one Chebyshev recurrence.
 
     On X = (H - c) / r, [c - r, c + r] the spectral interval, e^{-i tau r X} =
     sum_k (2 - delta_k0) (-i)^k J_k(tau r) T_k(X) converges super-exponentially
     once k > tau r (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).  Only
     the Bessel weights depend on tau: one recurrence out to the longest time
-    feeds a sum per distinct time.  Sums past ``_SUMS_BYTES`` are refused
+    feeds a sum per distinct time.  Every time is a forward step from ``x``;
+    callers refuse negative ones.  Sums past ``_SUMS_BYTES`` are refused
     before any allocation; a norm drift past 1e-8 at any time raises.
     """
     taus = np.asarray(taus, dtype=float).tolist()
@@ -418,7 +313,6 @@ def _chebyshev_expm_many(h: _Sector, taus, vec: np.ndarray, observe) -> list:
     if 16 * times.size * h.size > _SUMS_BYTES:
         raise ValueError(f"{times.size:,} times of {h.size:,} amplitudes need more than "
                          f"{_SUMS_BYTES >> 20} MiB of Chebyshev sums; use fewer times")
-    x = h.embed(vec)
     if h.coupling_norm == 0.0:
         sums = np.exp(-1j * np.multiply.outer(times, h.diagonal())) * x
     else:
@@ -434,7 +328,6 @@ def _chebyshev_expm_many(h: _Sector, taus, vec: np.ndarray, observe) -> list:
         block = np.zeros((width, h.size), dtype=complex)
         sums = np.zeros((times.size, h.size), dtype=complex)
         block[0] = x
-        del x
         two_x(block[0], block[1])
         block[1] *= 0.5
         for k in range(terms):
@@ -447,57 +340,32 @@ def _chebyshev_expm_many(h: _Sector, taus, vec: np.ndarray, observe) -> list:
                 for weights, s in zip(coeffs[:, k - row:k + 1], sums):
                     s += weights @ block[:row + 1]
         sums *= np.exp(-1j * times * center)[:, None]
-    norm0 = float(np.linalg.norm(vec))     # the embedding keeps the norm
+    norm0 = float(np.linalg.norm(x))
     for tau, residual in zip(times, (abs(float(np.linalg.norm(s)) - norm0) for s in sums)):
         if residual > _UNITARITY_LIMIT * max(norm0, 1e-300):
             raise RuntimeError(f"unitarity residual {residual:.3e} at tau = {tau:.6g} "
                                f"exceeds {_UNITARITY_LIMIT}")
-    kept = dict(zip(times.tolist(), (observe(h.extract(s)) for s in sums)))
+    kept = dict(zip(times.tolist(), (observe(s) for s in sums)))
     return [kept[tau] for tau in taus]
 
 
-def propagate(state: SectorState, grid: ModeGrid, params: DipoleParams,
-              t_end: float) -> SectorState:
-    """Propagate a sector state forward to ``t_end`` in the rotating frame.
-
-    The sector Hamiltonian H is time independent, so the result is the exact
-    action exp(-i (t_end - t) H) psi: the one-time case of the Chebyshev
-    recurrence ``_chebyshev_expm_many`` that also serves whole time grids.
-    A norm change beyond 1e-8 raises.  Backward propagation is not supported.
-    """
-    _check_grid(grid, params)
-    if t_end < state.t:
-        raise ValueError("oracle only propagates forward in time")
-    one = state.amp_e0 is not None or state.amp_g1 is not None
-    two = state.amp_e1 is not None or state.amp_g2 is not None
-    if one and two:
-        raise ValueError("state mixes excitation sectors")
-    h = _OneSector(grid) if one else _TwoSector(grid)
-    vec, layout = _pack(state)
-    if h.dim != vec.size:
-        raise ValueError("state size does not match the grid")
-    (vec,) = _chebyshev_expm_many(h, [t_end - state.t], vec, lambda out: out)
-    return _unpack(vec, layout, t_end)
-
-
-def _from_excited(times, grid: ModeGrid, params: DipoleParams, observe) -> list:
-    """[observe(psi(t)) for t in times]; psi is the packed N=1 state from |e, 0> at 0."""
-    _check_grid(grid, params)
-    start, _ = _pack(SectorState.excited(grid))
+def _from_excited(times, grid: ModeGrid, observe) -> list:
+    """[observe(psi(t)) for t in times]; psi is the N=1 state from |e, 0> at t = 0."""
+    start = np.zeros(grid.count + 1, dtype=complex)
+    start[0] = 1.0
     return _chebyshev_expm_many(_OneSector(grid), times, start, observe)
 
 
-def oracle_sigma_z(times, grid: ModeGrid, params: DipoleParams):
+def oracle_sigma_z(times, grid: ModeGrid):
     """<sigma_z(t)> on an ascending time grid from one N=1 Chebyshev recurrence."""
     ts = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(ts < 0.0) or np.any(np.diff(ts) < 0.0):
         raise ValueError("times must be ascending and >= 0")
-    out = 2.0 * np.abs(_from_excited(ts, grid, params, lambda psi: psi[0])) ** 2 - 1.0
+    out = 2.0 * np.abs(_from_excited(ts, grid, lambda psi: psi[0])) ** 2 - 1.0
     return out if np.ndim(times) else float(out[0])
 
 
-def oracle_two_time(kind, u: float, v: float, grid: ModeGrid,
-                    params: DipoleParams) -> complex:
+def oracle_two_time(kind, u: float, v: float, grid: ModeGrid) -> complex:
     """Two-time dipole correlator from forward-only propagation.
 
     ``kind`` is an :class:`advwave.atomdyn.AtomCorrKind` (or its value string).
@@ -519,16 +387,18 @@ def oracle_two_time(kind, u: float, v: float, grid: ModeGrid,
     w0 = grid.omega0
 
     if kind is AtomCorrKind.PLUS_MINUS:
-        amp_u, amp_v = _from_excited((u, v), grid, params, lambda psi: psi[0])
+        amp_u, amp_v = _from_excited((u, v), grid, lambda psi: psi[0])
         return complex(np.exp(1j * w0 * (u - v)) * np.conj(amp_u) * amp_v)
 
     if u > v:
         raise ValueError(f"{kind.value} requires u <= v")
 
-    _pair_count(grid.count)     # refuse an oversized N=2 sector before any work
-    psi_u, psi_v = _from_excited((u, v), grid, params, lambda psi: psi)
-    left = propagate(SectorState(t=u, amp_g1=psi_u[1:]).raised(grid), grid, params, v)
-    minus_plus = complex(np.exp(1j * w0 * (v - u)) * np.vdot(left.amp_e1, psi_v[1:]))
+    pairs, n = _TwoSector(grid), grid.count     # an oversized N=2 sector raises here
+    psi_u, psi_v = _from_excited((u, v), grid, lambda psi: psi)
+    raised = np.zeros(pairs.size, dtype=complex)    # s+ psi(u) = (psi_u[1:], S = 0)
+    raised[:n] = psi_u[1:]
+    (left,) = _chebyshev_expm_many(pairs, [v - u], raised, lambda x: x[:n])
+    minus_plus = complex(np.exp(1j * w0 * (v - u)) * np.vdot(left, psi_v[1:]))
     if kind is AtomCorrKind.MINUS_PLUS:
         return minus_plus
     # COMMUTATOR: subtract <s+(v) s-(u)>

@@ -246,14 +246,14 @@ def test_criterion_7_mode_grid_oracle():
     # population decay; sampled away from the initial transient, where the
     # finite-span mode grid genuinely deviates from pure exponential decay
     times = np.arange(0.5, 3.01, 0.5)
-    sz = oracle_sigma_z(times, grid, p)
+    sz = oracle_sigma_z(times, grid)
     err_z = np.max(np.abs(sz - atomdyn.sigma_z_expect(times, p)))
     assert err_z <= 0.03, f"sigma_z oracle error {err_z:.4f} > 0.03 absolute"
 
     # two-time prefactor: strip the phase/envelope, compare with exp(gamma*u)-1
     worst_pref = 0.0
     for u, v in ((0.5, 1.0), (1.0, 2.0), (1.5, 2.0)):
-        val = oracle_two_time(AtomCorrKind.MINUS_PLUS, u, v, grid, p)
+        val = oracle_two_time(AtomCorrKind.MINUS_PLUS, u, v, grid)
         envelope = np.exp(1j * p.omega0 * (v - u)) * np.exp(-p.gamma * (u + v) / 2.0)
         prefactor = (val / envelope).real
         ref = np.expm1(p.gamma * u)

@@ -82,6 +82,18 @@ def test_commutator_is_minus_plus_shifted():
     )
 
 
+def test_late_times_stay_finite():
+    # e^{gamma u} alone overflows past gamma u = 709; the merged envelope does not
+    u, v = 750.0, 800.0
+    for fn, k in ((corr_minus_plus, 1.0), (commutator_expect, 2.0)):
+        val = fn(u, v, P)
+        ref = np.exp(-1j * P.omega0 * (u - v)) * (
+            np.exp(P.gamma * (u - v) / 2.0) - k * np.exp(-P.gamma * (u + v) / 2.0))
+        assert np.isfinite(val)
+        assert abs(val - ref) <= 1e-12 * abs(ref)
+    assert np.isfinite(corr_minus_plus(710.0, 711.0, P))
+
+
 def test_ordering_guard():
     with pytest.raises(ValueError, match="u <= v"):
         corr_minus_plus(2.0, 1.0, P)

@@ -177,6 +177,16 @@ def test_corr_grid(tmp_path):
             assert abs(cols[col][4 * i + j] - ref) <= 1e-14 * np.max(np.abs(cols[col]))
 
 
+def test_corr_stays_finite_at_late_times(tmp_path):
+    # past gamma t = 709 a lone e^{gamma t} overflows; at 3000 so would the
+    # growing factor of the entries behind shut gates, u - v up to 3000 / gamma
+    for tmax, points in (("800", "81"), ("3000", "3")):
+        assert run_cli("corr", "--tmax-gamma", tmax, "--points", points,
+                       "--out", str(tmp_path)) == EXIT_OK
+        _, names, cols = read_csv(tmp_path / "corr.csv")
+        assert all(np.all(np.isfinite(cols[n])) for n in names)
+
+
 def test_detect_outputs(tmp_path):
     assert run_cli("detect", "--points", "40", "--tmax-gamma", "5",
                    "--out", str(tmp_path)) == EXIT_OK
@@ -231,9 +241,16 @@ def test_validate_passes_at_an_optical_ratio(tmp_path, capsys):
     assert "FAIL" in row
 
 
+def test_validate_runs_with_the_comb_just_above_zero_frequency(tmp_path, capsys):
+    # the default span of 50 gamma fits below omega0 = 26 gamma on both sides
+    assert run_cli("validate", "--omega0-ratio", "26", "--out", str(tmp_path)) == EXIT_OK
+    assert "all 8 checks passed" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("flag,value", [("--count", "1"), ("--count", "0"), ("--count", "-3"),
                                         ("--span", "nan"), ("--span", "inf"), ("--span", "0"),
-                                        ("--span", "-50")])
+                                        ("--span", "-50"), ("--span", "200"),
+                                        ("--omega0-ratio", "10")])
 def test_validate_rejects_bad_oracle_sizes(flag, value, tmp_path, capsys):
     assert run_cli("validate", flag, value, "--out", str(tmp_path)) == EXIT_USAGE
     captured = capsys.readouterr()

@@ -27,7 +27,6 @@ from advwave.atomdyn import (
 from advwave.core import DipoleParams
 from advwave.oracle import (
     ModeGrid,
-    SectorState,
     _chirp_z,
     _OneSector,
     _TwoSector,
@@ -36,7 +35,6 @@ from advwave.oracle import (
     markov_kernel_check,
     oracle_sigma_z,
     oracle_two_time,
-    propagate,
 )
 from advwave.radiometry import sphere_integrate
 
@@ -60,21 +58,17 @@ def test_build_grid_spacing_and_couplings():
 
 def _cubic_grid(count, span_gammas):
     """A comb whose couplings carry the free-space (omega/omega0)^3 weight."""
-    flat = build_grid(P30, count=count, span_gammas=span_gammas, enforce=False)
+    flat = build_grid(P30, count=count, span_gammas=span_gammas)
     return dataclasses.replace(
         flat, couplings=flat.couplings * np.sqrt((flat.omegas / P30.omega0) ** 3))
 
 
 def test_build_grid_enforcement():
-    with pytest.raises(ValueError, match="under-resolves"):
-        build_grid(P30, count=100)
-    with pytest.raises(ValueError, match="too narrow"):
-        build_grid(P30, count=400, span_gammas=20.0)
-    build_grid(P30, count=100, span_gammas=20.0, enforce=False)  # opt-out works
+    assert build_grid(P30, count=100, span_gammas=20.0).count == 100  # coarse combs are allowed
     with pytest.raises(ValueError, match="cross zero"):
-        build_grid(P30, count=400, span_gammas=80.0, enforce=False)
+        build_grid(P30, count=400, span_gammas=80.0)
     with pytest.raises(ValueError, match="count"):
-        build_grid(P30, count=1, enforce=False)
+        build_grid(P30, count=1)
 
 
 def test_oversized_count_is_refused_before_allocating(monkeypatch):
@@ -84,20 +78,22 @@ def test_oversized_count_is_refused_before_allocating(monkeypatch):
     monkeypatch.setattr(np, "arange", no_comb)
     monkeypatch.setattr(np, "full", no_comb)
     with pytest.raises(ValueError, match="budget"):
-        build_grid(P30, count=oracle._TWO_PHOTON_DIM_BUDGET, enforce=False)
+        build_grid(P30, count=oracle._TWO_PHOTON_DIM_BUDGET)
 
 
 def test_mode_grid_validation():
     with pytest.raises(ValueError):
-        ModeGrid(omegas=np.array([1.0, 2.0]), couplings=np.array([0.1]), omega0=1.0, gamma=0.1)
-    single = ModeGrid(omegas=np.array([5.0]), couplings=np.array([0.1]), omega0=5.0, gamma=0.1)
+        ModeGrid(omegas=np.array([1.0, 2.0]), couplings=np.array([0.1]), omega0=1.0)
+    single = ModeGrid(omegas=np.array([5.0]), couplings=np.array([0.1]), omega0=5.0)
     assert single.spacing == 0.0
 
 
 # --- sector Hamiltonians ----------------------------------------------------
 #
 # The independent route: each sector Hamiltonian assembled as a scipy.sparse
-# matrix from its matrix elements, in the packed SectorState layout.
+# matrix from its matrix elements, in the packed Fock layout: N=1 as
+# (excited, one amplitude per mode), N=2 as (excited with photon k, then the
+# pairs k <= l in numpy.triu_indices order).
 
 def _sparse_h_one(grid):
     n = grid.count
@@ -131,146 +127,169 @@ def _sectors(grid):
     return ((_OneSector(grid), _sparse_h_one(grid)), (_TwoSector(grid), _sparse_h_two(grid)))
 
 
+def _pair_weights(op):
+    rows, cols = np.triu_indices(op.n)
+    return rows, cols, np.where(rows == cols, 1.0, np.sqrt(0.5))
+
+
+def _working(op, vec):
+    """A packed Fock vector as the operator's state: N=2 pairs c_kl -> symmetric S."""
+    if isinstance(op, _OneSector):
+        return np.asarray(vec, dtype=complex)
+    rows, cols, weights = _pair_weights(op)
+    x = np.zeros(op.size, dtype=complex)
+    x[:op.n] = vec[:op.n]
+    s = x[op.n:].reshape(op.n, op.n)
+    s[rows, cols] = s[cols, rows] = vec[op.n:] * weights
+    return x
+
+
+def _packed(op, x):
+    """The adjoint of ``_working``, its inverse on symmetric S."""
+    if isinstance(op, _OneSector):
+        return x
+    rows, cols, weights = _pair_weights(op)
+    s = x[op.n:].reshape(op.n, op.n)
+    return np.concatenate((x[:op.n], 0.5 * (s[rows, cols] + s[cols, rows]) / weights))
+
+
 def _product(op, vec):
-    x = op.embed(vec)
+    x = _working(op, vec)
     out = np.empty_like(x)
     op.scaled(1.0, 0.0)(x, out)
-    return op.extract(out)
+    return _packed(op, out)
 
 
-SINGLE_MODE = ModeGrid(omegas=np.array([30.0]), couplings=np.array([0.2]),
-                       omega0=30.0, gamma=1.0)
+SINGLE_MODE = ModeGrid(omegas=np.array([30.0]), couplings=np.array([0.2]), omega0=30.0)
 
 
 @pytest.mark.parametrize("grid", [
-    build_grid(P30, count=13, span_gammas=8.0, enforce=False),
+    build_grid(P30, count=13, span_gammas=8.0),
     _cubic_grid(count=10, span_gammas=8.0),
     SINGLE_MODE,
 ], ids=["flat", "cubic", "single-mode"])
 def test_matrix_free_product_matches_the_assembled_matrix(grid):
     rng = np.random.default_rng(grid.count)
     for op, h in _sectors(grid):
-        assert op.dim == h.shape[0]
-        vec = rng.normal(size=(op.dim, 2)) @ np.array([1.0, 1j])
+        vec = rng.normal(size=(h.shape[0], 2)) @ np.array([1.0, 1j])
         ref = h @ vec
         assert np.max(np.abs(_product(op, vec) - ref)) <= 1e-13 * np.max(np.abs(ref))
-        # the pair embedding keeps the norm and round-trips
-        assert np.linalg.norm(op.embed(vec)) == pytest.approx(np.linalg.norm(vec), rel=1e-14)
-        np.testing.assert_allclose(op.extract(op.embed(vec)), vec, rtol=0.0, atol=1e-15)
+        # the pair layout keeps the Fock norm and round-trips
+        x = _working(op, vec)
+        assert x.size == op.size
+        assert np.linalg.norm(x) == pytest.approx(np.linalg.norm(vec), rel=1e-14)
+        np.testing.assert_allclose(_packed(op, x), vec, rtol=0.0, atol=1e-15)
 
 
 # --- propagation -------------------------------------------------------------
 
 def test_single_mode_rabi():
     g_c = 0.05
-    grid = ModeGrid(omegas=np.array([P30.omega0]), couplings=np.array([g_c]),
-                    omega0=P30.omega0, gamma=P30.gamma)
+    grid = ModeGrid(omegas=np.array([P30.omega0]), couplings=np.array([g_c]), omega0=P30.omega0)
     ts = np.array([3.0, 7.0])
-    sz = oracle_sigma_z(ts, grid, P30)
+    sz = oracle_sigma_z(ts, grid)
     np.testing.assert_allclose(sz, np.cos(2.0 * g_c * ts), rtol=0.0, atol=1e-12)
 
 
+def _excited(times, grid):
+    """The N=1 states from |excited, vacuum> at each of ``times``."""
+    return oracle._from_excited(times, grid, np.copy)
+
+
 def test_zero_couplings_freeze_the_state():
-    grid = ModeGrid(omegas=np.array([29.0, 31.0]), couplings=np.zeros(2),
-                    omega0=P30.omega0, gamma=P30.gamma)
-    out = propagate(SectorState.excited(grid), grid, P30, 2.0)
-    assert out.amp_e0 == 1.0 + 0.0j
-    assert out.norm == pytest.approx(1.0, abs=1e-12)
+    grid = ModeGrid(omegas=np.array([29.0, 31.0]), couplings=np.zeros(2), omega0=P30.omega0)
+    (psi,) = _excited([2.0], grid)
+    assert np.array_equal(psi, [1.0, 0.0, 0.0])
 
 
 def test_propagate_guards():
-    grid = build_grid(P30, count=200, span_gammas=25.0, enforce=False)
-    state = SectorState.excited(grid)
-    with pytest.raises(ValueError, match="forward"):
-        propagate(propagate(state, grid, P30, 1.0), grid, P30, 0.5)
-    other = DipoleParams.from_rates(omega0=31.0, gamma=1.0)
-    with pytest.raises(ValueError, match="different dipole"):
-        propagate(state, grid, other, 1.0)
+    # every propagation runs forward from its start
+    grid = build_grid(P30, count=200, span_gammas=25.0)
+    with pytest.raises(ValueError, match=">= 0"):
+        oracle_sigma_z(-0.5, grid)
+    with pytest.raises(ValueError, match="u <= v"):
+        oracle_two_time(AtomCorrKind.COMMUTATOR, 1.0, 0.5, grid)
     # a NaN time passes every ordering test; the series length would never converge
     with pytest.raises(ValueError, match="finite"):
-        propagate(state, grid, P30, float("nan"))
+        oracle_sigma_z(np.array([0.5, np.nan]), grid)
     with pytest.raises(ValueError, match="finite"):
-        oracle_sigma_z(np.array([0.5, np.nan]), grid, P30)
+        oracle_two_time(AtomCorrKind.MINUS_PLUS, 0.5, float("nan"), grid)
 
 
 def test_propagate_strong_coupling_is_exact():
     # one mode, g = 5, t = 10: far beyond any fixed-step integrator's comfort
     g_c, t = 5.0, 10.0
-    grid = ModeGrid(omegas=np.array([30.0]), couplings=np.array([g_c]),
-                    omega0=30.0, gamma=1.0)
-    out = propagate(SectorState.excited(grid), grid, P30, t)
-    assert 2.0 * abs(out.amp_e0) ** 2 - 1.0 == pytest.approx(np.cos(2.0 * g_c * t), abs=1e-12)
-    assert out.norm == pytest.approx(1.0, abs=1e-12)
+    grid = ModeGrid(omegas=np.array([30.0]), couplings=np.array([g_c]), omega0=30.0)
+    (psi,) = _excited([t], grid)
+    assert 2.0 * abs(psi[0]) ** 2 - 1.0 == pytest.approx(np.cos(2.0 * g_c * t), abs=1e-12)
+    assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_propagate_two_excitation_matches_dense_expm():
-    grid = build_grid(P30, count=8, span_gammas=8.0, enforce=False)
-    n_pairs = grid.count * (grid.count + 1) // 2
+    grid = build_grid(P30, count=8, span_gammas=8.0)
+    op, h = _sectors(grid)[1]
     rng = np.random.default_rng(3)
-    amps = np.array([1.0, 1j]) @ rng.normal(size=(2, grid.count + n_pairs))
+    amps = np.array([1.0, 1j]) @ rng.normal(size=(2, h.shape[0]))
     amps /= np.linalg.norm(amps)
-    state = SectorState(t=0.3, amp_e1=amps[:grid.count], amp_g2=amps[grid.count:])
-    out = propagate(state, grid, P30, 1.5)
-    ref = expm(-1j * 1.2 * _sparse_h_two(grid).toarray()) @ amps
-    np.testing.assert_allclose(np.concatenate((out.amp_e1, out.amp_g2)), ref,
-                               rtol=0.0, atol=1e-12)
-    assert out.t == 1.5
+    (out,) = oracle._chebyshev_expm_many(op, [1.2], _working(op, amps), lambda x: _packed(op, x))
+    ref = expm(-1j * 1.2 * h.toarray()) @ amps
+    np.testing.assert_allclose(out, ref, rtol=0.0, atol=1e-12)
 
 
 def test_propagate_composes():
-    grid = build_grid(P30, count=200, span_gammas=25.0, enforce=False)
-    start = SectorState.excited(grid)
-    two_steps = propagate(propagate(start, grid, P30, 1.0), grid, P30, 2.0)
-    one_step = propagate(start, grid, P30, 2.0)
-    assert abs(two_steps.amp_e0 - one_step.amp_e0) < 1e-12
-    np.testing.assert_allclose(two_steps.amp_g1, one_step.amp_g1, rtol=0.0, atol=1e-12)
+    grid = build_grid(P30, count=200, span_gammas=25.0)
+    (half_way, one_step) = _excited([1.0, 2.0], grid)
+    (two_steps,) = oracle._chebyshev_expm_many(_OneSector(grid), [1.0], half_way, np.copy)
+    np.testing.assert_allclose(two_steps, one_step, rtol=0.0, atol=1e-12)
 
 
 def test_propagate_unitarity_guard(monkeypatch):
     # a non-unitary action (its series scaled by 1 + 1e-6) must be caught
-    grid = build_grid(P30, count=200, span_gammas=25.0, enforce=False)
+    grid = build_grid(P30, count=200, span_gammas=25.0)
     coeffs = oracle._chebyshev_coeffs
     monkeypatch.setattr(oracle, "_chebyshev_coeffs", lambda a: (1.0 + 1e-6) * coeffs(a))
     with pytest.raises(RuntimeError, match="unitarity residual"):
-        propagate(SectorState.excited(grid), grid, P30, 1.0)
+        oracle_sigma_z(1.0, grid)
 
 
 def test_unitarity_guard_holds_at_every_output_time(monkeypatch):
     # only the series of tau = 1 drifts; the times around it stay unitary
-    grid = build_grid(P30, count=200, span_gammas=25.0, enforce=False)
+    grid = build_grid(P30, count=200, span_gammas=25.0)
     lo, hi = oracle._spectral_interval(_OneSector(grid))
     half = 0.5 * (hi - lo)
     coeffs = oracle._chebyshev_coeffs
     monkeypatch.setattr(oracle, "_chebyshev_coeffs", lambda a: coeffs(a) * (
         1.0 + 1e-6 * np.isclose(a, half, rtol=1e-12, atol=0.0)))
-    oracle_sigma_z(np.array([0.5, 1.5]), grid, P30)
+    oracle_sigma_z(np.array([0.5, 1.5]), grid)
     with pytest.raises(RuntimeError, match="unitarity residual .* at tau = 1 "):
-        oracle_sigma_z(np.array([0.5, 1.0, 1.5]), grid, P30)
+        oracle_sigma_z(np.array([0.5, 1.0, 1.5]), grid)
 
 
 @pytest.mark.parametrize("sector, count", [(1, 400), (2, 120)])
 def test_one_recurrence_matches_stepwise_propagation(sector, count):
-    # the grid form against one propagate call per step between its times;
+    # the grid form against one one-time call per step between its times;
     # t = 0 and a repeated time included, the grid given out of order
-    grid = build_grid(P30, count=count, span_gammas=50.0, enforce=False)
-    start = SectorState.excited(grid)
-    if sector == 2:
-        start = propagate(start, grid, P30, 0.7).raised(grid)
-    op = (_OneSector if sector == 1 else _TwoSector)(grid)
+    grid = build_grid(P30, count=count, span_gammas=50.0)
+    if sector == 1:
+        op, (start,) = _OneSector(grid), _excited([0.0], grid)
+    else:
+        op, (psi,) = _TwoSector(grid), _excited([0.7], grid)
+        start = np.zeros(op.size, dtype=complex)
+        start[:count] = psi[1:]      # the raised state
     taus = np.array([1.1, 0.0, 0.4, 2.5, 0.4, 0.0])
-    got = oracle._chebyshev_expm_many(op, taus, oracle._pack(start)[0], lambda out: out)
-    state, stepwise = start, {}
+    got = oracle._chebyshev_expm_many(op, taus, start, np.copy)
+    state, t, stepwise = start, 0.0, {}
     for tau in np.unique(taus):
-        state = propagate(state, grid, P30, start.t + tau)
-        stepwise[tau] = oracle._pack(state)[0]
+        (state,) = oracle._chebyshev_expm_many(op, [tau - t], state, np.copy)
+        t, stepwise[tau] = tau, state
     for tau, out in zip(taus, got):
         assert np.max(np.abs(out - stepwise[tau])) <= 1e-12
-    assert np.array_equal(got[1], oracle._pack(start)[0])     # tau = 0 is exact
+    assert np.array_equal(got[1], start)     # tau = 0 is exact
 
 
 def test_sigma_z_grid_runs_one_recurrence(monkeypatch):
     # validate's grid, 13 times to 6.5/gamma at count 400, span 50: one
-    # propagate call per step applied H 520 times, one recurrence 235
+    # one-time call per step applied H 520 times, one recurrence 235
     applied = []
     scaled = _OneSector.scaled
 
@@ -285,14 +304,14 @@ def test_sigma_z_grid_runs_one_recurrence(monkeypatch):
 
     monkeypatch.setattr(_OneSector, "scaled", counting)
     grid = build_grid(P100, count=400, span_gammas=50.0)
-    oracle_sigma_z(np.arange(0.5, 6.51, 0.5), grid, P100)
+    oracle_sigma_z(np.arange(0.5, 6.51, 0.5), grid)
     assert 0 < len(applied) <= 240
 
 
 def test_oversized_time_grid_is_refused_before_allocating(monkeypatch):
     # 100 000 sums of 401 amplitudes would take 0.64 GB
     grid = build_grid(P30, count=400, span_gammas=50.0)
-    start = oracle._pack(SectorState.excited(grid))[0]
+    (start,) = _excited([0.0], grid)
     taus = np.linspace(0.0, 1.0, 100_000)
 
     def no_alloc(*args, **kwargs):
@@ -303,7 +322,7 @@ def test_oversized_time_grid_is_refused_before_allocating(monkeypatch):
         with pytest.raises(ValueError, match="MiB of Chebyshev sums"):
             oracle._chebyshev_expm_many(_OneSector(grid), taus, start, lambda out: out[0])
     with pytest.raises(ValueError, match="fewer times"):
-        oracle_sigma_z(taus, grid, P30)
+        oracle_sigma_z(taus, grid)
 
 
 @pytest.mark.parametrize("sector, count, tau", [(1, 400, 0.5), (1, 400, 6.5), (2, 200, 1.0)])
@@ -317,15 +336,16 @@ def test_chebyshev_action_matches_expm_multiply(sector, count, tau):
     if sector == 1:
         states.append(np.eye(h.shape[0], dtype=complex)[0])   # |excited, vacuum>
     for v in states:
-        (got,) = oracle._chebyshev_expm_many(op, [tau], v, lambda out: out)
+        (got,) = oracle._chebyshev_expm_many(op, [tau], _working(op, v),
+                                             lambda x: _packed(op, x))
         ref = scipy_expm_multiply(-1j * tau * h, v)
         assert np.max(np.abs(got - ref)) <= 1e-12
 
 
 @pytest.mark.parametrize("density, count", [("flat", 8), ("flat", 13), ("cubic", 10)])
-def test_gershgorin_interval_encloses_the_spectrum(density, count):
+def test_weyl_interval_encloses_the_spectrum(density, count):
     if density == "flat":
-        grid = build_grid(P30, count=count, span_gammas=8.0, enforce=False)
+        grid = build_grid(P30, count=count, span_gammas=8.0)
     else:
         grid = _cubic_grid(count=count, span_gammas=8.0)
     for op, h in _sectors(grid):
@@ -391,12 +411,12 @@ def test_chebyshev_coefficients_are_bessel_values():
 def test_sigma_z_start_and_decay():
     grid = build_grid(P30, count=400, span_gammas=50.0)
     ts = np.array([0.0, 1.0])
-    sz = oracle_sigma_z(ts, grid, P30)
+    sz = oracle_sigma_z(ts, grid)
     assert sz[0] == 1.0
     assert abs(sz[1] - sigma_z_expect(1.0, P30)) < 0.03
-    assert oracle_sigma_z(np.array([]), grid, P30).shape == (0,)
+    assert oracle_sigma_z(np.array([]), grid).shape == (0,)
     with pytest.raises(ValueError, match="ascending"):
-        oracle_sigma_z(np.array([1.0, 0.5]), grid, P30)
+        oracle_sigma_z(np.array([1.0, 0.5]), grid)
 
 
 def test_sigma_z_error_halves_with_span():
@@ -404,8 +424,8 @@ def test_sigma_z_error_halves_with_span():
     # and halves the short-time truncation error
     errs = []
     for count, span in ((200, 25.0), (400, 50.0), (800, 100.0)):
-        g = build_grid(P100, count=count, span_gammas=span, enforce=False)
-        sz = oracle_sigma_z(np.array([0.1]), g, P100)[0]
+        g = build_grid(P100, count=count, span_gammas=span)
+        sz = oracle_sigma_z(np.array([0.1]), g)[0]
         errs.append(abs(sz - sigma_z_expect(0.1, P100)))
     assert errs[1] < 0.65 * errs[0]
     assert errs[2] < 0.65 * errs[1]
@@ -417,7 +437,7 @@ def test_minus_plus_error_falls_with_span():
     errs = []
     for count, span in ((200, 50.0), (400, 100.0)):
         g = build_grid(P100, count=count, span_gammas=span)
-        val = oracle_two_time(AtomCorrKind.MINUS_PLUS, 1.0, 2.0, g, P100)
+        val = oracle_two_time(AtomCorrKind.MINUS_PLUS, 1.0, 2.0, g)
         ref = corr_minus_plus(1.0, 2.0, P100)
         errs.append(abs(val - ref) / abs(ref))
     assert errs[1] <= 0.6 * errs[0]
@@ -427,7 +447,7 @@ def test_minus_plus_error_falls_with_span():
 
 @pytest.fixture(scope="module")
 def grid120():
-    return build_grid(P30, count=120, span_gammas=50.0, enforce=False)
+    return build_grid(P30, count=120, span_gammas=50.0)
 
 
 def test_two_time_against_closed_forms(grid120):
@@ -438,42 +458,39 @@ def test_two_time_against_closed_forms(grid120):
         (AtomCorrKind.COMMUTATOR, commutator_expect(u, v, P30)),
     )
     for kind, ref in cases:
-        val = oracle_two_time(kind, u, v, grid120, P30)
+        val = oracle_two_time(kind, u, v, grid120)
         assert abs(val - ref) / abs(ref) < 0.05, kind
 
 
 def test_plus_minus_any_order(grid120):
-    val = oracle_two_time(AtomCorrKind.PLUS_MINUS, 2.0, 1.0, grid120, P30)
+    val = oracle_two_time(AtomCorrKind.PLUS_MINUS, 2.0, 1.0, grid120)
     ref = corr_plus_minus(2.0, 1.0, P30)
     assert abs(val - ref) / abs(ref) < 0.05
 
 
 def test_minus_plus_zero_at_origin(grid120):
-    assert oracle_two_time(AtomCorrKind.MINUS_PLUS, 0.0, 1.0, grid120, P30) == 0.0
+    assert oracle_two_time(AtomCorrKind.MINUS_PLUS, 0.0, 1.0, grid120) == 0.0
 
 
 def test_oversized_pair_sector_is_refused_before_any_work(monkeypatch):
     # 2 000 modes: 2 000 + 2 001 000 states > the budget
     grid = build_grid(P30, count=2000, span_gammas=50.0)
-    state = SectorState(t=0.0, amp_e0=0j, amp_g1=np.zeros(grid.count, dtype=complex))
 
     def no_work(*args, **kwargs):
         raise AssertionError("propagated or allocated before the budget check")
 
-    monkeypatch.setattr(oracle, "propagate", no_work)
+    monkeypatch.setattr(oracle, "_chebyshev_expm_many", no_work)
     monkeypatch.setattr(np, "zeros", no_work)
     for kind in (AtomCorrKind.MINUS_PLUS, AtomCorrKind.COMMUTATOR):
         with pytest.raises(ValueError, match="budget"):
-            oracle_two_time(kind, 0.5, 1.0, grid, P30)
-    with pytest.raises(ValueError, match="budget"):
-        state.raised(grid)
+            oracle_two_time(kind, 0.5, 1.0, grid)
 
 
 def test_two_time_guards(grid120):
     with pytest.raises(ValueError, match="u <= v"):
-        oracle_two_time(AtomCorrKind.MINUS_PLUS, 2.0, 1.0, grid120, P30)
+        oracle_two_time(AtomCorrKind.MINUS_PLUS, 2.0, 1.0, grid120)
     with pytest.raises(ValueError, match="population_z"):
-        oracle_two_time("population_z", 0.5, 1.0, grid120, P30)   # populations: oracle_sigma_z
+        oracle_two_time("population_z", 0.5, 1.0, grid120)   # populations: oracle_sigma_z
 
 
 # --- Markov kernel checks ----------------------------------------------------
