@@ -3,12 +3,10 @@ from __future__ import annotations
 
 import numpy as np
 
-_DEFAULT_PER_PERIOD = 160
 _MIN_INTERVALS = 32
 
 
-def n_for_oscillation(omega: float, a: float, b: float,
-                      per_period: int = _DEFAULT_PER_PERIOD) -> int:
+def n_for_oscillation(omega: float, a: float, b: float, per_period: int) -> int:
     """Interval count resolving exp(i omega t) on [a, b] at per_period points (at least 32)."""
     if b <= a:
         return _MIN_INTERVALS

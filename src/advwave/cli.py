@@ -353,9 +353,10 @@ def cmd_detect(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _run_checks(cfg: RunConfig, count: int, span: float, full: bool):
+def _run_checks(cfg: RunConfig, grid, span: float, full: bool):
     """Yield (name, tolerance, measured, note) validation rows.
 
+    ``grid`` is the oracle's mode comb, ``span`` its width in units of gamma.
     A row passes when measured <= tolerance; a check that raises measures NaN
     and so fails, with the error as its note.
     """
@@ -366,12 +367,13 @@ def _run_checks(cfg: RunConfig, count: int, span: float, full: bool):
     from .core import DipoleParams, Event, FieldKind
     from .correlations import commutator_parts, delta_expect_tensor
     from .kinetics import ChargeParams, momdiff_source, momdiff_vacsource
-    from .oracle import (angular_reduction_check, build_grid,
-                         markov_kernel_check, oracle_sigma_z, oracle_two_time)
+    from .oracle import (angular_reduction_check, markov_kernel_check, oracle_sigma_z,
+                         oracle_two_time)
     from .radiometry import _sphere_nodes, power_curves_2lvl
 
     rng = np.random.default_rng(20260814)
     p = DipoleParams.from_rates(cfg.omega0_over_gamma, 1.0)
+    count = grid.count
     kinds = (FieldKind.ELECTRIC, FieldKind.MAGNETIC)
 
     def power_sum_rules():
@@ -441,7 +443,6 @@ def _run_checks(cfg: RunConfig, count: int, span: float, full: bool):
 
     def oracle_population():
         # discretized-field oracle for the population decay
-        grid = build_grid(p, count=count, span_gammas=span)
         times = np.arange(0.5, 6.51, 0.5)
         vals = oracle_sigma_z(times, grid)
         err = float(np.max(np.abs(vals - sigma_z_expect(times, p))))
@@ -463,7 +464,6 @@ def _run_checks(cfg: RunConfig, count: int, span: float, full: bool):
 
     def oracle_minus_plus():
         # two-excitation-sector oracle for the anti-normal correlator
-        grid = build_grid(p, count=count, span_gammas=span)
         u, v = 1.0, 2.0
         num = oracle_two_time(AtomCorrKind.MINUS_PLUS, u, v, grid)
         ref = corr_minus_plus(u, v, p)
@@ -495,20 +495,17 @@ def cmd_validate(cfg: RunConfig, count: int, span: float, full: bool) -> int:
     The table goes to stdout and to validate.txt, which first records the
     resolved configuration, count, span and full as a ``# key = value`` block.
     """
-    from .oracle import _TWO_PHOTON_DIM_BUDGET, _pair_count
+    from .core import DipoleParams
+    from .oracle import _pair_count, build_grid
 
-    if count < 2:
-        raise _UsageError(f"count must be >= 2, got {count}")
-    if count + 1 > _TWO_PHOTON_DIM_BUDGET:
-        raise _UsageError(f"count must be <= {_TWO_PHOTON_DIM_BUDGET - 1:,}, got {count:,}")
-    if not 0.0 < span < float("inf"):
-        raise _UsageError(f"span must be positive and finite, got {span}")
     if span / 2.0 >= cfg.omega0_over_gamma:     # the comb would reach zero frequency
         raise _UsageError(f"span must be below 2 * omega0-ratio = "
                           f"{2.0 * cfg.omega0_over_gamma:g}, got {span:g}")
     if full:
         _pair_count(count)
-    rows = list(_run_checks(cfg, count, span, full))
+    # refuses a bad count or span with a ValueError, before any check runs
+    grid = build_grid(DipoleParams.from_rates(cfg.omega0_over_gamma, 1.0), count, span)
+    rows = list(_run_checks(cfg, grid, span, full))
     width = max(len(r[0]) for r in rows)
     lines = [f"{'check':<{width}}  {'tolerance':>11}  {'measured':>12}  result",
              "-" * (width + 48)]

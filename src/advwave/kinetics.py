@@ -75,11 +75,12 @@ class ChargeParams:
 
 @dataclass(frozen=True)
 class DiffusionCurve:
-    """N-scaled momentum-diffusion curves on a time grid (charge-independent)."""
+    """N-scaled cumulative momentum-diffusion curves on a time grid (charge-independent).
+
+    The rates they integrate are ``momdiff_source`` and ``momdiff_vacsource``.
+    """
 
     times: np.ndarray
-    d_source: np.ndarray
-    d_vacsource: np.ndarray
     cum_source: np.ndarray
     cum_vacsource: np.ndarray
     cum_total: np.ndarray
@@ -141,37 +142,18 @@ def _curve_norm(params: DipoleParams, charge: ChargeParams) -> float:
     return 1.0 / inv if inv != 0.0 else float("inf")
 
 
-def _scaled_source_rate(t, params: DipoleParams, r0: float) -> np.ndarray:
-    """N * momdiff_source: defined for every charge, E_rad(r0) = 0 included."""
-    g, w0 = params.gamma, params.omega0
-    tr = np.asarray(t, dtype=float) - r0
-    gate = tr >= 0.0
-    trc = np.where(gate, tr, 0.0)
-    bracket = np.exp(-g * trc / 2.0) * (g * np.cos(w0 * trc) + 2.0 * w0 * np.sin(w0 * trc)) - g * np.exp(-g * trc)
-    return 2.0 * np.where(gate, bracket, 0.0)
-
-
-def _scaled_vacsource_rate(t, params: DipoleParams, r0: float) -> np.ndarray:
-    """N * momdiff_vacsource: defined for every charge, E_rad(r0) = 0 included."""
-    g, w0 = params.gamma, params.omega0
-    tt = np.asarray(t, dtype=float)
-    gate = tt - r0 >= r0
-    ttc = np.where(gate, tt, 2.0 * r0)
-    trc = ttc - r0
-    phase = w0 * (ttc - 2.0 * r0)
-    bracket = g * (2.0 * np.exp(-g * trc) + 1.0) - np.exp(-g * ttc / 2.0) * (
-        g * (np.exp(g * r0) + 2.0) * np.cos(phase) - 2.0 * w0 * (np.exp(g * r0) - 2.0) * np.sin(phase)
-    )
-    return np.where(gate, bracket, 0.0)
-
-
 def momdiff_source(t, params: DipoleParams, charge: ChargeParams):
     """Source-part momentum-diffusion rate d(Dp_s)/dt at lab time t.
 
     (2/N) theta(t_r) [exp(-g t_r / 2)(g cos(w0 t_r) + 2 w0 sin(w0 t_r))
                       - g exp(-g t_r)],   t_r = t - |r0|.
     """
-    out = _inv_norm(params, charge) * _scaled_source_rate(t, params, charge.r0_abs)
+    g, w0 = params.gamma, params.omega0
+    tr = np.asarray(t, dtype=float) - charge.r0_abs
+    gate = tr >= 0.0
+    trc = np.where(gate, tr, 0.0)
+    bracket = np.exp(-g * trc / 2.0) * (g * np.cos(w0 * trc) + 2.0 * w0 * np.sin(w0 * trc)) - g * np.exp(-g * trc)
+    out = _inv_norm(params, charge) * (2.0 * np.where(gate, bracket, 0.0))
     return out.item() if np.isscalar(t) else out
 
 
@@ -185,7 +167,16 @@ def momdiff_vacsource(t, params: DipoleParams, charge: ChargeParams):
            - exp(-g t / 2)(g (exp(g r0) + 2) cos(w0 (t - 2 r0))
                            - 2 w0 (exp(g r0) - 2) sin(w0 (t - 2 r0)))].
     """
-    out = _inv_norm(params, charge) * _scaled_vacsource_rate(t, params, charge.r0_abs)
+    g, w0, r0 = params.gamma, params.omega0, charge.r0_abs
+    tt = np.asarray(t, dtype=float)
+    gate = tt - r0 >= r0
+    ttc = np.where(gate, tt, 2.0 * r0)
+    trc = ttc - r0
+    phase = w0 * (ttc - 2.0 * r0)
+    bracket = g * (2.0 * np.exp(-g * trc) + 1.0) - np.exp(-g * ttc / 2.0) * (
+        g * (np.exp(g * r0) + 2.0) * np.cos(phase) - 2.0 * w0 * (np.exp(g * r0) - 2.0) * np.sin(phase)
+    )
+    out = _inv_norm(params, charge) * np.where(gate, bracket, 0.0)
     return out.item() if np.isscalar(t) else out
 
 
@@ -223,7 +214,7 @@ def _moments(c: complex, b, shift=0.0, order: int = 2):
 
 
 def dispersion_change(t_grid, params: DipoleParams, charge: ChargeParams) -> DiffusionCurve:
-    """N-scaled rates and their time integrals from t = 0 on a user grid.
+    """N-scaled momentum changes, the rates' time integrals from t = 0, on a user grid.
 
     The grid must be 1-d, strictly increasing and start at 0; any step works,
     because the cumulative curves are closed forms.  With a = i omega0 - gamma/2,
@@ -254,9 +245,7 @@ def dispersion_change(t_grid, params: DipoleParams, charge: ChargeParams) -> Dif
     cv = g * bc - 2.0 * damp * np.expm1(-g * bc) - np.real(amp * _moments(a, bc, order=0)[0])
     cv = np.where(b >= 0.0, cv, 0.0)
     return DiffusionCurve(
-        times=t.copy(), d_source=_scaled_source_rate(t, params, r0),
-        d_vacsource=_scaled_vacsource_rate(t, params, r0),
-        cum_source=cs, cum_vacsource=cv, cum_total=cs + cv,
+        times=t.copy(), cum_source=cs, cum_vacsource=cv, cum_total=cs + cv,
         norm_constant=_curve_norm(params, charge), gamma=params.gamma,
     )
 

@@ -32,12 +32,12 @@ Three independent machines live here:
 
 * A windowed frequency-integral check of the resonance (delta-kernel)
   collapse used for mode sums: the exact kernel
-  Int f(w) e^{i w t'} (e^{-i w t_r} +/- e^{-i w t_a}) dw is applied to
+  Int f(w) e^{i w t'} (e^{-i w t_r} + e^{-i w t_a}) dw is applied to
   narrow-band test wavepackets and compared against
-  2 pi f(w0) [g(t_r) w_r +/- g(t_a) w_a], with endpoint weights w = 1, 1/2, 0
+  2 pi f(w0) [g(t_r) w_r + g(t_a) w_a], with endpoint weights w = 1, 1/2, 0
   for packet centers inside / on the boundary of / outside the time window.
-  The report carries the kernel's demodulated mass (-> 2 pi f(w0)) and the
-  full width at half maximum of |K| around the retarded peak (-> O(1/cutoff)).
+  The report carries the error of the kernel's demodulated mass against
+  2 pi f(w0) and the FWHM of |K| at the retarded peak (-> O(1/bandwidth)).
   Both grids are uniform, so the exp(i w t) sums are Bluestein chirp-z
   transforms (Rabiner, Schafer & Rader 1969), not dense matrix products.
 
@@ -85,6 +85,8 @@ class ModeGrid:
     def __post_init__(self):
         for name in ("omegas", "couplings"):
             arr = np.asarray(getattr(self, name), dtype=float).copy()
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         if self.omegas.shape != self.couplings.shape or self.omegas.ndim != 1:
@@ -118,18 +120,20 @@ def build_grid(params: DipoleParams, count: int = 400, span_gammas: float = 50.0
     vanish by symmetry.
 
     Percent-level agreement over a few lifetimes takes count >= 200 and
-    span >= 50 gamma; coarser combs are allowed, for diagnostics.  The comb
-    must stay at positive frequencies: omega0 > span/2.  The one-excitation
-    sector (count + 1 states) must fit the sector budget
+    span >= 50 gamma; coarser combs are allowed, for diagnostics.  The span
+    must be positive and finite and the comb at positive frequencies,
+    omega0 > span/2.  The one-excitation sector (count + 1 states) must fit
     ``_TWO_PHOTON_DIM_BUDGET``; a larger count raises before any allocation.
     The two-excitation sector is checked where it is first needed.
     """
     if count < 2:
-        raise ValueError("count must be >= 2")
+        raise ValueError(f"count must be >= 2, got {count:,}")
     if count + 1 > _TWO_PHOTON_DIM_BUDGET:
-        raise ValueError(f"count = {count:,} exceeds the sector budget: need count + 1 <= "
-                         f"{_TWO_PHOTON_DIM_BUDGET:,}")
+        raise ValueError(f"count must be <= {_TWO_PHOTON_DIM_BUDGET - 1:,} to fit the sector "
+                         f"budget, got {count:,}")
     span = span_gammas * params.gamma
+    if not 0.0 < span < math.inf:
+        raise ValueError(f"span must be positive and finite, got {span_gammas}")
     if params.omega0 <= span / 2.0:
         raise ValueError("comb would cross zero frequency: need omega0 > span/2")
     dw = span / count
@@ -303,8 +307,8 @@ def _chebyshev_expm_many(h: _Sector, taus, x: np.ndarray, observe) -> list:
     once k > tau r (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).  Only
     the Bessel weights depend on tau: one recurrence out to the longest time
     feeds a sum per distinct time.  Every time is a forward step from ``x``;
-    callers refuse negative ones.  Sums past ``_SUMS_BYTES`` are refused
-    before any allocation; a norm drift past 1e-8 at any time raises.
+    callers refuse negative ones.  Sums past ``_SUMS_BYTES`` or a non-finite
+    interval are refused before any allocation; a norm drift past 1e-8 raises.
     """
     taus = np.asarray(taus, dtype=float).tolist()
     if not np.all(np.isfinite(taus)):
@@ -317,6 +321,8 @@ def _chebyshev_expm_many(h: _Sector, taus, x: np.ndarray, observe) -> list:
         sums = np.exp(-1j * np.multiply.outer(times, h.diagonal())) * x
     else:
         lo, hi = _spectral_interval(h)
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"spectral interval [{lo:g}, {hi:g}] is not finite")
         center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         series = [_chebyshev_coeffs(tau * half) for tau in times]
         terms = max((c.size for c in series), default=0)
@@ -342,7 +348,7 @@ def _chebyshev_expm_many(h: _Sector, taus, x: np.ndarray, observe) -> list:
         sums *= np.exp(-1j * times * center)[:, None]
     norm0 = float(np.linalg.norm(x))
     for tau, residual in zip(times, (abs(float(np.linalg.norm(s)) - norm0) for s in sums)):
-        if residual > _UNITARITY_LIMIT * max(norm0, 1e-300):
+        if not residual <= _UNITARITY_LIMIT * max(norm0, 1e-300):     # NaN fails too
             raise RuntimeError(f"unitarity residual {residual:.3e} at tau = {tau:.6g} "
                                f"exceeds {_UNITARITY_LIMIT}")
     kept = dict(zip(times.tolist(), (observe(s) for s in sums)))
@@ -435,29 +441,24 @@ def _chirp_z(x: np.ndarray, x0: float, dx: float, y0: float, dy: float, m: int) 
 class MarkovKernelReport:
     """Resonance-kernel check: exact windowed action vs the delta collapse.
 
-    ``mass`` is the demodulated kernel weight at the retarded peak (the delta
-    collapse predicts 2 pi f(omega0)); ``width`` is the FWHM of |K| there.
-    ``action_*`` / ``ref_*`` are the raw complex actions and their collapsed
-    references for packets centered on each peak.  For a packet cut by the
-    window edge the one-sided kernel adds a principal-value (dispersive)
-    contribution that the boundary delta does not model; the half-weight
-    statement then holds on the dissipative projection
-    Re[e^{i omega0 t_peak} action] only, which is how callers should compare.
+    ``action_*`` are the raw complex actions for packets centered on each
+    peak, ``rel_err_*`` their distances from the collapsed references over
+    |2 pi f(omega0)|, and ``weight_*`` the endpoint weights.  ``mass_rel_err``
+    compares the demodulated kernel weight at the retarded peak with
+    2 pi f(omega0) (NaN for a cut or overlapping packet); ``width`` is the
+    FWHM of |K| there.  For a packet cut by the window edge the one-sided
+    kernel adds a principal-value part that the boundary delta does not
+    model, so the half weight holds on Re[e^{i omega0 t_peak} action] only.
     """
 
     rel_err_retarded: float
     rel_err_advanced: float
     action_retarded: complex
     action_advanced: complex
-    ref_retarded: complex
-    ref_advanced: complex
-    mass: complex
     mass_rel_err: float
     width: float
     weight_retarded: float
     weight_advanced: float
-    cutoff: float
-    sigma: float
 
     @property
     def max_rel_err(self) -> float:
@@ -465,123 +466,90 @@ class MarkovKernelReport:
 
 
 def markov_kernel_check(freq_fn, t_r: float, t_a: float, params: DipoleParams,
-                        sign: int = 1, cutoff: float | None = None,
+                        band: tuple[float, float] | None = None,
                         window: tuple[float, float] | None = None,
-                        sigma: float | None = None, per_period: int = 40,
-                        band: tuple[float, float] | None = None) -> MarkovKernelReport:
-    """Check the delta collapse of Int f(w) e^{i w t'} (e^{-i w t_r} +/- e^{-i w t_a}) dw.
+                        sigma: float | None = None, per_period: int = 40) -> MarkovKernelReport:
+    """Check the delta collapse of Int f(w) e^{i w t'} (e^{-i w t_r} + e^{-i w t_a}) dw.
 
     The exact windowed action on resonant wavepackets
     g_c(t') = exp(-(t'-c)^2 / 2 sigma^2) e^{-i w0 t'} (one packet centered on
-    each of c = t_r, t_a) is compared against
-    2 pi f(w0) [w_r g_c(t_r) +/- w_a g_c(t_a)].  Off-resonant test functions
+    each of c = t_r, t_a; sigma defaults to 10/w0) is compared against
+    2 pi f(w0) [w_r g_c(t_r) + w_a g_c(t_a)].  Off-resonant test functions
     would probe the positive-frequency cut instead of the resonance kernel,
     so the packet carrier is pinned at w0.
 
-    The frequency integral runs over ``band`` (default (0, cutoff)); passing
+    The frequency integral runs over ``band``, by default (0, 10 w0); passing
     the bandwidth of a discretized mode comb shows directly whether that comb
-    carries the full kernel mass.  When no band is forced, a cutoff-halving
+    carries the full kernel mass.  When no band is given, a band-halving
     convergence guard raises if the mass has not converged.
     """
     w0 = params.omega0
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if sigma is None:
-        sigma = 10.0 / w0
-    if cutoff is None:
-        cutoff = 10.0 * w0
-    if cutoff <= 2.0 * w0:
-        raise ValueError("cutoff must exceed 2 w0 to contain the packet band")
+    sigma = 10.0 / w0 if sigma is None else sigma
     if window is None:
         window = (min(t_r, t_a) - 12.0 * sigma, max(t_r, t_a) + 12.0 * sigma)
     a, b = float(window[0]), float(window[1])
     if b <= a:
         raise ValueError("empty window")
     tol = 1e-9 * max(1.0, abs(a), abs(b))
-    w_r = _window_weight(t_r, (a, b), tol)
-    w_a = _window_weight(t_a, (a, b), tol)
+    w_r, w_a = (_window_weight(t, (a, b), tol) for t in (t_r, t_a))
 
-    w_lo, w_hi = (0.0, cutoff) if band is None else (float(band[0]), float(band[1]))
+    w_lo, w_hi = (0.0, 10.0 * w0) if band is None else (float(band[0]), float(band[1]))
     if not 0.0 <= w_lo < w_hi:
         raise ValueError("band must satisfy 0 <= lo < hi")
     # worst-case oscillation rates: in t' the carrier-detuned phase, in omega
     # the distance from a window point to the farther kernel peak
-    osc_t = max(w_hi - w0, w0 - w_lo)
-    peak_lo, peak_hi = min(t_r, t_a), max(t_r, t_a)
-    rel_scale = (b - a) + 12.0 * sigma + max(0.0, a - peak_lo) + max(0.0, peak_hi - b)
-
-    n_t = n_for_oscillation(osc_t, a, b, per_period)
+    rel_scale = ((b - a) + 12.0 * sigma + max(0.0, a - min(t_r, t_a))
+                 + max(0.0, max(t_r, t_a) - b))
+    n_t = n_for_oscillation(max(w_hi - w0, w0 - w_lo), a, b, per_period)
     tp = np.linspace(a, b, n_t + 1)
     wt = trapezoid_weights(a, b, n_t)
 
-    def kernel_factor(ws):
-        return np.asarray(freq_fn(ws), dtype=complex) * (
-            np.exp(-1j * ws * t_r) + sign * np.exp(-1j * ws * t_a))
-
-    def action(w_lo: float, w_hi: float, center: float) -> complex:
-        n_w = n_for_oscillation(rel_scale, w_lo, w_hi, per_period)
-        ws = np.linspace(w_lo, w_hi, n_w + 1)
-        ww = trapezoid_weights(w_lo, w_hi, n_w)
-        ghat = _chirp_z(wt * g_val(tp, center), a, (b - a) / n_t, w_lo, (w_hi - w_lo) / n_w, n_w + 1)
-        return complex(np.sum(ww * kernel_factor(ws) * ghat))
+    def weighted_kernel(top: float, scale: float):
+        """(dw, trapezoid weight x f(w) (e^{-i w t_r} + e^{-i w t_a})) on [w_lo, top]."""
+        n_w = n_for_oscillation(scale, w_lo, top, per_period)
+        ws = np.linspace(w_lo, top, n_w + 1)
+        kernel = np.asarray(freq_fn(ws), dtype=complex) * (
+            np.exp(-1j * ws * t_r) + np.exp(-1j * ws * t_a))
+        return (top - w_lo) / n_w, trapezoid_weights(w_lo, top, n_w) * kernel
 
     def g_val(tprime: float, center: float) -> complex:
         return np.exp(-((tprime - center) ** 2) / (2.0 * sigma**2)) * np.exp(-1j * w0 * tprime)
 
-    f0 = complex(np.asarray(freq_fn(np.array([w0])))[0])
-    delta_ref = 2.0 * np.pi * f0
+    def action(top: float, center: float) -> complex:
+        dw, kw = weighted_kernel(top, rel_scale)
+        ghat = _chirp_z(wt * g_val(tp, center), a, (b - a) / n_t, w_lo, dw, kw.size)
+        return complex(np.sum(kw * ghat))
 
-    # packet-action errors at both peaks
-    act_r = action(w_lo, w_hi, t_r)
-    act_a = action(w_lo, w_hi, t_a)
-    refs, errs = {}, {}
-    for name, center, num in (("retarded", t_r, act_r), ("advanced", t_a, act_a)):
-        ref = delta_ref * (w_r * g_val(t_r, center) + sign * w_a * g_val(t_a, center))
-        refs[name] = ref
-        errs[name] = abs(num - ref) / abs(delta_ref)
+    delta_ref = 2.0 * np.pi * complex(np.asarray(freq_fn(np.array([w0])))[0])
+    act_r, act_a = action(w_hi, t_r), action(w_hi, t_a)
+    err_r, err_a = (abs(act - delta_ref * (w_r * g_val(t_r, c) + w_a * g_val(t_a, c)))
+                    / abs(delta_ref) for c, act in ((t_r, act_r), (t_a, act_a)))
 
     # demodulated mass at the retarded peak; meaningful when the packet
     # carries full window weight and the peaks are well separated (an edge
     # packet is truncated, so its spectrum has slow tails and no clean mass)
+    mass_rel_err = float("nan")
     if w_r == 1.0 and abs(t_a - t_r) > 8.0 * sigma:
-        denom = g_val(t_r, t_r)
-        mass = act_r / denom
+        mass = act_r / g_val(t_r, t_r)
         mass_rel_err = abs(mass - delta_ref) / abs(delta_ref)
-        if band is None:
-            mass_half = action(w_lo, w_hi / 2.0, t_r) / denom
-            if abs(mass - mass_half) > 0.02 * abs(delta_ref):
-                raise RuntimeError("kernel mass not converged in cutoff; raise the cutoff")
-    else:
-        mass = complex("nan")
-        mass_rel_err = float("nan")
+        if band is None and (abs(mass - action(w_hi / 2.0, t_r) / g_val(t_r, t_r))
+                             > 0.02 * abs(delta_ref)):
+            raise RuntimeError("kernel mass not converged in the band; pass a wider band")
 
-    # FWHM of |K| around the retarded peak
+    # FWHM of |K| at the retarded peak: the run of samples >= half the maximum
     half_span = 10.0 * np.pi / (w_hi - w_lo)
     td = np.linspace(t_r - half_span, t_r + half_span, 801)
-    n_w = n_for_oscillation(rel_scale + half_span, w_lo, w_hi, per_period)
-    ws = np.linspace(w_lo, w_hi, n_w + 1)
-    ww = trapezoid_weights(w_lo, w_hi, n_w)
-    kf = ww * kernel_factor(ws)
-    kvals = _chirp_z(kf, w_lo, (w_hi - w_lo) / n_w, td[0], 2.0 * half_span / (td.size - 1),
-                     td.size)
-    mag = np.abs(kvals)
+    dw, kw = weighted_kernel(w_hi, rel_scale + half_span)
+    mag = np.abs(_chirp_z(kw, w_lo, dw, td[0], 2.0 * half_span / (td.size - 1), td.size))
     peak = int(np.argmax(mag))
-    half = mag[peak] / 2.0
-    above = mag >= half
-    left = peak
-    while left > 0 and above[left - 1]:
-        left -= 1
-    right = peak
-    while right < td.size - 1 and above[right + 1]:
-        right += 1
-    width = float(td[right] - td[left])
+    below = np.flatnonzero(np.r_[True, mag < mag[peak] / 2.0, True])  # index j: sample j - 1
+    i = int(np.searchsorted(below, peak + 1))
+    width = float(td[below[i] - 2] - td[below[i - 1]])
 
     return MarkovKernelReport(
-        rel_err_retarded=errs["retarded"], rel_err_advanced=errs["advanced"],
-        action_retarded=act_r, action_advanced=act_a,
-        ref_retarded=refs["retarded"], ref_advanced=refs["advanced"],
-        mass=mass, mass_rel_err=float(mass_rel_err), width=width,
-        weight_retarded=w_r, weight_advanced=w_a, cutoff=float(cutoff), sigma=float(sigma),
+        rel_err_retarded=err_r, rel_err_advanced=err_a,
+        action_retarded=act_r, action_advanced=act_a, mass_rel_err=float(mass_rel_err),
+        width=width, weight_retarded=w_r, weight_advanced=w_a,
     )
 
 

@@ -40,7 +40,6 @@ class PowerBreakdown:
     source: object
     vacsource: object
     total: object
-    times: object = None
 
 
 def spont_rate(scheme: LevelScheme, upper: int, lower: int) -> float:
@@ -106,7 +105,6 @@ def power_curves_2lvl(t_ret, params: DipoleParams) -> PowerBreakdown:
         source=pick(source),
         vacsource=pick(vacsource),
         total=pick(total),
-        times=t_ret,
     )
 
 

@@ -88,6 +88,46 @@ def test_mode_grid_validation():
     assert single.spacing == 0.0
 
 
+def _no_fft(*args, **kwargs):
+    raise AssertionError("a Chebyshev series was computed")
+
+
+@pytest.mark.parametrize("span_gammas", [float("nan"), float("inf"), 0.0, -50.0])
+def test_bad_span_is_refused_before_any_series(span_gammas, monkeypatch):
+    # a NaN span used to reach _chebyshev_coeffs(nan), which doubles its FFT without end
+    monkeypatch.setattr(np.fft, "fft", _no_fft)
+    with pytest.raises(ValueError, match="span"):
+        oracle_sigma_z([1.0], build_grid(P30, count=20, span_gammas=span_gammas))
+
+
+@pytest.mark.parametrize("field,value", [("omegas", np.array([29.0, np.nan])),
+                                         ("couplings", np.array([0.1, np.inf]))])
+def test_mode_grid_refuses_non_finite_values(field, value):
+    kw = dict(omegas=np.array([29.0, 31.0]), couplings=np.array([0.1, 0.1]), omega0=30.0)
+    kw[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ModeGrid(**kw)
+
+
+def test_non_finite_spectral_interval_is_refused_before_any_series(monkeypatch):
+    # a NaN omega0 makes every detuning NaN
+    monkeypatch.setattr(np.fft, "fft", _no_fft)
+    grid = ModeGrid(omegas=np.array([29.0, 31.0]), couplings=np.array([0.1, 0.1]),
+                    omega0=float("nan"))
+    with pytest.raises(ValueError, match="spectral interval"):
+        oracle_sigma_z([1.0], grid)
+    # uncoupled modes take the diagonal path; their NaN phases fail the norm check
+    uncoupled = dataclasses.replace(grid, couplings=np.zeros(2))
+    with pytest.raises(RuntimeError, match="unitarity residual nan"):
+        oracle_sigma_z([1.0], uncoupled)
+    sector = _OneSector(build_grid(P30, count=20, span_gammas=8.0))
+    sector.coupling_norm = np.inf
+    start = np.zeros(sector.size, dtype=complex)
+    start[0] = 1.0
+    with pytest.raises(ValueError, match="spectral interval"):
+        oracle._chebyshev_expm_many(sector, [1.0], start, lambda psi: psi[0])
+
+
 # --- sector Hamiltonians ----------------------------------------------------
 #
 # The independent route: each sector Hamiltonian assembled as a scipy.sparse
@@ -561,11 +601,13 @@ def test_markov_chirp_z_matches_dense_kernel_scan():
 
 
 def test_markov_width_tracks_cutoff():
-    # the delta-comparison only sharpens with the frequency cutoff
+    # the delta-comparison only sharpens with the band's upper edge
     kw = dict(t_r=1.5, t_a=50.0, params=P30, per_period=8, window=(0.5, 2.5))
-    r1 = markov_kernel_check(CONST, cutoff=10.0 * P30.omega0, **kw)
-    r2 = markov_kernel_check(CONST, cutoff=20.0 * P30.omega0, **kw)
+    r1 = markov_kernel_check(CONST, band=(0.0, 10.0 * P30.omega0), **kw)
+    r2 = markov_kernel_check(CONST, band=(0.0, 20.0 * P30.omega0), **kw)
     assert r2.width / r1.width == pytest.approx(0.5, abs=0.03)
+    # the default band is (0, 10 omega0)
+    assert markov_kernel_check(CONST, **kw) == r1
 
 
 def test_markov_banded_mass():
@@ -601,10 +643,6 @@ def test_trapezoid_weights_keep_the_markov_report_bits(monkeypatch):
 
 
 def test_markov_validation():
-    with pytest.raises(ValueError, match="sign"):
-        markov_kernel_check(CONST, t_r=1.0, t_a=2.0, params=P30, sign=2)
-    with pytest.raises(ValueError, match="cutoff"):
-        markov_kernel_check(CONST, t_r=1.0, t_a=2.0, params=P30, cutoff=P30.omega0)
     with pytest.raises(ValueError, match="band"):
         markov_kernel_check(CONST, t_r=1.0, t_a=2.0, params=P30, band=(5.0, 3.0))
     with pytest.raises(ValueError, match="window"):

@@ -77,7 +77,6 @@ def test_curves_vectorized():
     assert b.total.shape == (4,)
     assert b.total[0] == 0.0
     assert np.allclose(b.total[1:], P.omega0 * P.gamma * np.exp(-P.gamma * ts[1:]), rtol=1e-12)
-    assert b.times is ts
 
 
 def test_vacsource_curve_goes_negative():
