@@ -27,6 +27,7 @@ recording the fully resolved configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass
@@ -528,6 +529,7 @@ def cmd_validate(cfg: RunConfig, count: int, span: float, full: bool) -> int:
     return EXIT_VALIDATION if n_fail else EXIT_OK
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every main() call
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="key = value config file")

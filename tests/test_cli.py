@@ -423,3 +423,30 @@ def test_validate_txt_records_the_resolved_config(tmp_path, capsys):
     assert text == "".join(line + "\n" for line in header) + out
     assert "#" not in out
     assert text.splitlines()[-1] == "all 8 checks passed"
+
+
+def test_successive_calls_in_one_process_match_separate_calls(tmp_path, capsys):
+    # main() builds its parser once per process: no default or namespace of one
+    # command may reach the next
+    from advwave import cli
+
+    commands = [("figure", "3"), ("corr", "--points", "5"),
+                ("validate", "--count", "4", "--span", "1"), ("figure", "3")]
+
+    def run_all(fresh):
+        written = []
+        for i, argv in enumerate(commands):
+            if fresh:
+                cli._build_parser.cache_clear()  # as a new process would start
+            out = tmp_path / str(i)
+            code = run_cli(*argv, "--out", str(out))
+            written.append((code, {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+        return written
+
+    separate = run_all(fresh=True)
+    cli._build_parser.cache_clear()
+    together = run_all(fresh=False)
+    assert cli._build_parser.cache_info().misses == 1
+    assert together == separate
+    assert [code for code, _ in separate] == [EXIT_OK, EXIT_OK, EXIT_VALIDATION, EXIT_OK]
+    capsys.readouterr()

@@ -1,7 +1,55 @@
-"""Output writers: exact bytes for a small input."""
-import numpy as np
+"""Output writers: exact bytes, and the CSV kernel against Python's own formatting."""
+import math
+import struct
 
-from advwave._report import write_csv, write_svg
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from advwave import _report
+from advwave._report import _pixel_extremes, write_csv, write_svg
+
+
+def reference_csv(path, meta, columns):
+    """The independent route: every value through ``"%.17g" %``, row by row."""
+    names = list(columns)
+    cols = [columns[n] for n in names]
+    arrays = [np.asarray(col, dtype=float) for col in cols]
+    row_fmt = ",".join(["%.17g"] * len(cols)) + "\n"
+    with open(path, "w", newline="") as fh:
+        for key, value in meta.items():
+            fh.write(f"# {key} = {value}\n")
+        fh.write(",".join(names) + "\n")
+        fh.writelines(map(row_fmt.__mod__, zip(*(a.tolist() for a in arrays))))
+
+
+def assert_same_csv(tmp_path, columns, meta=None):
+    meta = {"k": "v"} if meta is None else meta
+    write_csv(tmp_path / "kernel.csv", meta, columns)
+    reference_csv(tmp_path / "reference.csv", meta, columns)
+    got = (tmp_path / "kernel.csv").read_bytes().splitlines()
+    want = (tmp_path / "reference.csv").read_bytes().splitlines()
+    bad = [(g, w) for g, w in zip(got, want) if g != w]
+    assert not bad, f"{len(bad)} lines differ, first {bad[:3]}"
+    assert len(got) == len(want)
+
+
+def as_columns(values, ncols):
+    values = np.asarray(values, dtype=float)
+    values = np.resize(values, -(-values.size // ncols) * ncols).reshape(-1, ncols)
+    return {f"c{j}": values[:, j] for j in range(ncols)}
+
+
+def old_pixel_extremes(column, y):
+    """The stable-lexsort route the reduceat version replaced."""
+    starts = np.diff(column, prepend=column[0] - 1) != 0
+    run = np.cumsum(starts)
+    first = np.flatnonzero(starts)
+    last = np.append(first[1:], run.size) - 1
+    by_value = np.lexsort((y, run))
+    keep = np.zeros(run.size, dtype=bool)
+    keep[np.concatenate([first, last, by_value[first], by_value[last]])] = True
+    return np.flatnonzero(keep)
 
 PINNED_CSV = (
     "# k = v\n# n = 3\nt,y,i\n"
@@ -52,6 +100,76 @@ def test_write_csv_exact_bytes(tmp_path):
     assert path.read_bytes() == PINNED_CSV.encode()
 
 
+def pinned_values():
+    values = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+              5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+              2.0 ** -25, -(2.0 ** -25), 2.0 ** -24 * 3, 0.5, 1.0, 2.0, 100.0, 0.1, 1.0 / 3.0,
+              9.9999999999999998e-249, 1e-250, 1e250, 0.99999999999999989, 9.9999999999999982e22,
+              # near ties: the scaled value lies within 1e-15 of a half unit, closer
+              # than the double-double resolves, so only the fallback rounds them right
+              1.1959468262253353e-13, 7.690003270878412e-18, 4.786855007631058e-22,
+              1.361777773360278e-32, 6.764894324615683e-98, 8.040647613604255e-235,
+              1.950881509398564e+50, 8.3005394859917e+60]
+    for p in (1e-5, 1e-4, 1e16, 1e17):  # the fixed/scientific switch
+        values += [np.nextafter(p, 0.0), p, np.nextafter(p, math.inf)]
+    for k in range(-300, 301):  # both sides of every power of ten; some round up a decade
+        p = float(f"1e{k}")
+        values += [np.nextafter(np.nextafter(p, 0.0), 0.0), np.nextafter(p, 0.0), p,
+                   np.nextafter(p, math.inf), -p]
+    return values
+
+
+def test_write_csv_matches_percent_formatting_on_pinned_values(tmp_path):
+    values = pinned_values()
+    assert_same_csv(tmp_path, {"x": values})
+    assert_same_csv(tmp_path, as_columns(values, 7))
+    ints = [0, 1, -1, 7, 10 ** 16, 10 ** 17 - 1, 2 ** 53 + 1, -(10 ** 22)]
+    assert_same_csv(tmp_path, {"i": ints, "x": [v / 8 for v in ints]})
+
+
+def test_write_csv_matches_percent_formatting_on_random_bits(tmp_path):
+    rng = np.random.default_rng(2024)
+    bits = rng.integers(0, 2 ** 64, size=200_000, dtype=np.uint64).view(np.float64)
+    assert_same_csv(tmp_path, as_columns(bits, 4))
+    # the decades a table holds, with the grids and round numbers it holds
+    scaled = rng.normal(size=60_000) * 10.0 ** rng.integers(-30, 30, size=60_000)
+    assert_same_csv(tmp_path, as_columns(np.concatenate([scaled, np.linspace(0.0, 20.0, 4001),
+                                                         np.arange(-2000, 2000) / 16]), 5))
+
+
+def _from_bits(b):
+    return struct.unpack("<d", struct.pack("<Q", b))[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(st.one_of(st.floats(width=64), st.integers(0, 2 ** 64 - 1).map(_from_bits)),
+                       min_size=1, max_size=40),
+       ncols=st.integers(1, 10),
+       rows=st.one_of(st.integers(1, 5),
+                      st.integers(_report._BLOCK_ROWS - 1, 2 * _report._BLOCK_ROWS + 1)))
+def test_write_csv_matches_percent_formatting(values, ncols, rows, tmp_path_factory):
+    # the drawn values repeat through a table that may span several blocks
+    table = np.resize(np.asarray(values, dtype=float), (rows, ncols))
+    assert_same_csv(tmp_path_factory.mktemp("csv"), {f"c{j}": table[:, j] for j in range(ncols)})
+
+
+def test_powers_of_ten_are_correctly_rounded_pairs():
+    from fractions import Fraction
+
+    for p in range(-260, 270):  # every exponent the kernel can ask for
+        hi, lo, head, tail = _report._pow10(p)
+        exact = Fraction(10) ** p
+        assert hi == float(exact) and lo == float(exact - Fraction(hi)), p
+        # Dekker's halves: each product of two halves is exact in a double
+        assert head + tail == hi, p
+        assert (math.frexp(head)[0] * 2 ** 26).is_integer() and (math.frexp(tail)[0] * 2 ** 27).is_integer(), p
+
+
+def test_write_csv_without_rows(tmp_path):
+    assert_same_csv(tmp_path, {"a": [], "b": np.array([])})
+    assert_same_csv(tmp_path, {})
+
+
 def test_write_svg_exact_bytes(tmp_path):
     # non-finite points are skipped from each polyline and from the y range
     path = tmp_path / "t.svg"
@@ -89,6 +207,20 @@ def test_write_svg_decimation_keeps_each_pixel_columns_extremes(tmp_path):
         idx = np.flatnonzero(column == c)
         for i in (idx[0], idx[-1], idx[np.argmin(y[finite][idx])], idx[np.argmax(y[finite][idx])]):
             assert points[i] in kept
+
+
+def test_pixel_extremes_match_the_stable_sort():
+    rng = np.random.default_rng(11)
+    for case in range(300):
+        n = int(rng.integers(1, 2000))
+        column = np.sort(rng.integers(0, max(1, n // int(rng.integers(1, 30))), size=n))
+        if case % 3 == 0:
+            y = rng.integers(-3, 3, size=n).astype(float)  # integer-valued ties
+        elif case % 3 == 1:
+            y = rng.choice([0.0, -0.0, 1.0, -1.0], size=n)  # +-0 compare equal
+        else:
+            y = rng.normal(size=n)
+        np.testing.assert_array_equal(_pixel_extremes(column, y), old_pixel_extremes(column, y))
 
 
 def test_write_svg_keeps_every_point_up_to_the_plot_width(tmp_path):
