@@ -28,6 +28,20 @@ with one numpy kernel instead:
 
 The double-double carries the scaled value to within about 1e-14 of a unit,
 so every value the kernel renders itself rounds as printf rounds it.
+
+SVG points
+----------
+``write_svg`` writes each polyline's ``points`` attribute exactly as
+``" ".join(map("%.2f,%.2f".__mod__, zip(xs, ys)))`` would, with a smaller
+kernel of the same kind.  Each coordinate v becomes one 8-byte word: s =
+100 v is rounded to an integer q, whose integer part (up to four digits,
+NUL-padded in front) and two-digit fraction come from lookup tables, and the
+last byte holds the separator (``,`` after x, a space after y).  Below 1e6, s
+lies within 6e-11 of the exact 100 v, so q is printf's rounding unless s lies
+within 1e-6 of a half unit (exact ties such as 576.125 among them).  Those
+values, and values that are not finite, carry the sign bit (-0.0 prints as
+``-0.00``) or lie outside [0, 1e4), are formatted by ``"%.2f" %`` and spliced
+in.
 """
 from __future__ import annotations
 
@@ -41,7 +55,7 @@ _BLOCK_ROWS = 1024  # rows (points) formatted at a time: bounds the temporaries
 
 _SPLIT = 134217729.0  # 2**27 + 1: Dekker's splitter for 53-bit doubles
 _KERNEL_RANGE = (1e-250, 1e250)  # |x| the kernel renders; the scaled products stay normal
-_TIE_TOL = 1e-6  # a remainder this close to a half unit goes to "%.17g" %
+_TIE_TOL = 1e-6  # a remainder this close to a half unit goes to "%.17g" % (CSV) or "%.2f" % (SVG)
 _Q_MIN, _Q_MAX = 10 ** 16, 10 ** 17  # the 17-digit integers
 _X_MIN, _X_MAX = -251, 251  # decimal exponents the kernel can print
 _SCI = 17  # position class of scientific notation; -4..16 are fixed notation
@@ -200,6 +214,52 @@ def write_csv(path, meta: dict, columns: dict) -> None:
             fh.buffer.write(_format_rows(block))
 
 
+@functools.cache
+def _point_tables():
+    """The SVG kernel's lookup words: integer parts 0-9999 in bytes 0-3,
+    right-aligned after NULs, and fractions ".00"-".99" in bytes 4-6."""
+    d = np.arange(10_000, dtype=np.uint64)
+    whole = np.zeros_like(d)
+    for byte, power in enumerate((1000, 100, 10, 1)):
+        digit = np.where(d >= power, d // power % 10 + 48, 0)
+        whole |= digit.astype(np.uint64) << np.uint64(8 * byte)
+    whole[0] = 0x30 << 24  # "0"
+    f = np.arange(100, dtype=np.uint64)
+    frac = (0x2E | (f // 10 + 48) << np.uint64(8) | (f % 10 + 48) << np.uint64(16)) << np.uint64(32)
+    return whole, frac
+
+
+def _format_points(pxs, pys) -> str:
+    """``" ".join(map("%.2f,%.2f".__mod__, zip(pxs, pys)))``, byte for byte."""
+    v = np.empty(2 * pxs.size)
+    v[0::2] = pxs
+    v[1::2] = pys
+    inside = (v >= 0.0) & (v < 1e4) & ~np.signbit(v)
+    s = 100.0 * np.where(inside, v, 0.0)
+    q = np.rint(s)
+    fallback = ~inside | (q >= 1e6) | (np.abs(np.abs(s - q) - 0.5) < _TIE_TOL)
+    whole, frac = np.divmod(q.astype(np.int64), 100)
+    whole_words, frac_words = _point_tables()
+    words = np.take(whole_words, whole, mode="clip") | np.take(frac_words, frac)
+    words.reshape(-1, 2)[:] |= np.array([ord(","), ord(" ")], np.uint64) << np.uint64(56)
+    idx = np.flatnonzero(fallback)
+    words[idx] = words[idx] & np.uint64(0xFF << 56) | np.uint64(1)  # a \x01 marks the splice
+    text = words.astype("<u8", copy=False).tobytes().translate(None, b"\0")[:-1].decode("ascii")
+    if not idx.size:
+        return text
+    parts = text.split("\x01")
+    merged = [None] * (2 * idx.size + 1)
+    merged[0::2] = parts
+    merged[1::2] = map("%.2f".__mod__, v[idx].tolist())
+    return "".join(merged)
+
+
+def _escape(text) -> str:
+    """``xml.sax.saxutils.escape`` of ``str(text)``, without importing it: the
+    module pulls in ``urllib.request``, about 25 ms of import."""
+    return str(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _ticks(lo: float, hi: float, n: int = 5):
     if hi == lo:
         hi = lo + 1.0
@@ -229,22 +289,24 @@ def _pixel_extremes(column, y):
 def write_svg(path, x, series: dict, title: str, xlabel: str, ylabel: str) -> None:
     """Plot ``series`` (name -> y array) against ``x`` as SVG polylines.
 
-    Non-finite points are skipped.  A series with more finite points than the
-    plot has pixel columns keeps, per pixel column (for x in order), only its
-    first, minimum, maximum and last point: the line looks the same at the
-    plot's resolution, and the file stops growing with the number of points.
+    Points with a non-finite x or y are skipped.  A series with more finite
+    points than the plot has pixel columns keeps, per pixel column (for x in
+    order), only its first, minimum, maximum and last point: the line looks
+    the same at the plot's resolution, and the file stops growing with the
+    number of points.  Labels and series names are XML-escaped.
     """
     width, height = 860, 560
     ml, mr, mt, mb = 80, 24, 48, 56
     plot_w = width - ml - mr
     xa = np.asarray(x, dtype=float)
     yas = [np.asarray(ys, dtype=float) for ys in series.values()]
-    masks = [np.isfinite(ya) for ya in yas]
+    finite_x = np.isfinite(xa)
+    masks = [finite_x & np.isfinite(ya) for ya in yas]
     if not xa.size or not any(m.any() for m in masks):
         raise ValueError("nothing to plot")
-    xs = xa.tolist()  # Python's min/max, not numpy's, which would propagate a NaN
-    x_lo, x_hi = min(xs), max(xs)
-    # a +-0 extreme pads to the same range whichever zero numpy picks
+    # a +-0 extreme gives the same ticks and pixels whichever zero numpy picks
+    x_lo = float(np.min(xa, initial=np.inf, where=finite_x))
+    x_hi = float(np.max(xa, initial=-np.inf, where=finite_x))
     y_lo = min(float(np.min(ya, initial=np.inf, where=m)) for ya, m in zip(yas, masks))
     y_hi = max(float(np.max(ya, initial=-np.inf, where=m)) for ya, m in zip(yas, masks))
     if x_hi == x_lo:
@@ -262,12 +324,12 @@ def write_svg(path, x, series: dict, title: str, xlabel: str, ylabel: str) -> No
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}" '
         f'font-family="sans-serif" font-size="14">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" font-size="17">{title}</text>',
+        f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" font-size="17">{_escape(title)}</text>',
         f'<line x1="{ml}" y1="{height - mb}" x2="{width - mr}" y2="{height - mb}" stroke="black"/>',
         f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{height - mb}" stroke="black"/>',
-        f'<text x="{(ml + width - mr) / 2:.1f}" y="{height - 12}" text-anchor="middle">{xlabel}</text>',
+        f'<text x="{(ml + width - mr) / 2:.1f}" y="{height - 12}" text-anchor="middle">{_escape(xlabel)}</text>',
         f'<text x="20" y="{(mt + height - mb) / 2:.1f}" text-anchor="middle" '
-        f'transform="rotate(-90 20 {(mt + height - mb) / 2:.1f})">{ylabel}</text>',
+        f'transform="rotate(-90 20 {(mt + height - mb) / 2:.1f})">{_escape(ylabel)}</text>',
     ]
     for tx in _ticks(x_lo, x_hi):
         parts.append(f'<line x1="{px(tx):.2f}" y1="{height - mb}" x2="{px(tx):.2f}" '
@@ -284,10 +346,10 @@ def write_svg(path, x, series: dict, title: str, xlabel: str, ylabel: str) -> No
         if pxs.size > plot_w:
             keep = _pixel_extremes(np.minimum((pxs - ml).astype(np.int64), plot_w - 1), ya[mask])
             pxs, pys = pxs[keep], pys[keep]
-        pts = " ".join(map("%.2f,%.2f".__mod__, zip(pxs.tolist(), pys.tolist())))
+        pts = _format_points(pxs, pys)
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         parts.append(f'<text x="{width - mr - 8}" y="{mt + 20 * (idx + 1)}" text-anchor="end" '
-                     f'fill="{color}">{name}</text>')
+                     f'fill="{color}">{_escape(name)}</text>')
     parts.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")

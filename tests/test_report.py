@@ -1,13 +1,16 @@
 """Output writers: exact bytes, and the CSV kernel against Python's own formatting."""
 import math
 import struct
+import warnings
+import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advwave import _report
-from advwave._report import _pixel_extremes, write_csv, write_svg
+from advwave._report import _format_points, _pixel_extremes, write_csv, write_svg
 
 
 def reference_csv(path, meta, columns):
@@ -21,6 +24,19 @@ def reference_csv(path, meta, columns):
             fh.write(f"# {key} = {value}\n")
         fh.write(",".join(names) + "\n")
         fh.writelines(map(row_fmt.__mod__, zip(*(a.tolist() for a in arrays))))
+
+
+def reference_points(pxs, pys):
+    """The independent route for a polyline: every point through ``"%.2f,%.2f" %``."""
+    return " ".join(map("%.2f,%.2f".__mod__, zip(np.asarray(pxs).tolist(), np.asarray(pys).tolist())))
+
+
+def assert_same_points(xs, ys):
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    got, want = _format_points(xs, ys).split(" "), reference_points(xs, ys).split(" ")
+    bad = [(i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w]
+    assert not bad, f"{len(bad)} points differ, first {bad[:3]}"
+    assert len(got) == len(want)
 
 
 def assert_same_csv(tmp_path, columns, meta=None):
@@ -229,3 +245,65 @@ def test_write_svg_keeps_every_point_up_to_the_plot_width(tmp_path):
     path = tmp_path / "w.svg"
     write_svg(path, x, {"y": np.sin(50.0 * x)}, title="T", xlabel="x", ylabel="y")
     assert len(_polyline_points(path.read_text())) == 756
+
+
+def test_format_points_matches_percent_formatting_on_ties():
+    # exact binary ties k/8 (s = 100 v lands on a half unit for odd k) and both neighbours
+    ties = np.arange(8 * 10_000) / 8.0
+    for xs in (ties, np.nextafter(ties, -np.inf), np.nextafter(ties, np.inf)):
+        assert_same_points(xs, xs[::-1])
+    assert_same_points([576.125, 339.875, 623.375], [0.005, 0.015, 9999.995])
+
+
+def test_format_points_falls_back_on_values_outside_the_kernel():
+    special = [0.0, -0.0, -1.5, -1e-300, -5e-324, 5e-324, 0.004999, 0.005, 9999.99, 9999.994999999, 9999.997,
+               9999.995, 1e4, 12345.678, 1e300, -1e300, math.nan, -math.nan, math.inf, -math.inf]
+    for shift in range(len(special)):  # every value as an x and as a y, in every neighbourhood
+        assert_same_points(np.roll(special, shift), special)
+    assert _format_points(np.array([]), np.array([])) == ""
+    assert _format_points(np.array([-0.0]), np.array([math.nan])) == "-0.00,nan"
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=st.lists(st.tuples(st.floats(0.0, 860.0), st.floats(0.0, 560.0)), max_size=60))
+def test_format_points_matches_percent_formatting(points):
+    assert_same_points([p[0] for p in points], [p[1] for p in points])
+
+
+def test_write_svg_matches_the_join_on_a_figure_like_series(tmp_path, monkeypatch):
+    # 20 000 rows of a growing, oscillating curve, as figure 3 at an optical ratio plots
+    t = np.linspace(0.0, 12.0, 20_000)
+    series = {"n_dps": t * (1.0 + 0.3 * np.sin(400.0 * t)), "n_dpvacs": -0.5 * t + np.cos(700.0 * t),
+              "n_dptotal": 0.5 * t + 0.1 * np.sin(400.0 * t)}
+    write_svg(tmp_path / "kernel.svg", t, series, title="T", xlabel="x", ylabel="y")
+    monkeypatch.setattr(_report, "_format_points", reference_points)
+    write_svg(tmp_path / "reference.svg", t, series, title="T", xlabel="x", ylabel="y")
+    assert (tmp_path / "kernel.svg").read_bytes() == (tmp_path / "reference.svg").read_bytes()
+
+
+def test_write_svg_skips_points_with_a_non_finite_x(tmp_path):
+    y = np.array([1.0, 2.0, 3.0, 4.0])
+    for x in ([0.0, np.nan, 1.0, 2.0], [np.nan, 0.0, 1.0, 2.0], [0.0, 1.0, np.inf, 2.0], [-np.inf, 0.0, 1.0, 2.0]):
+        path = tmp_path / "x.svg"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            write_svg(path, np.array(x), {"y": y}, title="T", xlabel="x", ylabel="y")
+        root = ET.parse(path).getroot()
+        (points,) = [line.get("points") for line in root.iter("{http://www.w3.org/2000/svg}polyline")]
+        assert "nan" not in points and "inf" not in points
+        kept = [tuple(map(float, p.split(","))) for p in points.split()]
+        assert len(kept) == 3
+        assert kept[0][0] == 80.0 and kept[-1][0] == 836.0  # the finite x span the plot
+        labels = [e for e in root.iter("{http://www.w3.org/2000/svg}text") if e.get("y") == "524"]
+        assert [float(e.get("x")) for e in labels] == [80.0, 269.0, 458.0, 647.0, 836.0]
+        assert [e.text for e in labels] == ["0", "0.5", "1", "1.5", "2"]
+
+
+def test_write_svg_escapes_its_labels(tmp_path):
+    path = tmp_path / "e.svg"
+    labels = {"title": "a<b & c", "xlabel": "t > 0", "ylabel": "<p^2>"}
+    write_svg(path, np.array([0.0, 1.0]), {"x & <y>": [1.0, 2.0]}, **labels)
+    root = ET.parse(path).getroot()  # raises if the file is not well-formed XML
+    texts = [e.text for e in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert set(labels.values()) | {"x & <y>"} <= set(texts)
+    assert escape(labels["title"]) in path.read_text()
