@@ -16,16 +16,27 @@ and `CycleAverage` store those scaled curves.  They do not depend on E_rad
 either, so they exist for a charge on the dipole axis (E_rad = 0), where N
 is infinite.
 
-Every kernel is a gated sum of complex exponentials in a = i omega0 - gamma/2,
-so the cumulative curves and the position dispersion are evaluated in closed
-form (through the moments Int_0^b s^k e^{c s} ds, k <= 2).  They are exact on
-any time grid and at any omega0/gamma; no step size has to resolve the
-optical period.  `cycle_averaged` gives what a coarse grid can show at an
-optical ratio: each cumulative curve averaged over one optical period, and
-its exact lower and upper envelopes.
+Each N-scaled rate is a gate plus a few terms (c, lam),
+
+    N rate(t) = Re sum_j c_j e^{lam_j (t - gate)}   for t >= gate, else 0,
+
+written once, in `_rate_terms`.  With a = i omega0 - gamma/2 and
+damp = e^{-gamma |r0|}:
+
+    source     gate |r0|:   (-4 a, a), (-2 gamma, -gamma)
+    vacsource  gate 2 |r0|: (gamma, 0), (2 gamma damp, -gamma), (-damp (A + i B), a)
+
+with damp (A + i B) = gamma (1 + 2 damp) + 2 i omega0 (1 - 2 damp).  Every
+cumulative curve, cycle average and the position dispersion is a sum of the
+moments Int_0^b s^k e^{lam s - shift} ds (k <= 2) from `_moments`, so all
+are exact on any time grid and at any omega0/gamma; no step size has to
+resolve the optical period.  `cycle_averaged` gives what a coarse grid can
+show at an optical ratio: each cumulative curve averaged over one optical
+period, and its exact lower and upper envelopes.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +59,11 @@ __all__ = [
 
 _SERIES_CUT = 1.0   # |c b| below which the moments use their power series
 _SERIES_TERMS = 20  # 1/20! < 1e-18: the truncated series is exact to rounding
-_SERIES_WEIGHTS = 1.0 / (np.arange(_SERIES_TERMS)[:, None] + np.arange(1, 4))  # 1/(n + k + 1)
+# Horner coefficients 1/(n! (n + k + 1)) of the series, highest n first, k = 0, 1, 2
+_SERIES_WEIGHTS = 1.0 / np.array([[math.factorial(n) * (n + k + 1) for k in range(3)]
+                                  for n in range(_SERIES_TERMS - 1, -1, -1)], dtype=float)
+_SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into two 26-bit halves
+_EXACT_PHASE = 2.0**20  # |phase| (rad) from which `_exp` carries the product's rounding
 
 
 @dataclass(frozen=True)
@@ -142,148 +157,162 @@ def _curve_norm(params: DipoleParams, charge: ChargeParams) -> float:
     return 1.0 / inv if inv != 0.0 else float("inf")
 
 
-def momdiff_source(t, params: DipoleParams, charge: ChargeParams):
-    """Source-part momentum-diffusion rate d(Dp_s)/dt at lab time t.
-
-    (2/N) theta(t_r) [exp(-g t_r / 2)(g cos(w0 t_r) + 2 w0 sin(w0 t_r))
-                      - g exp(-g t_r)],   t_r = t - |r0|.
-    """
+def _rate_terms(params: DipoleParams, r0: float):
+    """The N-scaled source and vacuum-source rates, each as (gate, ((c, lam), ...))."""
     g, w0 = params.gamma, params.omega0
-    tr = np.asarray(t, dtype=float) - charge.r0_abs
-    gate = tr >= 0.0
-    trc = np.where(gate, tr, 0.0)
-    bracket = np.exp(-g * trc / 2.0) * (g * np.cos(w0 * trc) + 2.0 * w0 * np.sin(w0 * trc)) - g * np.exp(-g * trc)
-    out = _inv_norm(params, charge) * (2.0 * np.where(gate, bracket, 0.0))
+    a = complex(-g / 2.0, w0)
+    damp = float(np.exp(-g * r0))
+    return ((r0, ((-4.0 * a, a), (-2.0 * g, -g))),
+            (2.0 * r0, ((g, 0.0), (2.0 * g * damp, -g),
+                        (-complex(g * (1.0 + 2.0 * damp), 2.0 * w0 * (1.0 - 2.0 * damp)), a))))
+
+
+def _gated(t, gate):
+    """(b, on): the time b = t - gate since the gate, clipped at 0, and the mask b >= 0."""
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ValueError("times t must be finite")
+    on = t >= gate
+    return np.where(on, t - gate, 0.0), on
+
+
+def _exp(c, x, shift=0.0):
+    """e^{c x - shift} for an array x; a real c keeps the arithmetic real.
+
+    Where the phase p = c.imag x reaches 2^20 rad, its rounding error r
+    (Dekker's exact product) enters as e^{i r} = 1 + i r - r^2/2, so optical
+    phases ~1e9 rad are exact to rounding.  Below, a plain product's error
+    (at most 2^-33 rad) is left: twelve more passes would slow every figure.
+    """
+    if not isinstance(c, complex):
+        return np.exp(c * x - shift)
+    w, p = c.imag, c.imag * x
+    out = np.exp(c.real * x - shift + 1j * p)
+    big = np.abs(p) >= _EXACT_PHASE
+    if not big.any():
+        return out
+    s = x * _SPLIT
+    wh, xh = w * _SPLIT - (w * _SPLIT - w), s - (s - x)
+    r = np.where(big, ((wh * xh - p) + wh * (x - xh) + (w - wh) * xh) + (w - wh) * (x - xh), 0.0)
+    return out * (1.0 - r * r / 2.0 + 1j * r)
+
+
+def _moments(c, b, shift=0.0, order: int = 2):
+    """[M0, ..., M_order] with Mk = Int_0^b s^k exp(c s - shift) ds, for an array b >= 0.
+
+    ``shift`` is a scalar or an array of b's shape.  Where |c b| >= 1 the
+    recurrence M0 = (e^{c b - shift} - e^{-shift})/c,
+    Mk = (b^k e^{c b - shift} - k M(k-1))/c is used, below it the series
+    Mk = b^(k+1) e^{-shift} sum_n (c b)^n / (n! (n + k + 1)) by Horner's rule,
+    or for a real c and k = 0 M0 = e^{-shift} expm1(c b)/c.  Both work
+    elementwise (no matrix product), so they have no cancellation at small
+    |c b| and a point's value does not depend on the rest of the array.  The shift
+    is merged into every exponential, so e^{c b} never forms on its own and
+    cannot overflow at large real c b.  The exponential is `_exp`'s, whose
+    phase is exact to rounding at optical phases omega0 b ~ 1e9.
+    A real c keeps the arithmetic real, and c = 0 gives b^(k+1)/(k+1) directly.
+    """
+    b = np.asarray(b, dtype=float)
+    low = np.exp(-np.asarray(shift))
+    if c == 0:
+        return [low * b ** (k + 1) / (k + 1) for k in range(order + 1)]
+    bb = np.atleast_1d(b)
+    top, inv = _exp(c, bb, shift), 1.0 / c
+    m = [(top - low) * inv]
+    for k in range(1, order + 1):
+        m.append((bb**k * top - k * m[-1]) * inv)
+    small = (bb < _SERIES_CUT / abs(c)) & (bb > 0.0)  # at b = 0 the recurrence gives 0 exactly
+    if small.any() and order == 0 and not isinstance(c, complex):
+        m[0][small] = np.broadcast_to(low, bb.shape)[small] * np.expm1(c * bb[small]) * inv
+    elif small.any():
+        bs = bb[small]
+        zs, series = c * bs[:, None], _SERIES_WEIGHTS[0, :order + 1]
+        for w in _SERIES_WEIGHTS[1:, :order + 1]:
+            series = series * zs + w
+        series = series * np.broadcast_to(low, bb.shape)[small, None]
+        for k, mk in enumerate(m):
+            mk[small] = bs ** (k + 1) * series[:, k]
+    return [mk.reshape(b.shape) for mk in m]
+
+
+def _moment_sum(groups, b):
+    """Sum over groups (c, shift, coeffs) of sum_k coeffs[k] Mk(c, b, shift)."""
+    return sum(sum(ck * mk for ck, mk in zip(coeffs, _moments(c, b, shift, len(coeffs) - 1)))
+               for c, shift, coeffs in groups)
+
+
+def _gated_sum(t, kernel, gate, terms):
+    """Re sum_j c_j kernel(lam_j, t - gate) over a rate's terms; exactly 0 before the gate."""
+    b, on = _gated(t, gate)
+    return np.where(on, sum(np.real(c * kernel(lam, b)) for c, lam in terms), 0.0)
+
+
+def _rate(which: int, t, params: DipoleParams, charge: ChargeParams):
+    rate = _rate_terms(params, charge.r0_abs)[which]
+    out = _inv_norm(params, charge) * _gated_sum(t, _exp, *rate)
     return out.item() if np.isscalar(t) else out
+
+
+def momdiff_source(t, params: DipoleParams, charge: ChargeParams):
+    """Source-part momentum-diffusion rate d(Dp_s)/dt at lab time t (finite).
+
+    (1/N) Re[-4 a e^{a T} - 2 gamma e^{-gamma T}] for T = t - |r0| >= 0, else 0.
+    """
+    return _rate(0, t, params, charge)
 
 
 def momdiff_vacsource(t, params: DipoleParams, charge: ChargeParams):
-    """Vacuum-source momentum-diffusion rate d(Dp_vs)/dt at lab time t.
+    """Vacuum-source momentum-diffusion rate d(Dp_vs)/dt at lab time t (finite).
 
     Gated by theta(t - 2 |r0|) -- the round-trip condition -- and continuous
-    at onset:
+    at onset: with b = t - 2 |r0| >= 0,
 
-    (1/N) [g (2 exp(-g t_r) + 1)
-           - exp(-g t / 2)(g (exp(g r0) + 2) cos(w0 (t - 2 r0))
-                           - 2 w0 (exp(g r0) - 2) sin(w0 (t - 2 r0)))].
+    (1/N) Re[gamma + 2 gamma damp e^{-gamma b} - damp (A + i B) e^{a b}].
     """
-    g, w0, r0 = params.gamma, params.omega0, charge.r0_abs
-    tt = np.asarray(t, dtype=float)
-    gate = tt - r0 >= r0
-    ttc = np.where(gate, tt, 2.0 * r0)
-    trc = ttc - r0
-    phase = w0 * (ttc - 2.0 * r0)
-    bracket = g * (2.0 * np.exp(-g * trc) + 1.0) - np.exp(-g * ttc / 2.0) * (
-        g * (np.exp(g * r0) + 2.0) * np.cos(phase) - 2.0 * w0 * (np.exp(g * r0) - 2.0) * np.sin(phase)
-    )
-    out = _inv_norm(params, charge) * np.where(gate, bracket, 0.0)
-    return out.item() if np.isscalar(t) else out
-
-
-def _vacsource_terms(params: DipoleParams, r0: float):
-    """(e^{-gamma |r0|}, e^{-gamma |r0|} (A + i B)): the constants of cum_vacsource."""
-    g, w0 = params.gamma, params.omega0
-    damp = np.exp(-g * r0)
-    return damp, complex(g * (1.0 + 2.0 * damp), 2.0 * w0 * (1.0 - 2.0 * damp))
-
-
-def _moments(c: complex, b, shift=0.0, order: int = 2):
-    """[M0, ..., M_order] with Mk = Int_0^b s^k exp(c s - shift) ds, for an array b >= 0.
-
-    With z = c b and Ek = Int_0^1 x^k e^{z x} dx, Mk = b^(k+1) e^{-shift} Ek.
-    For |z| >= 1 the recurrence E0 = (e^z - 1)/z, Ek = (e^z - k E(k-1))/z is
-    used, below it the series Ek = sum_n z^n / (n! (n + k + 1)), which has no
-    cancellation at small |z|.  The shift is merged into every exponential, so
-    e^{c b} never forms on its own and cannot overflow at large real c b.
-    """
-    b = np.asarray(b, dtype=float)
-    z = np.atleast_1d(c * b + 0j)
-    small = np.abs(z) < _SERIES_CUT
-    zr = np.where(small, 1.0, z)  # keeps the recurrence branch away from z = 0
-    top, low = np.exp(zr - shift), np.exp(-shift)
-    e = [(top - low) / zr]
-    for k in range(1, order + 1):
-        e.append((top - k * e[-1]) / zr)
-    if np.any(small):
-        ratios = np.ones((np.count_nonzero(small), _SERIES_TERMS), dtype=complex)
-        ratios[:, 1:] = z[small, None] / np.arange(1, _SERIES_TERMS)
-        series = low * np.cumprod(ratios, axis=1) @ _SERIES_WEIGHTS[:, :order + 1]
-        for k, ek in enumerate(e):
-            ek[small] = series[:, k]
-    return [b ** (k + 1) * ek.reshape(b.shape) for k, ek in enumerate(e)]
+    return _rate(1, t, params, charge)
 
 
 def dispersion_change(t_grid, params: DipoleParams, charge: ChargeParams) -> DiffusionCurve:
     """N-scaled momentum changes, the rates' time integrals from t = 0, on a user grid.
 
-    The grid must be 1-d, strictly increasing and start at 0; any step works,
-    because the cumulative curves are closed forms.  With a = i omega0 - gamma/2,
-    T = t - |r0| and b = t - 2 |r0|:
-
-        cum_source    = 2 |e^{a T} - 1|^2                          (T >= 0)
-        cum_vacsource = gamma b + 2 (e^{-gamma |r0|} - e^{-gamma T})
-                        - Re[e^{-gamma |r0|} (A + i B) (e^{a b} - 1) / a]   (b >= 0)
-
-    with A = gamma (e^{gamma |r0|} + 2), B = 2 omega0 (e^{gamma |r0|} - 2);
-    both are exactly 0 before their gates open.  ``norm_constant`` is inf
-    where N is (q = 0, or a charge on the dipole axis); the N-scaled curves
-    are the same there.
+    The grid must be 1-d, finite, strictly increasing and start at 0; any step
+    works, because each curve is the closed form Re sum_j c_j M0(lam_j, b)
+    over its rate's terms, with b the time since the gate.  Both are exactly
+    0 before their gates open.  ``norm_constant`` is inf where N is (q = 0,
+    or a charge on the dipole axis); the N-scaled curves are the same there.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 2:
         raise ValueError("t_grid must be a 1-d grid with at least two points")
     if t[0] != 0.0 or np.any(np.diff(t) <= 0.0):
         raise ValueError("t_grid must be strictly increasing and start at 0")
-    g, w0, r0 = params.gamma, params.omega0, charge.r0_abs
-    a = complex(-g / 2.0, w0)
-    tr, b = t - r0, t - 2.0 * r0
-    half = np.maximum(tr, 0.0) / 2.0
-    # |e^{aT} - 1|^2 as a sum of two squares, which has no cancellation at small T
-    cs = 2.0 * (np.expm1(-g * half) ** 2 + 4.0 * np.exp(-g * half) * np.sin(w0 * half) ** 2)
-    bc = np.maximum(b, 0.0)
-    damp, amp = _vacsource_terms(params, r0)
-    cv = g * bc - 2.0 * damp * np.expm1(-g * bc) - np.real(amp * _moments(a, bc, order=0)[0])
-    cv = np.where(b >= 0.0, cv, 0.0)
+    cs, cv = (_gated_sum(t, lambda lam, b: _moments(lam, b, order=0)[0], *rate)
+              for rate in _rate_terms(params, charge.r0_abs))
     return DiffusionCurve(
         times=t.copy(), cum_source=cs, cum_vacsource=cv, cum_total=cs + cv,
         norm_constant=_curve_norm(params, charge), gamma=params.gamma,
     )
 
 
-def _gated_window(t, half, gate):
-    """Start x1 - gate (>= 0) and length L of the part of [t - half, t + half] after ``gate``.
-
-    L is 2 half exactly for a window wholly after the gate, and 0 exactly
-    wherever t + half <= gate.
-    """
-    x1, x2 = t - half, t + half
-    clipped = x1 < gate
-    return (np.where(clipped, 0.0, x1 - gate),
-            np.where(clipped, np.maximum(x2 - gate, 0.0), 2.0 * half))
-
-
 def cycle_averaged(t_grid, params: DipoleParams, charge: ChargeParams) -> CycleAverage:
     """Cycle averages and exact envelopes of the `dispersion_change` curves.
 
     ``t_grid`` is any 1-d array of finite times; each point is independent.
-    With P = 2 pi/omega0, T = t - |r0| and b = t - 2 |r0|, the raw curves are
+    With P = 2 pi/omega0, each curve is, a time x after its gate,
 
-        cum_source    = 2 + 2 e^{-gamma T} - 4 Re e^{a T}                   (T >= 0)
-        cum_vacsource = gamma b - 2 damp expm1(-gamma b) + Re[osc] - Re[osc e^{a b}]  (b >= 0)
+        cum(x) = K + sum_{lam = 0} c x + sum_{lam != 0} (c/lam) e^{lam x},
+        K = -Re sum_{lam != 0} c/lam.
 
-    with damp = e^{-gamma |r0|} and osc = damp (A + i B) / a.  Each average
-    over [t - P/2, t + P/2] integrates only the part of the window after the
-    gate, from x1 to x1 + L: polynomials, e^{-gamma x1} expm1 terms, and
-    e^{a x1} M0(a, L) from `_moments`.  An unclipped window has L = P
-    exactly, so nothing cancels even where P << 1/gamma.
+    Its average over [t - P/2, t + P/2] integrates only the part of the
+    window after the gate, from x1 to x1 + L: K L, c L (x1 + L/2), and
+    (c/lam) e^{lam x1} M0(lam, L).  An unclipped window has L = P exactly,
+    so nothing cancels even where P << 1/gamma, and its M0 is one scalar.
 
-    Both oscillating terms are multiples of e^{a T}, so each envelope is the
-    smooth part +- |complex amplitude| e^{-gamma T/2}:
-
-        source    2 (1 -+ e^{-gamma T/2})^2
-        vacsource gamma b - 2 damp expm1(-gamma b) + Re[osc] -+ |osc| e^{-gamma b/2}
-        total     their smooth parts -+ |4 e^{a |r0|} + osc| e^{-gamma b/2} for b >= 0,
-                  the source envelopes for b < 0.
+    The terms with lam = a share one frequency, so each envelope is the
+    smooth part (the rest of the curve) -+ |sum_j (c_j/a) e^{a (t - gate_j)}|
+    over the open rates: the source and vacuum-source envelopes take their own
+    terms, the total both, which is e^{-gamma b/2} |d_s e^{a |r0|} + d_v| with
+    b = t - 2|r0| and d = the rate's sum of c/a.
 
     Every curve is exactly 0 before its gate (the averages: while the whole
     window is).  ``norm_constant`` is inf for q = 0 or a charge on the dipole
@@ -292,45 +321,39 @@ def cycle_averaged(t_grid, params: DipoleParams, charge: ChargeParams) -> CycleA
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or not np.all(np.isfinite(t)):
         raise ValueError("t_grid must be a 1-d array of finite times")
-    g, w0, r0 = params.gamma, params.omega0, charge.r0_abs
-    a = complex(-g / 2.0, w0)
-    period = 2.0 * np.pi / w0
-    damp, amp = _vacsource_terms(params, r0)
-    osc = amp / a
-
-    def exp_integral(c, x1, length):  # Int_{x1}^{x1 + length} e^{c x} dx
-        return np.exp(c * x1) * _moments(c, length, order=0)[0]
-
-    def decay_integral(x1, length):  # Int_{x1}^{x1 + length} e^{-gamma x} dx, by expm1
-        return -np.exp(-g * x1) * np.expm1(-g * length) / g
-
-    u1, ls = _gated_window(t, period / 2.0, r0)
-    avg_s = (2.0 * ls + 2.0 * decay_integral(u1, ls)
-             - 4.0 * np.real(exp_integral(a, u1, ls))) / period
-    v1, lv = _gated_window(t, period / 2.0, 2.0 * r0)
-    avg_v = (lv * (g * (v1 + lv / 2.0) + 2.0 * damp + osc.real) - 2.0 * damp * decay_integral(v1, lv)
-             - np.real(osc * exp_integral(a, v1, lv))) / period
-    avg_s, avg_v = np.where(ls > 0.0, avg_s, 0.0), np.where(lv > 0.0, avg_v, 0.0)
-
-    on_s, on_v = t - r0 >= 0.0, t - 2.0 * r0 >= 0.0
-    tr, b = np.maximum(t - r0, 0.0), np.maximum(t - 2.0 * r0, 0.0)  # T and b, clipped at 0
-    es, ev = np.exp(-g * tr / 2.0), np.exp(-g * b / 2.0)
-    lo_s = np.where(on_s, 2.0 * np.expm1(-g * tr / 2.0) ** 2, 0.0)
-    hi_s = np.where(on_s, 2.0 * (1.0 + es) ** 2, 0.0)
-    smooth_v = g * b - 2.0 * damp * np.expm1(-g * b) + osc.real
-    smooth_t = smooth_v + 2.0 + 2.0 * es**2
-    amp_t = abs(4.0 * np.exp(a * r0) + osc)
-
-    def envelope(smooth, modulus, before):
-        return np.where(on_v, smooth + modulus * ev, before)
-
+    a = complex(-params.gamma / 2.0, params.omega0)
+    period = 2.0 * np.pi / params.omega0
+    cols, carrier, smooth_sum, last, lo, hi = {}, 0j, 0.0, 0.0, 0.0, 0.0
+    for name, (gate, terms) in zip(("source", "vacsource"), _rate_terms(params, charge.r0_abs)):
+        # the part of [t - P/2, t + P/2] after the gate is [gate + x1, gate + x1 + width]
+        x1, whole = _gated(t - period / 2.0, gate)
+        width = np.where(whole, period, _gated(t + period / 2.0, gate)[0])
+        b, on = _gated(t, gate)
+        cut = np.where(whole, 0, np.cumsum(~whole))  # index into [P, the clipped widths]
+        const = -sum(np.real(c / lam) for c, lam in terms if lam != 0.0)
+        area, smooth, d = const * width, const, 0j
+        for c, lam in terms:
+            if lam == 0.0:
+                area, smooth = area + c * width * (x1 + width / 2.0), smooth + c * b
+                continue
+            m0 = _moments(lam, np.append(period, width[~whole]), order=0)[0][cut]
+            area = area + np.real(c / lam * _exp(lam, x1) * m0)
+            if lam.imag:
+                d = d + c / lam
+            else:
+                smooth = smooth + c / lam * _exp(lam, b)
+        cols["avg_" + name] = np.where(width > 0.0, area / period, 0.0)
+        smooth = np.where(on, smooth, 0.0)
+        carrier = carrier * _exp(a, gate - last) + d
+        smooth_sum, last = smooth_sum + smooth, gate
+        fall = np.exp(-params.gamma * b / 2.0)
+        cols["lo_" + name] = np.where(on, smooth - abs(d) * fall, 0.0)
+        cols["hi_" + name] = np.where(on, smooth + abs(d) * fall, 0.0)
+        lo = np.where(on, smooth_sum - abs(carrier) * fall, lo)
+        hi = np.where(on, smooth_sum + abs(carrier) * fall, hi)
     return CycleAverage(
-        times=t.copy(), period=period,
-        avg_source=avg_s, lo_source=lo_s, hi_source=hi_s,
-        avg_vacsource=avg_v, lo_vacsource=envelope(smooth_v, -abs(osc), 0.0),
-        hi_vacsource=envelope(smooth_v, abs(osc), 0.0),
-        avg_total=avg_s + avg_v, lo_total=envelope(smooth_t, -amp_t, lo_s),
-        hi_total=envelope(smooth_t, amp_t, hi_s),
+        times=t.copy(), period=period, **cols,
+        avg_total=cols["avg_source"] + cols["avg_vacsource"], lo_total=lo, hi_total=hi,
         norm_constant=_curve_norm(params, charge), gamma=params.gamma,
     )
 
@@ -360,8 +383,7 @@ def longtime_fit(curve: DiffusionCurve | CycleAverage, window: tuple[float, floa
     return float(slope), float(intercept)
 
 
-def posdisp_change(t: float, params: DipoleParams, charge: ChargeParams,
-                   delta_p0: float = 0.0) -> float:
+def posdisp_change(t, params: DipoleParams, charge: ChargeParams, delta_p0: float = 0.0):
     """Position-dispersion change Dr(t) - Dr(0) of the test charge.
 
     free spreading (t^2 / 2 m^2) Dp0 plus the field-driven part
@@ -374,32 +396,31 @@ def posdisp_change(t: float, params: DipoleParams, charge: ChargeParams,
     a = i omega0 - gamma/2, T = t - |r0| and b = t - 2 |r0| it equals
 
         (q^2 / m^2) (4 |e|^2 |I|^2 + 4 Re[(e . e) D]),
-        I = Int_0^T (T - s) e^{a s} ds = (e^{a T} - 1 - a T) / a^2        (T >= 0),
+        I = Int_0^T (T - s) e^{a s} ds                                     (T >= 0),
         D = a^-2 Int_0^b (s + 2|r0|) [e^{a s} - 1 - a s - 2 e^{-gamma T} e^{-conj(a) s}
                                      + 2 e^{-gamma (T - s)} (1 + a s)] ds   (b >= 0),
 
     from the Glauber square t3, t4 >= |r0| and the two advanced-wave
-    triangles |t3 - t4| >= 2 |r0| (complex conjugates of each other).
+    triangles |t3 - t4| >= 2 |r0| (complex conjugates of each other).  Both
+    are sums of moment terms sum_k c_k M_k(lam, upper limit, shift), listed as
+    (lam, shift, (c_0, c_1, ...)): I is (a, 0, (T, -1)) up to T, and a^2 D is
+    (a, 0, (2|r0|, 1)), (0, 0, (-2|r0|, -1 - 2|r0| a, -a)),
+    (-conj(a), gamma T, (-4|r0|, -2)), (gamma, gamma T, (4|r0|, 2 + 4|r0| a, 2 a))
+    up to b.  ``t`` is a time or an array of times; an array gives an array,
+    each element the value of its scalar call.
     """
-    if not 0.0 <= t < np.inf:
+    tt = np.asarray(t, dtype=float)
+    if not np.all((tt >= 0.0) & (tt < np.inf)):
         raise ValueError("t must be finite and >= 0")
-    free = t**2 / (2.0 * charge.m**2) * delta_p0
-    tr = t - charge.r0_abs
-    if tr <= 0.0 or charge.q == 0.0:
-        return free
-    g, r0 = params.gamma, charge.r0_abs
-    a = complex(-g / 2.0, params.omega0)
+    g, r0, a = params.gamma, charge.r0_abs, complex(-params.gamma / 2.0, params.omega0)
     e = field_coeff(FieldKind.ELECTRIC, charge.r0, params, "rad")
-    m0, m1 = _moments(a, tr, order=1)
-    field = 4.0 * float(np.real(e @ np.conj(e))) * float(abs(tr * m0 - m1)) ** 2  # I = T M0 - M1
-    b = t - 2.0 * r0
-    if b > 0.0:
-        def weighted(m, k=0):  # Int_0^b (s + 2|r0|) s^k e^{c s - shift} ds
-            return m[k + 1] + 2.0 * r0 * m[k]
-
-        m_a, m_g = _moments(a, b, order=1), _moments(g, b, g * tr)
-        bracket = (weighted(m_a) - b**2 / 2.0 - 2.0 * r0 * b - a * (b**3 / 3.0 + r0 * b**2)
-                   - 2.0 * weighted(_moments(-a.conjugate(), b, g * tr, order=1))
-                   + 2.0 * (weighted(m_g) + a * weighted(m_g, 1)))
-        field += 4.0 * float(np.real(complex(e @ e) * bracket / a**2))
-    return free + charge.q**2 / charge.m**2 * field
+    tr, b = _gated(tt, r0)[0], _gated(tt, 2.0 * r0)[0]
+    square = _moment_sum(((a, 0.0, (tr, -1.0)),), tr)
+    triangles = _moment_sum(((a, 0.0, (2.0 * r0, 1.0)),
+                             (0.0, 0.0, (-2.0 * r0, -1.0 - 2.0 * r0 * a, -a)),
+                             (-a.conjugate(), g * tr, (-4.0 * r0, -2.0)),
+                             (g, g * tr, (4.0 * r0, 2.0 + 4.0 * r0 * a, 2.0 * a))), b)
+    field = (4.0 * float(np.real(e @ np.conj(e))) * np.abs(square) ** 2
+             + 4.0 * np.real(complex(e @ e) * triangles / a**2))
+    out = tt**2 / (2.0 * charge.m**2) * delta_p0 + charge.q**2 / charge.m**2 * field
+    return out.item() if np.ndim(t) == 0 else out

@@ -8,33 +8,33 @@ field correlation tensor with the detector's free phase:
                 + c.c.
 
 Both integrands are gated sums of complex exponentials, so both integrals are
-evaluated in closed form.  Write c = dd . X (X the full or the radiation-zone
-electric coefficient, by ``part``), tau = t - |x| and b = t - 2|x|.
+moments Int_0^b e^{lam s - shift} ds from `kinetics._moments`.  Write
+c = dd . X (X the full or the radiation-zone electric coefficient, by
+``part``), tau = t - |x| and b = t - 2|x|.
 
 With K = G (normal-ordered) the gate is t' in [|x|, t] and the integrand's
 optical phases cancel exactly, exp(i w0 (t - t')) exp(-i w0 (t - t')) = 1,
 leaving a pure decay:
 
-    rate_G(t) = (8 |c|^2 / gamma) exp(-gamma tau / 2) (1 - exp(-gamma tau / 2))
+    rate_G(t) = 4 |c|^2 M0(-gamma/2, tau, shift = gamma tau/2)    (tau >= 0),
 
-for t > |x|, and 0 before light arrives.  With K = C = G + <Delta> the
-advanced-wave correction contributes only through its second gate,
-t' in [0, b]; its integrand oscillates at 2 w0 in t', and with
-a+- = 2 i w0 +- gamma/2
+that is (8 |c|^2 / gamma) exp(-gamma tau / 2) (1 - exp(-gamma tau / 2)), and
+0 before light arrives.  With K = C = G + <Delta> the advanced-wave
+correction contributes only through its second gate, t' in [0, b]; its
+integrand oscillates at 2 w0 in t'.  Counted back from the gate's end,
+s = b - t', and with a+- = 2 i w0 +- gamma/2,
 
-    rate_C - rate_G = 2 Re{ conj(c)^2 [ (e^{-2i w0 |x|} - e^{-gamma b/2}
-                                          e^{-2i w0 (t - |x|)}) / a+
-                                        - 2 e^{-gamma t/2} (e^{-2i w0 |x|}
-                                          e^{-gamma b/2} - e^{-2i w0 (t - |x|)}) / a- ] }
+    rate_C - rate_G = 2 Re{ conj(c)^2 e^{-2i w0 |x|} [ M0(-a+, b)
+                               - 2 M0(-a-, b, shift = gamma (b + |x|)) ] }
 
-for b >= 0.  The phases are already combined (e^{a+ b} e^{-2i w0 (t - |x|)}
-= e^{-2i w0 |x|} e^{gamma b/2}), so no exponent grows like w0 t beyond the
-one phase the result depends on, and the growing and decaying envelopes are
-merged (e^{-gamma t/2} e^{gamma |x|} = e^{-gamma b/2}), so nothing overflows.
-The correction is therefore suppressed by ~ gamma/w0 relative to the Glauber
-rate -- and vanishes *identically* for t < 2|x|, before a reflected vacuum
-fluctuation can close the round trip.  The tests check both forms against a
-Richardson trapezoid of the original integrands.
+for b >= 0.  The detector phase and the carrier are already combined into
+e^{-2i w0 |x|}, so the only optical phase left is 2 w0 b inside the moments,
+which `kinetics._exp` takes exactly to rounding; and the growing envelope of
+-a- is merged with its decay into the shift, so nothing overflows.  Through
+the 1/|a+-| of the moments the correction is suppressed by ~ gamma/w0
+relative to the Glauber rate -- and it vanishes *identically* for t < 2|x|,
+before a reflected vacuum fluctuation can close the round trip.  The tests
+check both forms against a Richardson trapezoid of the original integrands.
 """
 from __future__ import annotations
 
@@ -44,6 +44,7 @@ import numpy as np
 
 from .core import DipoleParams, FieldKind, _vec3
 from .fieldcoeffs import field_coeff
+from .kinetics import _exp, _gated, _moment_sum, _moments
 
 __all__ = ["DetectorConfig", "detection_rate_G", "detection_rate_C", "suppression_report", "SuppressionReport"]
 
@@ -76,27 +77,14 @@ def _rates(times: np.ndarray, cfg: DetectorConfig, part: str):
     """Closed-form (rate_G, rate_C) at every time of a 1-d float array."""
     # field_coeff checks ``part`` before any gate
     c = complex(cfg.dvec @ field_coeff(FieldKind.ELECTRIC, cfg.position, cfg.source, part))
-    if not np.all(np.isfinite(times)):
-        raise ValueError("detection times t must be finite")
-    p = cfg.source
-    x, g, w0 = cfg.r, p.gamma, p.omega0
-
-    # Glauber gate t' in [|x|, t]; clipping keeps exp() finite on closed rows
-    half = g * np.maximum(times - x, 0.0) / 2.0
-    rate_g = np.where(times > x, 8.0 * abs(c) ** 2 / g * np.exp(-half) * -np.expm1(-half), 0.0)
-
-    # second advanced gate t' in [0, b]; e^{-g t/2} e^{g|x|} = e^{-g b/2}
-    b = times - 2.0 * x
-    open_ = b >= 0.0
-    bb = np.where(open_, b, 0.0)
-    tt = np.where(open_, times, 2.0 * x)
-    ph_x = np.exp(-2j * w0 * x)
-    ph_t = np.exp(-2j * w0 * (tt - x))
-    decay_b = np.exp(-g * bb / 2.0)
-    bracket = ((ph_x - decay_b * ph_t) / (2j * w0 + g / 2.0)
-               - 2.0 * np.exp(-g * tt / 2.0) * (ph_x * decay_b - ph_t) / (2j * w0 - g / 2.0))
-    diff = np.where(open_, 2.0 * np.real(np.conj(c) ** 2 * bracket), 0.0)
-    return rate_g, rate_g + diff
+    x, g, w0 = cfg.r, cfg.source.gamma, cfg.source.omega0
+    tau, on_g = _gated(times, x)
+    b, on_c = _gated(times, 2.0 * x)
+    rate_g = np.where(on_g, 4.0 * abs(c) ** 2 * _moments(-g / 2.0, tau, g * tau / 2.0, 0)[0], 0.0)
+    moments = _moment_sum(((complex(-g / 2.0, -2.0 * w0), 0.0, (1.0,)),
+                           (complex(g / 2.0, -2.0 * w0), g * (b + x), (-2.0,))), b)
+    diff = 2.0 * np.real(np.conj(c) ** 2 * _exp(-2j * w0, x) * moments)
+    return rate_g, rate_g + np.where(on_c, diff, 0.0)
 
 
 def detection_rate_G(t: float, cfg: DetectorConfig, part: str = "full") -> float:

@@ -1,3 +1,7 @@
+import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +13,7 @@ from advwave.correlations import corr_traces, delta_expect_tensor, glauber_tenso
 from advwave.kinetics import (
     ChargeParams,
     CycleAverage,
+    _exp,
     _moments,
     cycle_averaged,
     dispersion_change,
@@ -162,6 +167,11 @@ def test_gating_exact_zero():
     assert momdiff_source(0.3, P, CH) == 0.0
     assert momdiff_vacsource(0.6, P, CH) == 0.0
     assert momdiff_source(-1.0, P, CH) == 0.0
+    # a time that is not finite has no gate to compare with
+    for bad in (np.nan, np.inf, -np.inf, np.array([1.0, np.nan])):
+        for rate in (momdiff_source, momdiff_vacsource):
+            with pytest.raises(ValueError, match="finite"):
+                rate(bad, P, CH)
 
 
 def test_vacsource_continuous_at_onset():
@@ -173,10 +183,11 @@ def test_vacsource_continuous_at_onset():
 
 def test_rates_vectorized():
     ts = np.array([0.0, 0.4, 1.0, 2.5])
-    arr = momdiff_source(ts, P, CH)
-    assert arr.shape == (4,)
-    for i, t in enumerate(ts):
-        assert arr[i] == momdiff_source(float(t), P, CH)
+    for rate in (momdiff_source, momdiff_vacsource):
+        arr = rate(ts, P, CH)
+        assert arr.shape == (4,)
+        for i, t in enumerate(ts):
+            assert arr[i] == rate(float(t), P, CH)
 
 
 def _grid(tmax, per_period=60):
@@ -202,10 +213,12 @@ def test_dispersion_is_exact_on_any_grid():
     # a point's value does not depend on the rest of the grid
     coarse = np.linspace(0.0, 3.0, 7)
     fine = np.union1d(coarse, np.linspace(0.0, 3.0, 1001))
-    a, b = dispersion_change(coarse, P, CH), dispersion_change(fine, P, CH)
     shared = np.isin(fine, coarse)
-    for name in ("cum_source", "cum_vacsource", "cum_total"):
-        assert np.all(getattr(a, name) == getattr(b, name)[shared])
+    for build, names in ((dispersion_change, ("cum_source", "cum_vacsource", "cum_total")),
+                         (cycle_averaged, ALL_CYCLE_COLUMNS)):
+        a, b = build(coarse, P, CH), build(fine, P, CH)
+        for name in names:
+            assert np.all(getattr(a, name) == getattr(b, name)[shared]), name
     # and at an optical frequency on a coarse grid
     p = DipoleParams.from_rates(omega0=1e8, gamma=1.0)
     curve = dispersion_change(np.linspace(0.0, 20.0, 101), p, CH)
@@ -226,6 +239,24 @@ def test_moments_match_gauss_legendre():
     # a shift merged into the exponent: no overflow where e^{c b} alone would
     m0, _, m2 = _moments(1.0, 1000.0, 1000.0)
     assert m0 == pytest.approx(1.0, rel=1e-15) and np.isfinite(m2)
+
+
+def test_exp_phase_is_exact_at_optical_phases():
+    # reference: the exact product w x (a Fraction) reduced modulo 2 pi with 50
+    # digits of pi; a plain np.exp(1j * w * x) is off by up to ulp(w x)/2 ~ 1e-7
+    pi = Decimal("3.14159265358979323846264338327950288419716939937510")
+    w = 2e16
+    x = np.random.default_rng(3).uniform(1e-8, 1e-7, 50)
+    got = _exp(1j * w, x)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for xi, gi in zip(x, got):
+            exact = Fraction(w) * Fraction(float(xi))
+            phase = float((Decimal(exact.numerator) / Decimal(exact.denominator)) % (2 * pi))
+            assert abs(gi - complex(math.cos(phase), math.sin(phase))) <= 1e-15
+    # a real exponent stays real, and the shift is merged
+    assert _exp(-1.0, np.array([2.0]), 3.0).dtype == float
+    assert _exp(-1.0, 2.0, 3.0) == pytest.approx(math.exp(-5.0), rel=1e-15)
 
 
 def test_dispersion_curve_consistency():
@@ -250,6 +281,9 @@ def test_dispersion_grid_validation():
         dispersion_change(np.linspace(1.0, 2.0, 50_000), P, CH)
     with pytest.raises(ValueError, match="at least two"):
         dispersion_change(np.array([0.0]), P, CH)
+    for bad in (np.array([0.0, 1.0, np.nan]), np.array([0.0, np.inf])):
+        with pytest.raises(ValueError, match="finite"):
+            dispersion_change(bad, P, CH)
 
 
 def test_longtime_fit_slope():
@@ -273,7 +307,7 @@ def test_posdisp_free_part():
 
 
 def test_posdisp_validation():
-    for t in (-0.1, np.inf, np.nan):
+    for t in (-0.1, np.inf, np.nan, np.array([0.5, -0.1]), np.array([0.5, np.nan])):
         with pytest.raises(ValueError, match="finite and >= 0"):
             posdisp_change(t, P, CH)
 
@@ -329,6 +363,12 @@ def test_posdisp_benchmark_references():
             0.00838015961356714, 0.008441947130400777, 0.008489181324548227)
     for k, ref in enumerate(refs):
         assert posdisp_change(1.0 + 0.0025 * (k - 4), P, CH) == pytest.approx(ref, rel=1e-9)
+    # all nine as one call: each element is its scalar call, bit for bit
+    many = posdisp_change(1.0 + 0.0025 * (np.arange(9) - 4), P, CH)
+    assert isinstance(many, np.ndarray) and many.shape == (9,)
+    for k in range(9):
+        one = posdisp_change(1.0 + 0.0025 * (k - 4), P, CH)
+        assert isinstance(one, float) and many[k] == one
 
 
 @settings(max_examples=60, deadline=None)
