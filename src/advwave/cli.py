@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
+import random
 import sys
 from dataclasses import dataclass
 
@@ -194,8 +196,6 @@ def _points(cfg: RunConfig, command: str, auto: int, square: bool = False) -> in
 
 def _auto_points(cfg: RunConfig) -> int:
     """Automatic figure grid size: 64 points per optical period if that fits."""
-    import math
-
     tmax = cfg.tmax_gamma / cfg.gamma
     intervals = 64 * cfg.omega0 * tmax / (2.0 * math.pi)
     return max(2, int(math.ceil(intervals)) + 1) if intervals <= _RESOLVED_ROWS - 1 else _AVERAGED_ROWS
@@ -359,7 +359,9 @@ def _run_checks(cfg: RunConfig, grid, span: float, full: bool):
 
     ``grid`` is the oracle's mode comb, ``span`` its width in units of gamma.
     A row passes when measured <= tolerance; a check that raises measures NaN
-    and so fails, with the error as its note.
+    and so fails, with the error as its note.  The random working points come
+    from one stdlib stream, ``random.Random(20260814).random()``, drawn a whole
+    array at a time in the order of the rows, so every run draws the same ones.
     """
     import numpy as np
 
@@ -372,17 +374,22 @@ def _run_checks(cfg: RunConfig, grid, span: float, full: bool):
                          oracle_two_time)
     from .radiometry import _sphere_nodes, power_curves_2lvl
 
-    rng = np.random.default_rng(20260814)
+    rng = random.Random(20260814)
     p = DipoleParams.from_rates(cfg.omega0_over_gamma, 1.0)
     count = grid.count
     kinds = (FieldKind.ELECTRIC, FieldKind.MAGNETIC)
 
+    def uniform(lo, hi, *shape):
+        # lo + (hi - lo) u for an array of uniforms u in [0, 1)
+        u = np.array([rng.random() for _ in range(math.prod(shape))]).reshape(shape)
+        return lo + (hi - lo) * u
+
     def power_sum_rules():
         # on random two-level working points
         err = 0.0
-        for _ in range(100):
-            q = DipoleParams.from_rates(rng.uniform(10.0, 1000.0), 1.0)
-            pb = power_curves_2lvl(float(rng.uniform(0.0, 10.0)), q)
+        for ratio, t in uniform(0.0, 1.0, 100, 2).tolist():
+            q = DipoleParams.from_rates(10.0 + 990.0 * ratio, 1.0)
+            pb = power_curves_2lvl(10.0 * t, q)
             err = max(err,
                       abs(pb.source + pb.vacsource - pb.total) / pb.total if pb.total else 0.0,
                       abs(pb.total - 2.0 * pb.glauber) / pb.total if pb.total else 0.0)
@@ -392,7 +399,7 @@ def _run_checks(cfg: RunConfig, grid, span: float, full: bool):
         # transverse sphere quadrature of three random vectors d, on the
         # rule's (M, 3) node array in one pass
         dirs, weights = _sphere_nodes(16)
-        d = rng.normal(size=(3, 3))
+        d = uniform(-1.0, 1.0, 3, 3)
         tr = d[:, None, :] - dirs * (d @ dirs.T)[:, :, None]
         ref = 8.0 * np.pi / 3.0 * np.sum(d * d, axis=1)
         return float(np.max(np.abs(np.sum(tr * tr, axis=2) @ weights - ref) / ref)), ""
@@ -401,8 +408,8 @@ def _run_checks(cfg: RunConfig, grid, span: float, full: bool):
         # positions and kinds drawn for each pair of times; the pairs with both
         # events off the origin join the batch of their (kind_x, kind_y), one
         # tensor call per kind pair
-        xa, xb = rng.uniform(-2.0, 2.0, size=(2, ta.size, 3))
-        pair = 2 * rng.integers(2, size=ta.size) + rng.integers(2, size=ta.size)
+        xa, xb = uniform(-2.0, 2.0, 2, ta.size, 3)
+        pair = uniform(0.0, 4.0, ta.size).astype(int)
         kept = (np.linalg.norm(xa, axis=1) >= 1e-3) & (np.linalg.norm(xb, axis=1) >= 1e-3)
         for code in range(4):
             sel = kept & (pair == code)
@@ -418,7 +425,7 @@ def _run_checks(cfg: RunConfig, grid, span: float, full: bool):
         worst = float(max(np.max(np.abs(momdiff_source(before_arrival, p, charge))),
                           np.max(np.abs(momdiff_vacsource(before_round_trip, p, charge)))))
 
-        t = rng.uniform(0.0, 10.0, size=200)
+        t = uniform(0.0, 10.0, 200)
         for ka, kb, ea, eb in random_event_pairs(t, t):
             worst = max(worst, float(np.max(np.abs(delta_expect_tensor(ka, kb, ea, eb, p)))))
         return worst, "exact zeros required"
@@ -429,7 +436,7 @@ def _run_checks(cfg: RunConfig, grid, span: float, full: bool):
             return np.max(np.abs(tensors), axis=(-2, -1))
 
         err = 0.0
-        ta, tb = np.sort(rng.uniform(0.0, 8.0, size=(200, 2)), axis=1).T
+        ta, tb = np.sort(uniform(0.0, 8.0, 200, 2), axis=1).T
         for ka, kb, ea, eb in random_event_pairs(ta, tb):
             total = sum(commutator_parts(ka, kb, ea, eb, p))
             ref = delta_expect_tensor(ka, kb, ea, eb, p)
@@ -439,7 +446,7 @@ def _run_checks(cfg: RunConfig, grid, span: float, full: bool):
 
     def commutator_diagonal():
         # equal-time commutator against the population difference
-        t = rng.uniform(0.0, 10.0, size=100)
+        t = uniform(0.0, 10.0, 100)
         return float(np.max(np.abs(commutator_expect(t, t, p) + sigma_z_expect(t, p)))), ""
 
     def oracle_population():

@@ -327,7 +327,11 @@ def cycle_averaged(t_grid, params: DipoleParams, charge: ChargeParams) -> CycleA
     for name, (gate, terms) in zip(("source", "vacsource"), _rate_terms(params, charge.r0_abs)):
         # the part of [t - P/2, t + P/2] after the gate is [gate + x1, gate + x1 + width]
         x1, whole = _gated(t - period / 2.0, gate)
-        width = np.where(whole, period, _gated(t + period / 2.0, gate)[0])
+        # a window that straddles a gate past P has t within a factor of 2 of
+        # it, so t - gate is exact and the width is rounded once at the scale
+        # of P, not at that of t + P/2; the window opens where t + P/2 > gate
+        width = np.where(whole, period,
+                         np.where(t + period / 2.0 > gate, (t - gate) + period / 2.0, 0.0))
         b, on = _gated(t, gate)
         cut = np.where(whole, 0, np.cumsum(~whole))  # index into [P, the clipped widths]
         const = -sum(np.real(c / lam) for c, lam in terms if lam != 0.0)

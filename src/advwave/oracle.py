@@ -47,6 +47,7 @@ Three independent machines live here:
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +67,11 @@ __all__ = [
 
 _TWO_PHOTON_DIM_BUDGET = 2_000_000
 _UNITARITY_LIMIT = 1e-8
-_BLOCK_BYTES = 8 << 20
+# The rolling block of T_k x fits one core's 2 MiB L2 cache.  An N=2 state
+# at count 200 (0.64 MB) then takes the three-row minimum, not 13 rows as
+# under an 8 MiB cap, and N=1 combs keep all sixteen.  The wider block
+# saved no time and held 6.4 MB more.
+_BLOCK_BYTES = 2 << 20
 _SUMS_BYTES = 1 << 29     # one N=2 propagation's peak at the sector budget
 
 
@@ -219,10 +224,11 @@ class _TwoSector(_Sector):
 
         H (e, S) = (d o e + sqrt(2) S g,  Delta o S + (e g^T + g e^T) / sqrt(2))
 
-    with Delta_kl = d_k + d_l.  A state holds count + count^2 amplitudes, and
-    a propagation keeps about eight of them (the rolling block of at least
-    three T_k, one sum per output time, the scaled diagonal, the rank-2 buffer
-    and one product): about 0.5 GB for one time at the budget, count ~2 000.
+    with Delta_kl = d_k + d_l.  A state holds count + count^2 amplitudes.
+    One propagation to one time peaks at 8.0 state vectors by tracemalloc,
+    at count 200 and at count 400: the starting state, the three-row
+    rolling block of T_k, the block product, the sum, the scaled diagonal
+    and the rank-2 buffer.  At the budget, count 1 998, that is 0.51 GB.
     """
 
     def __init__(self, grid: ModeGrid):
@@ -329,10 +335,14 @@ def _chebyshev_expm_many(h: _Sector, taus, x: np.ndarray, observe) -> list:
         coeffs = np.array([np.pad(c, (0, terms - c.size)) for c in series])
         two_x = h.scaled(2.0 / half, center)
         # T_k(X) x goes to row k % width of a rolling block; each full block
-        # joins each time's sum as one matrix-vector product with its weights
+        # joins each time's sum as one matrix-vector product with its weights.
+        # The block, the product and the sums are one allocation, the largest
+        # of a propagation.  glibc's malloc sets its trim threshold to twice
+        # the largest block it has unmapped, so the freed working set stays
+        # mapped for the next call instead of being faulted in again.
         width = int(np.clip(_BLOCK_BYTES // (16 * h.size), 3, 16))
-        block = np.zeros((width, h.size), dtype=complex)
-        sums = np.zeros((times.size, h.size), dtype=complex)
+        work = np.zeros((width + 1 + times.size, h.size), dtype=complex)
+        block, product, sums = work[:width], work[width], work[width + 1:]
         block[0] = x
         two_x(block[0], block[1])
         block[1] *= 0.5
@@ -344,7 +354,8 @@ def _chebyshev_expm_many(h: _Sector, taus, x: np.ndarray, observe) -> list:
                 block[row] -= block[(k - 2) % width]
             if row == width - 1 or k == terms - 1:
                 for weights, s in zip(coeffs[:, k - row:k + 1], sums):
-                    s += weights @ block[:row + 1]
+                    np.matmul(weights, block[:row + 1], out=product)
+                    s += product
         sums *= np.exp(-1j * times * center)[:, None]
     norm0 = float(np.linalg.norm(x))
     for tau, residual in zip(times, (abs(float(np.linalg.norm(s)) - norm0) for s in sums)):
@@ -383,7 +394,8 @@ def oracle_two_time(kind, u: float, v: float, grid: ModeGrid) -> complex:
     with every factor evaluated in the rotating frame; psi(u) and psi(v) share
     one N=1 recurrence.  The N=2 sector must fit ``_TWO_PHOTON_DIM_BUDGET``
     (2 000 000 states, count <= 1 998), which is checked before any
-    propagation; at the budget one N=2 propagation peaks at about 0.5 GB.
+    propagation; one N=2 propagation peaks at 8.0 state vectors of
+    16 (count + count^2) bytes, 0.51 GB at the budget.
     """
     from .atomdyn import AtomCorrKind
 
@@ -400,7 +412,7 @@ def oracle_two_time(kind, u: float, v: float, grid: ModeGrid) -> complex:
         raise ValueError(f"{kind.value} requires u <= v")
 
     pairs, n = _TwoSector(grid), grid.count     # an oversized N=2 sector raises here
-    psi_u, psi_v = _from_excited((u, v), grid, lambda psi: psi)
+    psi_u, psi_v = _from_excited((u, v), grid, np.copy)
     raised = np.zeros(pairs.size, dtype=complex)    # s+ psi(u) = (psi_u[1:], S = 0)
     raised[:n] = psi_u[1:]
     (left,) = _chebyshev_expm_many(pairs, [v - u], raised, lambda x: x[:n])
@@ -572,14 +584,19 @@ def angular_reduction_check(z_values=(5.0, 1e-3), n_dirs: int = 3, order: int = 
                             seed: int = 0) -> float:
     """Max abs error of the quadrature'd transverse angular integral vs tau_ij.
 
-    For random unit directions xhat and each z, compares
+    For ``n_dirs`` random unit directions xhat and each z, compares
     (1/4 pi) Int dOmega_k (delta_ij - k_i k_j) e^{i z k.xhat} against
-    tau_kernel(z, xhat), component by component.
+    tau_kernel(z, xhat), component by component.  The directions are uniform
+    on the sphere, cos(theta) and phi from two uniforms each of the stdlib
+    stream ``random.Random(seed).random()``.
     """
     from .fieldcoeffs import tau_kernel
 
-    xhats = np.random.default_rng(seed).normal(size=(n_dirs, 3))
-    xhats /= np.linalg.norm(xhats, axis=1, keepdims=True)
+    rng = random.Random(seed)
+    u, w = np.array([rng.random() for _ in range(2 * n_dirs)]).reshape(2, n_dirs)
+    cos_t, phi = 2.0 * u - 1.0, 2.0 * np.pi * w
+    sin_t = np.sqrt(1.0 - cos_t**2)
+    xhats = np.stack((sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t), axis=1)
     num = _transverse_quadrature(xhats, z_values, order)
     ref = np.array([[tau_kernel(z, xhat) for xhat in xhats] for z in z_values])
     return float(np.max(np.abs(num - ref.reshape(num.shape)), initial=0.0))

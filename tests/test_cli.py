@@ -230,6 +230,17 @@ def test_validate_flags_an_underresolved_grid(tmp_path, capsys):
     assert "FAIL" in (tmp_path / "validate.txt").read_text()
 
 
+def test_validate_draws_the_same_working_points_every_run(tmp_path, capsys):
+    # the random rows draw from a fixed-seed stream: a rerun rewrites the same bytes
+    argv = ("validate", "--full", "--count", "50", "--out", str(tmp_path))
+    texts = []
+    for _ in range(2):
+        run_cli(*argv)
+        texts.append((tmp_path / "validate.txt").read_bytes())
+    assert texts[0] == texts[1]
+    assert b"sphere-quadrature" in texts[0] and b"commutator-reconstruction" in texts[0]
+
+
 def test_validate_passes_at_an_optical_ratio(tmp_path, capsys):
     argv = ("validate", "--full", "--count", "200", "--omega0-ratio", "1e8")
     assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_OK

@@ -411,6 +411,27 @@ def test_cycle_averages_match_richardson_quadrature(ratio):
     assert np.all(curves.avg_total == curves.avg_source + curves.avg_vacsource)
 
 
+def test_straddling_window_width_at_an_optical_ratio():
+    # at gamma = 1e8, omega0/gamma = 1e8 and |r0| gamma = 2.5 the rounding of
+    # t + P/2 is up to 1e-8 of the part of the window after the gate; the
+    # average must follow that part's exact width
+    gamma, omega0 = 1e8, 1e16
+    p = DipoleParams.from_rates(omega0=omega0, gamma=gamma)
+    ch = ChargeParams(q=1.0, m=1.0, r0=np.array([2.5 / gamma, 0.0, 0.0]))
+    gate, period = ch.r0_abs, 2.0 * np.pi / omega0
+    t = gate + 0.3 * period
+    width = float(Fraction(t) - Fraction(gate) + Fraction(period / 2.0))
+    # cum_source is 2 |e^{a x} - 1|^2 a time x past its gate, 5 rad of
+    # carrier phase over the width: 80 Gauss-Legendre nodes integrate it to
+    # rounding (40 and 80 nodes agree to 3e-15)
+    x, w = _gauss_legendre(0.0, width, 80)
+    cum = 2.0 * (np.expm1(-gamma * x / 2.0) ** 2
+                 + 4.0 * np.exp(-gamma * x / 2.0) * np.sin(omega0 * x / 2.0) ** 2)
+    ref = (w @ cum) / period
+    got = cycle_averaged(np.array([t]), p, ch).avg_source[0]
+    assert got == pytest.approx(ref, rel=1e-13)
+
+
 @pytest.mark.parametrize("ratio", [10.0, 100.0])
 def test_envelopes_bound_the_raw_curves(ratio):
     p = DipoleParams.from_rates(omega0=ratio, gamma=1.0)

@@ -7,6 +7,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -526,6 +527,22 @@ def test_oversized_pair_sector_is_refused_before_any_work(monkeypatch):
             oracle_two_time(kind, 0.5, 1.0, grid)
 
 
+@pytest.mark.parametrize("count", [200, 400])
+def test_two_excitation_working_set(count):
+    # one N=2 propagation keeps 8 state vectors of 16 (n + n^2) bytes: the
+    # three-row block, the sum, the raised start, the scaled diagonal, the
+    # rank-2 buffer and one block product (at count 200 an 8 MiB block held
+    # 13 rows, 18 vectors)
+    grid = build_grid(P30, count=count, span_gammas=50.0)
+    tracemalloc.start()
+    try:
+        oracle_two_time(AtomCorrKind.MINUS_PLUS, 1.0, 2.0, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.5 * 16 * (count + count**2)
+
+
 def test_two_time_guards(grid120):
     with pytest.raises(ValueError, match="u <= v"):
         oracle_two_time(AtomCorrKind.MINUS_PLUS, 2.0, 1.0, grid120)
@@ -674,19 +691,23 @@ def test_angular_quadrature_matches_the_per_direction_loop():
 # --- runtime dependencies ----------------------------------------------------
 
 def test_commands_run_without_scipy(tmp_path):
-    # scipy serves only the independent routes in these tests; no command
-    # (the oracle included) may import it
+    # scipy serves only the independent routes in these tests, and numpy.random
+    # (about 6 MB on import) only their inputs; no command, the oracle
+    # included, may import either.  The smallest form of each command runs in
+    # a fresh interpreter, because this one has imported both.
     code = (
         "import sys\n"
         "from advwave.cli import main\n"
         f"out = {str(tmp_path)!r}\n"
         "for argv, allowed in (\n"
-        "        (['validate', '--full', '--count', '4', '--span', '1'], (0, 2)),\n"
-        "        (['figure', '3'], (0,)), (['power', 'pert'], (0,)),\n"
-        "        (['corr', '--points', '2'], (0,)), (['detect', '--points', '2'], (0,))):\n"
+        "        (['figure', '3', '--omega0-ratio', '10'], (0,)), (['power', 'pert'], (0,)),\n"
+        "        (['power', 'nonpert', '--points', '3'], (0,)),\n"
+        "        (['corr', '--points', '2'], (0,)), (['detect', '--points', '2'], (0,)),\n"
+        "        (['validate', '--full', '--count', '4', '--span', '1'], (0, 2))):\n"
         "    assert main(argv + ['--out', out]) in allowed, argv\n"
         "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
         "assert not loaded, loaded\n"
+        "assert 'numpy.random' not in sys.modules\n"
     )
     src_dir = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
