@@ -8,7 +8,6 @@ rotating-wave + Markov solution of the Heisenberg equations:
 
 Two-time correlators are only derived for ordered arguments u <= v; callers
 needing the other ordering should use hermiticity, S(u, v) = conj(S(v, u)).
-Functions broadcast over numpy arrays and return scalars for scalar input.
 """
 from __future__ import annotations
 
@@ -16,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import DipoleParams
+from .core import DipoleParams, _finite, _like
 
 __all__ = [
     "AtomCorrKind",
@@ -31,17 +30,6 @@ class AtomCorrKind(Enum):
     PLUS_MINUS = "plus_minus"        # <sigma^+(u) sigma^-(v)>
     MINUS_PLUS = "minus_plus"        # <sigma^-(u) sigma^+(v)>
     COMMUTATOR = "commutator"        # <[sigma^-(u), sigma^+(v)]>
-
-
-def _times(t, name="t"):
-    arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite and >= 0")
-    return arr
-
-
-def _maybe_item(x, *inputs):
-    return x.item() if all(np.isscalar(i) for i in inputs) else x
 
 
 # Raw kernels, no argument validation.  The *_raw(u, v) two-time forms are the
@@ -74,12 +62,12 @@ def _comm_raw(u, v, p: DipoleParams):
 
 def sigma_z_expect(t, p: DipoleParams):
     """<sigma_z(t)> = 2 exp(-gamma t) - 1 for decay from the excited state."""
-    tt = _times(t)
-    return _maybe_item(2.0 * np.exp(-p.gamma * tt) - 1.0, t)
+    tt = _finite(t, "t", nonneg=True)
+    return _like(2.0 * np.exp(-p.gamma * tt) - 1.0, tt)
 
 
 def _ordered(u, v):
-    uu, vv = _times(u, "u"), _times(v, "v")
+    uu, vv = _finite(u, "u", nonneg=True), _finite(v, "v", nonneg=True)
     if np.any(uu > vv):
         raise ValueError("two-time correlators require u <= v; use hermiticity for the reverse ordering")
     return uu, vv
@@ -87,8 +75,8 @@ def _ordered(u, v):
 
 def corr_plus_minus(u, v, p: DipoleParams):
     """<sigma^+(u) sigma^-(v)>; valid for any u, v >= 0 (no ordering issue)."""
-    uu, vv = _times(u, "u"), _times(v, "v")
-    return _maybe_item(_pm_raw(uu, vv, p), u, v)
+    uu, vv = _finite(u, "u", nonneg=True), _finite(v, "v", nonneg=True)
+    return _like(_pm_raw(uu, vv, p), uu, vv)
 
 
 def corr_minus_plus(u, v, p: DipoleParams):
@@ -99,7 +87,7 @@ def corr_minus_plus(u, v, p: DipoleParams):
     (exp(gamma u) - 1) under the common exp(-gamma(u+v)/2) envelope.
     """
     uu, vv = _ordered(u, v)
-    return _maybe_item(_mp_raw(uu, vv, p), u, v)
+    return _like(_mp_raw(uu, vv, p), uu, vv)
 
 
 def commutator_expect(u, v, p: DipoleParams):
@@ -110,4 +98,4 @@ def commutator_expect(u, v, p: DipoleParams):
     -<sigma_z(u)> = 1 - 2 exp(-gamma u).
     """
     uu, vv = _ordered(u, v)
-    return _maybe_item(_comm_raw(uu, vv, p), u, v)
+    return _like(_comm_raw(uu, vv, p), uu, vv)

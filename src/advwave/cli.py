@@ -40,10 +40,6 @@ EXIT_VALIDATION = 2
 EXIT_IO = 3
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits bad usage with status 2; remap it to our usage code."""
 
@@ -61,7 +57,7 @@ def _apply_thread_env():
     except ValueError:
         n = 0
     if n < 1:
-        raise _UsageError(f"ADVWAVE_THREADS must be a positive integer, got {raw!r}")
+        raise ValueError(f"ADVWAVE_THREADS must be a positive integer, got {raw!r}")
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
         os.environ.setdefault(var, str(n))
@@ -84,12 +80,12 @@ class RunConfig:
     out: str = "."
 
     def __post_init__(self):
+        from .core import _positive
+
         for name in ("gamma", "omega0_over_gamma", "r0_gamma", "tmax_gamma"):
-            v = getattr(self, name)
-            if not (v > 0.0 and v < float("inf")):
-                raise _UsageError(f"{name} must be positive and finite, got {v}")
+            _positive(getattr(self, name), name)
         if self.points is not None and self.points < 2:
-            raise _UsageError(f"points must be >= 2, got {self.points}")
+            raise ValueError(f"points must be >= 2, got {self.points}")
 
     @property
     def omega0(self) -> float:
@@ -137,14 +133,14 @@ def _read_config(path):
         key, sep, val = line.partition("=")
         key, val = key.strip(), val.strip()
         if not sep or not key or not val:
-            raise _UsageError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         if key not in _CONFIG_KEYS:
-            raise _UsageError(f"{path}:{lineno}: unknown key {key!r}")
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         field, cast = _CONFIG_KEYS[key]
         try:
             values[field] = cast(val)
         except ValueError:
-            raise _UsageError(f"{path}:{lineno}: bad value for {key}: {val!r}") from None
+            raise ValueError(f"{path}:{lineno}: bad value for {key}: {val!r}") from None
     return values
 
 
@@ -189,8 +185,8 @@ def _points(cfg: RunConfig, command: str, auto: int, square: bool = False) -> in
     n = cfg.points if cfg.points is not None else auto
     rows = n**2 if square else n
     if rows > _MAX_ROWS:
-        raise _UsageError(f"the {command} grid needs {rows:,} rows, more than the "
-                          f"limit of {_MAX_ROWS:,}; lower --points")
+        raise ValueError(f"the {command} grid needs {rows:,} rows, more than the "
+                         f"limit of {_MAX_ROWS:,}; lower --points")
     return n
 
 
@@ -215,8 +211,8 @@ def cmd_figure(cfg: RunConfig, which: int) -> int:
     from .kinetics import ChargeParams, cycle_averaged, dispersion_change, longtime_fit
 
     if cfg.tmax_gamma < 2.0 * cfg.r0_gamma:
-        raise _UsageError("tmax_gamma must be >= 2*r0_gamma so the vacuum-source "
-                          "onset lies inside the window")
+        raise ValueError("tmax_gamma must be >= 2*r0_gamma so the vacuum-source "
+                         "onset lies inside the window")
     params, position = _dipole_geometry(cfg)
     charge = ChargeParams(q=1.0, m=1.0, r0=position)
     n = _points(cfg, "figure", _auto_points(cfg))
@@ -507,8 +503,8 @@ def cmd_validate(cfg: RunConfig, count: int, span: float, full: bool) -> int:
     from .oracle import _pair_count, build_grid
 
     if span / 2.0 >= cfg.omega0_over_gamma:     # the comb would reach zero frequency
-        raise _UsageError(f"span must be below 2 * omega0-ratio = "
-                          f"{2.0 * cfg.omega0_over_gamma:g}, got {span:g}")
+        raise ValueError(f"span must be below 2 * omega0-ratio = "
+                         f"{2.0 * cfg.omega0_over_gamma:g}, got {span:g}")
     if full:
         _pair_count(count)
     # refuses a bad count or span with a ValueError, before any check runs
@@ -590,8 +586,8 @@ def main(argv=None) -> int:
         _apply_thread_env()
         argv = sys.argv[1:] if argv is None else list(argv)
         if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
-            raise _UsageError(f"{argv[0]} comes before the command; flags follow the "
-                              "command: advwave COMMAND [flags]")
+            raise ValueError(f"{argv[0]} comes before the command; flags follow the "
+                             "command: advwave COMMAND [flags]")
         ns = _build_parser().parse_args(argv)
         if ns.command == "figure":
             cfg = _resolve_config(ns, **_FIGURE_DEFAULTS[ns.which])
@@ -607,9 +603,6 @@ def main(argv=None) -> int:
             return cmd_detect(cfg)
         cfg = _resolve_config(ns)
         return cmd_validate(cfg, ns.count, ns.span, ns.full)
-    except _UsageError as exc:
-        print(f"advwave: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
         print(f"advwave: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

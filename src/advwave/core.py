@@ -9,9 +9,21 @@ and the free-space decay rate of a two-level dipole obeys
 Complex 3-vectors and 3x3 tensors are plain ``numpy`` arrays; no wrapper types.
 An :class:`Event` holds a batch of spacetime points: times of shape S and
 positions of shape S + (3,), where a single event is the batch of shape ().
+
+Every public function of the package keeps one input contract, written once
+here and used everywhere else:
+
+* times are finite: NaN or +-inf raises ``ValueError`` (``_finite``), and
+  functions defined only from t = 0 also refuse negative times;
+* a light-cone gate is a unit step with th(0) = 1: a term gated at ``gate``
+  is on from t = gate inclusive and an exact zero before it (``_gated``);
+* rates, frequencies and radii are positive and finite (``_positive``);
+* a scalar in gives a Python scalar out, and an array keeps its shape
+  (``_like``).
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -36,13 +48,46 @@ def _omega0_cubed(omega0) -> float:
         raise ValueError(f"omega0 = {float(omega0):.6g} is too large: omega0^3 overflows") from None
 
 
+def _finite(x, name: str, nonneg: bool = False) -> np.ndarray:
+    """``x`` as a float array; ValueError unless it is finite (and >= 0 with ``nonneg``)."""
+    arr = np.asarray(x, dtype=float)
+    ok = (arr >= 0.0) & (arr < np.inf) if nonneg else np.isfinite(arr)     # NaN fails both
+    if np.count_nonzero(ok) != arr.size:    # cheaper than ok.all() for a scalar
+        raise ValueError(f"{name} must be finite{' and >= 0' if nonneg else ''}")
+    return arr
+
+
+def _positive(x, name: str):
+    """``x`` itself; ValueError unless it is a positive finite number."""
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {x}")
+    return x
+
+
+def _gated(t, gate):
+    """(b, on): the time b = t - gate since the gate, clipped at 0, and the mask t >= gate.
+
+    The gate is the unit step th(0) = 1, open from t = gate inclusive; t - gate
+    >= 0 exactly where t >= gate, so b and on agree.  Times must be finite.
+    """
+    t = _finite(t, "times t")
+    return np.maximum(t - gate, 0.0), t >= gate
+
+
+def _like(out, *inputs):
+    """``out``, an array or a tuple of arrays, as Python scalars when every input
+    is a scalar or a 0-d array; else as is."""
+    if any(map(np.ndim, inputs)):
+        return out
+    return tuple(o.item() for o in out) if isinstance(out, tuple) else out.item()
+
+
 def _vecs3(value, name: str) -> np.ndarray:
     """A read-only copy of ``value`` as finite 3-vectors, shape (..., 3)."""
     arr = np.array(value, dtype=float)
     if arr.shape[-1:] != (3,):
         raise ValueError(f"{name} must hold 3-vectors along its last axis, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} must be finite")
+    _finite(arr, name)
     arr.flags.writeable = False
     return arr
 
@@ -89,10 +134,8 @@ class DipoleParams:
     consistent: bool = False
 
     def __post_init__(self):
-        if not (self.omega0 > 0.0 and np.isfinite(self.omega0)):
-            raise ValueError(f"omega0 must be positive and finite, got {self.omega0}")
-        if not (self.gamma > 0.0 and np.isfinite(self.gamma)):
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+        _positive(self.omega0, "omega0")
+        _positive(self.gamma, "gamma")
         object.__setattr__(self, "dvec", _vec3(self.dvec, "dvec"))
         if self.consistent:
             derived = _omega0_cubed(self.omega0) * self.d_abs2 / (3.0 * np.pi)
@@ -140,9 +183,7 @@ class Event:
     x: np.ndarray
 
     def __post_init__(self):
-        t = np.array(self.t, dtype=float)
-        if not np.isfinite(t).all():
-            raise ValueError("t must be finite")
+        t = np.array(_finite(self.t, "t"))
         x = _vecs3(self.x, "x")
         if x.shape != t.shape + (3,):
             raise ValueError(f"x must have shape {t.shape + (3,)} to match t, got {x.shape}")

@@ -43,7 +43,7 @@ import functools
 import numpy as np
 
 from . import atomdyn
-from .core import DipoleParams, Event, FieldKind, _norm3, _vec3
+from .core import DipoleParams, Event, FieldKind, _finite, _like, _norm3, _vec3
 from .fieldcoeffs import _check_part, field_coeff
 
 __all__ = [
@@ -93,13 +93,14 @@ def corr_traces(kind_x: FieldKind, kind_y: FieldKind, t, x, tp, y,
 
     ``t`` and ``tp`` broadcast against each other (e.g. a column and a row of
     times); ``x`` and ``y`` are fixed 3-vectors.  Both results have the
-    broadcast shape and are exactly zero outside their gates.
+    broadcast shape, Python complex numbers for scalar times, and are exactly
+    zero outside their gates.
     """
-    t, tp = np.asarray(t, dtype=float), np.asarray(tp, dtype=float)
+    t, tp = _finite(t, "t"), _finite(tp, "tp")
     coeffs, terms = _gated_terms(kind_x, kind_y, t, _vec3(x, "x"), tp, _vec3(y, "y"), params, part)
     xc, yc = coeffs()
     g, d1, d2 = (_masked_trace(gate, *term(xc, yc)) for gate, term in terms)
-    return g, d1 + d2
+    return _like((g, d1 + d2), t, tp)
 
 
 def _masked_trace(gate, left, right, factor):

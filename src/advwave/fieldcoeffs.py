@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DipoleParams, FieldKind, _norm3, _vec3, _vecs3
+from .core import DipoleParams, FieldKind, _finite, _norm3, _vec3, _vecs3
 
 __all__ = ["LevelScheme", "field_coeff", "tau_kernel"]
 
@@ -145,9 +145,7 @@ def tau_kernel(z: float, xhat) -> np.ndarray:
         if norm == 0.0:
             raise ValueError("xhat must be a unit vector")
         n = n / norm
-    z = float(z)
-    if z < 0.0:
-        raise ValueError("z = omega * |x| must be >= 0")
+    z = float(_finite(z, "z = omega * |x|", nonneg=True))
     if z < _TAU_SERIES_CUT:
         z2 = z * z
         j0 = 1.0 - z2 / 6.0 + z2 * z2 / 120.0 - z2 * z2 * z2 / 5040.0

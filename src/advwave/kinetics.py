@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DipoleParams, FieldKind, _vec3
+from .core import DipoleParams, FieldKind, _finite, _gated, _like, _positive, _vec3
 from .fieldcoeffs import field_coeff
 
 __all__ = [
@@ -75,10 +75,8 @@ class ChargeParams:
     r0: np.ndarray
 
     def __post_init__(self):
-        if not np.isfinite(self.q):
-            raise ValueError("q must be finite")
-        if not (self.m > 0.0 and np.isfinite(self.m)):
-            raise ValueError("m must be positive")
+        _finite(self.q, "q")
+        _positive(self.m, "m")
         object.__setattr__(self, "r0", _vec3(self.r0, "r0"))
         if self.r0_abs == 0.0:
             raise ValueError("charge must sit away from the dipole position")
@@ -167,15 +165,6 @@ def _rate_terms(params: DipoleParams, r0: float):
                         (-complex(g * (1.0 + 2.0 * damp), 2.0 * w0 * (1.0 - 2.0 * damp)), a))))
 
 
-def _gated(t, gate):
-    """(b, on): the time b = t - gate since the gate, clipped at 0, and the mask b >= 0."""
-    t = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t)):
-        raise ValueError("times t must be finite")
-    on = t >= gate
-    return np.where(on, t - gate, 0.0), on
-
-
 def _exp(c, x, shift=0.0):
     """e^{c x - shift} for an array x; a real c keeps the arithmetic real.
 
@@ -249,8 +238,7 @@ def _gated_sum(t, kernel, gate, terms):
 
 def _rate(which: int, t, params: DipoleParams, charge: ChargeParams):
     rate = _rate_terms(params, charge.r0_abs)[which]
-    out = _inv_norm(params, charge) * _gated_sum(t, _exp, *rate)
-    return out.item() if np.isscalar(t) else out
+    return _like(_inv_norm(params, charge) * _gated_sum(t, _exp, *rate), t)
 
 
 def momdiff_source(t, params: DipoleParams, charge: ChargeParams):
@@ -318,8 +306,8 @@ def cycle_averaged(t_grid, params: DipoleParams, charge: ChargeParams) -> CycleA
     window is).  ``norm_constant`` is inf for q = 0 or a charge on the dipole
     axis, as in `dispersion_change`.
     """
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or not np.all(np.isfinite(t)):
+    t = _finite(t_grid, "t_grid (a 1-d array of finite times)")
+    if t.ndim != 1:
         raise ValueError("t_grid must be a 1-d array of finite times")
     a = complex(-params.gamma / 2.0, params.omega0)
     period = 2.0 * np.pi / params.omega0
@@ -413,9 +401,7 @@ def posdisp_change(t, params: DipoleParams, charge: ChargeParams, delta_p0: floa
     up to b.  ``t`` is a time or an array of times; an array gives an array,
     each element the value of its scalar call.
     """
-    tt = np.asarray(t, dtype=float)
-    if not np.all((tt >= 0.0) & (tt < np.inf)):
-        raise ValueError("t must be finite and >= 0")
+    tt = _finite(t, "t", nonneg=True)
     g, r0, a = params.gamma, charge.r0_abs, complex(-params.gamma / 2.0, params.omega0)
     e = field_coeff(FieldKind.ELECTRIC, charge.r0, params, "rad")
     tr, b = _gated(tt, r0)[0], _gated(tt, 2.0 * r0)[0]
@@ -427,4 +413,4 @@ def posdisp_change(t, params: DipoleParams, charge: ChargeParams, delta_p0: floa
     field = (4.0 * float(np.real(e @ np.conj(e))) * np.abs(square) ** 2
              + 4.0 * np.real(complex(e @ e) * triangles / a**2))
     out = tt**2 / (2.0 * charge.m**2) * delta_p0 + charge.q**2 / charge.m**2 * field
-    return out.item() if np.ndim(t) == 0 else out
+    return _like(out, tt)

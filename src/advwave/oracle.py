@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quad import n_for_oscillation, trapezoid_weights
-from .core import DipoleParams
+from .core import DipoleParams, _finite, _like, _positive
 
 __all__ = [
     "ModeGrid",
@@ -89,9 +89,7 @@ class ModeGrid:
 
     def __post_init__(self):
         for name in ("omegas", "couplings"):
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite")
+            arr = _finite(getattr(self, name), name).copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         if self.omegas.shape != self.couplings.shape or self.omegas.ndim != 1:
@@ -136,9 +134,7 @@ def build_grid(params: DipoleParams, count: int = 400, span_gammas: float = 50.0
     if count + 1 > _TWO_PHOTON_DIM_BUDGET:
         raise ValueError(f"count must be <= {_TWO_PHOTON_DIM_BUDGET - 1:,} to fit the sector "
                          f"budget, got {count:,}")
-    span = span_gammas * params.gamma
-    if not 0.0 < span < math.inf:
-        raise ValueError(f"span must be positive and finite, got {span_gammas}")
+    span = _positive(span_gammas * params.gamma, "span")
     if params.omega0 <= span / 2.0:
         raise ValueError("comb would cross zero frequency: need omega0 > span/2")
     dw = span / count
@@ -312,13 +308,11 @@ def _chebyshev_expm_many(h: _Sector, taus, x: np.ndarray, observe) -> list:
     sum_k (2 - delta_k0) (-i)^k J_k(tau r) T_k(X) converges super-exponentially
     once k > tau r (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).  Only
     the Bessel weights depend on tau: one recurrence out to the longest time
-    feeds a sum per distinct time.  Every time is a forward step from ``x``;
-    callers refuse negative ones.  Sums past ``_SUMS_BYTES`` or a non-finite
+    feeds a sum per distinct time.  Every time is a forward step from ``x``,
+    so times must be finite and >= 0.  Sums past ``_SUMS_BYTES`` or a non-finite
     interval are refused before any allocation; a norm drift past 1e-8 raises.
     """
-    taus = np.asarray(taus, dtype=float).tolist()
-    if not np.all(np.isfinite(taus)):
-        raise ValueError("times must be finite")
+    taus = _finite(taus, "times", nonneg=True).tolist()
     times = np.array(sorted(set(taus)))
     if 16 * times.size * h.size > _SUMS_BYTES:
         raise ValueError(f"{times.size:,} times of {h.size:,} amplitudes need more than "
@@ -375,11 +369,11 @@ def _from_excited(times, grid: ModeGrid, observe) -> list:
 
 def oracle_sigma_z(times, grid: ModeGrid):
     """<sigma_z(t)> on an ascending time grid from one N=1 Chebyshev recurrence."""
-    ts = np.atleast_1d(np.asarray(times, dtype=float))
-    if np.any(ts < 0.0) or np.any(np.diff(ts) < 0.0):
-        raise ValueError("times must be ascending and >= 0")
+    ts = np.atleast_1d(np.asarray(times, dtype=float))  # the kernel refuses t < 0, NaN and inf
+    if ts.ndim != 1 or np.any(np.diff(ts) < 0.0):
+        raise ValueError("times must be a time or an ascending 1-d grid")
     out = 2.0 * np.abs(_from_excited(ts, grid, lambda psi: psi[0])) ** 2 - 1.0
-    return out if np.ndim(times) else float(out[0])
+    return _like(out, times)
 
 
 def oracle_two_time(kind, u: float, v: float, grid: ModeGrid) -> complex:
@@ -400,8 +394,6 @@ def oracle_two_time(kind, u: float, v: float, grid: ModeGrid) -> complex:
     from .atomdyn import AtomCorrKind
 
     kind = AtomCorrKind(kind)
-    if u < 0.0 or v < 0.0:
-        raise ValueError("times must be >= 0")
     w0 = grid.omega0
 
     if kind is AtomCorrKind.PLUS_MINUS:
@@ -495,6 +487,7 @@ def markov_kernel_check(freq_fn, t_r: float, t_a: float, params: DipoleParams,
     carries the full kernel mass.  When no band is given, a band-halving
     convergence guard raises if the mass has not converged.
     """
+    _finite((t_r, t_a), "t_r and t_a")
     w0 = params.omega0
     sigma = 10.0 / w0 if sigma is None else sigma
     if window is None:

@@ -42,9 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DipoleParams, FieldKind, _vec3
+from .core import DipoleParams, FieldKind, _gated, _vec3
 from .fieldcoeffs import field_coeff
-from .kinetics import _exp, _gated, _moment_sum, _moments
+from .kinetics import _exp, _moment_sum, _moments
 
 __all__ = ["DetectorConfig", "detection_rate_G", "detection_rate_C", "suppression_report", "SuppressionReport"]
 
@@ -74,7 +74,7 @@ class DetectorConfig:
 
 
 def _rates(times: np.ndarray, cfg: DetectorConfig, part: str):
-    """Closed-form (rate_G, rate_C) at every time of a 1-d float array."""
+    """Closed-form (rate_G, rate_C - rate_G) at every time of a 1-d float array."""
     # field_coeff checks ``part`` before any gate
     c = complex(cfg.dvec @ field_coeff(FieldKind.ELECTRIC, cfg.position, cfg.source, part))
     x, g, w0 = cfg.r, cfg.source.gamma, cfg.source.omega0
@@ -84,7 +84,7 @@ def _rates(times: np.ndarray, cfg: DetectorConfig, part: str):
     moments = _moment_sum(((complex(-g / 2.0, -2.0 * w0), 0.0, (1.0,)),
                            (complex(g / 2.0, -2.0 * w0), g * (b + x), (-2.0,))), b)
     diff = 2.0 * np.real(np.conj(c) ** 2 * _exp(-2j * w0, x) * moments)
-    return rate_g, rate_g + np.where(on_c, diff, 0.0)
+    return rate_g, np.where(on_c, diff, 0.0)
 
 
 def detection_rate_G(t: float, cfg: DetectorConfig, part: str = "full") -> float:
@@ -98,24 +98,26 @@ def detection_rate_C(t: float, cfg: DetectorConfig, part: str = "full") -> float
     The first advanced gate (t' >= t + 2|x|) never overlaps the integration
     range [0, t]; only the second (t' <= t - 2|x|) contributes.
     """
-    return float(_rates(np.array([t], dtype=float), cfg, part)[1][0])
+    rate_g, diff = _rates(np.array([t], dtype=float), cfg, part)
+    return float((rate_g + diff)[0])
 
 
 @dataclass(frozen=True)
 class SuppressionReport:
-    """Glauber vs full detection rates on a time grid."""
+    """Glauber vs full detection rates on a time grid: ``diff`` is rate_C - rate_G
+    as computed, not a difference of two rounded rates, and ``rate_c`` is rate_g + diff."""
 
     times: np.ndarray
     rate_g: np.ndarray
-    rate_c: np.ndarray
+    diff: np.ndarray
 
     @property
-    def diff(self) -> np.ndarray:
-        return self.rate_c - self.rate_g
+    def rate_c(self) -> np.ndarray:
+        return self.rate_g + self.diff
 
     @property
     def max_ratio(self) -> float:
-        """max |rate_c - rate_g| / max rate_g over the grid."""
+        """max |diff| / max |rate_g| over the grid."""
         peak = float(np.max(np.abs(self.rate_g)))
         if peak == 0.0:
             return 0.0
@@ -126,5 +128,5 @@ def suppression_report(cfg: DetectorConfig, t_grid, part: str = "full") -> Suppr
     times = np.asarray(t_grid, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("t_grid must be a 1-d array of times")
-    rg, rc = _rates(times, cfg, part)
-    return SuppressionReport(times=times, rate_g=rg, rate_c=rc)
+    rg, diff = _rates(times, cfg, part)
+    return SuppressionReport(times=times, rate_g=rg, diff=diff)

@@ -17,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .core import DipoleParams, FieldKind
+from .core import DipoleParams, FieldKind, _gated, _like, _positive
 from .fieldcoeffs import LevelScheme, field_coeff
 
 __all__ = [
@@ -88,34 +87,25 @@ def power_curves_2lvl(t_ret, params: DipoleParams) -> PowerBreakdown:
     vacsource = w0 g (exp(-g t) - 1/2), total = w0 g exp(-g t);
     all zero for t_ret < 0.
     """
-    t = np.asarray(t_ret, dtype=float)
-    gate = (t >= 0.0).astype(float)
+    b, on = _gated(t_ret, 0.0)
+    gate = on.astype(float)
     wg = params.omega0 * params.gamma
-    decay = np.exp(-params.gamma * np.where(t >= 0.0, t, 0.0)) * gate
+    decay = np.exp(-params.gamma * b) * gate
     # Evaluate total as source + vacsource (and glauber as half of that) so
     # the bookkeeping identities hold exactly in floating point even where
     # the two contributions cancel to a tiny remainder (gamma*t >> 1).
     source = 0.5 * wg * gate
     vacsource = wg * (decay - 0.5 * gate)
     total = source + vacsource
-    scalar = np.isscalar(t_ret)
-    pick = (lambda a: a.item()) if scalar else (lambda a: a)
-    return PowerBreakdown(
-        glauber=pick(0.5 * total),
-        source=pick(source),
-        vacsource=pick(vacsource),
-        total=pick(total),
-    )
+    return PowerBreakdown(*_like((0.5 * total, source, vacsource, total), b))
 
 
 def intensity_trace_2lvl(t, x, params: DipoleParams, part: str = "rad"):
     """Normal-ordered intensity |Ec(x)|^2 exp(-g t_r) theta(t_r) at (t, x)."""
     vec = field_coeff(FieldKind.ELECTRIC, x, params, part)
     c2 = float(np.real(vec @ np.conj(vec)))
-    tr = np.asarray(t, dtype=float) - float(np.linalg.norm(np.asarray(x, dtype=float)))
-    gate = (tr >= 0.0).astype(float)
-    out = c2 * np.exp(-params.gamma * np.where(tr >= 0.0, tr, 0.0)) * gate
-    return out.item() if np.isscalar(t) else out
+    b, on = _gated(t, float(np.linalg.norm(np.asarray(x, dtype=float))))
+    return _like(c2 * np.exp(-params.gamma * b) * on, b)
 
 
 def _sphere_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -124,6 +114,8 @@ def _sphere_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     Gauss-Legendre in cos(theta) x 2*order uniform phi, M = 2 order^2, with
     cos(theta) the slow index.
     """
+    from numpy.polynomial.legendre import leggauss    # loads numpy.polynomial: only here
+
     if order < 2:
         raise ValueError("order must be >= 2")
     mu, w_mu = leggauss(order)
@@ -141,8 +133,7 @@ def sphere_integrate(f, radius: float, order: int) -> float:
     cos(theta) and bandwidth < 2*order in phi.  ``f`` maps a unit direction
     vector to a float.
     """
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+    _positive(radius, "radius")
     dirs, weights = _sphere_nodes(order)
     acc = 0.0
     for xhat, w in zip(dirs, weights):

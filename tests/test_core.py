@@ -1,10 +1,21 @@
-"""Value types and parameter validation."""
+"""Value types, parameter validation and the input contract of every time-taking function."""
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from advwave.atomdyn import commutator_expect, corr_minus_plus, corr_plus_minus, sigma_z_expect
 from advwave.core import DipoleParams, Event, FieldKind
+from advwave.correlations import corr_traces
+from advwave.fieldcoeffs import tau_kernel
+from advwave.kinetics import (ChargeParams, cycle_averaged, dispersion_change, momdiff_source,
+                              momdiff_vacsource, posdisp_change)
+from advwave.oracle import build_grid, markov_kernel_check, oracle_sigma_z, oracle_two_time
+from advwave.photodetect import (DetectorConfig, detection_rate_C, detection_rate_G,
+                                 suppression_report)
+from advwave.radiometry import intensity_trace_2lvl, power_curves_2lvl, sphere_integrate
 
 finite_t = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 coord = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -73,3 +84,86 @@ def test_ret_adv_bracket_t(t, x):
     ev = Event(t=t, x=np.array(x))
     assert ev.t_ret <= ev.t <= ev.t_adv
     assert ev.t_adv - ev.t_ret == pytest.approx(2.0 * ev.r, abs=1e-12)
+
+
+# --- the input contract -------------------------------------------------------
+# Every public function that takes a time refuses NaN and +-inf with a
+# ValueError; where a scalar time goes in, a Python scalar comes out, and an
+# array of times keeps its shape.  Each entry maps a time to the function's
+# result, as a tuple of values where it returns several.
+
+P = DipoleParams.from_rates(30.0, 1.0)
+X, Y = (0.4, 0.0, 0.0), (0.0, 0.3, 0.2)
+CHARGE = ChargeParams(q=1.0, m=1.0, r0=X)
+DETECTOR = DetectorConfig(position=X, source=P)
+E, B = FieldKind.ELECTRIC, FieldKind.MAGNETIC
+
+SCALAR_IN_SCALAR_OUT = {
+    "sigma_z_expect": lambda t: sigma_z_expect(t, P),
+    "corr_plus_minus": lambda t: corr_plus_minus(t, t, P),
+    "corr_minus_plus": lambda t: corr_minus_plus(t, t, P),
+    "commutator_expect": lambda t: commutator_expect(t, t, P),
+    "momdiff_source": lambda t: momdiff_source(t, P, CHARGE),
+    "momdiff_vacsource": lambda t: momdiff_vacsource(t, P, CHARGE),
+    "posdisp_change": lambda t: posdisp_change(t, P, CHARGE),
+    "power_curves_2lvl": lambda t: dataclasses.astuple(power_curves_2lvl(t, P)),
+    "intensity_trace_2lvl": lambda t: intensity_trace_2lvl(t, X, P),
+    "corr_traces(t)": lambda t: corr_traces(E, B, t, X, 1.1, Y, P),
+    "corr_traces(tp)": lambda t: corr_traces(E, B, 1.1, X, t, Y, P),
+}
+ORACLE_GRID = build_grid(P, count=8, span_gammas=4.0)
+OTHER_TIME_TAKERS = {
+    "oracle_sigma_z": lambda t: oracle_sigma_z(t, ORACLE_GRID),
+    "oracle_two_time(u)": lambda t: oracle_two_time("plus_minus", t, 2.0, ORACLE_GRID),
+    "oracle_two_time(v)": lambda t: oracle_two_time("minus_plus", 0.5, t, ORACLE_GRID),
+    "markov_kernel_check": lambda t: markov_kernel_check(np.ones_like, t, 2.0, P, band=(25.0, 35.0)),
+    "dispersion_change": lambda t: dispersion_change(np.array([0.0, t]), P, CHARGE),
+    "cycle_averaged": lambda t: cycle_averaged(np.array([0.5, t]), P, CHARGE),
+    "detection_rate_G": lambda t: detection_rate_G(t, DETECTOR),
+    "detection_rate_C": lambda t: detection_rate_C(t, DETECTOR),
+    "suppression_report": lambda t: suppression_report(DETECTOR, [0.5, t]),
+    "Event": lambda t: Event(t, X),
+    "tau_kernel(z)": lambda z: tau_kernel(z, (0.0, 0.0, 1.0)),
+    "sphere_integrate(radius)": lambda r: sphere_integrate(lambda xhat: 1.0, r, 4),
+}
+
+
+def _values(out):
+    return out if isinstance(out, tuple) else (out,)
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_IN_SCALAR_OUT) + sorted(OTHER_TIME_TAKERS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_times_raise(name, bad):
+    fn = SCALAR_IN_SCALAR_OUT.get(name) or OTHER_TIME_TAKERS[name]
+    with pytest.raises(ValueError):
+        fn(bad)
+    with pytest.raises(ValueError):
+        fn(np.array([1.3, bad]))
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_IN_SCALAR_OUT) + ["oracle_sigma_z"])
+def test_scalar_in_gives_a_python_scalar_out(name):
+    fn = SCALAR_IN_SCALAR_OUT.get(name) or OTHER_TIME_TAKERS[name]
+    for t in (1.3, np.float64(1.3), np.array(1.3)):
+        assert all(type(v) in (float, complex) for v in _values(fn(t))), type(t)
+    for v in _values(fn(np.array([0.2, 1.3, 2.0]))):
+        assert v.shape == (3,)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ts=st.lists(st.floats(min_value=0.0, max_value=20.0), min_size=1, max_size=6),
+       spot=st.integers(min_value=0), bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_array_call_is_the_scalar_calls_and_refuses_any_non_finite_time(ts, spot, bad):
+    # each element of an array call is its scalar call, up to the last bits in
+    # which numpy's scalar and vector complex exp differ; one non-finite time
+    # anywhere in the array refuses the whole call
+    spoilt = list(ts)
+    spoilt[spot % len(ts)] = bad
+    for fn in SCALAR_IN_SCALAR_OUT.values():
+        whole = _values(fn(np.array(ts)))
+        for i, t in enumerate(ts):
+            for column, value in zip(whole, _values(fn(t))):
+                assert abs(column[i] - value) <= 1e-12 * np.max(np.abs(column))
+        with pytest.raises(ValueError):
+            fn(np.array(spoilt))

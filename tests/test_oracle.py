@@ -248,6 +248,8 @@ def test_propagate_guards():
     grid = build_grid(P30, count=200, span_gammas=25.0)
     with pytest.raises(ValueError, match=">= 0"):
         oracle_sigma_z(-0.5, grid)
+    with pytest.raises(ValueError, match="ascending 1-d grid"):
+        oracle_sigma_z(np.array([[0.5, 1.0]]), grid)
     with pytest.raises(ValueError, match="u <= v"):
         oracle_two_time(AtomCorrKind.COMMUTATOR, 1.0, 0.5, grid)
     # a NaN time passes every ordering test; the series length would never converge
@@ -693,8 +695,9 @@ def test_angular_quadrature_matches_the_per_direction_loop():
 def test_commands_run_without_scipy(tmp_path):
     # scipy serves only the independent routes in these tests, and numpy.random
     # (about 6 MB on import) only their inputs; no command, the oracle
-    # included, may import either.  The smallest form of each command runs in
-    # a fresh interpreter, because this one has imported both.
+    # included, may import either.  numpy.polynomial (six modules) serves only
+    # the sphere rule, so only validate may load it.  The smallest form of each
+    # command runs in a fresh interpreter, because this one has imported all three.
     code = (
         "import sys\n"
         "from advwave.cli import main\n"
@@ -704,6 +707,8 @@ def test_commands_run_without_scipy(tmp_path):
         "        (['power', 'nonpert', '--points', '3'], (0,)),\n"
         "        (['corr', '--points', '2'], (0,)), (['detect', '--points', '2'], (0,)),\n"
         "        (['validate', '--full', '--count', '4', '--span', '1'], (0, 2))):\n"
+        "    if argv[0] == 'validate':\n"
+        "        assert 'numpy.polynomial' not in sys.modules\n"
         "    assert main(argv + ['--out', out]) in allowed, argv\n"
         "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
         "assert not loaded, loaded\n"

@@ -146,7 +146,7 @@ def test_suppression_report_structure():
     ts = np.linspace(0.9, 3.0, 9)
     rep = suppression_report(CFG, ts)
     assert isinstance(rep, SuppressionReport)
-    assert np.all(rep.diff == rep.rate_c - rep.rate_g)
+    assert np.array_equal(rep.rate_c, rep.rate_g + rep.diff)
     assert rep.max_ratio > 0.0
     for i, t in enumerate(ts):
         assert rep.rate_g[i] == detection_rate_G(float(t), CFG)
