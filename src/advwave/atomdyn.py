@@ -17,13 +17,7 @@ import numpy as np
 
 from .core import DipoleParams, _finite, _like
 
-__all__ = [
-    "AtomCorrKind",
-    "sigma_z_expect",
-    "corr_plus_minus",
-    "corr_minus_plus",
-    "commutator_expect",
-]
+__all__ = ["AtomCorrKind", "sigma_z_expect", "corr_plus_minus", "corr_minus_plus", "commutator_expect"]
 
 
 class AtomCorrKind(Enum):
@@ -32,32 +26,54 @@ class AtomCorrKind(Enum):
     COMMUTATOR = "commutator"        # <[sigma^-(u), sigma^+(v)]>
 
 
-# Raw kernels, no argument validation.  The *_raw(u, v) two-time forms are the
-# analytic u <= v branch; the tensor layer gates and conjugates as needed.
+# Each correlator is a short list of exponential terms (c, lam_u, lam_v),
+#     S(u, v) = sum_j c_j e^{lam_u,j u + lam_v,j v}    for u <= v,
+# the one place the rest of the package takes them from.  The raw kernels
+# evaluate these lists with no argument validation; the tensor layer gates and
+# conjugates as needed, and kinetics and photodetect integrate them.
+
+def _terms(kind: AtomCorrKind, p: DipoleParams):
+    """The terms of ``kind`` with a = i omega0 - gamma/2.
+
+    <s+(u) s-(v)> = e^{a u + conj(a) v} is one term.  <s-(u) s+(v)> and the
+    commutator are e^{-a (u - v)} - k e^{conj(a) u + a v}, the emitted-photon
+    part less k = 1 or 2 times the population part.  Every term's phase is
+    stationary (Im lam_v = -Im lam_u), so it depends on u - v alone.
+    """
+    a = complex(-p.gamma / 2.0, p.omega0)
+    if kind is AtomCorrKind.PLUS_MINUS:
+        return ((1.0, a, a.conjugate()),)
+    k = 1.0 if kind is AtomCorrKind.MINUS_PLUS else 2.0
+    return ((1.0, -a, a), (-k, a.conjugate(), a))
+
+
+def _evaluate(terms, u, v):
+    """sum_j c_j e^{lam_u,j u + lam_v,j v} on arrays u, v >= 0, one pass per term.
+
+    Where every factor decays (Re lam <= 0) each term is e^{lam_u u} e^{lam_v v}.
+    A list with a growing factor (the e^{gamma u / 2} of <s-(u) s+(v)>) is taken
+    in the coordinates d = u - v, s = u + v instead: the common phase
+    e^{i Im lam_u d} once, times the real sum of c_j e^{min(x_j, 0)} with
+    x_j = Re(lam_u - lam_v) d/2 + Re(lam_u + lam_v) s/2.  The growing exponent
+    is merged with its decay before exp, so nothing overflows once gamma u > 709,
+    and past u = v, outside the branch, x_j is held at 0, so the entries that
+    callers gate away stay finite too.
+    """
+    if all(lu.real <= 0.0 and lv.real <= 0.0 for _, lu, lv in terms):
+        vals = [c * np.exp(lu * u) * np.exp(lv * v) for c, lu, lv in terms]
+        return sum(vals[1:], vals[0])
+    d, s = u - v, u + v
+    env = [c * np.exp(np.minimum((lu - lv).real / 2.0 * d + (lu + lv).real / 2.0 * s, 0.0))
+           for c, lu, lv in terms]
+    return np.exp(1j * terms[0][1].imag * d) * sum(env[1:], env[0])
+
 
 def _pm_raw(u, v, p: DipoleParams):
-    return np.exp((1j * p.omega0 - p.gamma / 2.0) * u) * np.exp((-1j * p.omega0 - p.gamma / 2.0) * v)
-
-
-def _raised_raw(u, v, p: DipoleParams, k: float):
-    """e^{-i w0 (u - v)} (e^{gamma (u - v) / 2} - k e^{-gamma (u + v) / 2}).
-
-    The envelope e^{-gamma (u + v) / 2} times (e^{gamma u} - k), merged so that
-    no factor grows with u: e^{gamma u} alone overflows once gamma u > 709.
-    Past u = v, outside the branch, the growing factor is held at 1, so the
-    entries that callers gate away stay finite too.
-    """
-    gap = np.minimum(u - v, 0.0)
-    return np.exp(-1j * p.omega0 * (u - v)) * (np.exp(p.gamma * gap / 2.0)
-                                               - k * np.exp(-p.gamma * (u + v) / 2.0))
-
-
-def _mp_raw(u, v, p: DipoleParams):
-    return _raised_raw(u, v, p, 1.0)
+    return _evaluate(_terms(AtomCorrKind.PLUS_MINUS, p), u, v)
 
 
 def _comm_raw(u, v, p: DipoleParams):
-    return _raised_raw(u, v, p, 2.0)
+    return _evaluate(_terms(AtomCorrKind.COMMUTATOR, p), u, v)
 
 
 def sigma_z_expect(t, p: DipoleParams):
@@ -66,17 +82,16 @@ def sigma_z_expect(t, p: DipoleParams):
     return _like(2.0 * np.exp(-p.gamma * tt) - 1.0, tt)
 
 
-def _ordered(u, v):
+def _correlator(kind: AtomCorrKind, u, v, p: DipoleParams):
     uu, vv = _finite(u, "u", nonneg=True), _finite(v, "v", nonneg=True)
-    if np.any(uu > vv):
+    if kind is not AtomCorrKind.PLUS_MINUS and np.any(uu > vv):
         raise ValueError("two-time correlators require u <= v; use hermiticity for the reverse ordering")
-    return uu, vv
+    return _like(_evaluate(_terms(kind, p), uu, vv), uu, vv)
 
 
 def corr_plus_minus(u, v, p: DipoleParams):
     """<sigma^+(u) sigma^-(v)>; valid for any u, v >= 0 (no ordering issue)."""
-    uu, vv = _finite(u, "u", nonneg=True), _finite(v, "v", nonneg=True)
-    return _like(_pm_raw(uu, vv, p), uu, vv)
+    return _correlator(AtomCorrKind.PLUS_MINUS, u, v, p)
 
 
 def corr_minus_plus(u, v, p: DipoleParams):
@@ -86,8 +101,7 @@ def corr_minus_plus(u, v, p: DipoleParams):
     leftwards) and grows with the emitted-photon population, factor
     (exp(gamma u) - 1) under the common exp(-gamma(u+v)/2) envelope.
     """
-    uu, vv = _ordered(u, v)
-    return _like(_mp_raw(uu, vv, p), uu, vv)
+    return _correlator(AtomCorrKind.MINUS_PLUS, u, v, p)
 
 
 def commutator_expect(u, v, p: DipoleParams):
@@ -97,5 +111,4 @@ def commutator_expect(u, v, p: DipoleParams):
     envelope with (exp(gamma u) - 2); at equal times it reduces to
     -<sigma_z(u)> = 1 - 2 exp(-gamma u).
     """
-    uu, vv = _ordered(u, v)
-    return _like(_comm_raw(uu, vv, p), uu, vv)
+    return _correlator(AtomCorrKind.COMMUTATOR, u, v, p)

@@ -20,8 +20,12 @@ Each N-scaled rate is a gate plus a few terms (c, lam),
 
     N rate(t) = Re sum_j c_j e^{lam_j (t - gate)}   for t >= gate, else 0,
 
-written once, in `_rate_terms`.  With a = i omega0 - gamma/2 and
-damp = e^{-gamma |r0|}:
+derived, not written, in `_rate_terms`: the source rate is 2 Re of the
+integral of <sigma+ sigma-> over its gate segment, the vacuum-source rate that
+of the conjugated commutator over its own, both taken as exponential terms
+from `atomdyn` (`_segments`, `_segment_rate`; `photodetect` integrates the
+same two segments).  With a = i omega0 - gamma/2 and damp = e^{-gamma |r0|}
+the derivation gives
 
     source     gate |r0|:   (-4 a, a), (-2 gamma, -gamma)
     vacsource  gate 2 |r0|: (gamma, 0), (2 gamma damp, -gamma), (-damp (A + i B), a)
@@ -41,21 +45,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomdyn import AtomCorrKind, _terms
 from .core import DipoleParams, FieldKind, _finite, _gated, _like, _positive, _vec3
 from .fieldcoeffs import field_coeff
 
-__all__ = [
-    "ChargeParams",
-    "DiffusionCurve",
-    "CycleAverage",
-    "norm_constant",
-    "momdiff_source",
-    "momdiff_vacsource",
-    "dispersion_change",
-    "cycle_averaged",
-    "longtime_fit",
-    "posdisp_change",
-]
+__all__ = ["ChargeParams", "DiffusionCurve", "CycleAverage", "norm_constant", "momdiff_source",
+           "momdiff_vacsource", "dispersion_change", "cycle_averaged", "longtime_fit", "posdisp_change"]
 
 _SERIES_CUT = 1.0   # |c b| below which the moments use their power series
 _SERIES_TERMS = 20  # 1/20! < 1e-18: the truncated series is exact to rounding
@@ -125,28 +120,10 @@ class CycleAverage:
     gamma: float
 
 
-def _e_rad_abs2(params: DipoleParams, charge: ChargeParams) -> float:
-    e_rad = field_coeff(FieldKind.ELECTRIC, charge.r0, params, "rad")
-    return float(np.real(e_rad @ np.conj(e_rad)))
-
-
 def _inv_norm(params: DipoleParams, charge: ChargeParams) -> float:
-    # 1/N; safe for q = 0 (gives identically zero rates).
-    return charge.q**2 * _e_rad_abs2(params, charge) / ((params.gamma / 2.0) ** 2 + params.omega0**2)
-
-
-def norm_constant(params: DipoleParams, charge: ChargeParams) -> float:
-    """N = ((gamma/2)^2 + omega0^2) / (q^2 |E_rad(r0)|^2).
-
-    Raises ValueError where N is infinite: for q = 0, and for a charge on the
-    dipole axis, where E_rad(r0) = 0.
-    """
-    if charge.q == 0.0:
-        raise ValueError("norm constant is undefined for an uncharged particle")
-    if _e_rad_abs2(params, charge) == 0.0:
-        raise ValueError("norm constant is undefined where E_rad(r0) = 0 "
-                         "(a charge on the dipole axis)")
-    return 1.0 / _inv_norm(params, charge)
+    # 1/N; 0 for q = 0 and for a charge on the dipole axis, where E_rad(r0) = 0
+    e = field_coeff(FieldKind.ELECTRIC, charge.r0, params, "rad")
+    return charge.q**2 * float(np.real(e @ np.conj(e))) / ((params.gamma / 2.0) ** 2 + params.omega0**2)
 
 
 def _curve_norm(params: DipoleParams, charge: ChargeParams) -> float:
@@ -155,14 +132,16 @@ def _curve_norm(params: DipoleParams, charge: ChargeParams) -> float:
     return 1.0 / inv if inv != 0.0 else float("inf")
 
 
-def _rate_terms(params: DipoleParams, r0: float):
-    """The N-scaled source and vacuum-source rates, each as (gate, ((c, lam), ...))."""
-    g, w0 = params.gamma, params.omega0
-    a = complex(-g / 2.0, w0)
-    damp = float(np.exp(-g * r0))
-    return ((r0, ((-4.0 * a, a), (-2.0 * g, -g))),
-            (2.0 * r0, ((g, 0.0), (2.0 * g * damp, -g),
-                        (-complex(g * (1.0 + 2.0 * damp), 2.0 * w0 * (1.0 - 2.0 * damp)), a))))
+def norm_constant(params: DipoleParams, charge: ChargeParams) -> float:
+    """N = ((gamma/2)^2 + omega0^2) / (q^2 |E_rad(r0)|^2).
+
+    Raises ValueError where N is infinite: for q = 0, and for a charge on the
+    dipole axis, where E_rad(r0) = 0.
+    """
+    n = _curve_norm(params, charge)
+    if n == np.inf:
+        raise ValueError("norm constant is undefined for q = 0 and where E_rad(r0) = 0 (on the dipole axis)")
+    return n
 
 
 def _exp(c, x, shift=0.0):
@@ -230,6 +209,74 @@ def _moment_sum(groups, b):
                for c, shift, coeffs in groups)
 
 
+def _segments(params: DipoleParams, x: float, k_g, k_d):
+    """The source (G) and vacuum-source (Delta) integrands at distance x, as (terms, segment).
+
+    The terms are atomdyn's lists times each integrand's constant field
+    contraction, k_g or k_d.  A rate at t >= gate integrates over s in [0, b],
+    b = t - gate, and its segment is (gate, offset, lag0, (u, v, lag)): the
+    correlator's arguments u, v and the lag as (coefficient of w, coefficient
+    of s), where w = b + offset = t - x is the retarded time at x and lag0
+    adds to the lag:
+
+        G      k_g <s+(u) s-(v)>      t' = x + s in [x, t]       u = w      v = s   lag = t - t'
+        Delta  k_d <[s-(u), s+(v)]>   t' = b - s in [0, t - 2x]  u = w - s  v = w   lag = t' - t
+
+    The Delta integrand is conj(k_d <[s-(u), s+(v)]>) e^{-i phase (t - t')}.
+    A rate is a real part, so its segment integrates the conjugate instead,
+    whose lag is t' - t.
+    """
+    pm, comm = (_terms(kind, params) for kind in (AtomCorrKind.PLUS_MINUS, AtomCorrKind.COMMUTATOR))
+    return ((tuple((k_g * c, lu, lv) for c, lu, lv in pm), (x, 0.0, 0.0, ((1, 0), (0, 1), (1, -1)))),
+            (tuple((k_d * c, lu, lv) for c, lu, lv in comm), (2.0 * x, x, -2.0 * x, ((1, -1), (1, 0), (0, -1)))))
+
+
+def _segment_rate(terms, segment, phase: float):
+    """(gate, offset, groups): a term list times e^{-i phase (t - t')} over one gate segment.
+
+    Each term (c, lam_u, lam_v) has the exponent lam_u u + lam_v v - i phase lag
+    = mu w + lam s - i phase lag0 on the segment, so its integral over
+    s in [0, b] is the moment group (c', mu, lam),
+
+        c' e^{mu w} M0(lam, b),   c' = c e^{-i phase lag0},  w = b + offset,
+
+    with M0 from `_moments`; the rate is Re of the groups' sum.  A mu or lam
+    with no imaginary part is a float.  The lag's phase goes through `_exp`,
+    exact to rounding at optical phases.
+    """
+    gate, offset, lag0, rows = segment
+    turn = complex(_exp(-1j * phase, lag0))
+    groups = []
+    for c, lu, lv in terms:
+        mu, lam = (lu * u + lv * v - 1j * phase * lag for u, v, lag in zip(*rows))
+        groups.append((c * turn, mu if mu.imag else mu.real, lam if lam.imag else lam.real))
+    return gate, offset, tuple(groups)
+
+
+def _rate_terms(params: DipoleParams, r0: float):
+    """The N-scaled source and vacuum-source rates, each as (gate, ((c, lam), ...)).
+
+    With n = (gamma/2)^2 + omega0^2 = N q^2 |E_rad(r0)|^2, the source rate is
+    2 Re Int_G 2 n <s+ s-> and the vacuum-source rate 2 Re Int_Delta n
+    conj<[s-, s+]> (`_segments`, `_segment_rate`).  M0(lam, b) = (e^{lam b} - 1)/lam turns a
+    group into the terms (-c'', mu) and (c'', mu + lam), c'' = c' e^{mu offset}/lam.
+    Terms with equal lam merge into the later one's place, so the lists keep
+    the exponents a = i omega0 - gamma/2, -gamma and 0.
+    """
+    n = (params.gamma / 2.0) ** 2 + params.omega0**2
+    rates = []
+    for terms, segment in _segments(params, r0, 4.0 * n, 2.0 * n):
+        gate, offset, groups = _segment_rate(terms, segment, 0.0)
+        merged = {}
+        for c, mu, lam in groups:  # 1/lam as conj(lam)/|lam|^2 after c: exact where |lam|^2 = n
+            c = complex(c / (lam.real**2 + lam.imag**2) * lam.conjugate() * _exp(mu, offset))
+            for cj, lj in ((-c, mu), (c, mu + lam)):
+                cj, lj = (cj, lj) if lj.imag else (cj.real, lj.real)
+                merged[lj] = merged.pop(lj) + cj if lj in merged else cj
+        rates.append((gate, tuple((c, lam) for lam, c in merged.items())))
+    return tuple(rates)
+
+
 def _gated_sum(t, kernel, gate, terms):
     """Re sum_j c_j kernel(lam_j, t - gate) over a rate's terms; exactly 0 before the gate."""
     b, on = _gated(t, gate)
@@ -237,8 +284,7 @@ def _gated_sum(t, kernel, gate, terms):
 
 
 def _rate(which: int, t, params: DipoleParams, charge: ChargeParams):
-    rate = _rate_terms(params, charge.r0_abs)[which]
-    return _like(_inv_norm(params, charge) * _gated_sum(t, _exp, *rate), t)
+    return _like(_inv_norm(params, charge) * _gated_sum(t, _exp, *_rate_terms(params, charge.r0_abs)[which]), t)
 
 
 def momdiff_source(t, params: DipoleParams, charge: ChargeParams):
@@ -270,16 +316,13 @@ def dispersion_change(t_grid, params: DipoleParams, charge: ChargeParams) -> Dif
     or a charge on the dipole axis); the N-scaled curves are the same there.
     """
     t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size < 2:
-        raise ValueError("t_grid must be a 1-d grid with at least two points")
-    if t[0] != 0.0 or np.any(np.diff(t) <= 0.0):
-        raise ValueError("t_grid must be strictly increasing and start at 0")
+    if t.ndim != 1 or t.size < 2 or t[0] != 0.0 or np.any(np.diff(t) <= 0.0):
+        raise ValueError("t_grid must be a strictly increasing 1-d grid of at least two "
+                         "points, and its times must start at 0")
     cs, cv = (_gated_sum(t, lambda lam, b: _moments(lam, b, order=0)[0], *rate)
               for rate in _rate_terms(params, charge.r0_abs))
-    return DiffusionCurve(
-        times=t.copy(), cum_source=cs, cum_vacsource=cv, cum_total=cs + cv,
-        norm_constant=_curve_norm(params, charge), gamma=params.gamma,
-    )
+    return DiffusionCurve(times=t.copy(), cum_source=cs, cum_vacsource=cv, cum_total=cs + cv,
+                          norm_constant=_curve_norm(params, charge), gamma=params.gamma)
 
 
 def cycle_averaged(t_grid, params: DipoleParams, charge: ChargeParams) -> CycleAverage:
@@ -309,7 +352,6 @@ def cycle_averaged(t_grid, params: DipoleParams, charge: ChargeParams) -> CycleA
     t = _finite(t_grid, "t_grid (a 1-d array of finite times)")
     if t.ndim != 1:
         raise ValueError("t_grid must be a 1-d array of finite times")
-    a = complex(-params.gamma / 2.0, params.omega0)
     period = 2.0 * np.pi / params.omega0
     cols, carrier, smooth_sum, last, lo, hi = {}, 0j, 0.0, 0.0, 0.0, 0.0
     for name, (gate, terms) in zip(("source", "vacsource"), _rate_terms(params, charge.r0_abs)):
@@ -330,8 +372,8 @@ def cycle_averaged(t_grid, params: DipoleParams, charge: ChargeParams) -> CycleA
                 continue
             m0 = _moments(lam, np.append(period, width[~whole]), order=0)[0][cut]
             area = area + np.real(c / lam * _exp(lam, x1) * m0)
-            if lam.imag:
-                d = d + c / lam
+            if lam.imag:  # lam = a, the one optical carrier of both rates
+                d, a = d + c / lam, lam
             else:
                 smooth = smooth + c / lam * _exp(lam, b)
         cols["avg_" + name] = np.where(width > 0.0, area / period, 0.0)
@@ -356,10 +398,10 @@ def longtime_fit(curve: DiffusionCurve | CycleAverage, window: tuple[float, floa
 
     Fits ``cum_<which>`` of a `DiffusionCurve`, or ``avg_<which>`` of a
     `CycleAverage`.  The late-time total curve approaches slope gamma.  The
-    window must start at t >= 5/gamma (transients have died out) and span at
-    least 2/gamma.  Returns (slope, intercept).
+    window must be finite, start at t >= 5/gamma (transients have died out)
+    and span at least 2/gamma.  Returns (slope, intercept).
     """
-    t_lo, t_hi = float(window[0]), float(window[1])
+    t_lo, t_hi = _finite(window, "fit window (t_lo, t_hi)").tolist()
     g = curve.gamma
     if t_lo < 5.0 / g:
         raise ValueError(f"fit window must start at t >= 5/gamma = {5.0 / g:.3e}")

@@ -8,9 +8,13 @@ field correlation tensor with the detector's free phase:
                 + c.c.
 
 Both integrands are gated sums of complex exponentials, so both integrals are
-moments Int_0^b e^{lam s - shift} ds from `kinetics._moments`.  Write
-c = dd . X (X the full or the radiation-zone electric coefficient, by
-``part``), tau = t - |x| and b = t - 2|x|.
+moments Int_0^b e^{lam s - shift} ds from `kinetics._moments`.  The moment
+groups are derived from `atomdyn`'s correlator term lists over the same two
+gate segments the diffusion rates use (`kinetics._segments`,
+`kinetics._segment_rate`, with the detector frequency as the phase), not
+written here.  Write c = dd . X (X the full or the radiation-zone electric
+coefficient, by ``part``), tau = t - |x| and b = t - 2|x|.  The derivation
+gives the following forms.
 
 With K = G (normal-ordered) the gate is t' in [|x|, t] and the integrand's
 optical phases cancel exactly, exp(i w0 (t - t')) exp(-i w0 (t - t')) = 1,
@@ -42,9 +46,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DipoleParams, FieldKind, _gated, _vec3
+from .core import DipoleParams, FieldKind, _gated, _like, _vec3
 from .fieldcoeffs import field_coeff
-from .kinetics import _exp, _moment_sum, _moments
+from .kinetics import _moment_sum, _segment_rate, _segments
 
 __all__ = ["DetectorConfig", "detection_rate_G", "detection_rate_C", "suppression_report", "SuppressionReport"]
 
@@ -73,33 +77,37 @@ class DetectorConfig:
         return self.dipole if self.dipole is not None else self.source.dvec
 
 
-def _rates(times: np.ndarray, cfg: DetectorConfig, part: str):
-    """Closed-form (rate_G, rate_C - rate_G) at every time of a 1-d float array."""
+def _rates(times, cfg: DetectorConfig, part: str):
+    """Closed-form (rate_G, rate_C - rate_G) at a time or an array of times.
+
+    Each is 2 Re of its segment integral (`kinetics._segments`) of the
+    correlator times the detector phase e^{-i omega0 (t - t')}, with the
+    contraction 2 |c|^2 for G and c^2 for the conjugated Delta.  At resonance
+    every group's mu is real, so e^{mu w} enters its moment as the shift -mu w.
+    """
     # field_coeff checks ``part`` before any gate
     c = complex(cfg.dvec @ field_coeff(FieldKind.ELECTRIC, cfg.position, cfg.source, part))
-    x, g, w0 = cfg.r, cfg.source.gamma, cfg.source.omega0
-    tau, on_g = _gated(times, x)
-    b, on_c = _gated(times, 2.0 * x)
-    rate_g = np.where(on_g, 4.0 * abs(c) ** 2 * _moments(-g / 2.0, tau, g * tau / 2.0, 0)[0], 0.0)
-    moments = _moment_sum(((complex(-g / 2.0, -2.0 * w0), 0.0, (1.0,)),
-                           (complex(g / 2.0, -2.0 * w0), g * (b + x), (-2.0,))), b)
-    diff = 2.0 * np.real(np.conj(c) ** 2 * _exp(-2j * w0, x) * moments)
-    return rate_g, np.where(on_c, diff, 0.0)
+    rates = []
+    for terms, segment in _segments(cfg.source, cfg.r, 4.0 * abs(c) ** 2, 2.0 * c**2):
+        gate, offset, groups = _segment_rate(terms, segment, cfg.source.omega0)
+        b, on = _gated(times, gate)
+        total = _moment_sum(((lam, -mu * (b + offset), (g,)) for g, mu, lam in groups), b)
+        rates.append(np.where(on, np.real(total), 0.0))
+    return tuple(rates)
 
 
-def detection_rate_G(t: float, cfg: DetectorConfig, part: str = "full") -> float:
+def detection_rate_G(t, cfg: DetectorConfig, part: str = "full"):
     """Glauber-kernel detection rate at time t (zero until light arrives)."""
-    return float(_rates(np.array([t], dtype=float), cfg, part)[0][0])
+    return _like(_rates(t, cfg, part)[0], t)
 
 
-def detection_rate_C(t: float, cfg: DetectorConfig, part: str = "full") -> float:
+def detection_rate_C(t, cfg: DetectorConfig, part: str = "full"):
     """Full-kernel (C = G + <Delta>) detection rate at time t.
 
     The first advanced gate (t' >= t + 2|x|) never overlaps the integration
     range [0, t]; only the second (t' <= t - 2|x|) contributes.
     """
-    rate_g, diff = _rates(np.array([t], dtype=float), cfg, part)
-    return float((rate_g + diff)[0])
+    return _like(np.add(*_rates(t, cfg, part)), t)
 
 
 @dataclass(frozen=True)
@@ -119,9 +127,7 @@ class SuppressionReport:
     def max_ratio(self) -> float:
         """max |diff| / max |rate_g| over the grid."""
         peak = float(np.max(np.abs(self.rate_g)))
-        if peak == 0.0:
-            return 0.0
-        return float(np.max(np.abs(self.diff))) / peak
+        return float(np.max(np.abs(self.diff))) / peak if peak else 0.0
 
 
 def suppression_report(cfg: DetectorConfig, t_grid, part: str = "full") -> SuppressionReport:

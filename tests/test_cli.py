@@ -1,4 +1,6 @@
 """Command-line interface: exit codes, file outputs, config resolution."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -461,3 +463,33 @@ def test_successive_calls_in_one_process_match_separate_calls(tmp_path, capsys):
     assert together == separate
     assert [code for code, _ in separate] == [EXIT_OK, EXIT_OK, EXIT_VALIDATION, EXIT_OK]
     capsys.readouterr()
+
+
+# SHA-256 of each default table and plot, with its "# out = ..." line dropped.
+# A change that moves a value moves its digest; a refactor that promises the
+# same bytes keeps them all.
+DEFAULT_DIGESTS = {
+    "figure-1/fig1.csv": "dc97a6a8777f08bcb71edbebc61dfe9c542d00d070093058103ebb82282d52ac",
+    "figure-1/fig1.svg": "4a954625a06336554d11043d1c01e3ef4c78a03ba18cfec0a6f42307f7a05843",
+    "figure-2/fig2.csv": "abf50ff574b9cca26b1510bf9996a7626a749ddfad6320c571f6e76d9d317dda",
+    "figure-2/fig2.svg": "e5b46eb7fe2f8ec99703c366e915bbdcd658fc2ea43a4dbb8615a08c8c24b1ed",
+    "figure-3/fig3.csv": "687d9ed853a7f5beb5eb3e1e33242b1647de5418f5b7180309261966eaf63984",
+    "figure-3/fig3.svg": "f921d54cf93b777ffa52376e1c3e1f539068df8b7ec0c300ad7e732a18a13d3c",
+    "power-pert/power.csv": "288113d6cc9acf1974b916f4f8e145d155d2348f794a154f6be811004c60f3b2",
+    "power-nonpert/power.csv": "49a5c1afc38f47d2b7218aff57edd3fafcaf29a8a3bd980dd25556d40e988bbb",
+    "corr/corr.csv": "3337552f8ec025590941d9a4c0aab97a19fd867f83b09e03494c4eaf329a5a6d",
+    "detect/detect.csv": "0ab136f796af401dfaf1111f13e9e560b22c054ad3a411ef1797ccf3f4fd57f8",
+    "detect/detect.svg": "2cd143ae21cf7958b9410542402558c7411b68425bf22626dad9315adffc46ac",
+}
+
+
+def test_default_tables_keep_their_bytes(tmp_path):
+    written = {}
+    for command in ("figure 1", "figure 2", "figure 3", "power pert", "power nonpert", "corr", "detect"):
+        out = tmp_path / command.replace(" ", "-")
+        assert run_cli(*command.split(), "--out", str(out)) == EXIT_OK
+        for path in out.iterdir():
+            lines = path.read_bytes().splitlines(keepends=True)
+            body = b"".join(line for line in lines if not line.startswith(b"# out = "))
+            written[f"{out.name}/{path.name}"] = hashlib.sha256(body).hexdigest()
+    assert written == DEFAULT_DIGESTS

@@ -106,6 +106,8 @@ SCALAR_IN_SCALAR_OUT = {
     "momdiff_source": lambda t: momdiff_source(t, P, CHARGE),
     "momdiff_vacsource": lambda t: momdiff_vacsource(t, P, CHARGE),
     "posdisp_change": lambda t: posdisp_change(t, P, CHARGE),
+    "detection_rate_G": lambda t: detection_rate_G(t, DETECTOR),
+    "detection_rate_C": lambda t: detection_rate_C(t, DETECTOR),
     "power_curves_2lvl": lambda t: dataclasses.astuple(power_curves_2lvl(t, P)),
     "intensity_trace_2lvl": lambda t: intensity_trace_2lvl(t, X, P),
     "corr_traces(t)": lambda t: corr_traces(E, B, t, X, 1.1, Y, P),
@@ -119,8 +121,6 @@ OTHER_TIME_TAKERS = {
     "markov_kernel_check": lambda t: markov_kernel_check(np.ones_like, t, 2.0, P, band=(25.0, 35.0)),
     "dispersion_change": lambda t: dispersion_change(np.array([0.0, t]), P, CHARGE),
     "cycle_averaged": lambda t: cycle_averaged(np.array([0.5, t]), P, CHARGE),
-    "detection_rate_G": lambda t: detection_rate_G(t, DETECTOR),
-    "detection_rate_C": lambda t: detection_rate_C(t, DETECTOR),
     "suppression_report": lambda t: suppression_report(DETECTOR, [0.5, t]),
     "Event": lambda t: Event(t, X),
     "tau_kernel(z)": lambda z: tau_kernel(z, (0.0, 0.0, 1.0)),

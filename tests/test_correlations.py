@@ -23,6 +23,8 @@ off_origin = st.tuples(
 )
 obs_time = st.floats(min_value=0.0, max_value=8.0)
 kind = st.sampled_from(KINDS)
+direction = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda d: np.linalg.norm(d) > 0.1)
+EPS = np.finfo(float).eps
 
 
 def _event(t, x):
@@ -46,12 +48,16 @@ def test_glauber_diagonal_positive(t, x, k):
     assert tr.real >= 0.0
 
 
-@settings(max_examples=120, deadline=None)
-@given(tx=obs_time, ty=obs_time, x=off_origin, y=off_origin, kx=kind, ky=kind)
-def test_glauber_hermiticity(tx, ty, x, y, kx, ky):
-    a = glauber_tensor(kx, ky, _event(tx, x), _event(ty, y), P)
-    b = glauber_tensor(ky, kx, _event(ty, y), _event(tx, x), P)
-    assert np.allclose(a, np.conj(b).T, rtol=0.0, atol=1e-12 * max(np.max(np.abs(a)), 1e-30))
+@settings(max_examples=150, deadline=None)
+@given(tx=obs_time, ty=obs_time, x=off_origin, y=off_origin, d=direction)
+def test_glauber_hermiticity(tx, ty, x, y, d):
+    # G_ij(x, t; y, t')* = G_ji(y, t'; x, t) in all four E/B pairs, to a few roundings
+    p = DipoleParams.from_rates(omega0=100.0, gamma=1.0, direction=d)
+    for kx in KINDS:
+        for ky in KINDS:
+            a = glauber_tensor(kx, ky, _event(tx, x), _event(ty, y), p)
+            b = glauber_tensor(ky, kx, _event(ty, y), _event(tx, x), p)
+            assert np.max(np.abs(np.conj(a) - b.T)) <= 4.0 * EPS * np.max(np.abs(a))
 
 
 @settings(max_examples=150, deadline=None)
@@ -239,3 +245,42 @@ def test_a_shut_batch_evaluates_no_coefficient(monkeypatch):
     # before arrival at both events every commutator gate is shut as well
     for vals in commutator_parts(FieldKind.ELECTRIC, FieldKind.MAGNETIC, early, early, P):
         assert vals.shape == (3, 3, 3) and np.all(vals == 0.0)
+
+
+# --- laws no closed form shares a code path with ------------------------------
+# Rotating the dipole and both points by R turns each tensor into R T R^T; an
+# improper R (det R = -1) also flips the sign of each magnetic index, because B
+# is an axial vector.  The rotated norms |R x| round differently from |x|, and
+# the phase omega0 |x| amplifies that: 16 eps omega0 (|x| + |y| + 1) bounds it
+# with room (about 4 eps omega0 (|x| + |y| + 1) at worst over 6 000 random draws).
+
+unit_quaternion = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: np.linalg.norm(q) > 0.1)
+position = st.tuples(*[st.floats(-1.5, 1.5)] * 3).filter(lambda x: np.linalg.norm(x) > 0.05)
+
+
+def _rotation(q):
+    w, x, y, z = np.asarray(q) / np.linalg.norm(q)
+    return np.array([[1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+                     [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+                     [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(q=unit_quaternion, det=st.sampled_from([1.0, -1.0]), d=direction,
+       tx=obs_time, ty=obs_time, x=position, y=position)
+def test_tensors_rotate_with_the_dipole_and_both_points(q, det, d, tx, ty, x, y):
+    rx, ry = np.linalg.norm(x), np.linalg.norm(y)
+    # off every gate boundary, where the rounding of |R x| could flip a step
+    assume(min(abs(tx - rx), abs(ty - ry), abs(ty - ry - tx - rx), abs(tx - rx - ty - ry)) > 1e-6)
+    rot = det * _rotation(q)
+    p = DipoleParams.from_rates(omega0=100.0, gamma=1.0, direction=d)
+    p_rot = DipoleParams.from_rates(omega0=100.0, gamma=1.0, direction=rot @ np.asarray(d))
+    tol = 16.0 * EPS * p.omega0 * (rx + ry + 1.0)
+    pairs = [(kx, ky) for kx in KINDS for ky in KINDS]
+    for tensor in (glauber_tensor, delta_expect_tensor):
+        vals = [tensor(kx, ky, _event(tx, x), _event(ty, y), p) for kx, ky in pairs]
+        scale = max(np.max(np.abs(v)) for v in vals)  # a B tensor can vanish on the dipole axis
+        for (kx, ky), v in zip(pairs, vals):
+            sign = (det if kx is FieldKind.MAGNETIC else 1.0) * (det if ky is FieldKind.MAGNETIC else 1.0)
+            rotated = tensor(kx, ky, _event(tx, rot @ np.asarray(x)), _event(ty, rot @ np.asarray(y)), p_rot)
+            assert np.max(np.abs(rotated - sign * rot @ v @ rot.T)) <= tol * scale

@@ -15,6 +15,7 @@ from advwave.kinetics import (
     CycleAverage,
     _exp,
     _moments,
+    _rate_terms,
     cycle_averaged,
     dispersion_change,
     longtime_fit,
@@ -297,6 +298,39 @@ def test_longtime_fit_slope():
         longtime_fit(curve, (6.0, 7.0))
     with pytest.raises(ValueError, match="'total', 'source' or 'vacsource'"):
         longtime_fit(curve, (6.0, 13.0), which="glauber")
+
+
+def test_longtime_fit_window_must_be_finite():
+    curve = dispersion_change(_grid(13.0), P, CH)
+    for window in ((6.0, np.inf), (np.nan, 13.0), (6.0, np.nan)):
+        with pytest.raises(ValueError, match=r"fit window \(t_lo, t_hi\) must be finite"):
+            longtime_fit(curve, window)
+
+
+def _hand_rate_terms(params, r0):
+    # the (c, lam) lists as they were derived by hand, with a = i omega0 - gamma/2
+    # and damp (A + i B) = gamma (1 + 2 damp) + 2 i omega0 (1 - 2 damp)
+    g, w0 = params.gamma, params.omega0
+    a = complex(-g / 2.0, w0)
+    damp = float(np.exp(-g * r0))
+    return ((r0, ((-4.0 * a, a), (-2.0 * g, -g))),
+            (2.0 * r0, ((g, 0.0), (2.0 * g * damp, -g),
+                        (-complex(g * (1.0 + 2.0 * damp), 2.0 * w0 * (1.0 - 2.0 * damp)), a))))
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1e8])
+@pytest.mark.parametrize("r0_gamma", [0.02, 1.0 / 3.0, 2.0])
+@pytest.mark.parametrize("ratio", [10.0, 1e3, 1e8])
+def test_rate_terms_derived_from_atomdyn_match_the_hand_forms(ratio, r0_gamma, gamma):
+    # each derived coefficient within 4 ulp of its hand value; the gates, the
+    # exponents (their types too) and the order of the terms are the same
+    p = DipoleParams.from_rates(omega0=ratio * gamma, gamma=gamma)
+    derived, hand = _rate_terms(p, r0_gamma / gamma), _hand_rate_terms(p, r0_gamma / gamma)
+    for (gate, terms), (hand_gate, hand_terms) in zip(derived, hand, strict=True):
+        assert gate == hand_gate
+        for (c, lam), (hand_c, hand_lam) in zip(terms, hand_terms, strict=True):
+            assert lam == hand_lam and type(lam) is type(hand_lam) and type(c) is type(hand_c)
+            assert abs(c - hand_c) <= 4.0 * np.spacing(abs(hand_c))
 
 
 def test_posdisp_free_part():

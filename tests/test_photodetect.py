@@ -7,6 +7,7 @@ from advwave import atomdyn
 from advwave._quad import n_for_oscillation
 from advwave.core import DipoleParams, FieldKind
 from advwave.fieldcoeffs import field_coeff
+from advwave.kinetics import _exp, _moments, _segment_rate, _segments
 from advwave.photodetect import (
     DetectorConfig,
     SuppressionReport,
@@ -55,6 +56,46 @@ def _quad_diff(t, cfg, part, per_period):
     b = t - 2.0 * x
     n = n_for_oscillation(2.0 * p.omega0, 0.0, b, per_period)
     return 2.0 * float(np.real(_richardson_trapezoid(integrand, 0.0, b, n)))
+
+
+def _hand_groups(cfg, part):
+    # the moment groups of rate_G and rate_C - rate_G as they were derived by
+    # hand: (gate, ((coefficient, lam, shift(b)), ...)), each rate being
+    # Re sum coefficient M0(lam, b, shift(b)) with b = t - gate
+    c = _contraction(cfg, part)
+    g, w0, x = cfg.source.gamma, cfg.source.omega0, cfg.r
+    turn = 2.0 * c.conjugate() ** 2 * complex(_exp(-2j * w0, x))
+    return ((x, ((4.0 * abs(c) ** 2, -g / 2.0, lambda b: g * b / 2.0),)),
+            (2.0 * x, ((turn, complex(-g / 2.0, -2.0 * w0), lambda b: 0.0 * b),
+                       (-2.0 * turn, complex(g / 2.0, -2.0 * w0), lambda b: g * (b + x)))))
+
+
+@pytest.mark.parametrize("part", ["full", "rad"])
+@pytest.mark.parametrize("x_gamma", [0.02, 1.0 / 3.0, 2.0])
+@pytest.mark.parametrize("ratio", [10.0, 1e3, 1e8])
+def test_moment_groups_derived_from_atomdyn_match_the_hand_forms(ratio, x_gamma, part):
+    # the groups `_rates` integrates, from atomdyn's lists through the same
+    # contractions: coefficients within 4 ulp of the hand values, the same
+    # exponents and shifts; and the rates within 4 ulp of their column maxima.
+    # Delta's groups come conjugated (a rate is a real part), G's are real.
+    cfg = DetectorConfig(position=x_gamma * np.array([0.6, 0.0, 0.8]),
+                         source=DipoleParams.from_rates(omega0=ratio, gamma=1.0))
+    c = _contraction(cfg, part)
+    t = cfg.r + np.linspace(0.0, 20.0, 401)
+    rep = suppression_report(cfg, t, part=part)
+    derived = (_segment_rate(terms, segment, ratio)
+               for terms, segment in _segments(cfg.source, cfg.r, 4.0 * abs(c) ** 2, 2.0 * c**2))
+    for (gate, offset, groups), (hand_gate, hand_groups), rate in zip(
+            derived, _hand_groups(cfg, part), (rep.rate_g, rep.diff), strict=True):
+        assert gate == hand_gate
+        b = np.maximum(t - gate, 0.0)
+        for (coeff, mu, lam), (hand_coeff, hand_lam, hand_shift) in zip(groups, hand_groups, strict=True):
+            assert lam.conjugate() == hand_lam and type(lam) is type(hand_lam)
+            assert np.array_equal(-mu * (b + offset), hand_shift(b))
+            assert abs(coeff.conjugate() - hand_coeff) <= 4.0 * np.spacing(abs(hand_coeff))
+        hand = np.real(sum(k * _moments(lam, b, shift(b), 0)[0] for k, lam, shift in hand_groups))
+        hand = np.where(t >= gate, hand, 0.0)
+        assert np.all(np.abs(rate - hand) <= 4.0 * np.spacing(np.max(np.abs(hand))))
 
 
 def test_config_validation():
