@@ -8,10 +8,10 @@ than most tables take to compute, so ``write_csv`` renders blocks of rows
 with one numpy kernel instead:
 
 1. **Scale.**  |x| times 10**(16 - k), k = floor(log10 |x|), is formed as a
-   double-double: Dekker's exact product (T. J. Dekker, Numer. Math. 18, 224
-   (1971)) of |x| and the double nearest 10**(16 - k), plus |x| times that
-   power's rounding remainder.  The (hi, lo) pairs come from Python integers,
-   correctly rounded, for the exponents a block needs.
+   double-double: Dekker's exact product (``core._two_prod``) of |x| and the
+   double nearest 10**(16 - k), plus |x| times that power's rounding
+   remainder.  The (hi, lo) pairs come from Python integers, correctly
+   rounded, for the exponents a block needs.
 2. **Round.**  The scaled value is rounded to a 17-digit integer q; a q
    outside [1e16, 1e17) moves k one decade, and q = 1e17 after rounding
    becomes 1e16 in the next decade.
@@ -49,11 +49,12 @@ import functools
 
 import numpy as np
 
+from .core import _two_prod
+
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
 _FMT = "%.17g"
 _BLOCK_ROWS = 1024  # rows (points) formatted at a time: bounds the temporaries
 
-_SPLIT = 134217729.0  # 2**27 + 1: Dekker's splitter for 53-bit doubles
 _KERNEL_RANGE = (1e-250, 1e250)  # |x| the kernel renders; the scaled products stay normal
 _TIE_TOL = 1e-6  # a remainder this close to a half unit goes to "%.17g" % (CSV) or "%.2f" % (SVG)
 _Q_MIN, _Q_MAX = 10 ** 16, 10 ** 17  # the 17-digit integers
@@ -66,8 +67,7 @@ _SLOT = 48
 
 @functools.cache  # built as blocks need them: about 500 exponents at most
 def _pow10(p: int):
-    """10**p as the nearest double hi, the nearest double to 10**p - hi, and
-    hi's Dekker halves."""
+    """10**p as the nearest double hi and the nearest double to 10**p - hi."""
     if p >= 0:
         exact = 10 ** p
         hi = float(exact)
@@ -77,8 +77,7 @@ def _pow10(p: int):
         hi = 1 / den  # int / int is correctly rounded
         num, two = hi.as_integer_ratio()
         lo = (two - num * den) / (two * den)
-    head = _SPLIT * hi - (_SPLIT * hi - hi)
-    return hi, lo, head, hi - head
+    return hi, lo
 
 
 def _scaled(ax, k):
@@ -86,12 +85,9 @@ def _scaled(ax, k):
     e = 16 - k
     e_min = int(e.min())
     table = np.array([_pow10(p) for p in range(e_min, int(e.max()) + 1)])
-    hi, lo, head, tail = np.take(table, e - e_min, axis=0).T
-    c = _SPLIT * ax
-    ah = c - (c - ax)
-    al = ax - ah
+    hi, lo = np.take(table, e - e_min, axis=0).T
     prod = ax * hi  # >= 2**53, so an integer; the rest of ax * 10**e follows
-    rest = (((ah * head - prod) + ah * tail + al * head) + al * tail) + ax * lo
+    rest = _two_prod(ax, hi) + ax * lo
     step = np.rint(rest)
     return prod.astype(np.int64) + step.astype(np.int64), rest - step
 
@@ -261,8 +257,6 @@ def _escape(text) -> str:
 
 
 def _ticks(lo: float, hi: float, n: int = 5):
-    if hi == lo:
-        hi = lo + 1.0
     return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
 
 
@@ -340,9 +334,7 @@ def write_svg(path, x, series: dict, title: str, xlabel: str, ylabel: str) -> No
         parts.append(f'<text x="{ml - 8}" y="{py(ty) + 4:.2f}" text-anchor="end">{ty:.4g}</text>')
     for idx, (name, ya, mask) in enumerate(zip(series, yas, masks)):
         color = _PALETTE[idx % len(_PALETTE)]
-        # same operation order as px/py, so each coordinate rounds identically
-        pxs = ml + (xa[mask] - x_lo) / (x_hi - x_lo) * plot_w
-        pys = height - mb - (ya[mask] - y_lo) / (y_hi - y_lo) * (height - mt - mb)
+        pxs, pys = px(xa[mask]), py(ya[mask])
         if pxs.size > plot_w:
             keep = _pixel_extremes(np.minimum((pxs - ml).astype(np.int64), plot_w - 1), ya[mask])
             pxs, pys = pxs[keep], pys[keep]

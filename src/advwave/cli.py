@@ -19,10 +19,10 @@ numeric stack is first imported, which is why all numpy imports in this
 module are local to the command functions.
 
 Configuration precedence: per-command defaults < ``--config`` file < flags.
-The config file holds ``key = value`` lines (``#`` comments allowed) with keys
-gamma, omega0_ratio, r0_gamma, tmax_gamma, points, out.  All output tables are
-deterministic: 17-significant-digit CSV with a ``# key = value`` header block
-recording the fully resolved configuration.
+``_CONFIG_KEYS`` is the one list of the settings: each key names a config-file
+line (``key = value``, ``#`` comments allowed) and a flag.  All output tables
+are deterministic: 17-significant-digit CSV with a ``# key = value`` header
+block recording the fully resolved configuration.
 """
 from __future__ import annotations
 
@@ -30,7 +30,6 @@ import argparse
 import functools
 import math
 import os
-import random
 import sys
 from dataclasses import dataclass
 
@@ -63,6 +62,17 @@ def _apply_thread_env():
         os.environ.setdefault(var, str(n))
 
 
+# config key, and flag name with "-" for "_" -> (RunConfig field, type, flag help)
+_CONFIG_KEYS = {
+    "gamma": ("gamma", float, "decay rate in 1/s"),
+    "omega0_ratio": ("omega0_over_gamma", float, "transition frequency over gamma"),
+    "r0_gamma": ("r0_gamma", float, "observation distance times gamma"),
+    "tmax_gamma": ("tmax_gamma", float, "time-grid extent times gamma"),
+    "points": ("points", int, "number of grid points"),
+    "out": ("out", str, "output directory"),
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Resolved run parameters shared by every command.
@@ -82,8 +92,9 @@ class RunConfig:
     def __post_init__(self):
         from .core import _positive
 
-        for name in ("gamma", "omega0_over_gamma", "r0_gamma", "tmax_gamma"):
-            _positive(getattr(self, name), name)
+        for field, cast, _ in _CONFIG_KEYS.values():
+            if cast is float:
+                _positive(getattr(self, field), field)
         if self.points is not None and self.points < 2:
             raise ValueError(f"points must be >= 2, got {self.points}")
 
@@ -98,25 +109,11 @@ class RunConfig:
     def meta(self) -> dict:
         from . import __version__
 
-        return {
-            "advwave_version": __version__,
-            "gamma": "%.17g" % self.gamma,
-            "omega0_over_gamma": "%.17g" % self.omega0_over_gamma,
-            "r0_gamma": "%.17g" % self.r0_gamma,
-            "tmax_gamma": "%.17g" % self.tmax_gamma,
-            "points": "auto" if self.points is None else str(self.points),
-            "out": self.out,
-        }
-
-
-_CONFIG_KEYS = {
-    "gamma": ("gamma", float),
-    "omega0_ratio": ("omega0_over_gamma", float),
-    "r0_gamma": ("r0_gamma", float),
-    "tmax_gamma": ("tmax_gamma", float),
-    "points": ("points", int),
-    "out": ("out", str),
-}
+        meta = {"advwave_version": __version__}
+        for field, cast, _ in _CONFIG_KEYS.values():
+            v = getattr(self, field)
+            meta[field] = "%.17g" % v if cast is float else "auto" if v is None else str(v)
+        return meta
 
 
 def _read_config(path):
@@ -136,7 +133,7 @@ def _read_config(path):
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         if key not in _CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        field, cast = _CONFIG_KEYS[key]
+        field, cast, _ = _CONFIG_KEYS[key]
         try:
             values[field] = cast(val)
         except ValueError:
@@ -148,8 +145,8 @@ def _resolve_config(ns, **command_defaults) -> RunConfig:
     values = dict(command_defaults)
     if getattr(ns, "config", None):
         values.update(_read_config(ns.config))
-    for flag, (field, _) in _CONFIG_KEYS.items():  # config keys double as flag names
-        v = getattr(ns, flag, None)
+    for key, (field, _, _) in _CONFIG_KEYS.items():
+        v = getattr(ns, key, None)
         if v is not None:
             values[field] = v
     return RunConfig(**values)
@@ -264,11 +261,10 @@ def cmd_power(cfg: RunConfig, model: str) -> int:
     import numpy as np
 
     from ._report import write_csv
-    from .core import DipoleParams
     from .fieldcoeffs import LevelScheme
     from .radiometry import pert_power_breakdown, power_curves_2lvl
 
-    params = DipoleParams.from_rates(cfg.omega0, cfg.gamma)
+    params, _ = _dipole_geometry(cfg)
     meta = cfg.meta()
     meta.update(model=model, units="natural (hbar = c = 1); power in omega0*gamma scale")
     if model == "pert":
@@ -350,35 +346,29 @@ def cmd_detect(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _run_checks(cfg: RunConfig, grid, span: float, full: bool):
+def _run_checks(cfg: RunConfig, p, grid, span: float, full: bool):
     """Yield (name, tolerance, measured, note) validation rows.
 
-    ``grid`` is the oracle's mode comb, ``span`` its width in units of gamma.
-    A row passes when measured <= tolerance; a check that raises measures NaN
-    and so fails, with the error as its note.  The random working points come
-    from one stdlib stream, ``random.Random(20260814).random()``, drawn a whole
-    array at a time in the order of the rows, so every run draws the same ones.
+    ``p`` is the dipole at gamma = 1, ``grid`` the oracle's mode comb and
+    ``span`` its width in units of gamma.  A row passes when measured <=
+    tolerance; a check that raises measures NaN and so fails, with the error
+    as its note.  The random working points come from one stdlib stream,
+    ``core._uniform_stream(20260814)``, drawn a whole array at a time in the
+    order of the rows, so every run draws the same ones.
     """
     import numpy as np
 
     from .atomdyn import (AtomCorrKind, commutator_expect, corr_minus_plus,
                           sigma_z_expect)
-    from .core import DipoleParams, Event, FieldKind
+    from .core import DipoleParams, Event, FieldKind, _uniform_stream
     from .correlations import commutator_parts, delta_expect_tensor
     from .kinetics import ChargeParams, momdiff_source, momdiff_vacsource
     from .oracle import (angular_reduction_check, markov_kernel_check, oracle_sigma_z,
                          oracle_two_time)
     from .radiometry import _sphere_nodes, power_curves_2lvl
 
-    rng = random.Random(20260814)
-    p = DipoleParams.from_rates(cfg.omega0_over_gamma, 1.0)
-    count = grid.count
+    uniform = _uniform_stream(20260814)
     kinds = (FieldKind.ELECTRIC, FieldKind.MAGNETIC)
-
-    def uniform(lo, hi, *shape):
-        # lo + (hi - lo) u for an array of uniforms u in [0, 1)
-        u = np.array([rng.random() for _ in range(math.prod(shape))]).reshape(shape)
-        return lo + (hi - lo) * u
 
     def power_sum_rules():
         # on random two-level working points
@@ -450,7 +440,7 @@ def _run_checks(cfg: RunConfig, grid, span: float, full: bool):
         times = np.arange(0.5, 6.51, 0.5)
         vals = oracle_sigma_z(times, grid)
         err = float(np.max(np.abs(vals - sigma_z_expect(times, p))))
-        return err, f"count={count} span={span:g}, grid t in [0.5, 6.5]/gamma"
+        return err, f"count={grid.count} span={span:g}, grid t in [0.5, 6.5]/gamma"
 
     def markov_mass():
         # resonance-kernel mass carried by the comb bandwidth; the packet width
@@ -471,7 +461,7 @@ def _run_checks(cfg: RunConfig, grid, span: float, full: bool):
         u, v = 1.0, 2.0
         num = oracle_two_time(AtomCorrKind.MINUS_PLUS, u, v, grid)
         ref = corr_minus_plus(u, v, p)
-        return abs(num - ref) / abs(ref), f"count={count} span={span:g}"
+        return abs(num - ref) / abs(ref), f"count={grid.count} span={span:g}"
 
     checks = [
         ("power-sum-rules", 1e-12, power_sum_rules),
@@ -508,8 +498,8 @@ def cmd_validate(cfg: RunConfig, count: int, span: float, full: bool) -> int:
     if full:
         _pair_count(count)
     # refuses a bad count or span with a ValueError, before any check runs
-    grid = build_grid(DipoleParams.from_rates(cfg.omega0_over_gamma, 1.0), count, span)
-    rows = list(_run_checks(cfg, grid, span, full))
+    params = DipoleParams.from_rates(cfg.omega0_over_gamma, 1.0)
+    rows = list(_run_checks(cfg, params, build_grid(params, count, span), span, full))
     width = max(len(r[0]) for r in rows)
     lines = [f"{'check':<{width}}  {'tolerance':>11}  {'measured':>12}  result",
              "-" * (width + 48)]
@@ -536,15 +526,8 @@ def cmd_validate(cfg: RunConfig, count: int, span: float, full: bool) -> int:
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="key = value config file")
-    common.add_argument("--out", metavar="DIR", help="output directory")
-    common.add_argument("--gamma", type=float, help="decay rate in 1/s")
-    common.add_argument("--omega0-ratio", type=float, dest="omega0_ratio",
-                        help="transition frequency over gamma")
-    common.add_argument("--r0-gamma", type=float, dest="r0_gamma",
-                        help="observation distance times gamma")
-    common.add_argument("--tmax-gamma", type=float, dest="tmax_gamma",
-                        help="time-grid extent times gamma")
-    common.add_argument("--points", type=int, help="number of grid points")
+    for key, (_, cast, text) in _CONFIG_KEYS.items():
+        common.add_argument("--" + key.replace("_", "-"), type=cast, help=text)
 
     parser = _Parser(
         prog="advwave",
@@ -590,19 +573,14 @@ def main(argv=None) -> int:
                              "command: advwave COMMAND [flags]")
         ns = _build_parser().parse_args(argv)
         if ns.command == "figure":
-            cfg = _resolve_config(ns, **_FIGURE_DEFAULTS[ns.which])
-            return cmd_figure(cfg, ns.which)
+            return cmd_figure(_resolve_config(ns, **_FIGURE_DEFAULTS[ns.which]), ns.which)
         if ns.command == "power":
-            cfg = _resolve_config(ns, tmax_gamma=6.0)
-            return cmd_power(cfg, ns.model)
+            return cmd_power(_resolve_config(ns, tmax_gamma=6.0), ns.model)
         if ns.command == "corr":
-            cfg = _resolve_config(ns, tmax_gamma=4.0)
-            return cmd_corr(cfg)
+            return cmd_corr(_resolve_config(ns, tmax_gamma=4.0))
         if ns.command == "detect":
-            cfg = _resolve_config(ns, tmax_gamma=10.0)
-            return cmd_detect(cfg)
-        cfg = _resolve_config(ns)
-        return cmd_validate(cfg, ns.count, ns.span, ns.full)
+            return cmd_detect(_resolve_config(ns, tmax_gamma=10.0))
+        return cmd_validate(_resolve_config(ns), ns.count, ns.span, ns.full)
     except ValueError as exc:
         print(f"advwave: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

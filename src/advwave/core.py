@@ -20,10 +20,14 @@ here and used everywhere else:
 * rates, frequencies and radii are positive and finite (``_positive``);
 * a scalar in gives a Python scalar out, and an array keeps its shape
   (``_like``).
+
+Two numerical helpers live here too: Dekker's exact product (``_two_prod``)
+and the fixed-seed stdlib uniform stream (``_uniform_stream``).
 """
 from __future__ import annotations
 
 import math
+import random
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -38,14 +42,39 @@ __all__ = [
 
 _GAMMA_REL_TOL = 1e-12
 _MARKOV_RATIO_WARN = 0.1
+_SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into two 26-bit halves
 
 
 def _omega0_cubed(omega0) -> float:
-    """omega0**3 as a float; ValueError, not OverflowError, when it overflows."""
+    """omega0**3 as a float; ValueError, not OverflowError or 0, when it leaves the float range."""
+    omega0 = float(_positive(omega0, "omega0"))
     try:
-        return float(omega0) ** 3
+        cube = omega0**3
     except OverflowError:
-        raise ValueError(f"omega0 = {float(omega0):.6g} is too large: omega0^3 overflows") from None
+        raise ValueError(f"omega0 = {omega0:.6g} is too large: omega0^3 overflows") from None
+    if cube == 0.0:
+        raise ValueError(f"omega0 = {omega0:.6g} is too small: omega0^3 underflows")
+    return cube
+
+
+def _two_prod(a, b):
+    """a b - fl(a b), exactly, where neither the product nor its split leaves the
+    normal range: Dekker's exact product (T. J. Dekker, Numer. Math. 18, 224 (1971))."""
+    sa, sb = a * _SPLIT, b * _SPLIT
+    ah, bh = sa - (sa - a), sb - (sb - b)
+    al, bl = a - ah, b - bh
+    return (((ah * bh - a * b) + ah * bl) + al * bh) + al * bl
+
+
+def _uniform_stream(seed: int):
+    """draw(lo, hi, *shape): lo + (hi - lo) u for an array of uniforms u in [0, 1),
+    taken in order from ``random.Random(seed)``, so every run draws the same ones."""
+    rng = random.Random(seed)
+
+    def draw(lo, hi, *shape):
+        return lo + (hi - lo) * np.array([rng.random() for _ in range(math.prod(shape))]).reshape(shape)
+
+    return draw
 
 
 def _finite(x, name: str, nonneg: bool = False) -> np.ndarray:
@@ -125,7 +154,7 @@ class DipoleParams:
     gamma = omega0**3 |d|**2 / (3 pi) holds.  The named constructor
     :meth:`from_rates` always produces a consistent parameter set, and every
     cross-check in the test-suite uses it.
-    Every path that forms omega0**3 raises ``ValueError`` when it overflows.
+    Every path that forms omega0**3 raises ``ValueError`` when it overflows or underflows.
     """
 
     omega0: float

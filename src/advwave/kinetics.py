@@ -23,8 +23,8 @@ Each N-scaled rate is a gate plus a few terms (c, lam),
 derived, not written, in `_rate_terms`: the source rate is 2 Re of the
 integral of <sigma+ sigma-> over its gate segment, the vacuum-source rate that
 of the conjugated commutator over its own, both taken as exponential terms
-from `atomdyn` (`_segments`, `_segment_rate`; `photodetect` integrates the
-same two segments).  With a = i omega0 - gamma/2 and damp = e^{-gamma |r0|}
+from `atomdyn` (`_segments`; `photodetect` integrates the same two
+segments).  With a = i omega0 - gamma/2 and damp = e^{-gamma |r0|}
 the derivation gives
 
     source     gate |r0|:   (-4 a, a), (-2 gamma, -gamma)
@@ -36,7 +36,10 @@ moments Int_0^b s^k e^{lam s - shift} ds (k <= 2) from `_moments`, so all
 are exact on any time grid and at any omega0/gamma; no step size has to
 resolve the optical period.  `cycle_averaged` gives what a coarse grid can
 show at an optical ratio: each cumulative curve averaged over one optical
-period, and its exact lower and upper envelopes.
+period, and its exact lower and upper envelopes.  Every N-scaled curve obeys
+the dimensional scaling law: omega0 and gamma times k, times and |r0| over k
+leave it unchanged, bit for bit for k a power of two, else to the rounding of
+t/k and k omega0, about eps omega0 t.
 """
 from __future__ import annotations
 
@@ -46,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomdyn import AtomCorrKind, _terms
-from .core import DipoleParams, FieldKind, _finite, _gated, _like, _positive, _vec3
+from .core import DipoleParams, FieldKind, _finite, _gated, _like, _positive, _two_prod, _vec3
 from .fieldcoeffs import field_coeff
 
 __all__ = ["ChargeParams", "DiffusionCurve", "CycleAverage", "norm_constant", "momdiff_source",
@@ -57,7 +60,6 @@ _SERIES_TERMS = 20  # 1/20! < 1e-18: the truncated series is exact to rounding
 # Horner coefficients 1/(n! (n + k + 1)) of the series, highest n first, k = 0, 1, 2
 _SERIES_WEIGHTS = 1.0 / np.array([[math.factorial(n) * (n + k + 1) for k in range(3)]
                                   for n in range(_SERIES_TERMS - 1, -1, -1)], dtype=float)
-_SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into two 26-bit halves
 _EXACT_PHASE = 2.0**20  # |phase| (rad) from which `_exp` carries the product's rounding
 
 
@@ -148,20 +150,18 @@ def _exp(c, x, shift=0.0):
     """e^{c x - shift} for an array x; a real c keeps the arithmetic real.
 
     Where the phase p = c.imag x reaches 2^20 rad, its rounding error r
-    (Dekker's exact product) enters as e^{i r} = 1 + i r - r^2/2, so optical
+    (`core._two_prod`) enters as e^{i r} = 1 + i r - r^2/2, so optical
     phases ~1e9 rad are exact to rounding.  Below, a plain product's error
     (at most 2^-33 rad) is left: twelve more passes would slow every figure.
     """
     if not isinstance(c, complex):
         return np.exp(c * x - shift)
-    w, p = c.imag, c.imag * x
+    p = c.imag * x
     out = np.exp(c.real * x - shift + 1j * p)
     big = np.abs(p) >= _EXACT_PHASE
     if not big.any():
         return out
-    s = x * _SPLIT
-    wh, xh = w * _SPLIT - (w * _SPLIT - w), s - (s - x)
-    r = np.where(big, ((wh * xh - p) + wh * (x - xh) + (w - wh) * xh) + (w - wh) * (x - xh), 0.0)
+    r = np.where(big, _two_prod(c.imag, x), 0.0)
     return out * (1.0 - r * r / 2.0 + 1j * r)
 
 
@@ -209,48 +209,42 @@ def _moment_sum(groups, b):
                for c, shift, coeffs in groups)
 
 
-def _segments(params: DipoleParams, x: float, k_g, k_d):
-    """The source (G) and vacuum-source (Delta) integrands at distance x, as (terms, segment).
+def _segments(params: DipoleParams, x: float, k_g, k_d, phase: float):
+    """The source (G) and vacuum-source (Delta) integrands at distance x, each as (gate, offset, groups).
 
-    The terms are atomdyn's lists times each integrand's constant field
-    contraction, k_g or k_d.  A rate at t >= gate integrates over s in [0, b],
-    b = t - gate, and its segment is (gate, offset, lag0, (u, v, lag)): the
-    correlator's arguments u, v and the lag as (coefficient of w, coefficient
-    of s), where w = b + offset = t - x is the retarded time at x and lag0
-    adds to the lag:
+    Each integrand is atomdyn's term list times its constant field contraction,
+    k_g or k_d, and e^{-i phase (t - t')}: the detector phase, 0 for the
+    diffusion rates.  A rate at t >= gate integrates over s in [0, b],
+    b = t - gate.  The correlator's arguments u, v and the lag are linear in s
+    and in w = b + offset = t - x, the retarded time at x; lag0 is the lag's
+    constant part:
 
         G      k_g <s+(u) s-(v)>      t' = x + s in [x, t]       u = w      v = s   lag = t - t'
         Delta  k_d <[s-(u), s+(v)]>   t' = b - s in [0, t - 2x]  u = w - s  v = w   lag = t' - t
 
     The Delta integrand is conj(k_d <[s-(u), s+(v)]>) e^{-i phase (t - t')}.
     A rate is a real part, so its segment integrates the conjugate instead,
-    whose lag is t' - t.
-    """
-    pm, comm = (_terms(kind, params) for kind in (AtomCorrKind.PLUS_MINUS, AtomCorrKind.COMMUTATOR))
-    return ((tuple((k_g * c, lu, lv) for c, lu, lv in pm), (x, 0.0, 0.0, ((1, 0), (0, 1), (1, -1)))),
-            (tuple((k_d * c, lu, lv) for c, lu, lv in comm), (2.0 * x, x, -2.0 * x, ((1, -1), (1, 0), (0, -1)))))
+    whose lag is t' - t.  Each term (c, lam_u, lam_v) has the exponent
+    lam_u u + lam_v v - i phase lag = mu w + lam s - i phase lag0 there, so
+    its integral is the moment group (c', mu, lam),
 
-
-def _segment_rate(terms, segment, phase: float):
-    """(gate, offset, groups): a term list times e^{-i phase (t - t')} over one gate segment.
-
-    Each term (c, lam_u, lam_v) has the exponent lam_u u + lam_v v - i phase lag
-    = mu w + lam s - i phase lag0 on the segment, so its integral over
-    s in [0, b] is the moment group (c', mu, lam),
-
-        c' e^{mu w} M0(lam, b),   c' = c e^{-i phase lag0},  w = b + offset,
+        c' e^{mu w} M0(lam, b),   c' = k c e^{-i phase lag0},
 
     with M0 from `_moments`; the rate is Re of the groups' sum.  A mu or lam
     with no imaginary part is a float.  The lag's phase goes through `_exp`,
     exact to rounding at optical phases.
     """
-    gate, offset, lag0, rows = segment
-    turn = complex(_exp(-1j * phase, lag0))
-    groups = []
-    for c, lu, lv in terms:
-        mu, lam = (lu * u + lv * v - 1j * phase * lag for u, v, lag in zip(*rows))
-        groups.append((c * turn, mu if mu.imag else mu.real, lam if lam.imag else lam.real))
-    return gate, offset, tuple(groups)
+    pm, comm = (_terms(kind, params) for kind in (AtomCorrKind.PLUS_MINUS, AtomCorrKind.COMMUTATOR))
+    out = []
+    for k, terms, gate, offset, lag0, rows in ((k_g, pm, x, 0.0, 0.0, ((1, 0), (0, 1), (1, -1))),
+                                               (k_d, comm, 2.0 * x, x, -2.0 * x, ((1, -1), (1, 0), (0, -1)))):
+        turn = complex(_exp(-1j * phase, lag0))
+        groups = []
+        for c, lu, lv in terms:  # rows: (u, v, lag) as (coefficient of w, coefficient of s)
+            mu, lam = (lu * u + lv * v - 1j * phase * lag for u, v, lag in zip(*rows))
+            groups.append((k * c * turn, mu if mu.imag else mu.real, lam if lam.imag else lam.real))
+        out.append((gate, offset, tuple(groups)))
+    return tuple(out)
 
 
 def _rate_terms(params: DipoleParams, r0: float):
@@ -258,15 +252,14 @@ def _rate_terms(params: DipoleParams, r0: float):
 
     With n = (gamma/2)^2 + omega0^2 = N q^2 |E_rad(r0)|^2, the source rate is
     2 Re Int_G 2 n <s+ s-> and the vacuum-source rate 2 Re Int_Delta n
-    conj<[s-, s+]> (`_segments`, `_segment_rate`).  M0(lam, b) = (e^{lam b} - 1)/lam turns a
+    conj<[s-, s+]> (`_segments`).  M0(lam, b) = (e^{lam b} - 1)/lam turns a
     group into the terms (-c'', mu) and (c'', mu + lam), c'' = c' e^{mu offset}/lam.
     Terms with equal lam merge into the later one's place, so the lists keep
     the exponents a = i omega0 - gamma/2, -gamma and 0.
     """
     n = (params.gamma / 2.0) ** 2 + params.omega0**2
     rates = []
-    for terms, segment in _segments(params, r0, 4.0 * n, 2.0 * n):
-        gate, offset, groups = _segment_rate(terms, segment, 0.0)
+    for gate, offset, groups in _segments(params, r0, 4.0 * n, 2.0 * n, 0.0):
         merged = {}
         for c, mu, lam in groups:  # 1/lam as conj(lam)/|lam|^2 after c: exact where |lam|^2 = n
             c = complex(c / (lam.real**2 + lam.imag**2) * lam.conjugate() * _exp(mu, offset))
@@ -444,6 +437,7 @@ def posdisp_change(t, params: DipoleParams, charge: ChargeParams, delta_p0: floa
     each element the value of its scalar call.
     """
     tt = _finite(t, "t", nonneg=True)
+    _finite(delta_p0, "delta_p0")
     g, r0, a = params.gamma, charge.r0_abs, complex(-params.gamma / 2.0, params.omega0)
     e = field_coeff(FieldKind.ELECTRIC, charge.r0, params, "rad")
     tr, b = _gated(tt, r0)[0], _gated(tt, 2.0 * r0)[0]

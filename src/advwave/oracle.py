@@ -47,13 +47,12 @@ Three independent machines live here:
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._quad import n_for_oscillation, trapezoid_weights
-from .core import DipoleParams, _finite, _like, _positive
+from .core import DipoleParams, _finite, _like, _positive, _uniform_stream
 
 __all__ = [
     "ModeGrid",
@@ -488,17 +487,18 @@ def markov_kernel_check(freq_fn, t_r: float, t_a: float, params: DipoleParams,
     convergence guard raises if the mass has not converged.
     """
     _finite((t_r, t_a), "t_r and t_a")
+    _positive(per_period, "per_period")
     w0 = params.omega0
-    sigma = 10.0 / w0 if sigma is None else sigma
+    sigma = 10.0 / w0 if sigma is None else _positive(sigma, "sigma")
     if window is None:
         window = (min(t_r, t_a) - 12.0 * sigma, max(t_r, t_a) + 12.0 * sigma)
-    a, b = float(window[0]), float(window[1])
+    a, b = _finite(window, "window").tolist()
     if b <= a:
         raise ValueError("empty window")
     tol = 1e-9 * max(1.0, abs(a), abs(b))
     w_r, w_a = (_window_weight(t, (a, b), tol) for t in (t_r, t_a))
 
-    w_lo, w_hi = (0.0, 10.0 * w0) if band is None else (float(band[0]), float(band[1]))
+    w_lo, w_hi = (0.0, 10.0 * w0) if band is None else _finite(band, "band").tolist()
     if not 0.0 <= w_lo < w_hi:
         raise ValueError("band must satisfy 0 <= lo < hi")
     # worst-case oscillation rates: in t' the carrier-detuned phase, in omega
@@ -580,14 +580,14 @@ def angular_reduction_check(z_values=(5.0, 1e-3), n_dirs: int = 3, order: int = 
     For ``n_dirs`` random unit directions xhat and each z, compares
     (1/4 pi) Int dOmega_k (delta_ij - k_i k_j) e^{i z k.xhat} against
     tau_kernel(z, xhat), component by component.  The directions are uniform
-    on the sphere, cos(theta) and phi from two uniforms each of the stdlib
-    stream ``random.Random(seed).random()``.
+    on the sphere: all n_dirs cos(theta), then all n_dirs phi, from the stdlib
+    stream ``core._uniform_stream(seed)``.
     """
     from .fieldcoeffs import tau_kernel
 
-    rng = random.Random(seed)
-    u, w = np.array([rng.random() for _ in range(2 * n_dirs)]).reshape(2, n_dirs)
-    cos_t, phi = 2.0 * u - 1.0, 2.0 * np.pi * w
+    _positive(n_dirs, "n_dirs")
+    draw = _uniform_stream(seed)
+    cos_t, phi = draw(-1.0, 1.0, n_dirs), draw(0.0, 2.0 * np.pi, n_dirs)
     sin_t = np.sqrt(1.0 - cos_t**2)
     xhats = np.stack((sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t), axis=1)
     num = _transverse_quadrature(xhats, z_values, order)

@@ -10,11 +10,10 @@ field correlation tensor with the detector's free phase:
 Both integrands are gated sums of complex exponentials, so both integrals are
 moments Int_0^b e^{lam s - shift} ds from `kinetics._moments`.  The moment
 groups are derived from `atomdyn`'s correlator term lists over the same two
-gate segments the diffusion rates use (`kinetics._segments`,
-`kinetics._segment_rate`, with the detector frequency as the phase), not
-written here.  Write c = dd . X (X the full or the radiation-zone electric
-coefficient, by ``part``), tau = t - |x| and b = t - 2|x|.  The derivation
-gives the following forms.
+gate segments the diffusion rates use (`kinetics._segments`, with the
+detector frequency as the phase), not written here.  Write c = dd . X (X the
+full or the radiation-zone electric coefficient, by ``part``), tau = t - |x|
+and b = t - 2|x|.  The derivation gives the following forms.
 
 With K = G (normal-ordered) the gate is t' in [|x|, t] and the integrand's
 optical phases cancel exactly, exp(i w0 (t - t')) exp(-i w0 (t - t')) = 1,
@@ -48,7 +47,7 @@ import numpy as np
 
 from .core import DipoleParams, FieldKind, _gated, _like, _vec3
 from .fieldcoeffs import field_coeff
-from .kinetics import _moment_sum, _segment_rate, _segments
+from .kinetics import _moment_sum, _segments
 
 __all__ = ["DetectorConfig", "detection_rate_G", "detection_rate_C", "suppression_report", "SuppressionReport"]
 
@@ -88,8 +87,7 @@ def _rates(times, cfg: DetectorConfig, part: str):
     # field_coeff checks ``part`` before any gate
     c = complex(cfg.dvec @ field_coeff(FieldKind.ELECTRIC, cfg.position, cfg.source, part))
     rates = []
-    for terms, segment in _segments(cfg.source, cfg.r, 4.0 * abs(c) ** 2, 2.0 * c**2):
-        gate, offset, groups = _segment_rate(terms, segment, cfg.source.omega0)
+    for gate, offset, groups in _segments(cfg.source, cfg.r, 4.0 * abs(c) ** 2, 2.0 * c**2, cfg.source.omega0):
         b, on = _gated(times, gate)
         total = _moment_sum(((lam, -mu * (b + offset), (g,)) for g, mu, lam in groups), b)
         rates.append(np.where(on, np.real(total), 0.0))

@@ -286,6 +286,14 @@ def test_figure_rejects_an_overflowing_omega0(capsys):
     assert err.count("\n") == 1 and "omega0" in err and "too large" in err
 
 
+@pytest.mark.parametrize("argv", [("power", "pert"), ("figure", "1"), ("detect",)])
+def test_an_underflowing_omega0_is_a_usage_error(argv, capsys, tmp_path):
+    # gamma = 1e-111 puts omega0 near 1e-109, whose cube is 0.0 in a double
+    assert run_cli(*argv, "--gamma", "1e-111", "--out", str(tmp_path)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "omega0" in err and "too small" in err
+
+
 @pytest.mark.parametrize("argv,rows", [
     (("figure", "1", "--points", "3000000"), "3,000,000"),
     (("corr", "--points", "2000"), "4,000,000"),                  # points^2 cells

@@ -1,5 +1,6 @@
 """Value types, parameter validation and the input contract of every time-taking function."""
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advwave.atomdyn import commutator_expect, corr_minus_plus, corr_plus_minus, sigma_z_expect
-from advwave.core import DipoleParams, Event, FieldKind
+from advwave.core import DipoleParams, Event, FieldKind, _two_prod, _uniform_stream
 from advwave.correlations import corr_traces
 from advwave.fieldcoeffs import tau_kernel
 from advwave.kinetics import (ChargeParams, cycle_averaged, dispersion_change, momdiff_source,
                               momdiff_vacsource, posdisp_change)
-from advwave.oracle import build_grid, markov_kernel_check, oracle_sigma_z, oracle_two_time
+from advwave.oracle import (angular_reduction_check, build_grid, markov_kernel_check, oracle_sigma_z,
+                            oracle_two_time)
 from advwave.photodetect import (DetectorConfig, detection_rate_C, detection_rate_G,
                                  suppression_report)
 from advwave.radiometry import intensity_trace_2lvl, power_curves_2lvl, sphere_integrate
@@ -43,6 +45,8 @@ def test_params_validation():
         DipoleParams.from_rates(omega0=10.0, gamma=0.0)
     with pytest.raises(ValueError, match="too large"):
         DipoleParams.from_rates(omega0=1e308, gamma=1e8)   # omega0^3 overflows a float
+    with pytest.raises(ValueError, match=r"omega0 = 1e-109 is too small: omega0\^3 underflows"):
+        DipoleParams.from_rates(1e-109, 1e-111)            # omega0^3 is 0.0 in a double
     with pytest.raises(ValueError):
         DipoleParams(omega0=10.0, gamma=1.0, dvec=np.zeros(4))
     with pytest.raises(ValueError):
@@ -59,6 +63,30 @@ def test_params_validation():
 def test_omega0_cubed_overflow_is_a_value_error(build):
     with pytest.raises(ValueError, match=r"omega0 = 1e\+(200|308) is too large: omega0\^3 overflows"):
         build()
+
+
+# |a|, |b| in [2^-480, 2^480]: the product, its rounding error and the
+# splits of both factors stay normal
+dekker_factors = st.one_of(st.just(0.0), st.builds(lambda m, s: s * m, st.floats(2.0**-480, 2.0**480),
+                                                   st.sampled_from([1.0, -1.0])))
+
+
+@settings(max_examples=400, deadline=None)
+@given(a=dekker_factors, b=dekker_factors)
+def test_two_prod_is_the_exact_rounding_error_of_the_product(a, b):
+    assert Fraction(_two_prod(a, b)) == Fraction(a) * Fraction(b) - Fraction(a * b)
+    # elementwise on arrays, with the same bits
+    assert _two_prod(np.array([a, b]), np.array([b, a])).tolist() == [_two_prod(a, b), _two_prod(b, a)]
+
+
+def test_uniform_stream_draws_in_order_from_the_stdlib_generator():
+    import random
+
+    rng = random.Random(5)
+    u = [rng.random() for _ in range(7)]
+    draw = _uniform_stream(5)
+    assert draw(-2.0, 2.0, 2, 3).tolist() == [[-2.0 + 4.0 * v for v in u[i:i + 3]] for i in (0, 3)]
+    assert draw(0.0, 1.0, 1).tolist() == [u[6]]
 
 
 def test_overdamped_parameters_warn():
@@ -126,6 +154,35 @@ OTHER_TIME_TAKERS = {
     "tau_kernel(z)": lambda z: tau_kernel(z, (0.0, 0.0, 1.0)),
     "sphere_integrate(radius)": lambda r: sphere_integrate(lambda xhat: 1.0, r, 4),
 }
+
+
+# Arguments that are not times keep the contract too: a width, window, band
+# or momentum dispersion must be finite (a width and a count positive), and
+# omega0^3 must be a normal double.  Each entry names the argument its
+# ValueError must name.
+BAND = (25.0, 35.0)
+NON_TIME_ARGUMENTS = {
+    "markov_kernel_check(sigma=0)": (
+        "sigma", lambda: markov_kernel_check(np.ones_like, 1.0, 2.0, P, band=BAND, sigma=0.0)),
+    "markov_kernel_check(sigma=nan)": (
+        "sigma", lambda: markov_kernel_check(np.ones_like, 1.0, 2.0, P, band=BAND, sigma=np.nan)),
+    "markov_kernel_check(window=nan)": (
+        "window", lambda: markov_kernel_check(np.ones_like, 1.0, 2.0, P, band=BAND, window=(0.0, np.nan))),
+    "markov_kernel_check(band=inf)": (
+        "band", lambda: markov_kernel_check(np.ones_like, 1.0, 2.0, P, band=(25.0, np.inf))),
+    "markov_kernel_check(per_period=0)": (
+        "per_period", lambda: markov_kernel_check(np.ones_like, 1.0, 2.0, P, band=BAND, per_period=0)),
+    "angular_reduction_check(n_dirs=0)": ("n_dirs", lambda: angular_reduction_check(n_dirs=0)),
+    "posdisp_change(delta_p0=nan)": ("delta_p0", lambda: posdisp_change(1.0, P, CHARGE, delta_p0=np.nan)),
+    "DipoleParams.from_rates(omega0=1e-109)": ("omega0", lambda: DipoleParams.from_rates(1e-109, 1e-111)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_TIME_ARGUMENTS))
+def test_non_time_arguments_raise(name):
+    arg, call = NON_TIME_ARGUMENTS[name]
+    with pytest.raises(ValueError, match=arg):
+        call()
 
 
 def _values(out):

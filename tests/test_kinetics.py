@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid
 
@@ -24,6 +24,7 @@ from advwave.kinetics import (
     norm_constant,
     posdisp_change,
 )
+from advwave.photodetect import DetectorConfig, suppression_report
 
 P = DipoleParams.from_rates(omega0=100.0, gamma=1.0)
 CH = ChargeParams(q=1.0, m=1.0, r0=np.array([1.0 / 3.0, 0.0, 0.0]))
@@ -534,3 +535,61 @@ def test_cycle_averages_at_any_ratio_property(log_ratio, r0_gamma, t_gamma, gamm
     assert np.all(curves.avg_vacsource[t + half <= onset] == 0.0)
     assert np.all(curves.avg_source[t + half <= ch.r0_abs] == 0.0)
     assert np.all(curves.lo_total <= curves.hi_total)
+
+
+# The dimensional scaling law: omega0 and gamma times k, every time and |r0|
+# over k, leave every dimensionless output as it was.  For k a power of two
+# every product and quotient of the rates scales exactly, so the curves keep
+# their bits; max_ratio goes through the detector's field coefficient, whose
+# r**3 and |c| come from libm and can move by an ulp.  For any other k the
+# rounding of t/k and k omega0 moves the phases by about eps omega0 t.
+
+def _dimensionless_outputs(ratio, r0_gamma, k):
+    """The cum columns of `dispersion_change`, the avg/lo/hi totals of
+    `cycle_averaged` (both on 97 points to 12/gamma) and the detector's
+    ``max_ratio`` (60 points from |r0| to 2|r0| + 10/gamma), at gamma = k."""
+    p = DipoleParams.from_rates(omega0=ratio * k, gamma=k)
+    r0 = np.array([0.6, 0.0, 0.8]) * r0_gamma / k
+    ch = ChargeParams(q=1.0, m=1.0, r0=r0)
+    t = np.linspace(0.0, 12.0, 97) / k
+    d, c = dispersion_change(t, p, ch), cycle_averaged(t, p, ch)
+    rep = suppression_report(DetectorConfig(position=r0, source=p),
+                             np.linspace(r0_gamma, 2.0 * r0_gamma + 10.0, 60) / k)
+    return (d.cum_source, d.cum_vacsource, d.cum_total, c.avg_total, c.lo_total, c.hi_total), rep.max_ratio
+
+
+@settings(max_examples=40, deadline=None)
+@given(log_ratio=st.floats(1.0, 8.0), r0_gamma=st.floats(0.02, 5.0), j=st.integers(-30, 30))
+# k = 2, 1024 and 2^-20 at omega0/gamma = 1e2, 1e8 and 1e4
+@example(log_ratio=2.0, r0_gamma=1.0 / 3.0, j=1)
+@example(log_ratio=8.0, r0_gamma=1.0 / 3.0, j=10)
+@example(log_ratio=4.0, r0_gamma=1.0 / 3.0, j=-20)
+def test_scaling_by_a_power_of_two_keeps_the_bits(log_ratio, r0_gamma, j):
+    cols, max_ratio = _dimensionless_outputs(10.0**log_ratio, r0_gamma, 1.0)
+    scaled_cols, scaled_max_ratio = _dimensionless_outputs(10.0**log_ratio, r0_gamma, 2.0**j)
+    assert abs(scaled_max_ratio - max_ratio) <= 4.0 * np.finfo(float).eps * max_ratio
+    for scaled, col in zip(scaled_cols, cols, strict=True):
+        assert np.array_equal(scaled, col)
+
+
+@settings(max_examples=40, deadline=None)
+@given(log_ratio=st.floats(1.0, 8.0), r0_gamma=st.floats(0.02, 5.0), log_k=st.floats(-3.0, 8.0))
+# k = 3, 0.37 and 1e8 at omega0/gamma = 1e2, 1e4 and 1e8
+@example(log_ratio=2.0, r0_gamma=1.0 / 3.0, log_k=math.log10(3.0))
+@example(log_ratio=4.0, r0_gamma=1.0 / 3.0, log_k=math.log10(0.37))
+@example(log_ratio=8.0, r0_gamma=1.0 / 3.0, log_k=8.0)
+def test_scaling_by_any_factor_keeps_the_outputs_to_rounding(log_ratio, r0_gamma, log_k):
+    # bounds, each over 3x the worst of 5 000 random draws: 2 eps omega0 t_max
+    # of each column's maximum, and for max_ratio, the small difference of two
+    # rates, 4 eps omega0 t_max of itself plus 16 eps.  The envelopes jump at
+    # the gates |r0| and 2|r0|, where t/k may round to either side, so grid
+    # points on a gate are left out.
+    ratio, eps = 10.0**log_ratio, np.finfo(float).eps
+    cols, max_ratio = _dimensionless_outputs(ratio, r0_gamma, 1.0)
+    scaled_cols, scaled_max_ratio = _dimensionless_outputs(ratio, r0_gamma, 10.0**log_k)
+    t_max = 2.0 * r0_gamma + 10.0
+    assert abs(scaled_max_ratio - max_ratio) <= eps * (4.0 * ratio * t_max * max_ratio + 16.0)
+    t = np.linspace(0.0, 12.0, 97)
+    off_gate = np.minimum(abs(t - r0_gamma), abs(t - 2.0 * r0_gamma)) > 1e-9
+    for scaled, col in zip(scaled_cols, cols, strict=True):
+        assert np.max(np.abs(scaled - col)[off_gate]) <= 2.0 * eps * ratio * 12.0 * np.max(np.abs(col))

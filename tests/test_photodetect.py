@@ -7,7 +7,7 @@ from advwave import atomdyn
 from advwave._quad import n_for_oscillation
 from advwave.core import DipoleParams, FieldKind
 from advwave.fieldcoeffs import field_coeff
-from advwave.kinetics import _exp, _moments, _segment_rate, _segments
+from advwave.kinetics import _exp, _moments, _segments
 from advwave.photodetect import (
     DetectorConfig,
     SuppressionReport,
@@ -83,8 +83,7 @@ def test_moment_groups_derived_from_atomdyn_match_the_hand_forms(ratio, x_gamma,
     c = _contraction(cfg, part)
     t = cfg.r + np.linspace(0.0, 20.0, 401)
     rep = suppression_report(cfg, t, part=part)
-    derived = (_segment_rate(terms, segment, ratio)
-               for terms, segment in _segments(cfg.source, cfg.r, 4.0 * abs(c) ** 2, 2.0 * c**2))
+    derived = _segments(cfg.source, cfg.r, 4.0 * abs(c) ** 2, 2.0 * c**2, ratio)
     for (gate, offset, groups), (hand_gate, hand_groups), rate in zip(
             derived, _hand_groups(cfg, part), (rep.rate_g, rep.diff), strict=True):
         assert gate == hand_gate
