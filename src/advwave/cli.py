@@ -158,10 +158,15 @@ def _outpath(cfg: RunConfig, name: str) -> str:
 
 
 def _dipole_geometry(cfg: RunConfig):
-    """Standard geometry: dipole along z, observation point on the x axis."""
-    from .core import DipoleParams
+    """Standard geometry: dipole along z, observation point on the x axis.
+
+    Its near field goes as 1/r0^3, so r0^3 must be a float: a larger or
+    smaller r0 is a ValueError naming r0.
+    """
+    from .core import DipoleParams, _cubed
 
     params = DipoleParams.from_rates(cfg.omega0, cfg.gamma)
+    _cubed(cfg.r0, "r0")
     position = (cfg.r0, 0.0, 0.0)
     return params, position
 
@@ -214,6 +219,9 @@ def cmd_figure(cfg: RunConfig, which: int) -> int:
     charge = ChargeParams(q=1.0, m=1.0, r0=position)
     n = _points(cfg, "figure", _auto_points(cfg))
     tmax = cfg.tmax_gamma / cfg.gamma
+    if which == 3 and not math.isfinite(n * tmax * tmax):    # the fit sums squared times
+        raise ValueError(f"tmax_gamma = {cfg.tmax_gamma:g} is too large for the late-time "
+                         f"fit: the squares of its {n:,} times overflow")
     t = np.linspace(0.0, tmax, n)
     meta = cfg.meta()
     meta["figure"] = str(which)
@@ -358,13 +366,11 @@ def _run_checks(cfg: RunConfig, p, grid, span: float, full: bool):
     """
     import numpy as np
 
-    from .atomdyn import (AtomCorrKind, commutator_expect, corr_minus_plus,
-                          sigma_z_expect)
+    from .atomdyn import commutator_expect, corr_minus_plus, sigma_z_expect
     from .core import DipoleParams, Event, FieldKind, _uniform_stream
     from .correlations import commutator_parts, delta_expect_tensor
     from .kinetics import ChargeParams, momdiff_source, momdiff_vacsource
-    from .oracle import (angular_reduction_check, markov_kernel_check, oracle_sigma_z,
-                         oracle_two_time)
+    from .oracle import angular_reduction_check, markov_kernel_check, oracle_sigma_z, two_time_route
     from .radiometry import _sphere_nodes, power_curves_2lvl
 
     uniform = _uniform_stream(20260814)
@@ -457,11 +463,13 @@ def _run_checks(cfg: RunConfig, p, grid, span: float, full: bool):
         return angular_reduction_check(z_values=(5.0,), n_dirs=2, order=24), ""
 
     def oracle_minus_plus():
-        # two-excitation-sector oracle for the anti-normal correlator
+        # two-excitation oracle for the anti-normal correlator: the hard-core
+        # boson identity's Volterra grid and its last Romberg correction
         u, v = 1.0, 2.0
-        num = oracle_two_time(AtomCorrKind.MINUS_PLUS, u, v, grid)
+        num, _, steps, correction = two_time_route(u, v, grid)
         ref = corr_minus_plus(u, v, p)
-        return abs(num - ref) / abs(ref), f"count={grid.count} span={span:g}"
+        return abs(num - ref) / abs(ref), (f"count={grid.count} span={span:g}, volterra "
+                                           f"base={steps} steps, richardson={correction:.1e}")
 
     checks = [
         ("power-sum-rules", 1e-12, power_sum_rules),
@@ -489,14 +497,13 @@ def cmd_validate(cfg: RunConfig, count: int, span: float, full: bool) -> int:
     The table goes to stdout and to validate.txt, which first records the
     resolved configuration, count, span and full as a ``# key = value`` block.
     """
-    from .core import DipoleParams
-    from .oracle import _pair_count, build_grid
+    from .core import DipoleParams, _cubed
+    from .oracle import build_grid
 
+    _cubed(cfg.r0_gamma, "r0")      # the checks' field points, at gamma = 1
     if span / 2.0 >= cfg.omega0_over_gamma:     # the comb would reach zero frequency
         raise ValueError(f"span must be below 2 * omega0-ratio = "
                          f"{2.0 * cfg.omega0_over_gamma:g}, got {span:g}")
-    if full:
-        _pair_count(count)
     # refuses a bad count or span with a ValueError, before any check runs
     params = DipoleParams.from_rates(cfg.omega0_over_gamma, 1.0)
     rows = list(_run_checks(cfg, params, build_grid(params, count, span), span, full))

@@ -45,15 +45,15 @@ _MARKOV_RATIO_WARN = 0.1
 _SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into two 26-bit halves
 
 
-def _omega0_cubed(omega0) -> float:
-    """omega0**3 as a float; ValueError, not OverflowError or 0, when it leaves the float range."""
-    omega0 = float(_positive(omega0, "omega0"))
+def _cubed(x, name: str) -> float:
+    """x**3 as a float; ValueError naming ``name``, not OverflowError or 0, when it leaves the float range."""
+    x = float(_positive(x, name))
     try:
-        cube = omega0**3
+        cube = x**3
     except OverflowError:
-        raise ValueError(f"omega0 = {omega0:.6g} is too large: omega0^3 overflows") from None
+        raise ValueError(f"{name} = {x:.6g} is too large: {name}^3 overflows") from None
     if cube == 0.0:
-        raise ValueError(f"omega0 = {omega0:.6g} is too small: omega0^3 underflows")
+        raise ValueError(f"{name} = {x:.6g} is too small: {name}^3 underflows")
     return cube
 
 
@@ -167,7 +167,7 @@ class DipoleParams:
         _positive(self.gamma, "gamma")
         object.__setattr__(self, "dvec", _vec3(self.dvec, "dvec"))
         if self.consistent:
-            derived = _omega0_cubed(self.omega0) * self.d_abs2 / (3.0 * np.pi)
+            derived = _cubed(self.omega0, "omega0") * self.d_abs2 / (3.0 * np.pi)
             if abs(derived - self.gamma) > _GAMMA_REL_TOL * self.gamma:
                 raise ValueError(
                     "inconsistent parameters: gamma = "
@@ -188,7 +188,7 @@ class DipoleParams:
         norm = np.linalg.norm(n)
         if norm == 0.0:
             raise ValueError("direction must be nonzero")
-        d_abs = np.sqrt(3.0 * np.pi * float(gamma) / _omega0_cubed(omega0))
+        d_abs = np.sqrt(3.0 * np.pi * float(gamma) / _cubed(omega0, "omega0"))
         return cls(omega0=float(omega0), gamma=float(gamma), dvec=n / norm * d_abs, consistent=True)
 
     @property

@@ -2,44 +2,30 @@
 
 Three independent machines live here:
 
-* A discretized single/double-excitation Schroedinger oracle.  The dipole is
-  coupled to ``count`` modes on a uniform frequency comb of total width
-  ``span`` centered on the transition, with flat couplings
-  g_k = sqrt(gamma * dw / 2 pi) chosen so the comb's golden-rule rate
-  reproduces gamma.  Excitation number is conserved, so each sector
-  Hamiltonian acts on its own block
+* A discretized Schroedinger oracle of the comb model itself, exact and with
+  none of ``atomdyn``'s Markov forms.  The dipole couples to ``count`` modes
+  on a uniform comb of width ``span`` centered on the transition, with flat
+  couplings g_k = sqrt(gamma dw / 2 pi) whose golden-rule rate is gamma.  In
+  the frame rotating at the transition the N=1 sector {excited, vacuum} +
+  {ground, one photon in mode k} is a star (``_OneSector``).  States are
+  propagated by a Chebyshev series on Weyl's spectral interval (Tal-Ezer &
+  Kosloff, J. Chem. Phys. 81, 3967 (1984)); only the Bessel weights depend on
+  tau, so one recurrence serves a time grid.
 
-      N=1:  {excited, vacuum} + {ground, one photon in mode k}
-      N=2:  {excited, one photon k} + {ground, photon pair (k <= l)}
+  The N=2 sector is never built: with sigma- a boson the model is quadratic,
+  U2 = U1 (x) U1, and the hard-core boson map (T. Matsubara and H. Matsuda,
+  Prog. Theor. Phys. 16, 569 (1956)) projects out |2_b>.  With x = U1(t)|e,0>,
+  y = U1(t) w (w, w' the photon parts of psi(u), psi(v); tau = v - u) and nu
+  from g(t) = i Int_0^t K(t-s) nu(s) ds, K = x0^2, g = sqrt2 x0 y0:
 
-  and is time independent, so states are propagated exactly, exp(-i tau H) psi
-  by a Chebyshev series on an interval that holds the spectrum of H (Tal-Ezer
-  & Kosloff, J. Chem. Phys. 81, 3967 (1984)), in the frame rotating at the
-  transition frequency; one recurrence serves a time grid, as only the Bessel
-  weights depend on tau.  No matrix is assembled: H is applied from the
-  grid's detunings d and couplings g.  N=1 is a star, H (v_0, v_1) =
-  (g . v_1, g v_0 + d o v_1).  An N=2 state is (e, S), its pair amplitudes a
-  symmetric matrix S, so the pair block is the elementwise product with
-  d_k + d_l and the coupling is a matrix-vector product plus a rank-2 update.
-  Every state is a plain vector in its sector's layout.  The spectral
-  interval is Weyl's bound, in closed form from the grid.
+      <s+ psi(v)| U2(tau) s+ psi(u)> = x0 <w'|y> + y0 <w'|x> - i Int_0^tau beta(tau-s) nu(s) ds
 
-  Populations need only N=1; two-time products that *raise* the dipole reach
-  N=2 by applying the raising operator between two forward propagation
-  segments -- no backward evolution is ever performed.  Every comb mode
-  carries pairs, so N=2 holds count + count (count + 1) / 2 states (count +
-  count^2 amplitudes as (e, S)) and the sector budget allows count ~2 000.
+  with beta = sqrt2 x0 <w'|x>.
 
 * A windowed frequency-integral check of the resonance (delta-kernel)
-  collapse used for mode sums: the exact kernel
-  Int f(w) e^{i w t'} (e^{-i w t_r} + e^{-i w t_a}) dw is applied to
-  narrow-band test wavepackets and compared against
-  2 pi f(w0) [g(t_r) w_r + g(t_a) w_a], with endpoint weights w = 1, 1/2, 0
-  for packet centers inside / on the boundary of / outside the time window.
-  The report carries the error of the kernel's demodulated mass against
-  2 pi f(w0) and the FWHM of |K| at the retarded peak (-> O(1/bandwidth)).
-  Both grids are uniform, so the exp(i w t) sums are Bluestein chirp-z
-  transforms (Rabiner, Schafer & Rader 1969), not dense matrix products.
+  collapse used for mode sums (``markov_kernel_check``).  Both grids are
+  uniform, so its exp(i w t) sums are Bluestein chirp-z transforms (Rabiner,
+  Schafer & Rader 1969), not dense matrix products.
 
 * A quadrature check of the transverse angular reduction
   (1/4 pi) Int dOmega_k (delta_ij - k_i k_j) e^{i z k.xhat} = tau_ij(z).
@@ -54,32 +40,26 @@ import numpy as np
 from ._quad import n_for_oscillation, trapezoid_weights
 from .core import DipoleParams, _finite, _like, _positive, _uniform_stream
 
-__all__ = [
-    "ModeGrid",
-    "build_grid",
-    "oracle_sigma_z",
-    "oracle_two_time",
-    "markov_kernel_check",
-    "MarkovKernelReport",
-    "angular_reduction_check",
-]
+__all__ = ["ModeGrid", "build_grid", "oracle_sigma_z", "oracle_two_time", "two_time_route",
+           "markov_kernel_check", "MarkovKernelReport", "angular_reduction_check"]
 
-_TWO_PHOTON_DIM_BUDGET = 2_000_000
+_SECTOR_DIM_BUDGET = 2_000_000
 _UNITARITY_LIMIT = 1e-8
-# The rolling block of T_k x fits one core's 2 MiB L2 cache.  An N=2 state
-# at count 200 (0.64 MB) then takes the three-row minimum, not 13 rows as
-# under an 8 MiB cap, and N=1 combs keep all sixteen.  The wider block
-# saved no time and held 6.4 MB more.
+_RICHARDSON_LIMIT = 1e-8      # the two-time route's last correction, of its value ...
+_ROUNDING_FLOOR = 1e-15       # ... plus this rounding of amplitudes of norm <= 1
+_ROMBERG_TARGET = 1e-12       # the grid halves until the correction is below this
+# The rolling block of T_k x (all sixteen rows up to count 8 191) and a batch of
+# Bessel FFTs fit one core's 2 MiB L2 cache.
 _BLOCK_BYTES = 2 << 20
-_SUMS_BYTES = 1 << 29     # one N=2 propagation's peak at the sector budget
+_SUMS_BYTES = 1 << 29         # the Chebyshev sums of one propagation
+_WEIGHTS_BYTES = 1 << 26      # the Bessel weights of a Volterra grid
 
 
 @dataclass(frozen=True)
 class ModeGrid:
     """Frequency comb and couplings for the discretized field.
 
-    ``build_grid`` gives the uniform, flat-coupled comb; any other couplings
-    (or frequencies) can be passed here directly.
+    ``build_grid`` gives the uniform, flat-coupled comb; any other can be passed here.
     """
 
     omegas: np.ndarray
@@ -116,22 +96,16 @@ class ModeGrid:
 def build_grid(params: DipoleParams, count: int = 400, span_gammas: float = 50.0) -> ModeGrid:
     """Build the mode comb: ``count`` modes spanning ``span_gammas * gamma``.
 
-    The comb is symmetric about omega0 (mode k sits at
-    omega0 + (k - (count-1)/2) * dw, dw = span/count) and its couplings are
-    flat, g_k = sqrt(gamma dw / 2 pi), which makes the discretized level shift
-    vanish by symmetry.
-
-    Percent-level agreement over a few lifetimes takes count >= 200 and
-    span >= 50 gamma; coarser combs are allowed, for diagnostics.  The span
-    must be positive and finite and the comb at positive frequencies,
-    omega0 > span/2.  The one-excitation sector (count + 1 states) must fit
-    ``_TWO_PHOTON_DIM_BUDGET``; a larger count raises before any allocation.
-    The two-excitation sector is checked where it is first needed.
+    The comb is symmetric about omega0 (mode k at omega0 + (k - (count-1)/2) dw,
+    dw = span/count), so the level shift vanishes.  Percent-level agreement
+    over a few lifetimes takes count >= 200 and span >= 50 gamma.  The span
+    must be positive and finite, omega0 > span/2, and count + 1 states must
+    fit ``_SECTOR_DIM_BUDGET``; a larger count raises before any allocation.
     """
     if count < 2:
         raise ValueError(f"count must be >= 2, got {count:,}")
-    if count + 1 > _TWO_PHOTON_DIM_BUDGET:
-        raise ValueError(f"count must be <= {_TWO_PHOTON_DIM_BUDGET - 1:,} to fit the sector "
+    if count + 1 > _SECTOR_DIM_BUDGET:
+        raise ValueError(f"count must be <= {_SECTOR_DIM_BUDGET - 1:,} to fit the sector "
                          f"budget, got {count:,}")
     span = _positive(span_gammas * params.gamma, "span")
     if params.omega0 <= span / 2.0:
@@ -142,53 +116,10 @@ def build_grid(params: DipoleParams, count: int = 400, span_gammas: float = 50.0
     return ModeGrid(omegas=omegas, couplings=couplings, omega0=params.omega0)
 
 
-def _pair_count(count: int) -> int:
-    """Number of N=2 pair states k <= l of ``count`` modes; raises past the sector budget."""
-    n_pairs = count * (count + 1) // 2
-    dim = count + n_pairs
-    if dim > _TWO_PHOTON_DIM_BUDGET:
-        # the largest n with n + n (n + 1) / 2 <= budget
-        max_count = (math.isqrt(9 + 8 * _TWO_PHOTON_DIM_BUDGET) - 3) // 2
-        raise ValueError(
-            f"count = {count:,} needs {dim:,} two-excitation states, more than the "
-            f"budget of {_TWO_PHOTON_DIM_BUDGET:,}; need count <= {max_count:,}"
-        )
-    return n_pairs
+class _OneSector:
+    """The N=1 star H (v_0, v_1) = (g . v_1, g v_0 + d o v_1), applied without a matrix.
 
-
-class _Sector:
-    """A sector Hamiltonian H = D + V, applied without assembling a matrix.
-
-    Subclasses give the diagonal D on their state layout, the exact operator
-    norm of the coupling V, and ``coupling(scale)``, which adds scale * V x to
-    an output vector.
-    """
-
-    size: int   # amplitudes in a state vector
-    coupling_norm: float
-
-    def scaled(self, scale: float, shift: float):
-        """apply(x, out): out = scale * (H - shift) x.
-
-        The scaled diagonal and couplings are complex copies, so every
-        product stays on numpy's complex (BLAS) paths.
-        """
-        diag = (scale * (self.diagonal() - shift)).astype(complex)
-        add = self.coupling(scale)
-
-        def apply(x, out):
-            np.multiply(diag, x, out=out)
-            add(x, out)
-
-        return apply
-
-
-class _OneSector(_Sector):
-    """N=1: {excited, vacuum} + {ground, one photon in mode k}.
-
-    A state is v = (v_0, v_1): the excited amplitude, then one per mode.  H is
-    a star, H v = [g . v_1, g v_0 + d o v_1] with d the detunings and g the
-    couplings.
+    v_0 is the excited amplitude, v_1 one per mode; |g| is the coupling's norm.
     """
 
     def __init__(self, grid: ModeGrid):
@@ -199,117 +130,82 @@ class _OneSector(_Sector):
     def diagonal(self) -> np.ndarray:
         return np.concatenate(([0.0], self.d))
 
-    def coupling(self, scale: float):
+    def scaled(self, scale: float, shift: float):
+        """apply(x, out): out = scale * (H - shift) x, from complex copies (numpy's BLAS paths)."""
+        diag = (scale * (self.diagonal() - shift)).astype(complex)
         g = (scale * self.g).astype(complex)
 
-        def add(x, out):
+        def apply(x, out):
+            np.multiply(diag, x, out=out)
             out[0] += g @ x[1:]
             out[1:] += x[0] * g
 
-        return add
+        return apply
 
 
-class _TwoSector(_Sector):
-    """N=2: {excited, one photon k} + {ground, photon pair (k <= l)}.
-
-    A state is (e, S), flattened: e_k the amplitude of |excited, 1_k>, then a
-    symmetric count x count matrix S of pair amplitudes, S_kl = S_lk =
-    c_kl / sqrt(2) for k < l and S_kk = c_kk in terms of the Fock amplitudes
-    c_kl of |ground, 1_k 1_l>, so the norm is the Fock norm.  On it
-
-        H (e, S) = (d o e + sqrt(2) S g,  Delta o S + (e g^T + g e^T) / sqrt(2))
-
-    with Delta_kl = d_k + d_l.  A state holds count + count^2 amplitudes.
-    One propagation to one time peaks at 8.0 state vectors by tracemalloc,
-    at count 200 and at count 400: the starting state, the three-row
-    rolling block of T_k, the block product, the sum, the scaled diagonal
-    and the rank-2 buffer.  At the budget, count 1 998, that is 0.51 GB.
-    """
-
-    def __init__(self, grid: ModeGrid):
-        self.n = grid.count
-        _pair_count(self.n)     # refuse an oversized sector before any work
-        self.size = self.n + self.n ** 2
-        self.d, self.g = grid.detunings, grid.couplings
-        self.coupling_norm = float(np.sqrt(2.0) * np.linalg.norm(self.g))
-
-    def _split(self, x: np.ndarray):
-        return x[:self.n], x[self.n:].reshape(self.n, self.n)
-
-    def diagonal(self) -> np.ndarray:
-        return np.concatenate((self.d, np.add.outer(self.d, self.d).ravel()))
-
-    def coupling(self, scale: float):
-        n = self.n
-        g_exc = (scale * np.sqrt(2.0) * self.g).astype(complex)
-        g_pair = scale * np.sqrt(0.5) * self.g
-        # e g^T + g e^T as one real product on the (re, im) view of the
-        # amplitudes: [re e, im e, g] @ [g (x) (1, 0); g (x) (0, 1); e]
-        left = np.empty((n, 3))
-        right = np.zeros((3, 2 * n))
-        left[:, 2] = right[0, 0::2] = right[1, 1::2] = g_pair
-        rank2 = np.empty((n, n), dtype=complex)
-
-        def add(x, out):
-            e, s = self._split(x)
-            out_e, out_s = self._split(out)
-            e_parts = e.view(float)
-            out_e += s @ g_exc
-            left[:, :2] = e_parts.reshape(n, 2)
-            right[2] = e_parts
-            np.matmul(left, right, out=rank2.view(float))
-            out_s += rank2
-
-        return add
-
-
-def _chebyshev_coeffs(a: float) -> np.ndarray:
+def _chebyshev_coeffs(a) -> np.ndarray:
     """(2 - delta_k0) (-i)^k J_k(a), the cosine series of e^{-i a cos(theta)}.
 
-    One FFT of the periodic samples gives every coefficient to the rounding
-    of the sampled phase, eps * max(1, a); the series is cut at the first
-    k > a whose coefficient is below that.  J_k(a) falls monotonically past
-    k = a, so a transform at least twice as long as the kept series leaves the
-    aliased tail below the cut.
+    ``a`` is a number, or a column (n, 1) for one row each, zero-padded to the
+    longest, from FFT batches of about ``_BLOCK_BYTES``.
     """
-    cut = np.finfo(float).eps * max(1.0, a)
-    size = 64
-    while size < 2.0 * a + 64.0:
-        size *= 2
+    a = np.asarray(a, dtype=float)
+    size = 1 << math.ceil(math.log2(2.0 * np.max(a, initial=0.0) + 64.0))
+    rows = max(1, _BLOCK_BYTES // (96 * size))      # a batch's peak: 88 B x size a row
+    if a.ndim < 2 or a.shape[0] <= rows:
+        return _bessel_rows(a, size)
+    parts = [_bessel_rows(a[i:i + rows], size) for i in range(0, a.shape[0], rows)]
+    out = np.zeros((a.shape[0], max(p.shape[1] for p in parts)), dtype=complex)
+    for i, p in enumerate(parts):
+        out[i * rows:(i + 1) * rows, :p.shape[1]] = p
+    return out
+
+
+def _bessel_rows(a: np.ndarray, size: int) -> np.ndarray:
+    """One FFT of ``size`` samples (half, by symmetry), exact to eps max(1, a), cut at the
+    first k > max(a) below that in every row: J_k(a) falls past k = a, so a transform
+    twice as long as the series leaves the aliased tail below."""
+    top = float(np.max(a, initial=0.0))
+    cut = (np.finfo(float).eps * np.maximum(1.0, a)).reshape(-1, 1)
     while True:
-        theta = (2.0 * np.pi / size) * np.arange(size)
-        coeffs = np.fft.fft(np.exp(-1j * a * np.cos(theta)))[: size // 2] / size
-        coeffs[1:] *= 2.0
-        k = np.arange(coeffs.size)
-        small = np.flatnonzero((k > a) & (np.abs(coeffs) < cut))
+        samples = np.exp(-1j * a * np.cos((2.0 * np.pi / size) * np.arange(size // 2 + 1)))
+        coeffs = np.fft.fft(np.concatenate((samples, samples[..., -2:0:-1]), axis=-1))
+        coeffs = coeffs[..., : size // 2] / size
+        coeffs[..., 1:] *= 2.0
+        below = np.all(np.abs(coeffs.reshape(-1, size // 2)) < cut, axis=0)
+        small = np.flatnonzero(below & (np.arange(size // 2) > top))
         if small.size and 2 * small[0] <= size:
-            return coeffs[: max(int(small[0]), 2)]
+            return coeffs[..., : max(int(small[0]), 2)]
         size *= 2
 
 
-def _spectral_interval(h: _Sector) -> tuple[float, float]:
-    """[lo, hi] holding the spectrum of the sector Hamiltonian H = D + V.
-
-    Weyl's bound: V moves no eigenvalue by more than |V|_2, so the spectrum
-    lies in [min D - |V|_2, max D + |V|_2].  |V|_2 is exact here: |g| for the
-    N=1 star, sqrt(2) |g| for N=2 (the pair matrix S = g g^T / |g|^2 attains
-    it).  For the N=1 star that is about half as wide as the Gershgorin disc
-    of row 0.
-    """
+def _spectral_interval(h: _OneSector) -> tuple[float, float]:
+    """[min D - |g|, max D + |g|] holds the spectrum of H = D + V (Weyl: |V|_2 = |g|),
+    about half as wide as row 0's Gershgorin disc; a non-finite one raises."""
     diag = h.diagonal()
-    return float(np.min(diag)) - h.coupling_norm, float(np.max(diag)) + h.coupling_norm
+    lo, hi = float(np.min(diag)) - h.coupling_norm, float(np.max(diag)) + h.coupling_norm
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"spectral interval [{lo:g}, {hi:g}] is not finite")
+    return lo, hi
 
 
-def _chebyshev_expm_many(h: _Sector, taus, x: np.ndarray, observe) -> list:
+def _check_unitarity(times, norms, norm0: float = 1.0) -> None:
+    """Raise at the first time whose state norm is more than 1e-8 of ``norm0`` off it."""
+    residual = np.abs(np.asarray(norms, dtype=float) - norm0)
+    bad = np.flatnonzero(~(residual <= _UNITARITY_LIMIT * max(norm0, 1e-300)))  # NaN fails too
+    if bad.size:
+        raise RuntimeError(f"unitarity residual {residual[bad[0]]:.3e} at tau = "
+                           f"{np.asarray(times)[bad[0]]:.6g} exceeds {_UNITARITY_LIMIT}")
+
+
+def _chebyshev_expm_many(h: _OneSector, taus, x: np.ndarray, observe) -> list:
     """[observe(exp(-i tau H) x) for tau in taus], from one Chebyshev recurrence.
 
     On X = (H - c) / r, [c - r, c + r] the spectral interval, e^{-i tau r X} =
-    sum_k (2 - delta_k0) (-i)^k J_k(tau r) T_k(X) converges super-exponentially
-    once k > tau r (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).  Only
-    the Bessel weights depend on tau: one recurrence out to the longest time
-    feeds a sum per distinct time.  Every time is a forward step from ``x``,
-    so times must be finite and >= 0.  Sums past ``_SUMS_BYTES`` or a non-finite
-    interval are refused before any allocation; a norm drift past 1e-8 raises.
+    sum_k (2 - delta_k0) (-i)^k J_k(tau r) T_k(X); one recurrence out to the
+    longest time feeds a sum per distinct time (finite, >= 0).  Sums past
+    ``_SUMS_BYTES`` are refused before any allocation; a norm drift past 1e-8
+    raises.
     """
     taus = _finite(taus, "times", nonneg=True).tolist()
     times = np.array(sorted(set(taus)))
@@ -320,41 +216,30 @@ def _chebyshev_expm_many(h: _Sector, taus, x: np.ndarray, observe) -> list:
         sums = np.exp(-1j * np.multiply.outer(times, h.diagonal())) * x
     else:
         lo, hi = _spectral_interval(h)
-        if not math.isfinite(hi - lo):
-            raise ValueError(f"spectral interval [{lo:g}, {hi:g}] is not finite")
         center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        series = [_chebyshev_coeffs(tau * half) for tau in times]
-        terms = max((c.size for c in series), default=0)
-        coeffs = np.array([np.pad(c, (0, terms - c.size)) for c in series])
+        coeffs = _chebyshev_coeffs(half * times[:, None])
         two_x = h.scaled(2.0 / half, center)
         # T_k(X) x goes to row k % width of a rolling block; each full block
-        # joins each time's sum as one matrix-vector product with its weights.
-        # The block, the product and the sums are one allocation, the largest
-        # of a propagation.  glibc's malloc sets its trim threshold to twice
-        # the largest block it has unmapped, so the freed working set stays
-        # mapped for the next call instead of being faulted in again.
+        # joins each time's sum as one product with its weights.  The block,
+        # the product and the sums are one allocation (glibc keeps it mapped).
         width = int(np.clip(_BLOCK_BYTES // (16 * h.size), 3, 16))
         work = np.zeros((width + 1 + times.size, h.size), dtype=complex)
         block, product, sums = work[:width], work[width], work[width + 1:]
         block[0] = x
         two_x(block[0], block[1])
         block[1] *= 0.5
-        for k in range(terms):
+        for k in range(coeffs.shape[1]):
             row = k % width
             if k >= 2:
                 # T_k = 2 X T_{k-1} - T_{k-2}
                 two_x(block[(k - 1) % width], block[row])
                 block[row] -= block[(k - 2) % width]
-            if row == width - 1 or k == terms - 1:
+            if row == width - 1 or k == coeffs.shape[1] - 1:
                 for weights, s in zip(coeffs[:, k - row:k + 1], sums):
                     np.matmul(weights, block[:row + 1], out=product)
                     s += product
         sums *= np.exp(-1j * times * center)[:, None]
-    norm0 = float(np.linalg.norm(x))
-    for tau, residual in zip(times, (abs(float(np.linalg.norm(s)) - norm0) for s in sums)):
-        if not residual <= _UNITARITY_LIMIT * max(norm0, 1e-300):     # NaN fails too
-            raise RuntimeError(f"unitarity residual {residual:.3e} at tau = {tau:.6g} "
-                               f"exceeds {_UNITARITY_LIMIT}")
+    _check_unitarity(times, np.linalg.norm(sums, axis=1), float(np.linalg.norm(x)))
     kept = dict(zip(times.tolist(), (observe(s) for s in sums)))
     return [kept[tau] for tau in taus]
 
@@ -375,44 +260,139 @@ def oracle_sigma_z(times, grid: ModeGrid):
     return _like(out, times)
 
 
+def _moments(h: _OneSector, count: int, center: float, half: float) -> np.ndarray:
+    """mu_m = <e|T_m(X)|e> for m < 2 count, e = |e,0>, X = (H - center) / half, two per
+    product: mu_2k = 2 |T_k e|^2 - mu_0, mu_2k+1 = 2 <T_k e, T_k+1 e> - mu_1."""
+    two_x = h.scaled(2.0 / half, center)
+    prev, cur, nxt = np.zeros((3, h.size), dtype=complex)
+    prev[0] = 1.0
+    two_x(prev, cur)
+    cur *= 0.5
+    mu = np.empty(2 * count)
+    mu[0], mu[1] = 1.0, cur[0].real
+    for k in range(1, count):
+        mu[2 * k] = 2.0 * np.vdot(cur, cur).real - mu[0]
+        two_x(cur, nxt)
+        nxt -= prev
+        mu[2 * k + 1] = 2.0 * np.vdot(cur, nxt).real - mu[1]
+        prev, cur, nxt = cur, nxt, prev
+    return mu
+
+
+def _gram(mu: np.ndarray, m: int, n: int) -> np.ndarray:
+    """<T_l e, T_k e> = (mu_{l+k} + mu_{|l-k|}) / 2 for l < m, k < n."""
+    l, k = np.ogrid[:m, :n]
+    return 0.5 * (mu[l + k] + mu[abs(l - k)])
+
+
+def _series_divide(r: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """x with sum_{j<=i} k_{i-j} x_j = r_i, the first r.size terms of r(z) / k(z): 1/k by
+    Newton's q <- q (2 - k q) from q = 1/k_0, with FFT products."""
+    n = r.size
+    q = np.array([1.0 / k[0]])
+    while q.size < n:
+        m = min(2 * q.size, n)
+        size = 1 << (m + q.size - 2).bit_length()
+        fq = np.fft.fft(q, size)
+        e = -np.fft.ifft(np.fft.fft(k[:m], size) * fq)[:m]
+        e[0] += 2.0
+        q = np.fft.ifft(fq * np.fft.fft(e, size))[:m]
+    size = 1 << (2 * n - 2).bit_length()
+    return np.fft.ifft(np.fft.fft(q, size) * np.fft.fft(r, size))[:n]
+
+
+def _trapezoid_route(f: np.ndarray, step: float, a_u: complex, a_v: complex) -> complex:
+    """<s+ psi(v)| U2(tau) s+ psi(u)> from f = (x0, x0', y0, y0', <w'|x>) at t_j = j step.
+
+    With K(0) = 1, i nu + i Int K'(t-s) nu(s) ds = g' is a Toeplitz system in nu / sqrt2.
+    """
+    x0, dx0, y0, dy0, p = f
+    k1 = 2.0 * x0 * dx0
+    g1 = dx0 * y0 + x0 * dy0
+    nu = np.empty_like(g1)
+    nu[0] = -1j * g1[0]
+    kernel = step * k1
+    kernel[0] = 1.0 + 0.5 * kernel[0]       # the half weight on s = t
+    nu[1:] = _series_divide(-1j * g1[1:] - 0.5 * step * k1[1:] * nu[0], kernel)
+    beta = (x0 * p)[::-1]
+    integral = step * (beta @ nu - 0.5 * (beta[0] * nu[0] + beta[-1] * nu[-1]))
+    wy = 1.0 - a_u * np.conj(a_u) - np.conj(a_v) * y0[-1]      # <w'|y(tau)>
+    return complex(x0[-1] * wy + y0[-1] * p[-1] - 2j * integral)
+
+
+def two_time_route(u: float, v: float, grid: ModeGrid):
+    """(<s-(u) s+(v)>, <s+(v) s-(u)>, base grid steps, last Romberg correction) for 0 <= u <= v.
+
+    The identity's functions are contractions of the moments mu of |e,0>.  The
+    grid of ceil(tau r) steps (r the half-width) halves until the correction
+    is below 1e-12 of the value or the weights pass ``_WEIGHTS_BYTES``.
+    """
+    _finite((u, v), "times", nonneg=True)
+    if u > v:
+        raise ValueError(f"the two-excitation route requires u <= v, got u = {u:g}, v = {v:g}")
+    tau = v - u
+    h = _OneSector(grid)
+    lo, hi = _spectral_interval(h)
+    center, half = 0.5 * (hi + lo), 0.5 * (hi - lo) or 1.0     # any width serves H = center
+    n = max(math.ceil(tau * half), 2)
+    row_bytes = 32 * (tau * half + 32)       # about, per grid time
+    if 2 * n * row_bytes > _WEIGHTS_BYTES:
+        raise ValueError(f"v - u = {tau:.6g} needs Bessel weights of {4 * n + 1:,} times, over "
+                         f"{_WEIGHTS_BYTES >> 20} MiB; use a narrower comb or a shorter v - u")
+    c_u, c_v = _chebyshev_coeffs(u * half), _chebyshev_coeffs(v * half)
+    mu = _moments(h, c_v.size + 1, center, half)
+    deta = -0.5j * half * (mu[1:] + mu[abs(np.arange(mu.size - 1) - 1)])   # -i <e|(H-c) T_k|e>
+    a_u, a_v = c_u @ mu[:c_u.size], c_v @ mu[:c_v.size]
+    _check_unitarity((u, v), [abs(np.vdot(c, _gram(mu, c.size, c.size) @ c)) ** 0.5
+                              for c in (c_u, c_v)])
+    m = _chebyshev_coeffs(tau * half).size
+    gram = _gram(mu, m, m)
+    # over T_k e: x0, x0', y0, y0' and <w'|x>
+    moments = np.array([mu[:m], deta[:m], c_u @ _gram(mu, c_u.size, m) - a_u * mu[:m],
+                        c_u @ _gram(deta, c_u.size, m) - a_u * deta[:m],
+                        np.conj(c_v) @ _gram(mu, c_v.size, m) - np.conj(a_v) * mu[:m]])
+    base, f, rows = n, None, []
+    while True:     # each grid halves the last; its new times interleave the old
+        new = np.arange(1 if rows else 0, n + 1, 2 if rows else 1)
+        # terms past m are below the tau r row's cut: J_k(a) grows with a < k
+        coeffs = _chebyshev_coeffs((tau / n * half) * new[:, None])[:, :m]
+        w = coeffs.shape[1]
+        _check_unitarity(tau / n * new, np.sqrt(abs(np.einsum(
+            "tk,tk->t", coeffs.conj(), coeffs @ gram[:w, :w]))))
+        values = moments[:, :w] @ coeffs.T
+        f = np.insert(f, np.arange(1, f.shape[1]), values, axis=1) if rows else values
+        rows.append([_trapezoid_route(f, tau / n, a_u, a_v)])
+        for j, coarse in enumerate(rows[-2] if len(rows) > 1 else (), 1):
+            rows[-1].append(rows[-1][-1] + (rows[-1][-1] - coarse) / (4.0**j - 1.0))
+        value = rows[-1][-1]        # the last correction: what this grid moved the value by
+        correction = abs(value - rows[-2][-1]) if len(rows) > 2 else math.inf
+        if (correction <= _ROMBERG_TARGET * abs(value) + _ROUNDING_FLOOR
+                or n * row_bytes > _WEIGHTS_BYTES):
+            break
+        n *= 2
+    if not correction <= _RICHARDSON_LIMIT * abs(value) + _ROUNDING_FLOOR:
+        raise RuntimeError(f"last Richardson correction {correction:.3e} of the two-time route "
+                           f"exceeds {_RICHARDSON_LIMIT} of its value {abs(value):.6g}")
+    phase = np.exp(1j * grid.omega0 * tau) * np.exp(1j * center * tau)
+    return (complex(phase * np.conj(value)), complex(phase * np.conj(a_v) * a_u),
+            base, correction)
+
+
 def oracle_two_time(kind, u: float, v: float, grid: ModeGrid) -> complex:
-    """Two-time dipole correlator from forward-only propagation.
+    """Two-time dipole correlator of ``kind``, an :class:`advwave.atomdyn.AtomCorrKind`.
 
-    ``kind`` is an :class:`advwave.atomdyn.AtomCorrKind` (or its value string).
-    PLUS_MINUS works for any ordering within the N<=1 sector; MINUS_PLUS and
-    COMMUTATOR require u <= v and climb into the two-excitation sector:
-
-        <s-(u) s+(v)> = e^{i w0 (v-u)} <U(v-u) s+ psi(u), s+ psi(v)>
-
-    with every factor evaluated in the rotating frame; psi(u) and psi(v) share
-    one N=1 recurrence.  The N=2 sector must fit ``_TWO_PHOTON_DIM_BUDGET``
-    (2 000 000 states, count <= 1 998), which is checked before any
-    propagation; one N=2 propagation peaks at 8.0 state vectors of
-    16 (count + count^2) bytes, 0.51 GB at the budget.
+    PLUS_MINUS takes any order; MINUS_PLUS and COMMUTATOR need u <= v, with
+    <s-(u) s+(v)> = e^{i w0 (v-u)} <U2(v-u) s+ psi(u), s+ psi(v)> from
+    ``two_time_route``.
     """
     from .atomdyn import AtomCorrKind
 
     kind = AtomCorrKind(kind)
-    w0 = grid.omega0
-
     if kind is AtomCorrKind.PLUS_MINUS:
         amp_u, amp_v = _from_excited((u, v), grid, lambda psi: psi[0])
-        return complex(np.exp(1j * w0 * (u - v)) * np.conj(amp_u) * amp_v)
-
-    if u > v:
-        raise ValueError(f"{kind.value} requires u <= v")
-
-    pairs, n = _TwoSector(grid), grid.count     # an oversized N=2 sector raises here
-    psi_u, psi_v = _from_excited((u, v), grid, np.copy)
-    raised = np.zeros(pairs.size, dtype=complex)    # s+ psi(u) = (psi_u[1:], S = 0)
-    raised[:n] = psi_u[1:]
-    (left,) = _chebyshev_expm_many(pairs, [v - u], raised, lambda x: x[:n])
-    minus_plus = complex(np.exp(1j * w0 * (v - u)) * np.vdot(left, psi_v[1:]))
-    if kind is AtomCorrKind.MINUS_PLUS:
-        return minus_plus
-    # COMMUTATOR: subtract <s+(v) s-(u)>
-    plus_minus_rev = complex(np.exp(1j * w0 * (v - u)) * np.conj(psi_v[0]) * psi_u[0])
-    return minus_plus - plus_minus_rev
+        return complex(np.exp(1j * grid.omega0 * (u - v)) * np.conj(amp_u) * amp_v)
+    minus_plus, plus_minus_rev, _, _ = two_time_route(u, v, grid)
+    return minus_plus if kind is AtomCorrKind.MINUS_PLUS else minus_plus - plus_minus_rev
 
 
 def _window_weight(t_peak: float, window: tuple[float, float], tol: float) -> float:
@@ -444,14 +424,13 @@ def _chirp_z(x: np.ndarray, x0: float, dx: float, y0: float, dy: float, m: int) 
 class MarkovKernelReport:
     """Resonance-kernel check: exact windowed action vs the delta collapse.
 
-    ``action_*`` are the raw complex actions for packets centered on each
-    peak, ``rel_err_*`` their distances from the collapsed references over
-    |2 pi f(omega0)|, and ``weight_*`` the endpoint weights.  ``mass_rel_err``
-    compares the demodulated kernel weight at the retarded peak with
-    2 pi f(omega0) (NaN for a cut or overlapping packet); ``width`` is the
-    FWHM of |K| there.  For a packet cut by the window edge the one-sided
-    kernel adds a principal-value part that the boundary delta does not
-    model, so the half weight holds on Re[e^{i omega0 t_peak} action] only.
+    ``action_*`` are the complex actions on the packet at each peak,
+    ``rel_err_*`` their distances from the collapse over |2 pi f(omega0)|,
+    ``weight_*`` the endpoint weights (1, 1/2 or 0 for a peak inside, on the
+    edge of or outside the window; at the edge the half weight holds for
+    Re[e^{i omega0 t_peak} action] only).  ``mass_rel_err`` compares the
+    demodulated kernel weight at the retarded peak with 2 pi f(omega0) (NaN
+    for a cut or overlapping packet); ``width`` is the FWHM of |K| there.
     """
 
     rel_err_retarded: float
@@ -475,16 +454,12 @@ def markov_kernel_check(freq_fn, t_r: float, t_a: float, params: DipoleParams,
     """Check the delta collapse of Int f(w) e^{i w t'} (e^{-i w t_r} + e^{-i w t_a}) dw.
 
     The exact windowed action on resonant wavepackets
-    g_c(t') = exp(-(t'-c)^2 / 2 sigma^2) e^{-i w0 t'} (one packet centered on
-    each of c = t_r, t_a; sigma defaults to 10/w0) is compared against
-    2 pi f(w0) [w_r g_c(t_r) + w_a g_c(t_a)].  Off-resonant test functions
-    would probe the positive-frequency cut instead of the resonance kernel,
-    so the packet carrier is pinned at w0.
-
-    The frequency integral runs over ``band``, by default (0, 10 w0); passing
-    the bandwidth of a discretized mode comb shows directly whether that comb
-    carries the full kernel mass.  When no band is given, a band-halving
-    convergence guard raises if the mass has not converged.
+    g_c(t') = exp(-(t'-c)^2 / 2 sigma^2) e^{-i w0 t'} (c = t_r, t_a; sigma
+    defaults to 10/w0; the carrier is pinned at w0, since off resonance they
+    would probe the positive-frequency cut) is compared against
+    2 pi f(w0) [w_r g_c(t_r) + w_a g_c(t_a)].  The frequency integral runs over
+    ``band``, by default (0, 10 w0), where a band-halving guard raises if the
+    mass has not converged; a comb's band shows whether it carries the mass.
     """
     _finite((t_r, t_a), "t_r and t_a")
     _positive(per_period, "per_period")
@@ -559,11 +534,7 @@ def markov_kernel_check(freq_fn, t_r: float, t_a: float, params: DipoleParams,
 
 
 def _transverse_quadrature(xhats: np.ndarray, z_values, order: int) -> np.ndarray:
-    """(1/4 pi) Int dOmega_k (delta_ij - k_i k_j) e^{i z k.xhat}, shape (Z, D, 3, 3).
-
-    One pass over the sphere rule's (M, 3) node array for every z and every
-    row of ``xhats``.
-    """
+    """(1/4 pi) Int dOmega_k (delta_ij - k_i k_j) e^{i z k.xhat}, shape (Z, D, 3, 3), in one pass."""
     from .radiometry import _sphere_nodes
 
     dirs, weights = _sphere_nodes(order)
@@ -577,11 +548,9 @@ def angular_reduction_check(z_values=(5.0, 1e-3), n_dirs: int = 3, order: int = 
                             seed: int = 0) -> float:
     """Max abs error of the quadrature'd transverse angular integral vs tau_ij.
 
-    For ``n_dirs`` random unit directions xhat and each z, compares
-    (1/4 pi) Int dOmega_k (delta_ij - k_i k_j) e^{i z k.xhat} against
-    tau_kernel(z, xhat), component by component.  The directions are uniform
-    on the sphere: all n_dirs cos(theta), then all n_dirs phi, from the stdlib
-    stream ``core._uniform_stream(seed)``.
+    For ``n_dirs`` directions xhat, uniform on the sphere (all cos(theta), then
+    all phi, from ``core._uniform_stream(seed)``), and each z, compares
+    ``_transverse_quadrature`` with tau_kernel(z, xhat) component by component.
     """
     from .fieldcoeffs import tau_kernel
 

@@ -294,6 +294,22 @@ def test_an_underflowing_omega0_is_a_usage_error(argv, capsys, tmp_path):
     assert err.count("\n") == 1 and "omega0" in err and "too small" in err
 
 
+@pytest.mark.parametrize("argv,setting", [
+    (("detect", "--r0-gamma", "1e200"), "r0 = 1e+192 is too large: r0^3 overflows"),
+    (("corr", "--r0-gamma", "1e200"), "r0 = 1e+192 is too large: r0^3 overflows"),
+    (("validate", "--r0-gamma", "1e200"), "r0 = 1e+200 is too large: r0^3 overflows"),
+    (("figure", "3", "--tmax-gamma", "1e300"), "tmax_gamma = 1e+300 is too large for the late-time fit"),
+])
+def test_out_of_range_distances_and_windows_are_usage_errors(argv, setting, capsys, tmp_path):
+    # r0^3 leaves the float range (the near field goes as 1/r0^3), or the
+    # figure-3 fit would square times near 1e292 s; RuntimeWarnings are errors
+    # here, so neither may reach numpy first
+    assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and setting in err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv,rows", [
     (("figure", "1", "--points", "3000000"), "3,000,000"),
     (("corr", "--points", "2000"), "4,000,000"),                  # points^2 cells
@@ -316,32 +332,26 @@ def test_oversized_grids_are_refused_before_allocating(argv, rows, monkeypatch, 
 
 def test_validate_refuses_an_oversized_count_before_any_check(monkeypatch, capsys, tmp_path):
     import advwave.cli
-    from advwave.oracle import _TWO_PHOTON_DIM_BUDGET
+    from advwave.oracle import _SECTOR_DIM_BUDGET
 
     def no_check(*args, **kwargs):
         raise AssertionError("a check ran")
 
     monkeypatch.setattr(advwave.cli, "_run_checks", no_check)
     monkeypatch.setattr(np, "arange", no_check)
-    assert run_cli("validate", "--count", str(_TWO_PHOTON_DIM_BUDGET), "--out", str(tmp_path)) == EXIT_USAGE
+    assert run_cli("validate", "--count", str(_SECTOR_DIM_BUDGET), "--out", str(tmp_path)) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "count must be <= 1,999,999" in err
     assert not list(tmp_path.iterdir())
 
 
-def test_validate_full_refuses_an_oversized_pair_sector_before_any_check(monkeypatch, capsys,
-                                                                         tmp_path):
-    import advwave.cli
-
-    def no_check(*args, **kwargs):
-        raise AssertionError("a check ran")
-
-    monkeypatch.setattr(advwave.cli, "_run_checks", no_check)
-    monkeypatch.setattr(np, "arange", no_check)
-    assert run_cli("validate", "--full", "--count", "2000", "--out", str(tmp_path)) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "count = 2,000" in err and "count <= 1,998" in err
-    assert not list(tmp_path.iterdir())
+def test_validate_full_runs_at_count_2000_and_records_the_volterra_grid(tmp_path, capsys):
+    # the two-excitation row builds no pair sector (2 001 000 states at count
+    # 2 000); its note records the Volterra base grid and the last correction
+    assert run_cli("validate", "--full", "--count", "2000", "--out", str(tmp_path)) == EXIT_OK
+    row = next(line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("oracle-minus-plus"))
+    assert "PASS" in row and "(count=2000 span=50, volterra base=28 steps, richardson=" in row
 
 
 def test_common_flags_belong_to_the_subcommand(tmp_path, capsys):

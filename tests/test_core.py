@@ -14,7 +14,7 @@ from advwave.fieldcoeffs import tau_kernel
 from advwave.kinetics import (ChargeParams, cycle_averaged, dispersion_change, momdiff_source,
                               momdiff_vacsource, posdisp_change)
 from advwave.oracle import (angular_reduction_check, build_grid, markov_kernel_check, oracle_sigma_z,
-                            oracle_two_time)
+                            oracle_two_time, two_time_route)
 from advwave.photodetect import (DetectorConfig, detection_rate_C, detection_rate_G,
                                  suppression_report)
 from advwave.radiometry import intensity_trace_2lvl, power_curves_2lvl, sphere_integrate
@@ -146,6 +146,7 @@ OTHER_TIME_TAKERS = {
     "oracle_sigma_z": lambda t: oracle_sigma_z(t, ORACLE_GRID),
     "oracle_two_time(u)": lambda t: oracle_two_time("plus_minus", t, 2.0, ORACLE_GRID),
     "oracle_two_time(v)": lambda t: oracle_two_time("minus_plus", 0.5, t, ORACLE_GRID),
+    "two_time_route(u)": lambda t: two_time_route(t, 2.0, ORACLE_GRID),
     "markov_kernel_check": lambda t: markov_kernel_check(np.ones_like, t, 2.0, P, band=(25.0, 35.0)),
     "dispersion_change": lambda t: dispersion_change(np.array([0.0, t]), P, CHARGE),
     "cycle_averaged": lambda t: cycle_averaged(np.array([0.5, t]), P, CHARGE),

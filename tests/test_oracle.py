@@ -12,8 +12,9 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
-from scipy.sparse.linalg import eigsh
 from scipy.sparse.linalg import expm_multiply as scipy_expm_multiply
 
 from advwave import oracle
@@ -30,7 +31,6 @@ from advwave.oracle import (
     ModeGrid,
     _chirp_z,
     _OneSector,
-    _TwoSector,
     angular_reduction_check,
     build_grid,
     markov_kernel_check,
@@ -79,7 +79,7 @@ def test_oversized_count_is_refused_before_allocating(monkeypatch):
     monkeypatch.setattr(np, "arange", no_comb)
     monkeypatch.setattr(np, "full", no_comb)
     with pytest.raises(ValueError, match="budget"):
-        build_grid(P30, count=oracle._TWO_PHOTON_DIM_BUDGET)
+        build_grid(P30, count=oracle._SECTOR_DIM_BUDGET)
 
 
 def test_mode_grid_validation():
@@ -134,7 +134,8 @@ def test_non_finite_spectral_interval_is_refused_before_any_series(monkeypatch):
 # The independent route: each sector Hamiltonian assembled as a scipy.sparse
 # matrix from its matrix elements, in the packed Fock layout: N=1 as
 # (excited, one amplitude per mode), N=2 as (excited with photon k, then the
-# pairs k <= l in numpy.triu_indices order).
+# pairs k <= l in numpy.triu_indices order).  The package never builds N=2;
+# its assembled matrix is the brute-force reference of the two-time route.
 
 def _sparse_h_one(grid):
     n = grid.count
@@ -163,42 +164,27 @@ def _sparse_h_two(grid):
     return (upper + upper.T + sp.diags(diag)).tocsr()
 
 
-def _sectors(grid):
-    """(matrix-free operator, assembled matrix) for N=1 and N=2."""
-    return ((_OneSector(grid), _sparse_h_one(grid)), (_TwoSector(grid), _sparse_h_two(grid)))
+def _brute_two_time(u, v, grid, expm_action=None):
+    """(<s-(u) s+(v)>, <s+(v) s-(u)>) from the assembled N=1 and N=2 matrices.
+
+    ``expm_action(h, tau, vec)`` is exp(-i tau h) vec, dense scipy expm by default.
+    """
+    act = expm_action or (lambda h, tau, vec: expm(-1j * tau * h.toarray()) @ vec)
+    n = grid.count
+    h_one = _sparse_h_one(grid)
+    psi_u, psi_v = (act(h_one, t, np.eye(n + 1, dtype=complex)[0]) for t in (u, v))
+    raised = np.zeros(n + n * (n + 1) // 2, dtype=complex)
+    raised[:n] = psi_u[1:]                  # s+ psi(u): |e, 1_k> amplitudes, no pairs
+    left = act(_sparse_h_two(grid), v - u, raised)
+    phase = np.exp(1j * grid.omega0 * (v - u))
+    return (complex(phase * np.vdot(left[:n], psi_v[1:])),
+            complex(phase * np.conj(psi_v[0]) * psi_u[0]))
 
 
-def _pair_weights(op):
-    rows, cols = np.triu_indices(op.n)
-    return rows, cols, np.where(rows == cols, 1.0, np.sqrt(0.5))
-
-
-def _working(op, vec):
-    """A packed Fock vector as the operator's state: N=2 pairs c_kl -> symmetric S."""
-    if isinstance(op, _OneSector):
-        return np.asarray(vec, dtype=complex)
-    rows, cols, weights = _pair_weights(op)
-    x = np.zeros(op.size, dtype=complex)
-    x[:op.n] = vec[:op.n]
-    s = x[op.n:].reshape(op.n, op.n)
-    s[rows, cols] = s[cols, rows] = vec[op.n:] * weights
-    return x
-
-
-def _packed(op, x):
-    """The adjoint of ``_working``, its inverse on symmetric S."""
-    if isinstance(op, _OneSector):
-        return x
-    rows, cols, weights = _pair_weights(op)
-    s = x[op.n:].reshape(op.n, op.n)
-    return np.concatenate((x[:op.n], 0.5 * (s[rows, cols] + s[cols, rows]) / weights))
-
-
-def _product(op, vec):
-    x = _working(op, vec)
-    out = np.empty_like(x)
-    op.scaled(1.0, 0.0)(x, out)
-    return _packed(op, out)
+def _close(got, ref):
+    # 1e-12 relative; amplitudes below 0.01 keep the 1e-14 absolute rounding of
+    # the N=1 amplitudes they are differences of (in every route)
+    return abs(got - ref) <= 1e-12 * max(abs(ref), 0.01)
 
 
 SINGLE_MODE = ModeGrid(omegas=np.array([30.0]), couplings=np.array([0.2]), omega0=30.0)
@@ -211,15 +197,13 @@ SINGLE_MODE = ModeGrid(omegas=np.array([30.0]), couplings=np.array([0.2]), omega
 ], ids=["flat", "cubic", "single-mode"])
 def test_matrix_free_product_matches_the_assembled_matrix(grid):
     rng = np.random.default_rng(grid.count)
-    for op, h in _sectors(grid):
-        vec = rng.normal(size=(h.shape[0], 2)) @ np.array([1.0, 1j])
-        ref = h @ vec
-        assert np.max(np.abs(_product(op, vec) - ref)) <= 1e-13 * np.max(np.abs(ref))
-        # the pair layout keeps the Fock norm and round-trips
-        x = _working(op, vec)
-        assert x.size == op.size
-        assert np.linalg.norm(x) == pytest.approx(np.linalg.norm(vec), rel=1e-14)
-        np.testing.assert_allclose(_packed(op, x), vec, rtol=0.0, atol=1e-15)
+    op, h = _OneSector(grid), _sparse_h_one(grid)
+    vec = rng.normal(size=(h.shape[0], 2)) @ np.array([1.0, 1j])
+    ref = h @ vec
+    out = np.empty_like(vec)
+    op.scaled(1.0, 0.0)(vec, out)
+    assert op.size == vec.size
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 # --- propagation -------------------------------------------------------------
@@ -269,14 +253,33 @@ def test_propagate_strong_coupling_is_exact():
 
 
 def test_propagate_two_excitation_matches_dense_expm():
+    # the hard-core boson route against expm of the assembled N=2 matrix
     grid = build_grid(P30, count=8, span_gammas=8.0)
-    op, h = _sectors(grid)[1]
-    rng = np.random.default_rng(3)
-    amps = np.array([1.0, 1j]) @ rng.normal(size=(2, h.shape[0]))
-    amps /= np.linalg.norm(amps)
-    (out,) = oracle._chebyshev_expm_many(op, [1.2], _working(op, amps), lambda x: _packed(op, x))
-    ref = expm(-1j * 1.2 * h.toarray()) @ amps
-    np.testing.assert_allclose(out, ref, rtol=0.0, atol=1e-12)
+    for u, v in ((0.4, 1.6), (1.0, 1.0), (0.0, 2.0)):
+        minus_plus, plus_minus_rev = _brute_two_time(u, v, grid)
+        assert _close(oracle_two_time(AtomCorrKind.MINUS_PLUS, u, v, grid), minus_plus)
+        assert _close(oracle_two_time(AtomCorrKind.COMMUTATOR, u, v, grid),
+                      minus_plus - plus_minus_rev)
+
+
+@st.composite
+def _combs(draw):
+    """Mode grids of up to 12 modes with arbitrary frequencies and couplings."""
+    count = draw(st.integers(1, 12))
+    detuning = st.floats(-8.0, 8.0, allow_nan=False)
+    omegas = 30.0 + np.array(draw(st.lists(detuning, min_size=count, max_size=count)))
+    couplings = np.array(draw(st.lists(st.floats(0.0, 3.0), min_size=count, max_size=count)))
+    return ModeGrid(omegas=omegas, couplings=couplings, omega0=30.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=_combs(), u=st.floats(0.0, 3.0), tau=st.floats(0.0, 5.0))
+def test_two_time_route_matches_expm_on_any_small_comb(grid, u, tau):
+    v = u + tau
+    minus_plus, plus_minus_rev = _brute_two_time(u, v, grid)
+    assert _close(oracle_two_time(AtomCorrKind.MINUS_PLUS, u, v, grid), minus_plus)
+    assert _close(oracle_two_time(AtomCorrKind.COMMUTATOR, u, v, grid),
+                  minus_plus - plus_minus_rev)
 
 
 def test_propagate_composes():
@@ -308,17 +311,16 @@ def test_unitarity_guard_holds_at_every_output_time(monkeypatch):
         oracle_sigma_z(np.array([0.5, 1.0, 1.5]), grid)
 
 
-@pytest.mark.parametrize("sector, count", [(1, 400), (2, 120)])
-def test_one_recurrence_matches_stepwise_propagation(sector, count):
+@pytest.mark.parametrize("which, count", [(1, 400), (2, 120)])
+def test_one_recurrence_matches_stepwise_propagation(which, count):
     # the grid form against one one-time call per step between its times;
-    # t = 0 and a repeated time included, the grid given out of order
+    # t = 0 and a repeated time included, the grid given out of order.  Start
+    # 1 is |e, 0>; start 2 the photon part w of psi(0.7), the start of the
+    # two-time identity's y(t) = U1(t) w
     grid = build_grid(P30, count=count, span_gammas=50.0)
-    if sector == 1:
-        op, (start,) = _OneSector(grid), _excited([0.0], grid)
-    else:
-        op, (psi,) = _TwoSector(grid), _excited([0.7], grid)
-        start = np.zeros(op.size, dtype=complex)
-        start[:count] = psi[1:]      # the raised state
+    op, (start,) = _OneSector(grid), _excited([0.0 if which == 1 else 0.7], grid)
+    if which == 2:
+        start[0] = 0.0
     taus = np.array([1.1, 0.0, 0.4, 2.5, 0.4, 0.0])
     got = oracle._chebyshev_expm_many(op, taus, start, np.copy)
     state, t, stepwise = start, 0.0, {}
@@ -370,17 +372,19 @@ def test_oversized_time_grid_is_refused_before_allocating(monkeypatch):
 
 @pytest.mark.parametrize("sector, count, tau", [(1, 400, 0.5), (1, 400, 6.5), (2, 200, 1.0)])
 def test_chebyshev_action_matches_expm_multiply(sector, count, tau):
-    # scipy's Al-Mohy & Higham action is the independent route
+    # scipy's Al-Mohy & Higham action is the independent route; in N=2 it acts
+    # on the assembled pair sector (20 300 states), against the two-time route
     grid = build_grid(P100, count=count, span_gammas=50.0)
-    op, h = _sectors(grid)[sector - 1]
+    if sector == 2:
+        refs = _brute_two_time(1.0, 1.0 + tau, grid, lambda h, t, vec: scipy_expm_multiply(
+            -1j * t * h, vec))
+        assert _close(oracle_two_time(AtomCorrKind.MINUS_PLUS, 1.0, 1.0 + tau, grid), refs[0])
+        return
+    op, h = _OneSector(grid), _sparse_h_one(grid)
     rng = np.random.default_rng(count + sector)
     vec = rng.normal(size=(h.shape[0], 2)) @ np.array([1.0, 1j])
-    states = [vec / np.linalg.norm(vec)]
-    if sector == 1:
-        states.append(np.eye(h.shape[0], dtype=complex)[0])   # |excited, vacuum>
-    for v in states:
-        (got,) = oracle._chebyshev_expm_many(op, [tau], _working(op, v),
-                                             lambda x: _packed(op, x))
+    for v in (vec / np.linalg.norm(vec), np.eye(h.shape[0], dtype=complex)[0]):
+        (got,) = oracle._chebyshev_expm_many(op, [tau], v, np.copy)
         ref = scipy_expm_multiply(-1j * tau * h, v)
         assert np.max(np.abs(got - ref)) <= 1e-12
 
@@ -391,8 +395,7 @@ def test_weyl_interval_encloses_the_spectrum(density, count):
         grid = build_grid(P30, count=count, span_gammas=8.0)
     else:
         grid = _cubic_grid(count=count, span_gammas=8.0)
-    for op, h in _sectors(grid):
-        _check_interval(op, h)
+    _check_interval(_OneSector(grid), _sparse_h_one(grid))
 
 
 def _check_interval(op, h):
@@ -424,20 +427,6 @@ def test_spectral_interval_halves_the_one_excitation_gershgorin_width():
     assert hi - lo <= 1.2 * (eig[-1] - eig[0])
 
 
-def test_two_excitation_interval_uses_the_exact_coupling_norm():
-    # Weyl with |V|_2 = sqrt(2) |g_w| instead of |V|_F: at count 200, span 50
-    # the N=2 half-width is 53.7 gamma (64.9 on the Gershgorin discs alone)
-    grid = build_grid(P30, count=200, span_gammas=50.0)
-    lo, hi = oracle._spectral_interval(_TwoSector(grid))
-    h = _sparse_h_two(grid)
-    (eig_lo,) = eigsh(h, k=1, which="SA", return_eigenvectors=False)
-    (eig_hi,) = eigsh(h, k=1, which="LA", return_eigenvectors=False)
-    assert lo <= eig_lo and eig_hi <= hi
-    assert 0.5 * (hi - lo) <= 54.0
-    g_lo, g_hi = _gershgorin(h)
-    assert 0.5 * (g_hi - g_lo) > 64.0
-
-
 def test_chebyshev_coefficients_are_bessel_values():
     from scipy.special import jv
 
@@ -449,6 +438,26 @@ def test_chebyshev_coefficients_are_bessel_values():
         assert np.max(np.abs(coeffs - ref)) <= rounding
         # the first dropped term is below the rounding of the sampled phase
         assert coeffs.size > a and 2.0 * abs(jv(coeffs.size, a)) < rounding
+
+
+def test_many_rows_of_bessel_weights_are_batched_in_bounded_blocks():
+    # 2 000 rows up to a = 200 in one FFT would peak near 90 MB; in blocks of
+    # _BLOCK_BYTES the peak stays near the zero-padded result and its parts
+    # (16.7 MB for an 8.2 MB result here), and each row keeps its own series
+    a = np.linspace(0.0, 200.0, 2000)[:, None]
+    tracemalloc.start()
+    try:
+        coeffs = oracle._chebyshev_coeffs(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * coeffs.nbytes + 2 * oracle._BLOCK_BYTES
+    for i in range(0, a.shape[0], 97):
+        row = oracle._chebyshev_coeffs(a[i, 0])
+        width = max(row.size, coeffs.shape[1])
+        rounding = np.finfo(float).eps * max(1.0, a[i, 0])
+        diff = np.pad(coeffs[i], (0, width - coeffs.shape[1])) - np.pad(row, (0, width - row.size))
+        assert np.max(np.abs(diff)) <= 2.0 * rounding
 
 
 def test_sigma_z_start_and_decay():
@@ -475,8 +484,8 @@ def test_sigma_z_error_halves_with_span():
 
 
 def test_minus_plus_error_falls_with_span():
-    # every comb mode carries pairs, so doubling count and span together cuts
-    # the band-truncation error of the N=2 route (6.3e-3 -> 3.2e-3)
+    # doubling count and span together cuts the band-truncation error of the
+    # two-excitation route (6.3e-3 -> 3.2e-3)
     errs = []
     for count, span in ((200, 50.0), (400, 100.0)):
         g = build_grid(P100, count=count, span_gammas=span)
@@ -512,29 +521,44 @@ def test_plus_minus_any_order(grid120):
 
 
 def test_minus_plus_zero_at_origin(grid120):
+    # sigma+ psi(0) = 0: the route's photon-part functions vanish exactly
     assert oracle_two_time(AtomCorrKind.MINUS_PLUS, 0.0, 1.0, grid120) == 0.0
 
 
+def test_unconverged_romberg_table_trips_the_richardson_guard(monkeypatch):
+    # a 1e-6 error in every sampled weight of the Volterra kernel, which does
+    # not shrink with the step, leaves the table unconverged on a comb where
+    # the Volterra term matters
+    grid = ModeGrid(omegas=np.array([29.0, 31.0]), couplings=np.array([1.0, 0.5]), omega0=30.0)
+    divide = oracle._series_divide
+    monkeypatch.setattr(oracle, "_series_divide", lambda r, k: divide(r, k + 1e-6))
+    with pytest.raises(RuntimeError, match="last Richardson correction .* exceeds 1e-08"):
+        oracle_two_time(AtomCorrKind.MINUS_PLUS, 1.0, 3.0, grid)
+    monkeypatch.setattr(oracle, "_series_divide", divide)
+    value, _, _, correction = oracle.two_time_route(1.0, 3.0, grid)
+    assert correction <= 1e-12 * abs(value)
+
+
 def test_oversized_pair_sector_is_refused_before_any_work(monkeypatch):
-    # 2 000 modes: 2 000 + 2 001 000 states > the budget
-    grid = build_grid(P30, count=2000, span_gammas=50.0)
+    # the two-excitation budget is the Bessel weights of the Volterra grid:
+    # 12 000 grid times over a 4 000 gamma comb are refused before any series
+    grid = build_grid(DipoleParams.from_rates(1e4, 1.0), count=20, span_gammas=4000.0)
 
     def no_work(*args, **kwargs):
         raise AssertionError("propagated or allocated before the budget check")
 
-    monkeypatch.setattr(oracle, "_chebyshev_expm_many", no_work)
-    monkeypatch.setattr(np, "zeros", no_work)
+    monkeypatch.setattr(oracle, "_chebyshev_coeffs", no_work)
+    monkeypatch.setattr(oracle, "_moments", no_work)
+    monkeypatch.setattr(np.fft, "fft", no_work)
     for kind in (AtomCorrKind.MINUS_PLUS, AtomCorrKind.COMMUTATOR):
-        with pytest.raises(ValueError, match="budget"):
-            oracle_two_time(kind, 0.5, 1.0, grid)
+        with pytest.raises(ValueError, match="MiB; use a narrower comb or a shorter v - u"):
+            oracle_two_time(kind, 0.5, 2.0, grid)
 
 
-@pytest.mark.parametrize("count", [200, 400])
+@pytest.mark.parametrize("count", [200, 400, 1998])
 def test_two_excitation_working_set(count):
-    # one N=2 propagation keeps 8 state vectors of 16 (n + n^2) bytes: the
-    # three-row block, the sum, the raised start, the scaled diagonal, the
-    # rank-2 buffer and one block product (at count 200 an 8 MiB block held
-    # 13 rows, 18 vectors)
+    # the route keeps three N=1 vectors and the Bessel weights of one grid
+    # (about 1.3 MB here at every count): linear in count
     grid = build_grid(P30, count=count, span_gammas=50.0)
     tracemalloc.start()
     try:
@@ -542,7 +566,7 @@ def test_two_excitation_working_set(count):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8.5 * 16 * (count + count**2)
+    assert peak <= 2 * 2**20 + 16 * 16 * count
 
 
 def test_two_time_guards(grid120):
