@@ -160,15 +160,35 @@ def _outpath(cfg: RunConfig, name: str) -> str:
 def _dipole_geometry(cfg: RunConfig):
     """Standard geometry: dipole along z, observation point on the x axis.
 
-    Its near field goes as 1/r0^3, so r0^3 must be a float: a larger or
-    smaller r0 is a ValueError naming r0.
+    Its near field goes as |d| / (4 pi r0^3), and each correlator is at most
+    a few times its square (2 |E|^2 times a correlator of modulus <= 2), so
+    r0^3 and 16 times that square must be floats: a larger or smaller r0 is a
+    ValueError naming r0.
     """
     from .core import DipoleParams, _cubed
 
     params = DipoleParams.from_rates(cfg.omega0, cfg.gamma)
-    _cubed(cfg.r0, "r0")
+    near = math.sqrt(params.d_abs2) / (4.0 * math.pi * _cubed(cfg.r0, "r0"))
+    if not math.isfinite(16.0 * near * near):
+        raise ValueError(f"r0 = {cfg.r0:.6g} is too small: its near field |d| / (4 pi r0^3) "
+                         f"= {near:.3g} squared leaves the float range")
     position = (cfg.r0, 0.0, 0.0)
     return params, position
+
+
+# Past 2^53 rad a time's rounding (half an ulp) moves the fastest carrier,
+# 2 omega0 t, by more than a radian: no phase there has a meaning.
+_MAX_PHASE = 2.0**53
+
+
+def _check_carrier(cfg: RunConfig, end_gamma: float) -> None:
+    """ValueError naming tmax_gamma when 2 omega0 t at the window's end, t gamma =
+    ``end_gamma``, reaches ``_MAX_PHASE``."""
+    phase = 2.0 * cfg.omega0_over_gamma * end_gamma
+    if not phase < _MAX_PHASE:
+        raise ValueError(f"tmax_gamma = {cfg.tmax_gamma:g} is too large: the carrier phase "
+                         f"2 omega0 t reaches {phase:.3g} rad at t gamma = {end_gamma:.6g}, past "
+                         f"2^53 rad, where a time's rounding moves it by more than a radian")
 
 
 # Output rows per table (the corr table has points^2 rows), checked before any
@@ -222,6 +242,7 @@ def cmd_figure(cfg: RunConfig, which: int) -> int:
     if which == 3 and not math.isfinite(n * tmax * tmax):    # the fit sums squared times
         raise ValueError(f"tmax_gamma = {cfg.tmax_gamma:g} is too large for the late-time "
                          f"fit: the squares of its {n:,} times overflow")
+    _check_carrier(cfg, cfg.tmax_gamma)
     t = np.linspace(0.0, tmax, n)
     meta = cfg.meta()
     meta["figure"] = str(which)
@@ -334,6 +355,7 @@ def cmd_detect(cfg: RunConfig) -> int:
     params, position = _dipole_geometry(cfg)
     det = DetectorConfig(position=position, source=params)
     n = _points(cfg, "detect", 120)
+    _check_carrier(cfg, 2.0 * cfg.r0_gamma + cfg.tmax_gamma)
     x = det.r
     t = np.linspace(x, 2.0 * x + cfg.tmax_gamma / cfg.gamma, n)
     rep = suppression_report(det, t)

@@ -7,10 +7,15 @@ Three independent machines live here:
   on a uniform comb of width ``span`` centered on the transition, with flat
   couplings g_k = sqrt(gamma dw / 2 pi) whose golden-rule rate is gamma.  In
   the frame rotating at the transition the N=1 sector {excited, vacuum} +
-  {ground, one photon in mode k} is a star (``_OneSector``).  States are
-  propagated by a Chebyshev series on Weyl's spectral interval (Tal-Ezer &
-  Kosloff, J. Chem. Phys. 81, 3967 (1984)); only the Bessel weights depend on
-  tau, so one recurrence serves a time grid.
+  {ground, one photon in mode k} is a star (``_OneSector``).  No state is
+  propagated: every value is a contraction of the kernel-polynomial moments
+  mu_m = <e|T_m(X)|e> of e = |e,0> on Weyl's spectral interval (Weisse et al.,
+  Rev. Mod. Phys. 78, 275 (2006)) with the Bessel weights c(t) of e^{-i t H}
+  (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).  H and e are real,
+  so one real recurrence gives the moments, and only the weights depend on
+  the time; ``_contract`` forms them and checks unitarity at every time from
+  <T_l e, T_k e> = (mu_{l+k} + mu_{|l-k|}) / 2.  The working set is linear
+  in count and in the longest time.
 
   The N=2 sector is never built: with sigma- a boson the model is quadratic,
   U2 = U1 (x) U1, and the hard-core boson map (T. Matsubara and H. Matsuda,
@@ -36,6 +41,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view as _windows
 
 from ._quad import n_for_oscillation, trapezoid_weights
 from .core import DipoleParams, _finite, _like, _positive, _uniform_stream
@@ -48,10 +54,9 @@ _UNITARITY_LIMIT = 1e-8
 _RICHARDSON_LIMIT = 1e-8      # the two-time route's last correction, of its value ...
 _ROUNDING_FLOOR = 1e-15       # ... plus this rounding of amplitudes of norm <= 1
 _ROMBERG_TARGET = 1e-12       # the grid halves until the correction is below this
-# The rolling block of T_k x (all sixteen rows up to count 8 191) and a batch of
-# Bessel FFTs fit one core's 2 MiB L2 cache.
+# A batch of Bessel FFTs, and a block of Gram rows with the moment rows it
+# meets, each fit one core's 2 MiB L2 cache.
 _BLOCK_BYTES = 2 << 20
-_SUMS_BYTES = 1 << 29         # the Chebyshev sums of one propagation
 _WEIGHTS_BYTES = 1 << 26      # the Bessel weights of a Volterra grid
 
 
@@ -131,9 +136,8 @@ class _OneSector:
         return np.concatenate(([0.0], self.d))
 
     def scaled(self, scale: float, shift: float):
-        """apply(x, out): out = scale * (H - shift) x, from complex copies (numpy's BLAS paths)."""
-        diag = (scale * (self.diagonal() - shift)).astype(complex)
-        g = (scale * self.g).astype(complex)
+        """apply(x, out): out = scale * (H - shift) x."""
+        diag, g = scale * (self.diagonal() - shift), scale * self.g
 
         def apply(x, out):
             np.multiply(diag, x, out=out)
@@ -146,26 +150,14 @@ class _OneSector:
 def _chebyshev_coeffs(a) -> np.ndarray:
     """(2 - delta_k0) (-i)^k J_k(a), the cosine series of e^{-i a cos(theta)}.
 
-    ``a`` is a number, or a column (n, 1) for one row each, zero-padded to the
-    longest, from FFT batches of about ``_BLOCK_BYTES``.
+    ``a`` is a number, or a column (n, 1) for one row each.  One FFT of twice
+    the series' length (half, by symmetry), exact to eps max(1, a), cut at
+    the first k > max(a) below that in every row: J_k(a) falls past k = a, so
+    the aliased tail of a transform twice as long as the series stays below.
     """
     a = np.asarray(a, dtype=float)
-    size = 1 << math.ceil(math.log2(2.0 * np.max(a, initial=0.0) + 64.0))
-    rows = max(1, _BLOCK_BYTES // (96 * size))      # a batch's peak: 88 B x size a row
-    if a.ndim < 2 or a.shape[0] <= rows:
-        return _bessel_rows(a, size)
-    parts = [_bessel_rows(a[i:i + rows], size) for i in range(0, a.shape[0], rows)]
-    out = np.zeros((a.shape[0], max(p.shape[1] for p in parts)), dtype=complex)
-    for i, p in enumerate(parts):
-        out[i * rows:(i + 1) * rows, :p.shape[1]] = p
-    return out
-
-
-def _bessel_rows(a: np.ndarray, size: int) -> np.ndarray:
-    """One FFT of ``size`` samples (half, by symmetry), exact to eps max(1, a), cut at the
-    first k > max(a) below that in every row: J_k(a) falls past k = a, so a transform
-    twice as long as the series leaves the aliased tail below."""
     top = float(np.max(a, initial=0.0))
+    size = 1 << math.ceil(math.log2(2.0 * top + 64.0))
     cut = (np.finfo(float).eps * np.maximum(1.0, a)).reshape(-1, 1)
     while True:
         samples = np.exp(-1j * a * np.cos((2.0 * np.pi / size) * np.arange(size // 2 + 1)))
@@ -189,100 +181,100 @@ def _spectral_interval(h: _OneSector) -> tuple[float, float]:
     return lo, hi
 
 
-def _check_unitarity(times, norms, norm0: float = 1.0) -> None:
-    """Raise at the first time whose state norm is more than 1e-8 of ``norm0`` off it."""
-    residual = np.abs(np.asarray(norms, dtype=float) - norm0)
-    bad = np.flatnonzero(~(residual <= _UNITARITY_LIMIT * max(norm0, 1e-300)))  # NaN fails too
+def _sector(grid: ModeGrid):
+    """(H, center, half): the N=1 star and its spectral interval center +- half."""
+    h = _OneSector(grid)
+    lo, hi = _spectral_interval(h)
+    return h, 0.5 * (hi + lo), 0.5 * (hi - lo) or 1.0     # any width serves H = center
+
+
+def _moments(h: _OneSector, center: float, half: float, t: float):
+    """(mu, width): mu_m = <e|T_m(X)|e> for m < 2 width, e = |e,0>, X = (H - center) / half,
+    and ``width`` the length of the Bessel series of the time ``t``.
+
+    One real recurrence, two moments per product: mu_2k = 2 |T_k e|^2 - mu_0,
+    mu_2k+1 = 2 <T_k e, T_k+1 e> - mu_1.
+    """
+    width = _chebyshev_coeffs(t * half).size
+    two_x = h.scaled(2.0 / half, center)
+    prev, cur, nxt = np.zeros((3, h.size))
+    prev[0] = 1.0
+    two_x(prev, cur)
+    cur *= 0.5
+    mu = np.empty(2 * width)
+    mu[0], mu[1] = 1.0, cur[0]
+    for k in range(1, width):
+        mu[2 * k] = 2.0 * (cur @ cur) - mu[0]
+        two_x(cur, nxt)
+        nxt -= prev
+        mu[2 * k + 1] = 2.0 * (cur @ nxt) - mu[1]
+        prev, cur, nxt = cur, nxt, prev
+    return mu, width
+
+
+def _gram(mu: np.ndarray, lo: int, hi: int, n: int) -> np.ndarray:
+    """<T_l e, T_k e> = (mu_{l+k} + mu_{|l-k|}) / 2 for lo <= l < hi, k < n: a Hankel and a
+    Toeplitz block, each a view of sliding windows, so the sum is the one new array."""
+    top = mu.size - 1
+    sym = np.concatenate((mu[:0:-1], mu))           # sym_j = mu_{|j - top|}
+    out = _windows(mu, n)[lo:hi] + _windows(sym, n)[top - hi + 1:top - lo + 1][::-1]
+    out *= 0.5
+    return out
+
+
+def _check_unitarity(times, norms) -> None:
+    """Raise at the first time whose state norm is more than 1e-8 off 1."""
+    residual = np.abs(np.asarray(norms, dtype=float) - 1.0)
+    bad = np.flatnonzero(~(residual <= _UNITARITY_LIMIT))  # NaN fails too
     if bad.size:
         raise RuntimeError(f"unitarity residual {residual[bad[0]]:.3e} at tau = "
                            f"{np.asarray(times)[bad[0]]:.6g} exceeds {_UNITARITY_LIMIT}")
 
 
-def _chebyshev_expm_many(h: _OneSector, taus, x: np.ndarray, observe) -> list:
-    """[observe(exp(-i tau H) x) for tau in taus], from one Chebyshev recurrence.
+def _contract(mu: np.ndarray, half: float, width: int, times, rows) -> np.ndarray:
+    """(R, T): rows @ c(t) for each time, c(t) the Bessel weights of e^{-i t H} on X.
 
-    On X = (H - c) / r, [c - r, c + r] the spectral interval, e^{-i tau r X} =
-    sum_k (2 - delta_k0) (-i)^k J_k(tau r) T_k(X); one recurrence out to the
-    longest time feeds a sum per distinct time (finite, >= 0).  Sums past
-    ``_SUMS_BYTES`` are refused before any allocation; a norm drift past 1e-8
-    raises.
+    ``rows(lo, hi)`` gives columns lo..hi of R moment rows.  The weights are
+    cut at ``width``, the series of the longest time (J_k(a) grows with a < k,
+    so the terms dropped are below its cut), and formed in FFT batches of
+    about ``_BLOCK_BYTES``; the Gram matrix G of the T_k e is taken in row
+    blocks of that size.  At every time |psi|^2 = Re c G Re c + Im c G Im c
+    must be 1 to 1e-8.
     """
-    taus = _finite(taus, "times", nonneg=True).tolist()
-    times = np.array(sorted(set(taus)))
-    if 16 * times.size * h.size > _SUMS_BYTES:
-        raise ValueError(f"{times.size:,} times of {h.size:,} amplitudes need more than "
-                         f"{_SUMS_BYTES >> 20} MiB of Chebyshev sums; use fewer times")
-    if h.coupling_norm == 0.0:
-        sums = np.exp(-1j * np.multiply.outer(times, h.diagonal())) * x
-    else:
-        lo, hi = _spectral_interval(h)
-        center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        coeffs = _chebyshev_coeffs(half * times[:, None])
-        two_x = h.scaled(2.0 / half, center)
-        # T_k(X) x goes to row k % width of a rolling block; each full block
-        # joins each time's sum as one product with its weights.  The block,
-        # the product and the sums are one allocation (glibc keeps it mapped).
-        width = int(np.clip(_BLOCK_BYTES // (16 * h.size), 3, 16))
-        work = np.zeros((width + 1 + times.size, h.size), dtype=complex)
-        block, product, sums = work[:width], work[width], work[width + 1:]
-        block[0] = x
-        two_x(block[0], block[1])
-        block[1] *= 0.5
-        for k in range(coeffs.shape[1]):
-            row = k % width
-            if k >= 2:
-                # T_k = 2 X T_{k-1} - T_{k-2}
-                two_x(block[(k - 1) % width], block[row])
-                block[row] -= block[(k - 2) % width]
-            if row == width - 1 or k == coeffs.shape[1] - 1:
-                for weights, s in zip(coeffs[:, k - row:k + 1], sums):
-                    np.matmul(weights, block[:row + 1], out=product)
-                    s += product
-        sums *= np.exp(-1j * times * center)[:, None]
-    _check_unitarity(times, np.linalg.norm(sums, axis=1), float(np.linalg.norm(x)))
-    kept = dict(zip(times.tolist(), (observe(s) for s in sums)))
-    return [kept[tau] for tau in taus]
+    times = np.asarray(times, dtype=float)
+    batch = max(1, _BLOCK_BYTES // (384 * (width + 32)))   # 88 B x FFT size a row
+    step = max(1, _BLOCK_BYTES // (16 * width))       # Gram rows a block
+    out = [rows(0, 0)]
+    for i in range(0, times.size, batch):
+        c = _chebyshev_coeffs(half * times[i:i + batch, None])[:, :width]
+        w = c.shape[1]
+        part, norms = 0.0, 0.0
+        for lo in range(0, w, step):
+            hi = min(lo + step, w)
+            part = part + rows(lo, hi) @ c[:, lo:hi].T
+            gram = _gram(mu, lo, hi, w)
+            for x in (c.real, c.imag):
+                norms = norms + np.einsum("tl,lt->t", x[:, lo:hi], gram @ x.T)
+        _check_unitarity(times[i:i + batch], np.sqrt(np.abs(norms)))
+        out.append(part)
+    return np.concatenate(out, axis=1)
 
 
-def _from_excited(times, grid: ModeGrid, observe) -> list:
-    """[observe(psi(t)) for t in times]; psi is the N=1 state from |e, 0> at t = 0."""
-    start = np.zeros(grid.count + 1, dtype=complex)
-    start[0] = 1.0
-    return _chebyshev_expm_many(_OneSector(grid), times, start, observe)
+def _excited_amplitude(times, grid: ModeGrid) -> np.ndarray:
+    """a(t) = <e,0| e^{-i H t} |e,0> = e^{-i center t} c(t) . mu, for times >= 0."""
+    ts = _finite(times, "times", nonneg=True).ravel()
+    h, center, half = _sector(grid)
+    mu, width = _moments(h, center, half, float(np.max(ts, initial=0.0)))
+    a = _contract(mu, half, width, ts, lambda lo, hi: mu[None, lo:hi])[0]
+    return a * np.exp(-1j * center * ts)
 
 
 def oracle_sigma_z(times, grid: ModeGrid):
-    """<sigma_z(t)> on an ascending time grid from one N=1 Chebyshev recurrence."""
+    """<sigma_z(t)> = 2 |a(t)|^2 - 1 on an ascending time grid, from the moments of |e,0>."""
     ts = np.atleast_1d(np.asarray(times, dtype=float))  # the kernel refuses t < 0, NaN and inf
     if ts.ndim != 1 or np.any(np.diff(ts) < 0.0):
         raise ValueError("times must be a time or an ascending 1-d grid")
-    out = 2.0 * np.abs(_from_excited(ts, grid, lambda psi: psi[0])) ** 2 - 1.0
-    return _like(out, times)
-
-
-def _moments(h: _OneSector, count: int, center: float, half: float) -> np.ndarray:
-    """mu_m = <e|T_m(X)|e> for m < 2 count, e = |e,0>, X = (H - center) / half, two per
-    product: mu_2k = 2 |T_k e|^2 - mu_0, mu_2k+1 = 2 <T_k e, T_k+1 e> - mu_1."""
-    two_x = h.scaled(2.0 / half, center)
-    prev, cur, nxt = np.zeros((3, h.size), dtype=complex)
-    prev[0] = 1.0
-    two_x(prev, cur)
-    cur *= 0.5
-    mu = np.empty(2 * count)
-    mu[0], mu[1] = 1.0, cur[0].real
-    for k in range(1, count):
-        mu[2 * k] = 2.0 * np.vdot(cur, cur).real - mu[0]
-        two_x(cur, nxt)
-        nxt -= prev
-        mu[2 * k + 1] = 2.0 * np.vdot(cur, nxt).real - mu[1]
-        prev, cur, nxt = cur, nxt, prev
-    return mu
-
-
-def _gram(mu: np.ndarray, m: int, n: int) -> np.ndarray:
-    """<T_l e, T_k e> = (mu_{l+k} + mu_{|l-k|}) / 2 for l < m, k < n."""
-    l, k = np.ogrid[:m, :n]
-    return 0.5 * (mu[l + k] + mu[abs(l - k)])
+    return _like(2.0 * np.abs(_excited_amplitude(ts, grid)) ** 2 - 1.0, times)
 
 
 def _series_divide(r: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -331,35 +323,26 @@ def two_time_route(u: float, v: float, grid: ModeGrid):
     if u > v:
         raise ValueError(f"the two-excitation route requires u <= v, got u = {u:g}, v = {v:g}")
     tau = v - u
-    h = _OneSector(grid)
-    lo, hi = _spectral_interval(h)
-    center, half = 0.5 * (hi + lo), 0.5 * (hi - lo) or 1.0     # any width serves H = center
+    h, center, half = _sector(grid)
     n = max(math.ceil(tau * half), 2)
     row_bytes = 32 * (tau * half + 32)       # about, per grid time
     if 2 * n * row_bytes > _WEIGHTS_BYTES:
         raise ValueError(f"v - u = {tau:.6g} needs Bessel weights of {4 * n + 1:,} times, over "
                          f"{_WEIGHTS_BYTES >> 20} MiB; use a narrower comb or a shorter v - u")
-    c_u, c_v = _chebyshev_coeffs(u * half), _chebyshev_coeffs(v * half)
-    mu = _moments(h, c_v.size + 1, center, half)
+    mu, width = _moments(h, center, half, v)
+    m = min(_chebyshev_coeffs(tau * half).size, width)     # terms past width are below its cut
     deta = -0.5j * half * (mu[1:] + mu[abs(np.arange(mu.size - 1) - 1)])   # -i <e|(H-c) T_k|e>
-    a_u, a_v = c_u @ mu[:c_u.size], c_v @ mu[:c_v.size]
-    _check_unitarity((u, v), [abs(np.vdot(c, _gram(mu, c.size, c.size) @ c)) ** 0.5
-                              for c in (c_u, c_v)])
-    m = _chebyshev_coeffs(tau * half).size
-    gram = _gram(mu, m, m)
+    # the u and v legs: a = c . mu, and over T_k e (k < m) G c and G_eta c
+    legs = _contract(mu, half, width, (u, v), lambda lo, hi: np.vstack(
+        (mu[None, lo:hi], _gram(mu, lo, hi, m).T, _gram(deta, lo, hi, m).T)))
+    (a_u, a_v), gc, gd = legs[0], legs[1:m + 1], legs[m + 1:]
     # over T_k e: x0, x0', y0, y0' and <w'|x>
-    moments = np.array([mu[:m], deta[:m], c_u @ _gram(mu, c_u.size, m) - a_u * mu[:m],
-                        c_u @ _gram(deta, c_u.size, m) - a_u * deta[:m],
-                        np.conj(c_v) @ _gram(mu, c_v.size, m) - np.conj(a_v) * mu[:m]])
+    moments = np.array([mu[:m], deta[:m], gc[:, 0] - a_u * mu[:m], gd[:, 0] - a_u * deta[:m],
+                        np.conj(gc[:, 1]) - np.conj(a_v) * mu[:m]])
     base, f, rows = n, None, []
     while True:     # each grid halves the last; its new times interleave the old
         new = np.arange(1 if rows else 0, n + 1, 2 if rows else 1)
-        # terms past m are below the tau r row's cut: J_k(a) grows with a < k
-        coeffs = _chebyshev_coeffs((tau / n * half) * new[:, None])[:, :m]
-        w = coeffs.shape[1]
-        _check_unitarity(tau / n * new, np.sqrt(abs(np.einsum(
-            "tk,tk->t", coeffs.conj(), coeffs @ gram[:w, :w]))))
-        values = moments[:, :w] @ coeffs.T
+        values = _contract(mu, half, m, tau / n * new, lambda lo, hi: moments[:, lo:hi])
         f = np.insert(f, np.arange(1, f.shape[1]), values, axis=1) if rows else values
         rows.append([_trapezoid_route(f, tau / n, a_u, a_v)])
         for j, coarse in enumerate(rows[-2] if len(rows) > 1 else (), 1):
@@ -381,7 +364,8 @@ def two_time_route(u: float, v: float, grid: ModeGrid):
 def oracle_two_time(kind, u: float, v: float, grid: ModeGrid) -> complex:
     """Two-time dipole correlator of ``kind``, an :class:`advwave.atomdyn.AtomCorrKind`.
 
-    PLUS_MINUS takes any order; MINUS_PLUS and COMMUTATOR need u <= v, with
+    PLUS_MINUS takes any order, from the amplitudes a(u) and a(v) of |e,0>;
+    MINUS_PLUS and COMMUTATOR need u <= v, with
     <s-(u) s+(v)> = e^{i w0 (v-u)} <U2(v-u) s+ psi(u), s+ psi(v)> from
     ``two_time_route``.
     """
@@ -389,7 +373,7 @@ def oracle_two_time(kind, u: float, v: float, grid: ModeGrid) -> complex:
 
     kind = AtomCorrKind(kind)
     if kind is AtomCorrKind.PLUS_MINUS:
-        amp_u, amp_v = _from_excited((u, v), grid, lambda psi: psi[0])
+        amp_u, amp_v = _excited_amplitude((u, v), grid)
         return complex(np.exp(1j * grid.omega0 * (u - v)) * np.conj(amp_u) * amp_v)
     minus_plus, plus_minus_rev, _, _ = two_time_route(u, v, grid)
     return minus_plus if kind is AtomCorrKind.MINUS_PLUS else minus_plus - plus_minus_rev

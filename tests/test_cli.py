@@ -299,15 +299,29 @@ def test_an_underflowing_omega0_is_a_usage_error(argv, capsys, tmp_path):
     (("corr", "--r0-gamma", "1e200"), "r0 = 1e+192 is too large: r0^3 overflows"),
     (("validate", "--r0-gamma", "1e200"), "r0 = 1e+200 is too large: r0^3 overflows"),
     (("figure", "3", "--tmax-gamma", "1e300"), "tmax_gamma = 1e+300 is too large for the late-time fit"),
+    # r0^3 is a float, but the square of the near field is not
+    (("detect", "--r0-gamma", "1e-90"), "r0 = 1e-98 is too small: its near field"),
+    (("corr", "--r0-gamma", "1e-90", "--points", "5"), "r0 = 1e-98 is too small: its near field"),
+    # carrier phases 2 omega0 t past 2^53 rad
+    (("figure", "1", "--tmax-gamma", "1e200"), "tmax_gamma = 1e+200 is too large: the carrier phase"),
+    (("figure", "2", "--tmax-gamma", "1e200"), "tmax_gamma = 1e+200 is too large: the carrier phase"),
+    (("detect", "--tmax-gamma", "1e200"), "tmax_gamma = 1e+200 is too large: the carrier phase"),
 ])
 def test_out_of_range_distances_and_windows_are_usage_errors(argv, setting, capsys, tmp_path):
-    # r0^3 leaves the float range (the near field goes as 1/r0^3), or the
-    # figure-3 fit would square times near 1e292 s; RuntimeWarnings are errors
-    # here, so neither may reach numpy first
+    # r0^3 or the square of the near field leaves the float range (the near
+    # field goes as 1/r0^3), the figure-3 fit would square times near 1e292 s,
+    # or a carrier phase passes 2^53 rad; RuntimeWarnings are errors here, so
+    # none may reach numpy first
     assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and setting in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [("figure", "2"), ("detect",)])
+def test_the_longest_windows_below_the_carrier_limit_still_run(argv, tmp_path):
+    # 2 omega0 t = 9.0e15 rad, just below 2^53 = 9.007e15, at omega0/gamma = 100
+    assert run_cli(*argv, "--tmax-gamma", "4.5e13", "--out", str(tmp_path)) == EXIT_OK
 
 
 @pytest.mark.parametrize("argv,rows", [
