@@ -5,7 +5,12 @@ it: 17 significant digits, correctly rounded with ties to even, so a float64
 read back from the table is the one that was written.  Python's formatting
 costs close to a microsecond per value (17 digits miss its fast path), more
 than most tables take to compute, so ``write_csv`` renders blocks of rows
-with one numpy kernel instead:
+with one numpy kernel instead.  A block holds about ``_BLOCK_VALUES`` = 4 096
+values, whatever the table's width: the kernel's temporaries, about 200 bytes
+a value, then stay within a 2 MiB L2 cache (a 10-column table in 1 024-row
+blocks spilled it and took about 20 % longer), while smaller blocks pay the
+kernel's fixed cost of about 50 numpy calls more often.  Each value goes
+through four steps:
 
 1. **Scale.**  |x| times 10**(16 - k), k = floor(log10 |x|), is formed as a
    double-double: Dekker's exact product (``core._two_prod``) of |x| and the
@@ -41,7 +46,10 @@ lies within 6e-11 of the exact 100 v, so q is printf's rounding unless s lies
 within 1e-6 of a half unit (exact ties such as 576.125 among them).  Those
 values, and values that are not finite, carry the sign bit (-0.0 prints as
 ``-0.00``) or lie outside [0, 1e4), are formatted by ``"%.2f" %`` and spliced
-in.
+in.  The series whose values are all finite share one pass over x for
+their pixel columns and the runs of points within each (``_pixel_runs``); a
+series with a non-finite value keeps its own.  Only the points a series
+keeps are mapped to y pixels and formatted.
 """
 from __future__ import annotations
 
@@ -53,7 +61,13 @@ from .core import _two_prod
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
 _FMT = "%.17g"
-_BLOCK_ROWS = 1024  # rows (points) formatted at a time: bounds the temporaries
+# Values formatted at a time, in whole rows: the kernel's temporaries (about 200
+# bytes a value) stay within a 2 MiB L2.  Figure 3's 10-column table of 2 001 rows
+# at omega0 = 1000 gamma took 3.72 ms in blocks of 1 024 rows (10 240 values),
+# 3.05 ms in blocks of 4 090 values and 3.80 ms in blocks of 2 040 (2-vCPU Xeon
+# VM, one pinned CPU, 10th percentile of 60 runs): smaller blocks pay the fixed
+# cost of about 50 numpy calls more often.  4-column tables keep 1 024-row blocks.
+_BLOCK_VALUES = 4096
 
 _KERNEL_RANGE = (1e-250, 1e250)  # |x| the kernel renders; the scaled products stay normal
 _TIE_TOL = 1e-6  # a remainder this close to a half unit goes to "%.17g" % (CSV) or "%.2f" % (SVG)
@@ -182,17 +196,18 @@ def _format_rows(block) -> bytes:
     return words.T.astype("<u8", copy=False).tobytes().translate(None, b"\0")
 
 
-def write_csv(path, meta: dict, columns: dict) -> None:
+def write_csv(path, meta: dict, columns: dict, trailer=()) -> None:
     """Write columns to ``path`` with a '#'-prefixed metadata header block.
 
     ``meta`` maps keys to values echoed as ``# key = value`` lines (resolved
     configuration, derived scalars); ``columns`` maps column names to equal
     length sequences of numbers.  Each number is converted to float64 and
     written byte for byte as ``"%.17g" % value`` writes it, so a table reads
-    back bit-exactly and reproduces across runs.  The body is rendered
-    ``_BLOCK_ROWS`` rows at a time by a numpy kernel; values the kernel cannot
-    round with certainty (non-finite, |x| outside [1e-250, 1e250), or within
-    1e-6 of a rounding tie) are formatted by ``"%.17g" %`` itself.
+    back bit-exactly and reproduces across runs.  The body is rendered by a
+    numpy kernel in blocks of whole rows, about ``_BLOCK_VALUES`` values each;
+    values the kernel cannot round with certainty (non-finite, |x| outside
+    [1e-250, 1e250), or within 1e-6 of a rounding tie) are formatted by
+    ``"%.17g" %`` itself.  The lines of ``trailer`` follow the body.
     """
     names = list(columns)
     cols = [columns[n] for n in names]
@@ -205,9 +220,11 @@ def write_csv(path, meta: dict, columns: dict) -> None:
             fh.write(f"# {key} = {value}\n")
         fh.write(",".join(names) + "\n")
         fh.flush()  # the header goes through the text layer, the body as bytes
-        for start in range(0, length, _BLOCK_ROWS):
-            block = np.column_stack([a[start:start + _BLOCK_ROWS] for a in arrays])
+        rows = max(1, _BLOCK_VALUES // max(len(arrays), 1))
+        for start in range(0, length, rows):
+            block = np.column_stack([a[start:start + rows] for a in arrays])
             fh.buffer.write(_format_rows(block))
+        fh.writelines(trailer)
 
 
 @functools.cache
@@ -260,24 +277,36 @@ def _ticks(lo: float, hi: float, n: int = 5):
     return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
 
 
-def _pixel_extremes(column, y):
-    """Indices of the first, minimum, maximum and last point of each run of
-    consecutive points that share a pixel column, in index order, each once.
+def _pixel_runs(column):
+    """(first, last, run) for the runs of consecutive points that share a pixel
+    column: each run's first and last index, and each point's run."""
+    starts = np.diff(column, prepend=column[0] - 1) != 0
+    first = np.flatnonzero(starts)
+    return first, np.append(first[1:], column.size) - 1, np.cumsum(starts) - 1
+
+
+def _pixel_extremes(runs, y):
+    """Indices of the first, minimum, maximum and last point of each of
+    ``_pixel_runs``' runs, in index order, each once.
 
     A run's minimum is the first point that attains it and its maximum the
     last, as a stable sort of the run by y would put them."""
-    starts = np.diff(column, prepend=column[0] - 1) != 0
-    first = np.flatnonzero(starts)
-    last = np.append(first[1:], column.size) - 1
-    run = np.cumsum(starts) - 1
-    index = np.arange(column.size)
+    first, last, run = runs
+    index = np.arange(run.size)
     lowest = np.minimum.reduceat(y, first)[run] == y
     highest = np.maximum.reduceat(y, first)[run] == y
-    keep = np.zeros(column.size, dtype=bool)
+    keep = np.zeros(run.size, dtype=bool)
     keep[np.concatenate([first, last,
-                         np.minimum.reduceat(np.where(lowest, index, column.size), first),
+                         np.minimum.reduceat(np.where(lowest, index, run.size), first),
                          np.maximum.reduceat(np.where(highest, index, -1), first)])] = True
     return np.flatnonzero(keep)
+
+
+def _extent(v, mask):
+    """(min, max) of v where ``mask`` holds; a mask of None holds everywhere."""
+    if mask is None:
+        return float(v.min()), float(v.max())
+    return float(np.min(v, initial=np.inf, where=mask)), float(np.max(v, initial=-np.inf, where=mask))
 
 
 def write_svg(path, x, series: dict, title: str, xlabel: str, ylabel: str) -> None:
@@ -287,22 +316,28 @@ def write_svg(path, x, series: dict, title: str, xlabel: str, ylabel: str) -> No
     points than the plot has pixel columns keeps, per pixel column (for x in
     order), only its first, minimum, maximum and last point: the line looks
     the same at the plot's resolution, and the file stops growing with the
-    number of points.  Labels and series names are XML-escaped.
+    number of points.  The series whose every y is finite share one pass over
+    x for their pixel columns.  Labels and series names are XML-escaped.
     """
     width, height = 860, 560
     ml, mr, mt, mb = 80, 24, 48, 56
     plot_w = width - ml - mr
     xa = np.asarray(x, dtype=float)
     yas = [np.asarray(ys, dtype=float) for ys in series.values()]
+    if any(ya.shape != xa.shape for ya in yas):
+        raise ValueError("every series must have the shape of x")
     finite_x = np.isfinite(xa)
-    masks = [finite_x & np.isfinite(ya) for ya in yas]
-    if not xa.size or not any(m.any() for m in masks):
+    shared = None if finite_x.all() else finite_x  # the points of an all-finite series; None: all
+    masks = []
+    for ya in yas:
+        finite = np.isfinite(ya)
+        masks.append(shared if finite.all() else finite_x & finite)
+    if not xa.size or not any(m is None or m.any() for m in masks):
         raise ValueError("nothing to plot")
     # a +-0 extreme gives the same ticks and pixels whichever zero numpy picks
-    x_lo = float(np.min(xa, initial=np.inf, where=finite_x))
-    x_hi = float(np.max(xa, initial=-np.inf, where=finite_x))
-    y_lo = min(float(np.min(ya, initial=np.inf, where=m)) for ya, m in zip(yas, masks))
-    y_hi = max(float(np.max(ya, initial=-np.inf, where=m)) for ya, m in zip(yas, masks))
+    x_lo, x_hi = _extent(xa, shared)
+    y_lo = min(_extent(ya, m)[0] for ya, m in zip(yas, masks))
+    y_hi = max(_extent(ya, m)[1] for ya, m in zip(yas, masks))
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     pad = 0.05 * (y_hi - y_lo) or 1.0
@@ -313,6 +348,14 @@ def write_svg(path, x, series: dict, title: str, xlabel: str, ylabel: str) -> No
 
     def py(v):
         return height - mb - (v - y_lo) / (y_hi - y_lo) * (height - mt - mb)
+
+    def pixels(mask):
+        # px of the points ``mask`` keeps, and their pixel-column runs where they
+        # outnumber the columns
+        pxs = px(xa if mask is None else xa[mask])
+        if pxs.size <= plot_w:
+            return pxs, None
+        return pxs, _pixel_runs(np.minimum((pxs - ml).astype(np.int64), plot_w - 1))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}" '
@@ -332,13 +375,15 @@ def write_svg(path, x, series: dict, title: str, xlabel: str, ylabel: str) -> No
     for ty in _ticks(y_lo, y_hi):
         parts.append(f'<line x1="{ml - 5}" y1="{py(ty):.2f}" x2="{ml}" y2="{py(ty):.2f}" stroke="black"/>')
         parts.append(f'<text x="{ml - 8}" y="{py(ty) + 4:.2f}" text-anchor="end">{ty:.4g}</text>')
+    shared_pixels = pixels(shared) if any(m is shared for m in masks) else None
     for idx, (name, ya, mask) in enumerate(zip(series, yas, masks)):
         color = _PALETTE[idx % len(_PALETTE)]
-        pxs, pys = px(xa[mask]), py(ya[mask])
-        if pxs.size > plot_w:
-            keep = _pixel_extremes(np.minimum((pxs - ml).astype(np.int64), plot_w - 1), ya[mask])
-            pxs, pys = pxs[keep], pys[keep]
-        pts = _format_points(pxs, pys)
+        pxs, runs = shared_pixels if mask is shared else pixels(mask)
+        ys = ya if mask is None else ya[mask]
+        if runs is not None:
+            keep = _pixel_extremes(runs, ys)
+            pxs, ys = pxs[keep], ys[keep]
+        pts = _format_points(pxs, py(ys))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         parts.append(f'<text x="{width - mr - 8}" y="{mt + 20 * (idx + 1)}" text-anchor="end" '
                      f'fill="{color}">{_escape(name)}</text>')

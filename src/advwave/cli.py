@@ -176,19 +176,12 @@ def _dipole_geometry(cfg: RunConfig):
     return params, position
 
 
-# Past 2^53 rad a time's rounding (half an ulp) moves the fastest carrier,
-# 2 omega0 t, by more than a radian: no phase there has a meaning.
-_MAX_PHASE = 2.0**53
-
-
 def _check_carrier(cfg: RunConfig, end_gamma: float) -> None:
     """ValueError naming tmax_gamma when 2 omega0 t at the window's end, t gamma =
-    ``end_gamma``, reaches ``_MAX_PHASE``."""
-    phase = 2.0 * cfg.omega0_over_gamma * end_gamma
-    if not phase < _MAX_PHASE:
-        raise ValueError(f"tmax_gamma = {cfg.tmax_gamma:g} is too large: the carrier phase "
-                         f"2 omega0 t reaches {phase:.3g} rad at t gamma = {end_gamma:.6g}, past "
-                         f"2^53 rad, where a time's rounding moves it by more than a radian")
+    ``end_gamma``, reaches ``core._MAX_PHASE``."""
+    from .core import _check_carrier
+
+    _check_carrier(cfg.omega0_over_gamma, end_gamma, f"tmax_gamma = {cfg.tmax_gamma:g}")
 
 
 # Output rows per table (the corr table has points^2 rows), checked before any
@@ -273,11 +266,7 @@ def cmd_figure(cfg: RunConfig, which: int) -> int:
                       % (window[0] * cfg.gamma, window[1] * cfg.gamma),
                       "# fit_slope_over_gamma = %.17g\n" % (slope / cfg.gamma),
                       "# fit_intercept = %.17g\n" % intercept]
-    csv_path = _outpath(cfg, f"fig{which}.csv")
-    write_csv(csv_path, meta, columns)
-    if fit_lines:
-        with open(csv_path, "a") as fh:
-            fh.writelines(fit_lines)
+    write_csv(_outpath(cfg, f"fig{which}.csv"), meta, columns, trailer=fit_lines)
     write_svg(_outpath(cfg, f"fig{which}.svg"), columns["t_gamma"],
               {k: columns[k] for k in plotted},
               title=f"Scaled momentum diffusion (figure {which})",

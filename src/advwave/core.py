@@ -18,6 +18,9 @@ here and used everywhere else:
 * a light-cone gate is a unit step with th(0) = 1: a term gated at ``gate``
   is on from t = gate inclusive and an exact zero before it (``_gated``);
 * rates, frequencies and radii are positive and finite (``_positive``);
+* a time whose fastest carrier phase 2 omega0 t reaches 2^53 rad raises
+  ``ValueError`` naming it (``_check_carrier``): a time's rounding moves
+  that phase by more than a radian there;
 * a scalar in gives a Python scalar out, and an array keeps its shape
   (``_like``).
 
@@ -43,6 +46,9 @@ __all__ = [
 _GAMMA_REL_TOL = 1e-12
 _MARKOV_RATIO_WARN = 0.1
 _SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into two 26-bit halves
+# Past 2^53 rad a time's rounding (half an ulp) moves the fastest carrier,
+# 2 omega0 t, by more than a radian: no phase there has a meaning.
+_MAX_PHASE = 2.0**53
 
 
 def _cubed(x, name: str) -> float:
@@ -84,6 +90,18 @@ def _finite(x, name: str, nonneg: bool = False) -> np.ndarray:
     if np.count_nonzero(ok) != arr.size:    # cheaper than ok.all() for a scalar
         raise ValueError(f"{name} must be finite{' and >= 0' if nonneg else ''}")
     return arr
+
+
+def _check_carrier(omega0: float, t, subject: str | None = None) -> None:
+    """ValueError when 2 omega0 t at the latest finite time in ``t`` reaches
+    ``_MAX_PHASE``, naming ``subject`` (by default that time).  Non-finite
+    times are left to ``_finite``."""
+    latest = float(np.max(t, initial=-np.inf))
+    phase = 2.0 * omega0 * latest
+    if math.isfinite(latest) and not phase < _MAX_PHASE:
+        raise ValueError(f"{subject or f't = {latest:.6g}'} is too large: the carrier phase 2 omega0 t "
+                         f"reaches {phase:.3g} rad, past 2^53 rad, where a time's rounding moves it by "
+                         f"more than a radian")
 
 
 def _positive(x, name: str):

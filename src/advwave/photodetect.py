@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DipoleParams, FieldKind, _gated, _like, _vec3
+from .core import DipoleParams, FieldKind, _check_carrier, _gated, _like, _vec3
 from .fieldcoeffs import field_coeff
 from .kinetics import _moment_sum, _segments
 
@@ -86,6 +86,7 @@ def _rates(times, cfg: DetectorConfig, part: str):
     """
     # field_coeff checks ``part`` before any gate
     c = complex(cfg.dvec @ field_coeff(FieldKind.ELECTRIC, cfg.position, cfg.source, part))
+    _check_carrier(cfg.source.omega0, times)
     rates = []
     for gate, offset, groups in _segments(cfg.source, cfg.r, 4.0 * abs(c) ** 2, 2.0 * c**2, cfg.source.omega0):
         b, on = _gated(times, gate)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advwave import _report
-from advwave._report import _format_points, _pixel_extremes, write_csv, write_svg
+from advwave._report import _format_points, _pixel_extremes, _pixel_runs, write_csv, write_svg
 
 
 def reference_csv(path, meta, columns):
@@ -66,6 +66,29 @@ def old_pixel_extremes(column, y):
     keep = np.zeros(run.size, dtype=bool)
     keep[np.concatenate([first, last, by_value[first], by_value[last]])] = True
     return np.flatnonzero(keep)
+
+
+def reference_polylines(x, series):
+    """The per-series route for every polyline's points: each series' own mask
+    of finite points, its own pixel columns and runs, and ``"%.2f,%.2f" %``."""
+    x = np.asarray(x, dtype=float)
+    ys = [np.asarray(y, dtype=float) for y in series.values()]
+    masks = [np.isfinite(x) & np.isfinite(y) for y in ys]
+    x_lo, x_hi = x[np.isfinite(x)].min(), x[np.isfinite(x)].max()
+    y_lo = min(y[m].min() for y, m in zip(ys, masks) if m.any())
+    y_hi = max(y[m].max() for y, m in zip(ys, masks) if m.any())
+    pad = 0.05 * (y_hi - y_lo) or 1.0
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+    lines = []
+    for y, m in zip(ys, masks):
+        pxs = 80 + (x[m] - x_lo) / (x_hi - x_lo) * 756
+        pys = 504 - (y[m] - y_lo) / (y_hi - y_lo) * 456
+        if pxs.size > 756:
+            keep = old_pixel_extremes(np.minimum((pxs - 80).astype(np.int64), 755), y[m])
+            pxs, pys = pxs[keep], pys[keep]
+        lines.append(reference_points(pxs, pys))
+    return lines
+
 
 PINNED_CSV = (
     "# k = v\n# n = 3\nt,y,i\n"
@@ -157,14 +180,21 @@ def _from_bits(b):
     return struct.unpack("<d", struct.pack("<Q", b))[0]
 
 
-@settings(max_examples=60, deadline=None)
+def _shapes(ncols):
+    """(ncols, rows): a few rows, or one row either side of the first and second
+    block boundaries of an ncols-column table."""
+    block = _report._BLOCK_VALUES // ncols
+    edges = [r + d for r in (block, 2 * block) for d in (-1, 0, 1)]
+    return st.tuples(st.just(ncols), st.one_of(st.integers(1, 5), st.sampled_from(edges)))
+
+
+@settings(max_examples=120, deadline=None)
 @given(values=st.lists(st.one_of(st.floats(width=64), st.integers(0, 2 ** 64 - 1).map(_from_bits)),
                        min_size=1, max_size=40),
-       ncols=st.integers(1, 10),
-       rows=st.one_of(st.integers(1, 5),
-                      st.integers(_report._BLOCK_ROWS - 1, 2 * _report._BLOCK_ROWS + 1)))
-def test_write_csv_matches_percent_formatting(values, ncols, rows, tmp_path_factory):
+       shape=st.integers(1, 12).flatmap(_shapes))
+def test_write_csv_matches_percent_formatting(values, shape, tmp_path_factory):
     # the drawn values repeat through a table that may span several blocks
+    ncols, rows = shape
     table = np.resize(np.asarray(values, dtype=float), (rows, ncols))
     assert_same_csv(tmp_path_factory.mktemp("csv"), {f"c{j}": table[:, j] for j in range(ncols)})
 
@@ -233,7 +263,7 @@ def test_pixel_extremes_match_the_stable_sort():
             y = rng.choice([0.0, -0.0, 1.0, -1.0], size=n)  # +-0 compare equal
         else:
             y = rng.normal(size=n)
-        np.testing.assert_array_equal(_pixel_extremes(column, y), old_pixel_extremes(column, y))
+        np.testing.assert_array_equal(_pixel_extremes(_pixel_runs(column), y), old_pixel_extremes(column, y))
 
 
 def test_write_svg_keeps_every_point_up_to_the_plot_width(tmp_path):
@@ -276,6 +306,44 @@ def test_write_svg_matches_the_join_on_a_figure_like_series(tmp_path, monkeypatc
     monkeypatch.setattr(_report, "_format_points", reference_points)
     write_svg(tmp_path / "reference.svg", t, series, title="T", xlabel="x", ylabel="y")
     assert (tmp_path / "kernel.svg").read_bytes() == (tmp_path / "reference.svg").read_bytes()
+
+
+def _all_polyline_points(svg):
+    return [ln.split('points="', 1)[1].split('"', 1)[0] for ln in svg.splitlines() if ln.startswith("<polyline")]
+
+
+def test_write_svg_shares_pixel_runs_only_between_all_finite_series(tmp_path):
+    # all-finite series share one pixel pass; those with a NaN or an inf keep their own
+    rng = np.random.default_rng(5)
+    x = np.linspace(0.0, 4.0, 9_000)
+    walk = np.cumsum(rng.normal(size=x.size))
+    with_nan, with_inf = walk + 1.0, 0.5 * walk
+    with_nan[rng.integers(0, x.size, 300)] = np.nan
+    with_inf[::611], with_inf[5::613] = np.inf, -np.inf
+    series = {"walk": walk, "nan": with_nan, "sin": np.sin(30.0 * x), "inf": with_inf,
+              "steps": np.round(walk / 4.0)}  # integer steps: ties within a pixel column
+    x_gap = x.copy()
+    x_gap[[0, 4_000, 4_001]] = [np.nan, np.inf, np.nan]  # then every series has its own mask
+    for xs in (x, x_gap):
+        path = tmp_path / "mixed.svg"
+        write_svg(path, xs, series, title="T", xlabel="x", ylabel="y")
+        assert _all_polyline_points(path.read_text()) == reference_polylines(xs, series)
+
+
+def test_write_svg_matches_the_per_series_route_on_the_optical_figure(tmp_path):
+    # figure 3's five cycle-averaged series at omega0 = 1000 gamma: exact zeros
+    # before each gate, and the envelopes' ties within a pixel column
+    from advwave.core import DipoleParams
+    from advwave.kinetics import ChargeParams, cycle_averaged
+
+    t = np.linspace(0.0, 12.0, 2_001)
+    curve = cycle_averaged(t, DipoleParams.from_rates(omega0=1000.0, gamma=1.0),
+                           ChargeParams(q=1.0, m=1.0, r0=(1.0 / 3.0, 0.0, 0.0)))
+    series = {"avg_dps": curve.avg_source, "avg_dpvacs": curve.avg_vacsource,
+              "avg_dptotal": curve.avg_total, "lo_dptotal": curve.lo_total, "hi_dptotal": curve.hi_total}
+    path = tmp_path / "fig3.svg"
+    write_svg(path, t, series, title="T", xlabel="x", ylabel="y")
+    assert _all_polyline_points(path.read_text()) == reference_polylines(t, series)
 
 
 def test_write_svg_skips_points_with_a_non_finite_x(tmp_path):
