@@ -37,6 +37,7 @@ Three independent machines live here:
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -97,6 +98,15 @@ class ModeGrid:
     def detunings(self) -> np.ndarray:
         return self.omegas - self.omega0
 
+    @functools.cached_property
+    def _sector(self):
+        """(H, center, half): the N=1 star and its spectral interval center +- half,
+        built on first use; H keeps the moments ``_moments`` runs on it, so the
+        comb's routes share one recurrence."""
+        h = _OneSector(self)
+        lo, hi = _spectral_interval(h)
+        return h, 0.5 * (hi + lo), 0.5 * (hi - lo) or 1.0     # any width serves H = center
+
 
 def build_grid(params: DipoleParams, count: int = 400, span_gammas: float = 50.0) -> ModeGrid:
     """Build the mode comb: ``count`` modes spanning ``span_gammas * gamma``.
@@ -125,12 +135,15 @@ class _OneSector:
     """The N=1 star H (v_0, v_1) = (g . v_1, g v_0 + d o v_1), applied without a matrix.
 
     v_0 is the excited amplitude, v_1 one per mode; |g| is the coupling's norm.
+    ``moments`` is ((center, half), mu), the longest moment sequence ``_moments``
+    has run on it, or None.
     """
 
     def __init__(self, grid: ModeGrid):
         self.d, self.g = grid.detunings, grid.couplings
         self.size = grid.count + 1
         self.coupling_norm = float(np.linalg.norm(self.g))
+        self.moments = None
 
     def diagonal(self) -> np.ndarray:
         return np.concatenate(([0.0], self.d))
@@ -181,21 +194,18 @@ def _spectral_interval(h: _OneSector) -> tuple[float, float]:
     return lo, hi
 
 
-def _sector(grid: ModeGrid):
-    """(H, center, half): the N=1 star and its spectral interval center +- half."""
-    h = _OneSector(grid)
-    lo, hi = _spectral_interval(h)
-    return h, 0.5 * (hi + lo), 0.5 * (hi - lo) or 1.0     # any width serves H = center
-
-
 def _moments(h: _OneSector, center: float, half: float, t: float):
     """(mu, width): mu_m = <e|T_m(X)|e> for m < 2 width, e = |e,0>, X = (H - center) / half,
     and ``width`` the length of the Bessel series of the time ``t``.
 
     One real recurrence, two moments per product: mu_2k = 2 |T_k e|^2 - mu_0,
-    mu_2k+1 = 2 <T_k e, T_k+1 e> - mu_1.
+    mu_2k+1 = 2 <T_k e, T_k+1 e> - mu_1.  H keeps the longest sequence, read-only,
+    and serves a shorter request from its prefix: the recurrence is the same
+    up to there, so the prefix has the bits of a shorter run.
     """
     width = _chebyshev_coeffs(t * half).size
+    if h.moments is not None and h.moments[0] == (center, half) and h.moments[1].size >= 2 * width:
+        return h.moments[1][:2 * width], width
     two_x = h.scaled(2.0 / half, center)
     prev, cur, nxt = np.zeros((3, h.size))
     prev[0] = 1.0
@@ -209,6 +219,8 @@ def _moments(h: _OneSector, center: float, half: float, t: float):
         nxt -= prev
         mu[2 * k + 1] = 2.0 * (cur @ nxt) - mu[1]
         prev, cur, nxt = cur, nxt, prev
+    mu.flags.writeable = False
+    h.moments = (center, half), mu
     return mu, width
 
 
@@ -263,7 +275,7 @@ def _contract(mu: np.ndarray, half: float, width: int, times, rows) -> np.ndarra
 def _excited_amplitude(times, grid: ModeGrid) -> np.ndarray:
     """a(t) = <e,0| e^{-i H t} |e,0> = e^{-i center t} c(t) . mu, for times >= 0."""
     ts = _finite(times, "times", nonneg=True).ravel()
-    h, center, half = _sector(grid)
+    h, center, half = grid._sector
     mu, width = _moments(h, center, half, float(np.max(ts, initial=0.0)))
     a = _contract(mu, half, width, ts, lambda lo, hi: mu[None, lo:hi])[0]
     return a * np.exp(-1j * center * ts)
@@ -323,7 +335,7 @@ def two_time_route(u: float, v: float, grid: ModeGrid):
     if u > v:
         raise ValueError(f"the two-excitation route requires u <= v, got u = {u:g}, v = {v:g}")
     tau = v - u
-    h, center, half = _sector(grid)
+    h, center, half = grid._sector
     n = max(math.ceil(tau * half), 2)
     row_bytes = 32 * (tau * half + 32)       # about, per grid time
     if 2 * n * row_bytes > _WEIGHTS_BYTES:
@@ -444,11 +456,16 @@ def markov_kernel_check(freq_fn, t_r: float, t_a: float, params: DipoleParams,
     2 pi f(w0) [w_r g_c(t_r) + w_a g_c(t_a)].  The frequency integral runs over
     ``band``, by default (0, 10 w0), where a band-halving guard raises if the
     mass has not converged; a comb's band shows whether it carries the mass.
+    A sigma whose 2 sigma^2 is not a normal float, or an f(w0) that is zero
+    or not finite, raises ``ValueError`` before any transform.  Both packets
+    share one frequency kernel.
     """
     _finite((t_r, t_a), "t_r and t_a")
     _positive(per_period, "per_period")
     w0 = params.omega0
     sigma = 10.0 / w0 if sigma is None else _positive(sigma, "sigma")
+    if 2.0 * sigma**2 < np.finfo(float).tiny:     # it divides the packet's exponent
+        raise ValueError(f"sigma = {sigma:.6g}: 2 sigma^2 is not a normal float")
     if window is None:
         window = (min(t_r, t_a) - 12.0 * sigma, max(t_r, t_a) + 12.0 * sigma)
     a, b = _finite(window, "window").tolist()
@@ -465,6 +482,10 @@ def markov_kernel_check(freq_fn, t_r: float, t_a: float, params: DipoleParams,
     rel_scale = ((b - a) + 12.0 * sigma + max(0.0, a - min(t_r, t_a))
                  + max(0.0, max(t_r, t_a) - b))
     n_t = n_for_oscillation(max(w_hi - w0, w0 - w_lo), a, b, per_period)
+    delta_ref = 2.0 * np.pi * complex(np.asarray(freq_fn(np.array([w0])))[0])
+    if delta_ref == 0.0 or not np.isfinite(delta_ref):
+        raise ValueError(f"freq_fn(omega0) = {delta_ref / (2.0 * np.pi):.6g}: the collapse "
+                         "2 pi f(omega0) must be nonzero and finite")
     tp = np.linspace(a, b, n_t + 1)
     wt = trapezoid_weights(a, b, n_t)
 
@@ -479,13 +500,12 @@ def markov_kernel_check(freq_fn, t_r: float, t_a: float, params: DipoleParams,
     def g_val(tprime: float, center: float) -> complex:
         return np.exp(-((tprime - center) ** 2) / (2.0 * sigma**2)) * np.exp(-1j * w0 * tprime)
 
-    def action(top: float, center: float) -> complex:
-        dw, kw = weighted_kernel(top, rel_scale)
+    def action(dw: float, kw: np.ndarray, center: float) -> complex:
         ghat = _chirp_z(wt * g_val(tp, center), a, (b - a) / n_t, w_lo, dw, kw.size)
         return complex(np.sum(kw * ghat))
 
-    delta_ref = 2.0 * np.pi * complex(np.asarray(freq_fn(np.array([w0])))[0])
-    act_r, act_a = action(w_hi, t_r), action(w_hi, t_a)
+    dw, kw = weighted_kernel(w_hi, rel_scale)        # one kernel for both packets
+    act_r, act_a = action(dw, kw, t_r), action(dw, kw, t_a)
     err_r, err_a = (abs(act - delta_ref * (w_r * g_val(t_r, c) + w_a * g_val(t_a, c)))
                     / abs(delta_ref) for c, act in ((t_r, act_r), (t_a, act_a)))
 
@@ -496,8 +516,8 @@ def markov_kernel_check(freq_fn, t_r: float, t_a: float, params: DipoleParams,
     if w_r == 1.0 and abs(t_a - t_r) > 8.0 * sigma:
         mass = act_r / g_val(t_r, t_r)
         mass_rel_err = abs(mass - delta_ref) / abs(delta_ref)
-        if band is None and (abs(mass - action(w_hi / 2.0, t_r) / g_val(t_r, t_r))
-                             > 0.02 * abs(delta_ref)):
+        if band is None and (abs(mass - action(*weighted_kernel(w_hi / 2.0, rel_scale), t_r)
+                                 / g_val(t_r, t_r)) > 0.02 * abs(delta_ref)):
             raise RuntimeError("kernel mass not converged in the band; pass a wider band")
 
     # FWHM of |K| at the retarded peak: the run of samples >= half the maximum
@@ -535,10 +555,17 @@ def angular_reduction_check(z_values=(5.0, 1e-3), n_dirs: int = 3, order: int = 
     For ``n_dirs`` directions xhat, uniform on the sphere (all cos(theta), then
     all phi, from ``core._uniform_stream(seed)``), and each z, compares
     ``_transverse_quadrature`` with tau_kernel(z, xhat) component by component.
+    len(z_values) n_dirs 2 order^2 terms must fit ``radiometry._NODE_BUDGET``;
+    more raise before any direction is drawn.
     """
     from .fieldcoeffs import tau_kernel
+    from .radiometry import _NODE_BUDGET
 
     _positive(n_dirs, "n_dirs")
+    terms = len(z_values) * n_dirs * 2 * order**2
+    if terms > _NODE_BUDGET:
+        raise ValueError(f"len(z_values) x n_dirs x 2 order^2 = {terms:,} quadrature terms, over "
+                         f"the budget of {_NODE_BUDGET:,}: use fewer n_dirs or a lower order")
     draw = _uniform_stream(seed)
     cos_t, phi = draw(-1.0, 1.0, n_dirs), draw(0.0, 2.0 * np.pi, n_dirs)
     sin_t = np.sqrt(1.0 - cos_t**2)

@@ -30,6 +30,10 @@ __all__ = [
     "sphere_integrate",
 ]
 
+# Quadrature terms a sphere rule (2 order^2 nodes, 32 B each) or the angular
+# check (a 16 B phase per z, direction and node) may hold: 32 MiB of nodes.
+_NODE_BUDGET = 1 << 20
+
 
 @dataclass(frozen=True)
 class PowerBreakdown:
@@ -112,12 +116,16 @@ def _sphere_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Unit directions (M, 3) and solid-angle weights (M,) of the sphere rule.
 
     Gauss-Legendre in cos(theta) x 2*order uniform phi, M = 2 order^2, with
-    cos(theta) the slow index.
+    cos(theta) the slow index.  M must fit ``_NODE_BUDGET``; a larger order
+    raises before any allocation.
     """
     from numpy.polynomial.legendre import leggauss    # loads numpy.polynomial: only here
 
     if order < 2:
         raise ValueError("order must be >= 2")
+    if 2 * order**2 > _NODE_BUDGET:
+        raise ValueError(f"order = {order:,} needs 2 order^2 = {2 * order**2:,} nodes, over the "
+                         f"budget of {_NODE_BUDGET:,}")
     mu, w_mu = leggauss(order)
     phi = np.arange(2 * order) * (np.pi / order)
     s = np.sqrt(1.0 - mu * mu)[:, None]

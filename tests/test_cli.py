@@ -243,6 +243,28 @@ def test_validate_draws_the_same_working_points_every_run(tmp_path, capsys):
     assert b"sphere-quadrature" in texts[0] and b"commutator-reconstruction" in texts[0]
 
 
+def test_validate_reruns_after_another_comb_write_the_same_bytes(tmp_path, capsys):
+    # one process runs count 200, then 400, then 200 again: what a comb
+    # shares across its rows never reaches another run's table
+    texts = []
+    for count in ("200", "400", "200"):
+        out = tmp_path / count / str(len(texts))
+        assert run_cli("validate", "--full", "--count", count, "--out", str(out)) == EXIT_OK
+        texts.append([line for line in (out / "validate.txt").read_bytes().splitlines()
+                      if not line.startswith(b"# out = ")])
+    assert texts[0] == texts[2]
+    assert texts[0] != texts[1]
+
+
+def test_validate_measures_the_markov_row_on_a_comb_under_one_period(tmp_path, capsys):
+    # a band of one gamma puts the packet's t' step at 1.1 sigma: coarse, but
+    # the row measures the mass rather than refusing the packet
+    run_cli("validate", "--full", "--count", "4", "--span", "1", "--out", str(tmp_path))
+    row = next(line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("markov-mass"))
+    assert "failed" not in row and np.isfinite(float(row.split()[2]))
+
+
 def test_validate_passes_at_an_optical_ratio(tmp_path, capsys):
     argv = ("validate", "--full", "--count", "200", "--omega0-ratio", "1e8")
     assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_OK

@@ -173,7 +173,20 @@ NON_TIME_ARGUMENTS = {
         "band", lambda: markov_kernel_check(np.ones_like, 1.0, 2.0, P, band=(25.0, np.inf))),
     "markov_kernel_check(per_period=0)": (
         "per_period", lambda: markov_kernel_check(np.ones_like, 1.0, 2.0, P, band=BAND, per_period=0)),
+    # 2 sigma^2 underflows to 0, or is subnormal and its quotients overflow
+    "markov_kernel_check(sigma=1e-300)": (
+        "sigma", lambda: markov_kernel_check(np.ones_like, 1.0, 2.0, P, band=BAND, sigma=1e-300)),
+    "markov_kernel_check(sigma=1e-160)": (
+        "sigma", lambda: markov_kernel_check(np.ones_like, 1.0, 2.0, P, band=BAND, sigma=1e-160)),
+    # the collapse 2 pi f(omega0) divides every relative error
+    "markov_kernel_check(freq_fn(omega0)=0)": (
+        "freq_fn", lambda: markov_kernel_check(lambda w: w - P.omega0, 1.0, 2.0, P, band=BAND)),
+    "markov_kernel_check(freq_fn(omega0)=nan)": (
+        "freq_fn", lambda: markov_kernel_check(lambda w: np.full_like(w, np.nan), 1.0, 2.0, P,
+                                               band=BAND)),
     "angular_reduction_check(n_dirs=0)": ("n_dirs", lambda: angular_reduction_check(n_dirs=0)),
+    "angular_reduction_check(n_dirs=1e9)": ("n_dirs", lambda: angular_reduction_check(n_dirs=10**9)),
+    "sphere_integrate(order=1e6)": ("order", lambda: sphere_integrate(lambda xhat: 1.0, 1.0, 10**6)),
     "posdisp_change(delta_p0=nan)": ("delta_p0", lambda: posdisp_change(1.0, P, CHARGE, delta_p0=np.nan)),
     "DipoleParams.from_rates(omega0=1e-109)": ("omega0", lambda: DipoleParams.from_rates(1e-109, 1e-111)),
 }

@@ -295,7 +295,7 @@ def test_propagate_composes():
     # matrix (mu_{l+k} + mu_{|l-k|}) / 2 of the moments: two steps give the
     # amplitude at s + t
     grid = build_grid(P30, count=200, span_gammas=25.0)
-    h, center, half = oracle._sector(grid)
+    h, center, half = grid._sector
     mu, _ = oracle._moments(h, center, half, 2.0)
     c_s, c_t = (oracle._chebyshev_coeffs(t * half) for t in (0.5, 1.5))
     two_steps = np.exp(-2j * center) * (c_s @ oracle._gram(mu, 0, c_s.size, c_t.size) @ c_t)
@@ -344,7 +344,7 @@ def test_one_recurrence_matches_stepwise_propagation(which, count):
     # at <e,0|U(t)|w>: the y0(t) of the two-time identity, whose moment row
     # is G c(0.7) - a(0.7) mu
     grid = build_grid(P30, count=count, span_gammas=50.0)
-    h, center, half = oracle._sector(grid)
+    h, center, half = grid._sector
     mu, width = oracle._moments(h, center, half, 2.5)
     start = np.eye(grid.count + 1, dtype=complex)[0]
     row, phase = mu[:width], 0.0
@@ -387,6 +387,68 @@ def test_sigma_z_grid_runs_one_recurrence(monkeypatch):
     grid = build_grid(P100, count=400, span_gammas=50.0)
     oracle_sigma_z(np.arange(0.5, 6.51, 0.5), grid)
     assert 0 < len(applied) <= 240
+
+
+def _counting_products(monkeypatch):
+    """A list that gains one entry per application of H, from now on."""
+    applied = []
+    scaled = _OneSector.scaled
+
+    def counting(self, scale, shift):
+        apply = scaled(self, scale, shift)
+
+        def counted(x, out):
+            applied.append(1)
+            apply(x, out)
+
+        return counted
+
+    monkeypatch.setattr(_OneSector, "scaled", counting)
+    return applied
+
+
+def _bits(value):
+    """A value's exact bits: array bytes, or the repr of a number or a tuple of them."""
+    return value.tobytes() if isinstance(value, np.ndarray) else repr(value)
+
+
+@pytest.mark.parametrize("first", ["sigma_z", "two_time"])
+def test_one_comb_shares_its_moments_without_changing_a_bit(first, monkeypatch):
+    # validate's two oracle rows on one comb, in either order, against a
+    # fresh comb for each call: the later call reads the earlier one's moments
+    # (or runs the longer recurrence) and every bit is the same
+    times = np.arange(0.5, 6.51, 0.5)
+    calls = {"sigma_z": lambda g: oracle_sigma_z(times, g),
+             "two_time": lambda g: oracle.two_time_route(1.0, 2.0, g)}
+    order = [first] + [name for name in calls if name != first]
+    fresh = {name: _bits(calls[name](build_grid(P100, count=200))) for name in order}
+    grid = build_grid(P100, count=200)
+    applied = _counting_products(monkeypatch)
+    for name in order:
+        before = len(applied)
+        assert _bits(calls[name](grid)) == fresh[name]
+        if name == "two_time" and first == "sigma_z":
+            assert len(applied) == before       # sigma_z's sequence reaches t = 6.5 > v = 2
+    h, _, _ = grid._sector
+    assert not h.moments[1].flags.writeable
+
+
+def test_interleaved_combs_never_see_each_others_moments():
+    # two combs in one process, each asked in turn for times longer and
+    # shorter than the last: every value is the fresh-comb value
+    combs = {(200, 100.0): build_grid(P100, count=200),
+             (400, 1e3): build_grid(DipoleParams.from_rates(1e3, 1.0), count=400)}
+    steps = [(key, call) for call in (
+        lambda g: oracle_sigma_z(np.array([0.5, 3.0]), g),
+        lambda g: oracle.two_time_route(1.0, 2.0, g),
+        lambda g: oracle_sigma_z(np.array([1.0, 6.5]), g),
+        lambda g: oracle_two_time(AtomCorrKind.PLUS_MINUS, 0.7, 0.2, g)) for key in combs]
+    for (count, ratio), call in steps:
+        fresh = build_grid(DipoleParams.from_rates(ratio, 1.0), count=count)
+        assert _bits(call(combs[count, ratio])) == _bits(call(fresh))
+        del fresh       # the next fresh comb, of the other count, may take its address
+    (h_a, _, _), (h_b, _, _) = (g._sector for g in combs.values())
+    assert h_a is not h_b and not np.shares_memory(h_a.moments[1], h_b.moments[1])
 
 
 def _traced_peak(fn):
@@ -719,6 +781,25 @@ def test_trapezoid_weights_keep_the_markov_report_bits(monkeypatch):
         assert [repr(v) for v in dataclasses.astuple(rep)] == [repr(v) for v in dataclasses.astuple(ref)]
 
 
+def test_markov_packets_share_one_frequency_kernel(monkeypatch):
+    # f is sampled at omega0, on the band once for both packets, on the half
+    # band for the mass guard (default band only) and for the width scan; each
+    # packet still runs through its own chirp-z transform
+    sigma = 25.0 / P100.omega0
+    cases = ((dict(t_r=1.5, t_a=4.5, params=P30, per_period=16), (4, 4)),
+             (dict(t_r=2.0 * sigma, t_a=22.0 * sigma, params=P100, sigma=sigma,
+                   band=(P100.omega0 - 25.0, P100.omega0 + 25.0)), (3, 3)))
+    chirp_z, transforms = oracle._chirp_z, []
+    monkeypatch.setattr(oracle, "_chirp_z", lambda *args: transforms.append(1) or chirp_z(*args))
+    for kw, (samplings, transformed) in cases:
+        sampled = []
+        transforms.clear()
+        rep = markov_kernel_check(lambda w: sampled.append(1) or np.ones_like(w), **kw)
+        assert (len(sampled), len(transforms)) == (samplings, transformed)
+        ref = markov_kernel_check(CONST, **kw)
+        assert [repr(v) for v in dataclasses.astuple(rep)] == [repr(v) for v in dataclasses.astuple(ref)]
+
+
 def test_markov_validation():
     with pytest.raises(ValueError, match="band"):
         markov_kernel_check(CONST, t_r=1.0, t_a=2.0, params=P30, band=(5.0, 3.0))
@@ -728,6 +809,21 @@ def test_markov_validation():
 
 def test_angular_reduction():
     assert angular_reduction_check() < 1e-10
+
+
+def test_oversized_angular_check_is_refused_before_any_draw(monkeypatch):
+    # 10^9 directions would be a 10^9-element list of draws; a rule of
+    # order 10^6 a 10^6 x 10^6 companion matrix
+    import numpy.polynomial.legendre as legendre
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("drew or built a rule before the budget check")
+
+    monkeypatch.setattr(oracle, "_uniform_stream", no_work)
+    monkeypatch.setattr(legendre, "leggauss", no_work)
+    for kw in (dict(n_dirs=10**9), dict(n_dirs=1, order=10**6), dict(z_values=(1.0,) * 500)):
+        with pytest.raises(ValueError, match=r"len\(z_values\) x n_dirs x 2 order\^2 = .* over the budget"):
+            angular_reduction_check(**kw)
 
 
 def test_angular_quadrature_matches_the_per_direction_loop():

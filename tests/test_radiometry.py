@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from advwave import radiometry
 from advwave.core import DipoleParams
 from advwave.fieldcoeffs import LevelScheme
 from advwave.radiometry import (
+    _sphere_nodes,
     intensity_trace_2lvl,
     pert_power_breakdown,
     power_curves_2lvl,
@@ -122,3 +124,18 @@ def test_sphere_integrate_validation():
         sphere_integrate(lambda n: 1.0, radius=1.0, order=1)
     with pytest.raises(ValueError, match="non-finite"):
         sphere_integrate(lambda n: np.inf, radius=1.0, order=4)
+
+
+def test_oversized_sphere_rule_is_refused_before_any_allocation(monkeypatch):
+    # leggauss(10^6) would form a 10^6 x 10^6 companion matrix
+    import numpy.polynomial.legendre as legendre
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("built a rule before the budget check")
+
+    monkeypatch.setattr(legendre, "leggauss", no_work)
+    smallest = int(np.sqrt(radiometry._NODE_BUDGET / 2)) + 1       # 2 order^2 just over the budget
+    for call in (lambda: _sphere_nodes(10**6), lambda: _sphere_nodes(smallest),
+                 lambda: sphere_integrate(lambda n: 1.0, radius=1.0, order=10**6)):
+        with pytest.raises(ValueError, match="order = .* nodes, over the budget"):
+            call()
