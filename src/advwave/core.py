@@ -18,6 +18,9 @@ here and used everywhere else:
 * a light-cone gate is a unit step with th(0) = 1: a term gated at ``gate``
   is on from t = gate inclusive and an exact zero before it (``_gated``);
 * rates, frequencies and radii are positive and finite (``_positive``);
+* a power of a non-time argument that the code forms (omega0^3, q^2, m^2,
+  a radius^2, z^3) stays in the float range, or ``_power`` raises
+  ``ValueError`` naming the argument;
 * a time whose fastest carrier phase 2 omega0 t reaches 2^53 rad raises
   ``ValueError`` naming it (``_check_carrier``): a time's rounding moves
   that phase by more than a radian there;
@@ -51,16 +54,22 @@ _SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into two 26-bit h
 _MAX_PHASE = 2.0**53
 
 
-def _cubed(x, name: str) -> float:
-    """x**3 as a float; ValueError naming ``name``, not OverflowError or 0, when it leaves the float range."""
-    x = float(_positive(x, name))
+def _power(x, k: int, name: str) -> float:
+    """x**k as a float; ValueError naming ``name``, not OverflowError or 0, when it
+    leaves the float range.  x = 0 gives 0."""
+    x = float(x)
     try:
-        cube = x**3
+        out = x**k
     except OverflowError:
-        raise ValueError(f"{name} = {x:.6g} is too large: {name}^3 overflows") from None
-    if cube == 0.0:
-        raise ValueError(f"{name} = {x:.6g} is too small: {name}^3 underflows")
-    return cube
+        raise ValueError(f"{name} = {x:.6g} is too large: {name}^{k} overflows") from None
+    if out == 0.0 and x != 0.0:
+        raise ValueError(f"{name} = {x:.6g} is too small: {name}^{k} underflows")
+    return out
+
+
+def _cubed(x, name: str) -> float:
+    """x**3 for a positive finite x, as `_power` gives it."""
+    return _power(_positive(x, name), 3, name)
 
 
 def _two_prod(a, b):

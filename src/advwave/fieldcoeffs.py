@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DipoleParams, FieldKind, _finite, _norm3, _vec3, _vecs3
+from .core import DipoleParams, FieldKind, _finite, _norm3, _power, _vec3, _vecs3
 
 __all__ = ["LevelScheme", "field_coeff", "tau_kernel"]
 
@@ -152,7 +152,7 @@ def tau_kernel(z: float, xhat) -> np.ndarray:
         h = -1.0 / 3.0 + z2 / 30.0 - z2 * z2 / 840.0 + z2 * z2 * z2 / 45360.0
     else:
         j0 = np.sin(z) / z
-        h = np.cos(z) / z**2 - np.sin(z) / z**3
+        h = np.cos(z) / z**2 - np.sin(z) / _power(z, 3, "z")
     eye = np.eye(3)
     proj = np.outer(n, n)
     return (eye - proj) * j0 + (eye - 3.0 * proj) * h

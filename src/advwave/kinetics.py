@@ -49,7 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomdyn import AtomCorrKind, _terms
-from .core import DipoleParams, FieldKind, _check_carrier, _finite, _gated, _like, _positive, _two_prod, _vec3
+from .core import (DipoleParams, FieldKind, _check_carrier, _finite, _gated, _like, _positive, _power,
+                   _two_prod, _vec3)
 from .fieldcoeffs import field_coeff
 
 __all__ = ["ChargeParams", "DiffusionCurve", "CycleAverage", "norm_constant", "momdiff_source",
@@ -72,8 +73,8 @@ class ChargeParams:
     r0: np.ndarray
 
     def __post_init__(self):
-        _finite(self.q, "q")
-        _positive(self.m, "m")
+        _power(_finite(self.q, "q"), 2, "q")    # q^2 and m^2 divide and scale every rate
+        _power(_positive(self.m, "m"), 2, "m")
         object.__setattr__(self, "r0", _vec3(self.r0, "r0"))
         if self.r0_abs == 0.0:
             raise ValueError("charge must sit away from the dipole position")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DipoleParams, FieldKind, _gated, _like, _positive
+from .core import DipoleParams, FieldKind, _gated, _like, _positive, _power
 from .fieldcoeffs import LevelScheme, field_coeff
 
 __all__ = [
@@ -91,17 +91,24 @@ def power_curves_2lvl(t_ret, params: DipoleParams) -> PowerBreakdown:
     vacsource = w0 g (exp(-g t) - 1/2), total = w0 g exp(-g t);
     all zero for t_ret < 0.
     """
+    return _power_curves(t_ret, params.omega0, params.gamma)
+
+
+def _power_curves(t_ret, omega0, gamma) -> PowerBreakdown:
+    """`power_curves_2lvl` for an ``omega0`` and ``gamma`` that may be arrays
+    broadcasting with ``t_ret``; each point goes through the scalar call's
+    IEEE operations, so it has that call's bits."""
     b, on = _gated(t_ret, 0.0)
     gate = on.astype(float)
-    wg = params.omega0 * params.gamma
-    decay = np.exp(-params.gamma * b) * gate
+    wg = omega0 * gamma
+    decay = np.exp(-gamma * b) * gate
     # Evaluate total as source + vacsource (and glauber as half of that) so
     # the bookkeeping identities hold exactly in floating point even where
     # the two contributions cancel to a tiny remainder (gamma*t >> 1).
     source = 0.5 * wg * gate
     vacsource = wg * (decay - 0.5 * gate)
     total = source + vacsource
-    return PowerBreakdown(*_like((0.5 * total, source, vacsource, total), b))
+    return PowerBreakdown(*_like((0.5 * total, source, vacsource, total), b, omega0, gamma))
 
 
 def intensity_trace_2lvl(t, x, params: DipoleParams, part: str = "rad"):
@@ -141,7 +148,7 @@ def sphere_integrate(f, radius: float, order: int) -> float:
     cos(theta) and bandwidth < 2*order in phi.  ``f`` maps a unit direction
     vector to a float.
     """
-    _positive(radius, "radius")
+    r2 = _power(_positive(radius, "radius"), 2, "radius")
     dirs, weights = _sphere_nodes(order)
     acc = 0.0
     for xhat, w in zip(dirs, weights):
@@ -149,4 +156,4 @@ def sphere_integrate(f, radius: float, order: int) -> float:
         if not np.isfinite(val):
             raise ValueError("integrand returned a non-finite value")
         acc += w * val
-    return radius**2 * acc
+    return r2 * acc

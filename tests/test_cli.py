@@ -256,6 +256,24 @@ def test_validate_reruns_after_another_comb_write_the_same_bytes(tmp_path, capsy
     assert texts[0] != texts[1]
 
 
+def test_validate_power_row_sees_the_kernel_it_checks(tmp_path, capsys, monkeypatch):
+    # a total off by 1e-9 of itself breaks both sum rules on every working point
+    from advwave import radiometry
+    from advwave.radiometry import PowerBreakdown
+
+    kernel = radiometry._power_curves
+
+    def off(t_ret, omega0, gamma):
+        pb = kernel(t_ret, omega0, gamma)
+        return PowerBreakdown(pb.glauber, pb.source, pb.vacsource, pb.total * (1.0 + 1e-9))
+
+    monkeypatch.setattr(radiometry, "_power_curves", off)
+    assert run_cli("validate", "--out", str(tmp_path)) == EXIT_VALIDATION
+    row = next(line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("power-sum-rules"))
+    assert row.endswith("FAIL") and 5e-10 < float(row.split()[2]) < 2e-9
+
+
 def test_validate_measures_the_markov_row_on_a_comb_under_one_period(tmp_path, capsys):
     # a band of one gamma puts the packet's t' step at 1.1 sigma: coarse, but
     # the row measures the mass rather than refusing the packet

@@ -12,7 +12,7 @@ from advwave.core import DipoleParams, Event, FieldKind, _two_prod, _uniform_str
 from advwave.correlations import corr_traces
 from advwave.fieldcoeffs import tau_kernel
 from advwave.kinetics import (ChargeParams, cycle_averaged, dispersion_change, momdiff_source,
-                              momdiff_vacsource, posdisp_change)
+                              momdiff_vacsource, norm_constant, posdisp_change)
 from advwave.oracle import (angular_reduction_check, build_grid, markov_kernel_check, oracle_sigma_z,
                             oracle_two_time, two_time_route)
 from advwave.photodetect import (DetectorConfig, detection_rate_C, detection_rate_G,
@@ -189,6 +189,17 @@ NON_TIME_ARGUMENTS = {
     "sphere_integrate(order=1e6)": ("order", lambda: sphere_integrate(lambda xhat: 1.0, 1.0, 10**6)),
     "posdisp_change(delta_p0=nan)": ("delta_p0", lambda: posdisp_change(1.0, P, CHARGE, delta_p0=np.nan)),
     "DipoleParams.from_rates(omega0=1e-109)": ("omega0", lambda: DipoleParams.from_rates(1e-109, 1e-111)),
+    # q^2, m^2, radius^2 and z^3 leave the float range: a ValueError, not an
+    # OverflowError, a division by zero or "undefined for q = 0"
+    "momdiff_source(q=1e200)": ("q", lambda: momdiff_source(1.0, P, ChargeParams(q=1e200, m=1.0, r0=X))),
+    "dispersion_change(q=1e200)": (
+        "q", lambda: dispersion_change([0.0, 1.0], P, ChargeParams(q=1e200, m=1.0, r0=X))),
+    "posdisp_change(q=1e200)": ("q", lambda: posdisp_change(1.0, P, ChargeParams(q=1e200, m=1.0, r0=X))),
+    "posdisp_change(m=1e200)": ("m", lambda: posdisp_change(1.0, P, ChargeParams(q=1.0, m=1e200, r0=X))),
+    "posdisp_change(m=1e-200)": ("m", lambda: posdisp_change(1.0, P, ChargeParams(q=1.0, m=1e-200, r0=X))),
+    "norm_constant(q=1e-200)": ("q = 1e-200", lambda: norm_constant(P, ChargeParams(q=1e-200, m=1.0, r0=X))),
+    "sphere_integrate(radius=1e200)": ("radius", lambda: sphere_integrate(lambda xhat: 1.0, 1e200, 4)),
+    "tau_kernel(z=1e103)": ("z", lambda: tau_kernel(1e103, (0.0, 0.0, 1.0))),
 }
 
 

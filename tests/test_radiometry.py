@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advwave import radiometry
-from advwave.core import DipoleParams
+from advwave.core import DipoleParams, _uniform_stream
 from advwave.fieldcoeffs import LevelScheme
 from advwave.radiometry import (
+    _power_curves,
     _sphere_nodes,
     intensity_trace_2lvl,
     pert_power_breakdown,
@@ -79,6 +80,33 @@ def test_curves_vectorized():
     assert b.total.shape == (4,)
     assert b.total[0] == 0.0
     assert np.allclose(b.total[1:], P.omega0 * P.gamma * np.exp(-P.gamma * ts[1:]), rtol=1e-12)
+
+
+def test_array_call_has_the_bits_of_the_scalar_calls_on_validates_points():
+    # validate's power-sum-rules row evaluates its 100 working points, the
+    # first draw of its stream, in one call with arrays of omega0
+    ratio, t = _uniform_stream(20260814)(0.0, 1.0, 100, 2).T
+    whole = _power_curves(10.0 * t, 10.0 + 990.0 * ratio, 1.0)
+    fields = ("glauber", "source", "vacsource", "total")
+    for i in range(t.size):
+        one = power_curves_2lvl(10.0 * t[i], DipoleParams.from_rates(10.0 + 990.0 * ratio[i], 1.0))
+        for name in fields:
+            assert np.float64(getattr(whole, name)[i]).tobytes() == np.float64(getattr(one, name)).tobytes()
+    assert all(getattr(whole, name).shape == (100,) for name in fields)
+
+
+def test_curves_keep_the_scalar_and_shape_contract():
+    fields = ("glauber", "source", "vacsource", "total")
+    for t in (1.3, np.float64(1.3), np.array(1.3), 0, -2):
+        b = power_curves_2lvl(t, P)
+        assert all(type(getattr(b, name)) is float for name in fields)
+    ts = np.array([[-1e-300, -0.0], [0.0, 3.0]])
+    b = power_curves_2lvl(ts, P)
+    for name in fields:
+        col = getattr(b, name)
+        assert col.shape == (2, 2)
+        assert col[0, 0] == 0.0 and not np.signbit(col[0, 0])     # exact zeros before t = 0
+        assert col[0, 1] == col[1, 0] != 0.0                          # -0.0 is t = 0: the gate is on
 
 
 def test_vacsource_curve_goes_negative():
