@@ -457,18 +457,8 @@ def _run_checks(cfg: RunConfig, p, grid, span: float, full: bool):
         return err, f"count={grid.count} span={span:g}, grid t in [0.5, 6.5]/gamma"
 
     def markov_mass():
-        # resonance-kernel mass carried by the comb bandwidth; the packet width
-        # is the time scale the oracle resolves, so its band fits inside any
-        # comb wide enough for the dynamics, at any omega0
-        w0 = p.omega0
-        sigma = 0.25 / p.gamma
-        rep = markov_kernel_check(lambda w: np.ones_like(w), t_r=2.0 * sigma,
-                                  t_a=22.0 * sigma, params=p, sigma=sigma,
-                                  band=(w0 - span / 2.0, w0 + span / 2.0))
-        return rep.mass_rel_err, f"band=omega0+-{span / 2.0:g}*gamma"
-
-    def angular_reduction():
-        return angular_reduction_check(z_values=(5.0,), n_dirs=2, order=24), ""
+        # resonance-kernel mass carried by the comb bandwidth
+        return markov_kernel_check(p, span).mass_rel_err, f"band=omega0+-{span / 2.0:g}*gamma"
 
     def oracle_minus_plus():
         # two-excitation oracle for the anti-normal correlator: the hard-core
@@ -487,7 +477,7 @@ def _run_checks(cfg: RunConfig, p, grid, span: float, full: bool):
         ("commutator-diagonal", 1e-12, commutator_diagonal),
         ("oracle-sigma-z", 0.03, oracle_population),
         ("markov-mass", 0.01, markov_mass),
-        ("angular-reduction", 1e-10, angular_reduction),
+        ("angular-reduction", 1e-10, lambda: (angular_reduction_check(), "")),
     ]
     if full:
         checks.append(("oracle-minus-plus", 0.05, oracle_minus_plus))

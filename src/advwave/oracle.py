@@ -28,9 +28,10 @@ Three independent machines live here:
   with beta = sqrt2 x0 <w'|x>.
 
 * A windowed frequency-integral check of the resonance (delta-kernel)
-  collapse used for mode sums (``markov_kernel_check``).  Both grids are
-  uniform, so its exp(i w t) sums are Bluestein chirp-z transforms (Rabiner,
-  Schafer & Rader 1969), not dense matrix products.
+  collapse used for mode sums (``markov_kernel_check``), over the band of
+  validate's comb in the frame rotating at omega0.  Both grids are uniform,
+  so its exp(i d t) sums are Bluestein chirp-z transforms (Rabiner, Schafer
+  & Rader 1969), not dense matrix products.
 
 * A quadrature check of the transverse angular reduction
   (1/4 pi) Int dOmega_k (delta_ij - k_i k_j) e^{i z k.xhat} = tau_ij(z).
@@ -108,7 +109,7 @@ class ModeGrid:
         return h, 0.5 * (hi + lo), 0.5 * (hi - lo) or 1.0     # any width serves H = center
 
 
-def build_grid(params: DipoleParams, count: int = 400, span_gammas: float = 50.0) -> ModeGrid:
+def build_grid(params: DipoleParams, count: int, span_gammas: float) -> ModeGrid:
     """Build the mode comb: ``count`` modes spanning ``span_gammas * gamma``.
 
     The comb is symmetric about omega0 (mode k at omega0 + (k - (count-1)/2) dw,
@@ -122,13 +123,19 @@ def build_grid(params: DipoleParams, count: int = 400, span_gammas: float = 50.0
     if count + 1 > _SECTOR_DIM_BUDGET:
         raise ValueError(f"count must be <= {_SECTOR_DIM_BUDGET - 1:,} to fit the sector "
                          f"budget, got {count:,}")
-    span = _positive(span_gammas * params.gamma, "span")
-    if params.omega0 <= span / 2.0:
-        raise ValueError("comb would cross zero frequency: need omega0 > span/2")
+    span = _span(params, span_gammas)
     dw = span / count
     omegas = params.omega0 + (np.arange(count) - (count - 1) / 2.0) * dw
     couplings = np.full(count, np.sqrt(params.gamma * dw / (2.0 * np.pi)))
     return ModeGrid(omegas=omegas, couplings=couplings, omega0=params.omega0)
+
+
+def _span(params: DipoleParams, span_gammas: float) -> float:
+    """span_gammas * gamma, refused unless positive, finite and below 2 omega0."""
+    span = _positive(span_gammas * params.gamma, "span")
+    if params.omega0 <= span / 2.0:
+        raise ValueError("comb would cross zero frequency: need omega0 > span/2")
+    return span
 
 
 class _OneSector:
@@ -391,13 +398,6 @@ def oracle_two_time(kind, u: float, v: float, grid: ModeGrid) -> complex:
     return minus_plus if kind is AtomCorrKind.MINUS_PLUS else minus_plus - plus_minus_rev
 
 
-def _window_weight(t_peak: float, window: tuple[float, float], tol: float) -> float:
-    a, b = window
-    if abs(t_peak - a) <= tol or abs(t_peak - b) <= tol:
-        return 0.5
-    return 1.0 if a < t_peak < b else 0.0
-
-
 def _chirp_z(x: np.ndarray, x0: float, dx: float, y0: float, dy: float, m: int) -> np.ndarray:
     """Sum_k x_k exp(i (y0 + j dy)(x0 + k dx)) for j = 0 .. m-1, in O((n + m) log(n + m)).
 
@@ -420,13 +420,10 @@ def _chirp_z(x: np.ndarray, x0: float, dx: float, y0: float, dy: float, m: int) 
 class MarkovKernelReport:
     """Resonance-kernel check: exact windowed action vs the delta collapse.
 
-    ``action_*`` are the complex actions on the packet at each peak,
-    ``rel_err_*`` their distances from the collapse over |2 pi f(omega0)|,
-    ``weight_*`` the endpoint weights (1, 1/2 or 0 for a peak inside, on the
-    edge of or outside the window; at the edge the half weight holds for
-    Re[e^{i omega0 t_peak} action] only).  ``mass_rel_err`` compares the
-    demodulated kernel weight at the retarded peak with 2 pi f(omega0) (NaN
-    for a cut or overlapping packet); ``width`` is the FWHM of |K| there.
+    ``action_*`` are the actions on the packet at each peak, demodulated at
+    its centre, ``rel_err_*`` their distances from the collapse over 2 pi.
+    ``mass_rel_err`` compares the kernel weight at the retarded peak with
+    2 pi; ``width`` is the FWHM of |K| there.
     """
 
     rel_err_retarded: float
@@ -435,106 +432,74 @@ class MarkovKernelReport:
     action_advanced: complex
     mass_rel_err: float
     width: float
-    weight_retarded: float
-    weight_advanced: float
 
     @property
     def max_rel_err(self) -> float:
         return max(self.rel_err_retarded, self.rel_err_advanced)
 
 
-def markov_kernel_check(freq_fn, t_r: float, t_a: float, params: DipoleParams,
-                        band: tuple[float, float] | None = None,
-                        window: tuple[float, float] | None = None,
-                        sigma: float | None = None, per_period: int = 40) -> MarkovKernelReport:
-    """Check the delta collapse of Int f(w) e^{i w t'} (e^{-i w t_r} + e^{-i w t_a}) dw.
+def markov_kernel_check(params: DipoleParams, span_gammas: float) -> MarkovKernelReport:
+    """Check the delta collapse of Int e^{i w t'} (e^{-i w t_r} + e^{-i w t_a}) dw, w in the band.
 
-    The exact windowed action on resonant wavepackets
-    g_c(t') = exp(-(t'-c)^2 / 2 sigma^2) e^{-i w0 t'} (c = t_r, t_a; sigma
-    defaults to 10/w0; the carrier is pinned at w0, since off resonance they
-    would probe the positive-frequency cut) is compared against
-    2 pi f(w0) [w_r g_c(t_r) + w_a g_c(t_a)].  The frequency integral runs over
-    ``band``, by default (0, 10 w0), where a band-halving guard raises if the
-    mass has not converged; a comb's band shows whether it carries the mass.
-    A sigma whose 2 sigma^2 is not a normal float, or an f(w0) that is zero
-    or not finite, raises ``ValueError`` before any transform.  Both packets
-    share one frequency kernel.
+    The band is omega0 +- span/2 (span = span_gammas * gamma), as for ``build_grid``.
+    The packets g_c(t') = exp(-(t'-c)^2 / 2 sigma^2) e^{-i w0 t'} (c = t_r, t_a;
+    the carrier is pinned at w0, since off resonance they would probe the
+    positive-frequency cut) on the window (t_r - 12 sigma, t_a + 12 sigma) are
+    compared against 2 pi [g_c(t_r) + g_c(t_a)].  The packet width sigma =
+    0.25/gamma is the time scale the oracle resolves, so its band fits inside
+    any comb wide enough for the dynamics, at any omega0; t_r = 2 sigma and
+    t_a = 22 sigma.  In the frame rotating at w0 (w = w0 + d), with each packet
+    demodulated at its centre, every sampled phase is a detuning times a
+    time; the one absolute phase left is the carrier e^{-i w0 (t_a - t_r)} on
+    the other peak's part of the kernel.  A span that is not positive and
+    finite or reaches zero frequency, or a gamma whose 2 sigma^2 is not a
+    normal float, raises ``ValueError`` before any transform.
     """
-    _finite((t_r, t_a), "t_r and t_a")
-    _positive(per_period, "per_period")
-    w0 = params.omega0
-    sigma = 10.0 / w0 if sigma is None else _positive(sigma, "sigma")
-    if 2.0 * sigma**2 < np.finfo(float).tiny:     # it divides the packet's exponent
-        raise ValueError(f"sigma = {sigma:.6g}: 2 sigma^2 is not a normal float")
-    if window is None:
-        window = (min(t_r, t_a) - 12.0 * sigma, max(t_r, t_a) + 12.0 * sigma)
-    a, b = _finite(window, "window").tolist()
-    if b <= a:
-        raise ValueError("empty window")
-    tol = 1e-9 * max(1.0, abs(a), abs(b))
-    w_r, w_a = (_window_weight(t, (a, b), tol) for t in (t_r, t_a))
-
-    w_lo, w_hi = (0.0, 10.0 * w0) if band is None else _finite(band, "band").tolist()
-    if not 0.0 <= w_lo < w_hi:
-        raise ValueError("band must satisfy 0 <= lo < hi")
-    # worst-case oscillation rates: in t' the carrier-detuned phase, in omega
-    # the distance from a window point to the farther kernel peak
-    rel_scale = ((b - a) + 12.0 * sigma + max(0.0, a - min(t_r, t_a))
-                 + max(0.0, max(t_r, t_a) - b))
-    n_t = n_for_oscillation(max(w_hi - w0, w0 - w_lo), a, b, per_period)
-    delta_ref = 2.0 * np.pi * complex(np.asarray(freq_fn(np.array([w0])))[0])
-    if delta_ref == 0.0 or not np.isfinite(delta_ref):
-        raise ValueError(f"freq_fn(omega0) = {delta_ref / (2.0 * np.pi):.6g}: the collapse "
-                         "2 pi f(omega0) must be nonzero and finite")
-    tp = np.linspace(a, b, n_t + 1)
+    half = _span(params, span_gammas) / 2.0
+    sigma = 0.25 / params.gamma
+    if not np.finfo(float).tiny <= 2.0 * sigma * sigma < math.inf:
+        raise ValueError(f"gamma = {params.gamma:.6g}: the packet's 2 sigma^2 is not a "
+                         "normal float")
+    t_r, t_a = 2.0 * sigma, 22.0 * sigma
+    a, b = t_r - 12.0 * sigma, t_a + 12.0 * sigma
+    n_t = n_for_oscillation(half, a, b, 40)      # 40 points per period, here and in d
     wt = trapezoid_weights(a, b, n_t)
+    carrier = np.exp(-1j * params.omega0 * (t_a - t_r))
+    # the distance from a window point to the farther peak, with a margin
+    reach = (b - a) + 12.0 * sigma
 
-    def weighted_kernel(top: float, scale: float):
-        """(dw, trapezoid weight x f(w) (e^{-i w t_r} + e^{-i w t_a})) on [w_lo, top]."""
-        n_w = n_for_oscillation(scale, w_lo, top, per_period)
-        ws = np.linspace(w_lo, top, n_w + 1)
-        kernel = np.asarray(freq_fn(ws), dtype=complex) * (
-            np.exp(-1j * ws * t_r) + np.exp(-1j * ws * t_a))
-        return (top - w_lo) / n_w, trapezoid_weights(w_lo, top, n_w) * kernel
+    def weighted_kernel(scale: float):
+        """(dd, trapezoid weight x (1 + carrier e^{-i d (t_a - t_r)})): the kernel at the
+        retarded packet over the band; the advanced packet's is its conjugate."""
+        n_w = n_for_oscillation(scale, -half, half, 40)
+        ds = np.linspace(-half, half, n_w + 1)
+        return 2.0 * half / n_w, trapezoid_weights(-half, half, n_w) * (
+            1.0 + carrier * np.exp(-1j * (t_a - t_r) * ds))
 
-    def g_val(tprime: float, center: float) -> complex:
-        return np.exp(-((tprime - center) ** 2) / (2.0 * sigma**2)) * np.exp(-1j * w0 * tprime)
-
-    def action(dw: float, kw: np.ndarray, center: float) -> complex:
-        ghat = _chirp_z(wt * g_val(tp, center), a, (b - a) / n_t, w_lo, dw, kw.size)
-        return complex(np.sum(kw * ghat))
-
-    dw, kw = weighted_kernel(w_hi, rel_scale)        # one kernel for both packets
-    act_r, act_a = action(dw, kw, t_r), action(dw, kw, t_a)
-    err_r, err_a = (abs(act - delta_ref * (w_r * g_val(t_r, c) + w_a * g_val(t_a, c)))
-                    / abs(delta_ref) for c, act in ((t_r, act_r), (t_a, act_a)))
-
-    # demodulated mass at the retarded peak; meaningful when the packet
-    # carries full window weight and the peaks are well separated (an edge
-    # packet is truncated, so its spectrum has slow tails and no clean mass)
-    mass_rel_err = float("nan")
-    if w_r == 1.0 and abs(t_a - t_r) > 8.0 * sigma:
-        mass = act_r / g_val(t_r, t_r)
-        mass_rel_err = abs(mass - delta_ref) / abs(delta_ref)
-        if band is None and (abs(mass - action(*weighted_kernel(w_hi / 2.0, rel_scale), t_r)
-                                 / g_val(t_r, t_r)) > 0.02 * abs(delta_ref)):
-            raise RuntimeError("kernel mass not converged in the band; pass a wider band")
+    dd, kw = weighted_kernel(reach)
+    ref = 2.0 * np.pi * (1.0 + carrier * math.exp(-0.5 * ((t_a - t_r) / sigma) ** 2))
+    acts, errs = [], []
+    for center, k, r in ((t_r, kw, ref), (t_a, kw.conj(), ref.conj())):
+        s = (np.linspace(a, b, n_t + 1) - center) / sigma
+        ghat = _chirp_z(wt * np.exp(-0.5 * s * s), a - center, (b - a) / n_t,
+                        -half, dd, kw.size)
+        acts.append(complex(np.sum(k * ghat)))
+        errs.append(abs(acts[-1] - r) / (2.0 * np.pi))
+    mass_rel_err = abs(acts[0] - 2.0 * np.pi) / (2.0 * np.pi)
 
     # FWHM of |K| at the retarded peak: the run of samples >= half the maximum
-    half_span = 10.0 * np.pi / (w_hi - w_lo)
-    td = np.linspace(t_r - half_span, t_r + half_span, 801)
-    dw, kw = weighted_kernel(w_hi, rel_scale + half_span)
-    mag = np.abs(_chirp_z(kw, w_lo, dw, td[0], 2.0 * half_span / (td.size - 1), td.size))
+    half_span = 5.0 * np.pi / half
+    td = np.linspace(-half_span, half_span, 801)
+    dd, kw = weighted_kernel(reach + half_span)
+    mag = np.abs(_chirp_z(kw, -half, dd, td[0], 2.0 * half_span / (td.size - 1), td.size))
     peak = int(np.argmax(mag))
     below = np.flatnonzero(np.r_[True, mag < mag[peak] / 2.0, True])  # index j: sample j - 1
     i = int(np.searchsorted(below, peak + 1))
     width = float(td[below[i] - 2] - td[below[i - 1]])
 
     return MarkovKernelReport(
-        rel_err_retarded=err_r, rel_err_advanced=err_a,
-        action_retarded=act_r, action_advanced=act_a, mass_rel_err=float(mass_rel_err),
-        width=width, weight_retarded=w_r, weight_advanced=w_a,
-    )
+        rel_err_retarded=errs[0], rel_err_advanced=errs[1], action_retarded=acts[0],
+        action_advanced=acts[1], mass_rel_err=mass_rel_err, width=width)
 
 
 def _transverse_quadrature(xhats: np.ndarray, z_values, order: int) -> np.ndarray:
@@ -548,28 +513,20 @@ def _transverse_quadrature(xhats: np.ndarray, z_values, order: int) -> np.ndarra
     return np.einsum("zdm,mij->zdij", phase, proj) / (4.0 * np.pi)
 
 
-def angular_reduction_check(z_values=(5.0, 1e-3), n_dirs: int = 3, order: int = 24,
-                            seed: int = 0) -> float:
+def angular_reduction_check() -> float:
     """Max abs error of the quadrature'd transverse angular integral vs tau_ij.
 
-    For ``n_dirs`` directions xhat, uniform on the sphere (all cos(theta), then
-    all phi, from ``core._uniform_stream(seed)``), and each z, compares
-    ``_transverse_quadrature`` with tau_kernel(z, xhat) component by component.
-    len(z_values) n_dirs 2 order^2 terms must fit ``radiometry._NODE_BUDGET``;
-    more raise before any direction is drawn.
+    For two directions xhat, uniform on the sphere (both cos(theta), then both
+    phi, from ``core._uniform_stream(0)``), and z = 5, compares
+    ``_transverse_quadrature`` of order 24 with tau_kernel(z, xhat) component
+    by component.
     """
     from .fieldcoeffs import tau_kernel
-    from .radiometry import _NODE_BUDGET
 
-    _positive(n_dirs, "n_dirs")
-    terms = len(z_values) * n_dirs * 2 * order**2
-    if terms > _NODE_BUDGET:
-        raise ValueError(f"len(z_values) x n_dirs x 2 order^2 = {terms:,} quadrature terms, over "
-                         f"the budget of {_NODE_BUDGET:,}: use fewer n_dirs or a lower order")
-    draw = _uniform_stream(seed)
-    cos_t, phi = draw(-1.0, 1.0, n_dirs), draw(0.0, 2.0 * np.pi, n_dirs)
+    draw = _uniform_stream(0)
+    cos_t, phi = draw(-1.0, 1.0, 2), draw(0.0, 2.0 * np.pi, 2)
     sin_t = np.sqrt(1.0 - cos_t**2)
     xhats = np.stack((sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t), axis=1)
-    num = _transverse_quadrature(xhats, z_values, order)
-    ref = np.array([[tau_kernel(z, xhat) for xhat in xhats] for z in z_values])
-    return float(np.max(np.abs(num - ref.reshape(num.shape)), initial=0.0))
+    num = _transverse_quadrature(xhats, (5.0,), 24)
+    ref = np.array([tau_kernel(5.0, xhat) for xhat in xhats])
+    return float(np.max(np.abs(num[0] - ref)))

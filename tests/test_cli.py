@@ -287,6 +287,9 @@ def test_validate_passes_at_an_optical_ratio(tmp_path, capsys):
     argv = ("validate", "--full", "--count", "200", "--omega0-ratio", "1e8")
     assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_OK
     assert "all 9 checks passed" in capsys.readouterr().out
+    # the Markov row runs in the frame rotating at omega0, so no phase grows with it
+    assert run_cli(*argv[:-1], "1e14", "--out", str(tmp_path)) == EXIT_OK
+    assert "all 9 checks passed" in capsys.readouterr().out
     # a comb too narrow for the dynamics still fails the kernel-mass row
     assert run_cli(*argv, "--span", "10", "--out", str(tmp_path)) == EXIT_VALIDATION
     row = next(line for line in capsys.readouterr().out.splitlines()

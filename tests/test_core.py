@@ -13,8 +13,8 @@ from advwave.correlations import corr_traces
 from advwave.fieldcoeffs import tau_kernel
 from advwave.kinetics import (ChargeParams, cycle_averaged, dispersion_change, momdiff_source,
                               momdiff_vacsource, norm_constant, posdisp_change)
-from advwave.oracle import (angular_reduction_check, build_grid, markov_kernel_check, oracle_sigma_z,
-                            oracle_two_time, two_time_route)
+from advwave.oracle import (build_grid, markov_kernel_check, oracle_sigma_z, oracle_two_time,
+                            two_time_route)
 from advwave.photodetect import (DetectorConfig, detection_rate_C, detection_rate_G,
                                  suppression_report)
 from advwave.radiometry import intensity_trace_2lvl, power_curves_2lvl, sphere_integrate
@@ -147,7 +147,6 @@ OTHER_TIME_TAKERS = {
     "oracle_two_time(u)": lambda t: oracle_two_time("plus_minus", t, 2.0, ORACLE_GRID),
     "oracle_two_time(v)": lambda t: oracle_two_time("minus_plus", 0.5, t, ORACLE_GRID),
     "two_time_route(u)": lambda t: two_time_route(t, 2.0, ORACLE_GRID),
-    "markov_kernel_check": lambda t: markov_kernel_check(np.ones_like, t, 2.0, P, band=(25.0, 35.0)),
     "dispersion_change": lambda t: dispersion_change(np.array([0.0, t]), P, CHARGE),
     "cycle_averaged": lambda t: cycle_averaged(np.array([0.5, t]), P, CHARGE),
     "suppression_report": lambda t: suppression_report(DETECTOR, [0.5, t]),
@@ -157,35 +156,23 @@ OTHER_TIME_TAKERS = {
 }
 
 
-# Arguments that are not times keep the contract too: a width, window, band
-# or momentum dispersion must be finite (a width and a count positive), and
-# omega0^3 must be a normal double.  Each entry names the argument its
+# Arguments that are not times keep the contract too: a width, span, window
+# or momentum dispersion must be finite (a width, span and count positive),
+# and omega0^3 must be a normal double.  Each entry names the argument its
 # ValueError must name.
-BAND = (25.0, 35.0)
 NON_TIME_ARGUMENTS = {
-    "markov_kernel_check(sigma=0)": (
-        "sigma", lambda: markov_kernel_check(np.ones_like, 1.0, 2.0, P, band=BAND, sigma=0.0)),
-    "markov_kernel_check(sigma=nan)": (
-        "sigma", lambda: markov_kernel_check(np.ones_like, 1.0, 2.0, P, band=BAND, sigma=np.nan)),
-    "markov_kernel_check(window=nan)": (
-        "window", lambda: markov_kernel_check(np.ones_like, 1.0, 2.0, P, band=BAND, window=(0.0, np.nan))),
-    "markov_kernel_check(band=inf)": (
-        "band", lambda: markov_kernel_check(np.ones_like, 1.0, 2.0, P, band=(25.0, np.inf))),
-    "markov_kernel_check(per_period=0)": (
-        "per_period", lambda: markov_kernel_check(np.ones_like, 1.0, 2.0, P, band=BAND, per_period=0)),
-    # 2 sigma^2 underflows to 0, or is subnormal and its quotients overflow
-    "markov_kernel_check(sigma=1e-300)": (
-        "sigma", lambda: markov_kernel_check(np.ones_like, 1.0, 2.0, P, band=BAND, sigma=1e-300)),
-    "markov_kernel_check(sigma=1e-160)": (
-        "sigma", lambda: markov_kernel_check(np.ones_like, 1.0, 2.0, P, band=BAND, sigma=1e-160)),
-    # the collapse 2 pi f(omega0) divides every relative error
-    "markov_kernel_check(freq_fn(omega0)=0)": (
-        "freq_fn", lambda: markov_kernel_check(lambda w: w - P.omega0, 1.0, 2.0, P, band=BAND)),
-    "markov_kernel_check(freq_fn(omega0)=nan)": (
-        "freq_fn", lambda: markov_kernel_check(lambda w: np.full_like(w, np.nan), 1.0, 2.0, P,
-                                               band=BAND)),
-    "angular_reduction_check(n_dirs=0)": ("n_dirs", lambda: angular_reduction_check(n_dirs=0)),
-    "angular_reduction_check(n_dirs=1e9)": ("n_dirs", lambda: angular_reduction_check(n_dirs=10**9)),
+    "markov_kernel_check(span=nan)": ("span", lambda: markov_kernel_check(P, np.nan)),
+    "markov_kernel_check(span=inf)": ("span", lambda: markov_kernel_check(P, np.inf)),
+    "markov_kernel_check(span=0)": ("span", lambda: markov_kernel_check(P, 0.0)),
+    "markov_kernel_check(span=-50)": ("span", lambda: markov_kernel_check(P, -50.0)),
+    # the band omega0 +- span/2 would reach zero frequency
+    "markov_kernel_check(span=2 omega0)": (
+        "span", lambda: markov_kernel_check(P, 2.0 * P.omega0 / P.gamma)),
+    # the packet's 2 sigma^2 = 0.125 / gamma^2 overflows, or underflows below a normal float
+    "markov_kernel_check(gamma=1e-160)": (
+        "gamma", lambda: markov_kernel_check(DipoleParams(1.0, 1e-160, (0.0, 0.0, 1.0)), 50.0)),
+    "markov_kernel_check(gamma=1e160)": (
+        "gamma", lambda: markov_kernel_check(DipoleParams(1e163, 1e160, (0.0, 0.0, 1.0)), 50.0)),
     "sphere_integrate(order=1e6)": ("order", lambda: sphere_integrate(lambda xhat: 1.0, 1.0, 10**6)),
     "posdisp_change(delta_p0=nan)": ("delta_p0", lambda: posdisp_change(1.0, P, CHARGE, delta_p0=np.nan)),
     "DipoleParams.from_rates(omega0=1e-109)": ("omega0", lambda: DipoleParams.from_rates(1e-109, 1e-111)),
