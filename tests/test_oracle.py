@@ -30,7 +30,6 @@ from advwave.core import DipoleParams
 from advwave.oracle import (
     ModeGrid,
     _chirp_z,
-    _OneSector,
     angular_reduction_check,
     build_grid,
     markov_kernel_check,
@@ -47,11 +46,12 @@ P100 = DipoleParams.from_rates(omega0=100.0, gamma=1.0)
 
 def test_build_grid_spacing_and_couplings():
     g = build_grid(P30, count=400, span_gammas=50.0)
+    dw = g.omegas[1] - g.omegas[0]
     assert g.count == 400
-    assert g.spacing == 0.125           # 50 gamma / 400 modes
-    assert g.span == 50.0
+    assert dw == 0.125                  # 50 gamma / 400 modes
+    assert g.omegas[-1] - g.omegas[0] + dw == 50.0
     # flat density: g_k^2 / dw = gamma / 2 pi for every mode
-    assert np.max(np.abs(g.couplings**2 / g.spacing - P30.gamma / (2.0 * np.pi))) < 1e-15
+    assert np.max(np.abs(g.couplings**2 / dw - P30.gamma / (2.0 * np.pi))) < 1e-15
     assert np.allclose(g.detunings, g.omegas - P30.omega0)
     assert abs(g.detunings[0] + g.detunings[-1]) < 1e-12  # symmetric comb
 
@@ -85,7 +85,7 @@ def test_mode_grid_validation():
     with pytest.raises(ValueError):
         ModeGrid(omegas=np.array([1.0, 2.0]), couplings=np.array([0.1]), omega0=1.0)
     single = ModeGrid(omegas=np.array([5.0]), couplings=np.array([0.1]), omega0=5.0)
-    assert single.spacing == 0.0
+    assert single.count == 1
 
 
 def _no_fft(*args, **kwargs):
@@ -120,10 +120,10 @@ def test_non_finite_spectral_interval_is_refused_before_any_series(monkeypatch):
     uncoupled = dataclasses.replace(grid, couplings=np.zeros(2))
     with pytest.raises(ValueError, match="spectral interval"):
         oracle_sigma_z([1.0], uncoupled)
-    sector = _OneSector(build_grid(P30, count=20, span_gammas=8.0))
-    sector.coupling_norm = np.inf
-    with pytest.raises(ValueError, match="spectral interval"):
-        oracle._spectral_interval(sector)
+    # finite couplings whose norm overflows (numpy's overflow warning aside)
+    loud = ModeGrid(omegas=np.array([29.0, 31.0]), couplings=np.array([1e200, 1e200]), omega0=30.0)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="spectral interval"):
+        oracle_sigma_z([1.0], loud)
 
 
 # --- sector Hamiltonians ----------------------------------------------------
@@ -198,15 +198,20 @@ SINGLE_MODE = ModeGrid(omegas=np.array([30.0]), couplings=np.array([0.2]), omega
     _cubic_grid(count=10, span_gammas=8.0),
     SINGLE_MODE,
 ], ids=["flat", "cubic", "single-mode"])
-def test_matrix_free_product_matches_the_assembled_matrix(grid):
-    rng = np.random.default_rng(grid.count)
-    op, h = _OneSector(grid), _sparse_h_one(grid)
-    vec = rng.normal(size=(h.shape[0], 2)) @ np.array([1.0, 1j])
-    ref = h @ vec
-    out = np.empty_like(vec)
-    op.scaled(1.0, 0.0)(vec, out)
-    assert op.size == vec.size
-    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+def test_matrix_free_moments_match_the_assembled_matrix(grid):
+    # e . T_m(X) e by the three-term recurrence on X = (H - center) / half, H
+    # the assembled matrix, one moment per product
+    center, half = grid._interval
+    mu, width = oracle._moments(grid, 5.0)
+    x = (_sparse_h_one(grid) - center * sp.eye(grid.count + 1)) / half
+    prev, cur = np.zeros(grid.count + 1), x[:, [0]].toarray().ravel()
+    prev[0] = 1.0
+    ref = [1.0, cur[0]]
+    while len(ref) < 2 * width:
+        prev, cur = cur, 2.0 * (x @ cur) - prev
+        ref.append(cur[0])
+    assert mu.size == 2 * width
+    assert np.max(np.abs(mu - np.array(ref))) <= 1e-13
 
 
 # --- propagation -------------------------------------------------------------
@@ -294,8 +299,8 @@ def test_propagate_composes():
     # matrix (mu_{l+k} + mu_{|l-k|}) / 2 of the moments: two steps give the
     # amplitude at s + t
     grid = build_grid(P30, count=200, span_gammas=25.0)
-    h, center, half = grid._sector
-    mu, _ = oracle._moments(h, center, half, 2.0)
+    center, half = grid._interval
+    mu, _ = oracle._moments(grid, 2.0)
     c_s, c_t = (oracle._chebyshev_coeffs(t * half) for t in (0.5, 1.5))
     two_steps = np.exp(-2j * center) * (c_s @ oracle._gram(mu, 0, c_s.size, c_t.size) @ c_t)
     (one_step,) = oracle._excited_amplitude([2.0], grid)
@@ -314,8 +319,7 @@ def test_propagate_unitarity_guard(monkeypatch):
 def test_unitarity_guard_holds_at_every_output_time(monkeypatch):
     # only the series of tau = 1 drifts; the times around it stay unitary
     grid = build_grid(P30, count=200, span_gammas=25.0)
-    lo, hi = oracle._spectral_interval(_OneSector(grid))
-    half = 0.5 * (hi - lo)
+    _, half = grid._interval
     coeffs = oracle._chebyshev_coeffs
     monkeypatch.setattr(oracle, "_chebyshev_coeffs", lambda a: coeffs(a) * (
         1.0 + 1e-6 * np.isclose(a, half, rtol=1e-12, atol=0.0)))
@@ -343,8 +347,8 @@ def test_one_recurrence_matches_stepwise_propagation(which, count):
     # at <e,0|U(t)|w>: the y0(t) of the two-time identity, whose moment row
     # is G c(0.7) - a(0.7) mu
     grid = build_grid(P30, count=count, span_gammas=50.0)
-    h, center, half = grid._sector
-    mu, width = oracle._moments(h, center, half, 2.5)
+    center, half = grid._interval
+    mu, width = oracle._moments(grid, 2.5)
     start = np.eye(grid.count + 1, dtype=complex)[0]
     row, phase = mu[:width], 0.0
     if which == 2:
@@ -367,43 +371,33 @@ def test_one_recurrence_matches_stepwise_propagation(which, count):
     assert got[1] == row[0]     # tau = 0 is exact
 
 
+def _counting_products(monkeypatch):
+    """A list that gains one entry per product of H, from now on.
+
+    Each recurrence ``_moments`` runs leaves a new sequence on the comb, two
+    moments per product; a request served from the comb's sequence adds none.
+    """
+    applied = []
+    moments = oracle._moments
+
+    def counting(grid, t):
+        before = grid._mu
+        out = moments(grid, t)
+        if grid._mu is not before:
+            applied.extend([1] * (grid._mu.size // 2))
+        return out
+
+    monkeypatch.setattr(oracle, "_moments", counting)
+    return applied
+
+
 def test_sigma_z_grid_runs_one_recurrence(monkeypatch):
     # validate's grid, 13 times to 6.5/gamma at count 400, span 50: one
     # one-time call per step applied H 520 times, the one moment recurrence 235
-    applied = []
-    scaled = _OneSector.scaled
-
-    def counting(self, scale, shift):
-        apply = scaled(self, scale, shift)
-
-        def counted(x, out):
-            applied.append(1)
-            apply(x, out)
-
-        return counted
-
-    monkeypatch.setattr(_OneSector, "scaled", counting)
+    applied = _counting_products(monkeypatch)
     grid = build_grid(P100, count=400, span_gammas=50.0)
     oracle_sigma_z(np.arange(0.5, 6.51, 0.5), grid)
     assert 0 < len(applied) <= 240
-
-
-def _counting_products(monkeypatch):
-    """A list that gains one entry per application of H, from now on."""
-    applied = []
-    scaled = _OneSector.scaled
-
-    def counting(self, scale, shift):
-        apply = scaled(self, scale, shift)
-
-        def counted(x, out):
-            applied.append(1)
-            apply(x, out)
-
-        return counted
-
-    monkeypatch.setattr(_OneSector, "scaled", counting)
-    return applied
 
 
 def _bits(value):
@@ -428,8 +422,7 @@ def test_one_comb_shares_its_moments_without_changing_a_bit(first, monkeypatch):
         assert _bits(calls[name](grid)) == fresh[name]
         if name == "two_time" and first == "sigma_z":
             assert len(applied) == before       # sigma_z's sequence reaches t = 6.5 > v = 2
-    h, _, _ = grid._sector
-    assert not h.moments[1].flags.writeable
+    assert not grid._mu.flags.writeable
 
 
 def test_interleaved_combs_never_see_each_others_moments():
@@ -446,8 +439,8 @@ def test_interleaved_combs_never_see_each_others_moments():
         fresh = build_grid(DipoleParams.from_rates(ratio, 1.0), count=count, span_gammas=50.0)
         assert _bits(call(combs[count, ratio])) == _bits(call(fresh))
         del fresh       # the next fresh comb, of the other count, may take its address
-    (h_a, _, _), (h_b, _, _) = (g._sector for g in combs.values())
-    assert h_a is not h_b and not np.shares_memory(h_a.moments[1], h_b.moments[1])
+    mu_a, mu_b = (g._mu for g in combs.values())
+    assert not np.shares_memory(mu_a, mu_b)
 
 
 def _traced_peak(fn):
@@ -510,17 +503,14 @@ def test_weyl_interval_encloses_the_spectrum(density, count):
         grid = build_grid(P30, count=count, span_gammas=8.0)
     else:
         grid = _cubic_grid(count=count, span_gammas=8.0)
-    _check_interval(_OneSector(grid), _sparse_h_one(grid))
-
-
-def _check_interval(op, h):
-    lo, hi = oracle._spectral_interval(op)
+    h = _sparse_h_one(grid)
+    center, half = grid._interval
     eig = np.linalg.eigvalsh(h.toarray())
-    assert lo <= eig[0] and eig[-1] <= hi
+    assert center - half <= eig[0] and eig[-1] <= center + half
     # the exact coupling norm behind the interval, against the assembled matrix
     diag = h.diagonal()
     off_eig = np.linalg.eigvalsh((h - sp.diags(diag)).toarray())
-    assert op.coupling_norm == pytest.approx(np.max(np.abs(off_eig)), rel=1e-13)
+    assert center + half - np.max(diag) == pytest.approx(np.max(np.abs(off_eig)), rel=1e-13)
 
 
 def _gershgorin(h):
@@ -534,7 +524,8 @@ def test_spectral_interval_halves_the_one_excitation_gershgorin_width():
     # sum_k g_k = 56.4 gamma at count 400, twice the spectrum's +-24.9 gamma
     grid = build_grid(P30, count=400, span_gammas=50.0)
     h = _sparse_h_one(grid)
-    lo, hi = oracle._spectral_interval(_OneSector(grid))
+    center, half = grid._interval
+    lo, hi = center - half, center + half
     g_lo, g_hi = _gershgorin(h)
     eig = np.linalg.eigvalsh(h.toarray())
     assert lo <= eig[0] and eig[-1] <= hi
@@ -674,15 +665,13 @@ def test_two_time_guards(grid120):
 # --- Markov kernel checks ----------------------------------------------------
 
 def test_markov_constant_kernel():
-    # the collapse at both peaks: each packet's action is 2 pi at its centre,
-    # up to the mass the band leaves out
+    # the collapse at the retarded peak: the packet's action is 2 pi at its
+    # centre, up to the mass the band leaves out (the advanced packet's action
+    # is its conjugate, see test_markov_chirp_z_matches_dense_action)
     rep = markov_kernel_check(P100, 50.0)
-    assert rep.max_rel_err < 1e-9
-    assert rep.max_rel_err == max(rep.rel_err_retarded, rep.rel_err_advanced)
-    assert rep.rel_err_retarded == pytest.approx(rep.mass_rel_err, rel=1e-3)
-    assert rep.rel_err_advanced == pytest.approx(rep.mass_rel_err, rel=1e-3)
-    for act in (rep.action_retarded, rep.action_advanced):
-        assert act == pytest.approx(2.0 * np.pi, rel=1e-9)
+    assert rep.mass_rel_err < 1e-9
+    assert rep.mass_rel_err == abs(rep.action - 2.0 * np.pi) / (2.0 * np.pi)
+    assert rep.action == pytest.approx(2.0 * np.pi, rel=1e-9)
 
 
 def test_markov_mass_holds_at_optical_ratios():
@@ -695,8 +684,8 @@ def test_markov_mass_holds_at_optical_ratios():
 
 
 def _dense_action(center, span_gammas, params):
-    # the dense exp(i d s) product that the chirp-z transform replaces, in the
-    # frame rotating at omega0 with the packet demodulated at its centre
+    # the reference: the action as a dense exp(i d s) product, in the frame
+    # rotating at omega0 with the packet demodulated at its centre
     sigma = 0.25 / params.gamma
     t_r, t_a, half = 2.0 * sigma, 22.0 * sigma, 0.5 * span_gammas * params.gamma
     a, b = t_r - 12.0 * sigma, t_a + 12.0 * sigma
@@ -710,12 +699,15 @@ def _dense_action(center, span_gammas, params):
 
 
 def test_markov_chirp_z_matches_dense_action():
-    for params, span in ((P100, 50.0), (P30, 10.0)):
-        rep = markov_kernel_check(params, span)
+    # the packets at t_r and t_a mirror each other about the window's centre,
+    # so the dense action at t_a is the conjugate of the one at t_r, and the
+    # check transforms the retarded packet alone
+    for params, span in ((P100, 50.0), (P30, 10.0), (DipoleParams.from_rates(1e8, 1.0), 50.0)):
         sigma = 0.25 / params.gamma
-        for center, act in ((2.0 * sigma, rep.action_retarded), (22.0 * sigma, rep.action_advanced)):
-            ref = _dense_action(center, span, params)
-            assert abs(act - ref) <= 1e-9 * abs(ref)
+        retarded, advanced = (_dense_action(c * sigma, span, params) for c in (2.0, 22.0))
+        assert abs(advanced - np.conj(retarded)) <= 1e-15 * abs(retarded)
+        act = markov_kernel_check(params, span).action
+        assert abs(act - retarded) <= 1e-9 * abs(retarded)
 
 
 def test_markov_chirp_z_matches_dense_kernel_scan():
@@ -742,7 +734,7 @@ def test_markov_banded_mass():
 
 
 def _hand_built_weights(a, b, n):
-    # the weights markov_kernel_check built inline before the shared helper
+    # the trapezoid weights written out: (b - a) / n inside, half that at both ends
     w = np.full(n + 1, (b - a) / n)
     w[0] = w[-1] = (b - a) / (2 * n)
     return w
@@ -760,13 +752,13 @@ def test_trapezoid_weights_keep_the_markov_report_bits(monkeypatch):
 
 
 def test_markov_packets_share_one_frequency_kernel(monkeypatch):
-    # one frequency kernel serves both packets (the advanced one takes its
-    # conjugate); each packet runs through its own chirp-z transform, and the
-    # width scan through a third
+    # one frequency kernel serves both packets: the retarded packet runs
+    # through a chirp-z transform, the advanced one's action is its conjugate
+    # and takes none, and the width scan runs through the second
     chirp_z, transforms = oracle._chirp_z, []
     monkeypatch.setattr(oracle, "_chirp_z", lambda *args: transforms.append(1) or chirp_z(*args))
     markov_kernel_check(P100, 50.0)
-    assert len(transforms) == 3
+    assert len(transforms) == 2
 
 
 def test_markov_validation(monkeypatch):
@@ -788,7 +780,8 @@ def test_angular_reduction():
 
 
 def test_angular_quadrature_matches_the_per_direction_loop():
-    # the per-node sphere_integrate callbacks the one-pass einsum replaced
+    # the reference: each direction, z and component as its own sphere_integrate
+    # of the cos and sin parts, the integrand called once per node
     z_values, order = (5.0, 1e-3), 24
     xhats = np.random.default_rng(0).normal(size=(3, 3))
     xhats /= np.linalg.norm(xhats, axis=1, keepdims=True)
