@@ -7,25 +7,32 @@ costs close to a microsecond per value (17 digits miss its fast path), more
 than most tables take to compute, so ``write_csv`` renders blocks of rows
 with one numpy kernel instead.  A block holds about ``_BLOCK_VALUES`` = 4 096
 values, whatever the table's width: the kernel's temporaries, about 200 bytes
-a value, then stay within a 2 MiB L2 cache (a 10-column table in 1 024-row
-blocks spilled it and took about 20 % longer), while smaller blocks pay the
-kernel's fixed cost of about 50 numpy calls more often.  Each value goes
-through four steps:
+a value, then stay within a 2 MiB L2 cache (see ``_BLOCK_VALUES`` for timings),
+while smaller blocks pay the kernel's fixed cost, about 60 us a call, more
+often.  The kernel's tables (``_tables``) are built on its first call.  Each
+value goes through four steps:
 
 1. **Scale.**  |x| times 10**(16 - k), k = floor(log10 |x|), is formed as a
    double-double: Dekker's exact product (``core._two_prod``) of |x| and the
    double nearest 10**(16 - k), plus |x| times that power's rounding
-   remainder.  The (hi, lo) pairs come from Python integers, correctly
-   rounded, for the exponents a block needs.
+   remainder.  One table holds, for every exponent the kernel can ask for
+   (10**-260 to 10**270), the (hi, lo) pair, correctly rounded from Python
+   integers, and hi's Veltkamp halves; |x| is split by clearing its 27 low
+   mantissa bits.
 2. **Round.**  The scaled value is rounded to a 17-digit integer q; a q
    outside [1e16, 1e17) moves k one decade, and q = 1e17 after rounding
-   becomes 1e16 in the next decade.
-3. **Render.**  q's digits, in groups of four from a lookup table, go into a
-   fixed-slot canvas of 48 bytes per value: sign, the "0.000" lead of fixed
-   notation, each digit followed by a slot for the decimal point, the
-   exponent and the separator.  One XOR pattern per (notation, last kept
-   digit) adds the lead and the point and clears trailing zeros.  Empty
-   slots hold NUL bytes, which ``bytes.translate`` removes.
+   becomes 1e16 in the next decade.  Only the q at or past those two edges
+   are looked at again.
+3. **Render.**  q's lead digit and its four groups of four digits come from
+   a chain of floor divisions by 10**4, each followed by a multiply-subtract.
+   The groups' characters, from a lookup table, go into a fixed-slot canvas
+   of 48 bytes per value: sign, the "0.000" lead of fixed notation, each
+   digit followed by a slot for the decimal point, the exponent and the
+   separator.  One XOR pattern per (notation, last kept digit) adds the lead
+   and the point and clears trailing zeros; a value's notation, the first
+   digit it must keep and its exponent are read from three small tables
+   indexed by k.  Empty slots hold NUL bytes, which ``bytes.translate``
+   removes.
 4. **Fall back.**  Non-finite values, |x| outside [1e-250, 1e250), and
    values whose scaled remainder lies within 1e-6 of a half unit, where the
    double-double cannot decide the rounding (exact ties such as 2**-25 among
@@ -57,29 +64,33 @@ import functools
 
 import numpy as np
 
-from .core import _two_prod
+from .core import _split, _two_prod
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
 _FMT = "%.17g"
 # Values formatted at a time, in whole rows: the kernel's temporaries (about 200
 # bytes a value) stay within a 2 MiB L2.  Figure 3's 10-column table of 2 001 rows
-# at omega0 = 1000 gamma took 3.72 ms in blocks of 1 024 rows (10 240 values),
-# 3.05 ms in blocks of 4 090 values and 3.80 ms in blocks of 2 040 (2-vCPU Xeon
-# VM, one pinned CPU, 10th percentile of 60 runs): smaller blocks pay the fixed
-# cost of about 50 numpy calls more often.  4-column tables keep 1 024-row blocks.
+# at omega0 = 1000 gamma took 2.72 ms in blocks of 1 024 rows (10 240 values),
+# 2.50-2.81 ms in blocks of 819 rows (8 190), 2.16-2.23 ms in blocks of 4 090
+# values and 2.49-2.57 ms in blocks of 2 040; its default 4-column table of
+# 20 373 rows took 8.07-8.20 ms in 1 024-row blocks, 9.40-9.48 ms in 512-row
+# blocks and 7.6-10.3 ms in 2 048-row blocks (2-vCPU Xeon VM, one pinned CPU,
+# 10th percentile of 60 runs, written to a new file): smaller blocks pay the
+# fixed cost of about 80 numpy operations (about 60 us) more often.
 _BLOCK_VALUES = 4096
 
 _KERNEL_RANGE = (1e-250, 1e250)  # |x| the kernel renders; the scaled products stay normal
+_KERNEL_BITS = np.array(_KERNEL_RANGE).view(np.uint64)  # |x| is inside iff its bits are
 _TIE_TOL = 1e-6  # a remainder this close to a half unit goes to "%.17g" % (CSV) or "%.2f" % (SVG)
 _Q_MIN, _Q_MAX = 10 ** 16, 10 ** 17  # the 17-digit integers
 _X_MIN, _X_MAX = -251, 251  # decimal exponents the kernel can print
+_P_MIN, _P_MAX = -260, 270  # the powers 10**p it holds: every 10**(16 - k) and a margin
 _SCI = 17  # position class of scientific notation; -4..16 are fixed notation
 # canvas bytes per value: 0 sign, 1-5 lead, 2i + 6 digit i and 2i + 7 its point
 # slot (i = 0..16), 40-44 exponent, 45 separator, 46-47 padding
 _SLOT = 48
 
 
-@functools.cache  # built as blocks need them: about 500 exponents at most
 def _pow10(p: int):
     """10**p as the nearest double hi and the nearest double to 10**p - hi."""
     if p >= 0:
@@ -94,16 +105,15 @@ def _pow10(p: int):
     return hi, lo
 
 
-def _scaled(ax, k):
+def _scaled(ax, k, powers):
     """Round ax * 10**(16 - k) to an int64 q; also return the remainder."""
-    e = 16 - k
-    e_min = int(e.min())
-    table = np.array([_pow10(p) for p in range(e_min, int(e.max()) + 1)])
-    hi, lo = np.take(table, e - e_min, axis=0).T
+    hi, lo, *hi_halves = np.take(powers, 16 - _P_MIN - k, axis=1)
     prod = ax * hi  # >= 2**53, so an integer; the rest of ax * 10**e follows
-    rest = _two_prod(ax, hi) + ax * lo
+    rest = _two_prod(ax, hi, hi_halves)
+    rest += ax * lo
     step = np.rint(rest)
-    return prod.astype(np.int64) + step.astype(np.int64), rest - step
+    rest -= step
+    return np.add(prod, step, dtype=np.int64, casting="unsafe"), rest
 
 
 @functools.cache
@@ -112,14 +122,16 @@ def _tables():
     # group j of four digits (digits 4j+1..4j+4), each followed by a point slot,
     # as one word; the last slot holds the index (1-16) of its last nonzero digit,
     # or 0 if it has none
-    d = np.arange(100, dtype=np.uint64)
+    d = np.arange(100, dtype=np.int64)
     pairs = (d // 10 + 48) | (d % 10 + 48) << 16
     in_pair = np.where(d % 10 > 0, 2, np.where(d > 0, 1, 0))  # 1-based, 0: none
     within = np.where(in_pair > 0, in_pair + 2, in_pair[:, None]).ravel()  # group 100 a + b
-    top = np.where(within > 0, within + np.arange(0, 16, 4)[:, None], 0).astype(np.uint64)
-    quads = ((pairs[:, None] | pairs << 32).ravel() | top << np.uint64(56)).ravel()
-    # by (position class, last kept digit): lead, point and cleared zeros of words 0-4
+    top = np.where(within > 0, within + np.arange(0, 16, 4)[:, None], 0)
+    quads = ((pairs[:, None] | pairs << 32).ravel() | top << 56).reshape(4, -1)  # by j
+    # by (position class, last kept digit): lead, point and cleared zeros of words
+    # 0-4, and the "0" of the lead digit, which the canvas holds as 0-9
     patch = np.zeros((_SCI + 5, 17, 40), np.uint8)
+    patch[..., 6] = 0x30
     for x in range(-4, _SCI + 1):
         pos = 0 if x == _SCI else x  # the digit the point follows; x < 0: in the lead
         for last in range(max(pos, 0), 17):
@@ -129,71 +141,93 @@ def _tables():
             row[2 * last + 8::2] = 0x30
             if 0 <= pos < last:
                 row[2 * pos + 7] = 0x2E
-    patch = patch.reshape(-1, 40).view("<u8").T.astype(np.uint64)
-    exponents = np.array([0 if -4 <= x < _SCI else int.from_bytes(b"e%+03d" % x, "little")
-                          for x in range(_X_MIN, _X_MAX + 1)], np.uint64)
-    return quads, patch, exponents
+    patch = patch.reshape(-1, 40).view("<i8").T.astype(np.int64)
+    # by exponent k: the first patch row of its class, the digit its fixed
+    # notation keeps at least, and its exponent word with a comma after it
+    x = np.arange(_X_MIN, _X_MAX + 1)
+    fixed = (x >= -4) & (x < _SCI)
+    classes = (np.where(fixed, x, _SCI) + 4) * 17
+    kept = np.where(fixed & (x > 0), x, 0)
+    exponents = np.array([0 if -4 <= k < _SCI else int.from_bytes(b"e%+03d" % k, "little")
+                          for k in x.tolist()], np.int64) | ord(",") << 40
+    # 10**p for p = _P_MIN.._P_MAX: hi, lo and hi's two Veltkamp halves, each
+    # pair stored as it is made, so no list of them is ever held
+    powers = np.empty((4, _P_MAX - _P_MIN + 1))
+    for i, p in enumerate(range(_P_MIN, _P_MAX + 1)):
+        powers[:2, i] = _pow10(p)
+    powers[2:] = _split(powers[0])
+    return quads, patch, classes, kept, exponents, powers
 
 
-def _round17(x):
+def _round17(x, powers):
     """|x| to 17 significant digits: q * 10**(k - 16) with q in [1e16, 1e17), or
-    q = k = 0 for a zero; and a mask of the values "%.17g" % must format."""
+    q = k = 0 for a zero; and the indices of the values "%.17g" % must format."""
     ax = np.abs(x)
-    zero = ax == 0.0
-    inside = (ax >= _KERNEL_RANGE[0]) & (ax < _KERNEL_RANGE[1])
-    ax = np.where(inside, ax, 1.0)
-    k = np.floor(np.log10(ax)).astype(np.int64)
-    q, rest = _scaled(ax, k)
-    low = (q < _Q_MIN) | ((q == _Q_MIN) & (rest < 0.0))
-    off = np.flatnonzero(low | (q > _Q_MAX))  # log10 missed the decade
-    if off.size:
-        k[off] += np.where(low[off], -1, 1)
-        q[off], rest[off] = _scaled(ax[off], k[off])
-    fallback = ~(inside | zero) | (np.abs(np.abs(rest) - 0.5) < _TIE_TOL)
-    fallback |= (q < _Q_MIN) | (q > _Q_MAX)
-    carry = q == _Q_MAX  # rounded up into the next decade
-    q[carry] = _Q_MIN
-    k[carry] += 1
-    q[zero] = 0
-    k[zero] = 0
-    return q, k, fallback
+    outside = ax.view(np.uint64) - _KERNEL_BITS[0] >= _KERNEL_BITS[1] - _KERNEL_BITS[0]
+    ax = np.where(outside, 2.0, ax)  # any value inside: 2's q = 2e16 is no edge
+    k = np.log10(ax)
+    np.floor(k, out=k)
+    k = k.astype(np.int64)
+    q, rest = _scaled(ax, k, powers)
+    # q = 1e16 or 1e17 at the edges of the decade, and beyond them where log10 missed it
+    edge = np.flatnonzero((q - (_Q_MIN + 1)).view(np.uint64) >= _Q_MAX - _Q_MIN - 1)
+    if edge.size:
+        qe = q[edge]
+        low = (qe < _Q_MIN) | ((qe == _Q_MIN) & (rest[edge] < 0.0))
+        missed = low | (qe > _Q_MAX)
+        off = edge[missed]
+        if off.size:
+            k[off] += np.where(low[missed], -1, 1)
+            q[off], rest[off] = _scaled(ax[off], k[off], powers)
+            qe = q[edge]
+        rest[edge[(qe < _Q_MIN) | (qe > _Q_MAX)]] = 0.5  # still outside: a tie, left to "%.17g" %
+        carry = edge[qe == _Q_MAX]  # rounded up into the next decade
+        q[carry] = _Q_MIN
+        k[carry] += 1
+    # |rest| <= 0.5, and no double lies between 0.5 - 1e-6 and its rounding:
+    # the values within _TIE_TOL of a half unit
+    special = np.flatnonzero(outside | (np.abs(rest) >= 0.5 - _TIE_TOL))
+    zero = x[special] == 0.0
+    q[special[zero]] = 0
+    k[special[zero]] = 0
+    return q, k, special[~zero]
 
 
 def _format_rows(block) -> bytes:
     """The CSV lines of a 2-d float64 block, as ``"%.17g" %`` would write them."""
-    rows, ncols = block.shape
+    ncols = block.shape[1]
     x = block.ravel()
-    q, k, fallback = _round17(x)
-    quads, patch, exponents = _tables()
+    quads, patch, classes, kept, exponents, powers = _tables()
+    q, k, fallback = _round17(x, powers)
     # the canvas word-major: words[w, i] is word w of value i, its bytes little-endian
-    words = np.empty((_SLOT // 8, x.size), np.uint64)
-    lead = q // _Q_MIN
-    words[0] = np.signbit(x) * np.uint64(0x2D) | (lead.astype(np.uint64) + np.uint64(48)) << np.uint64(48)
-    q -= lead * _Q_MIN
-    groups = np.empty((4, x.size), np.int64)
-    np.divmod(q, 10 ** 8, out=(groups[0], groups[2]))
-    np.divmod(groups[0], 10 ** 4, out=(groups[0], groups[1]))
-    np.divmod(groups[2], 10 ** 4, out=(groups[2], groups[3]))
-    groups += np.arange(0, 40_000, 10_000)[:, None]
-    np.take(quads, groups, out=words[1:5], mode="clip")  # in range: clip skips the buffer
-    del groups
-    found = words[1:5] >> np.uint64(56)
-    last = np.maximum(np.maximum(found[0], found[1]), np.maximum(found[2], found[3])).astype(np.int64)
-    del found
-    words[1:5] &= np.uint64(2 ** 56 - 1)
-    fixed = (k >= -4) & (k < _SCI)
-    cls = (np.where(fixed, k, _SCI) + 4) * 17 + np.maximum(np.where(fixed & (k > 0), k, 0), last)
-    words[:5] ^= np.take(patch, cls, axis=1)
-    seps = np.full(ncols, ord(","), np.uint64)
-    seps[-1] = ord("\n")
-    np.take(exponents, k - _X_MIN, out=words[5], mode="clip")
-    words[5].reshape(rows, ncols)[:] |= seps << np.uint64(40)
-    idx = np.flatnonzero(fallback)
-    if idx.size:  # "%.17g" % writes at most 24 bytes: words 0-2
-        text = b"".join((_FMT % v).encode().ljust(40, b"\0") for v in x[idx].tolist())
-        words[:5, idx] = np.frombuffer(text, "<u8").reshape(idx.size, 5).T
-        words[5, idx] &= np.uint64(0xFF << 40)
-    return words.T.astype("<u8", copy=False).tobytes().translate(None, b"\0")
+    words = np.empty((_SLOT // 8, x.size), np.int64)
+    # q's lead digit and its four groups of four digits: a floor division by 10**4
+    # leaves the digits above a group, and a multiply-subtract the group
+    digits = np.empty((5, x.size), np.int64)
+    digits[4] = q
+    for i in range(3, -1, -1):
+        np.floor_divide(digits[i + 1], 10 ** 4, out=digits[i])
+        digits[i + 1] -= digits[i] * 10 ** 4
+    for j in range(4):  # in range: clip skips the buffer
+        np.take(quads[j], digits[j + 1], out=words[1 + j], mode="clip")
+    np.left_shift(digits[0], 48, out=words[0])
+    words[0] |= x.view(np.int64) >> 63 & 0x2D  # "-" where the sign bit is set
+    last = np.maximum.reduce(words[1:5])  # the top bytes differ unless both are 0
+    last >>= 56
+    words[1:5] &= 2 ** 56 - 1
+    j = k - _X_MIN
+    cls = np.take(kept, j)
+    np.maximum(cls, last, out=cls)
+    cls += np.take(classes, j)
+    words[:5] ^= np.take(patch, cls, axis=1, out=digits, mode="clip")  # digits' buffer, done with
+    del digits
+    np.take(exponents, j, out=words[5], mode="clip")
+    words[5, ncols - 1::ncols] ^= (ord(",") ^ ord("\n")) << 40  # each row's last value ends it
+    if fallback.size:  # "%.17g" % writes at most 24 bytes: words 0-2
+        text = b"".join((_FMT % v).encode().ljust(40, b"\0") for v in x[fallback].tolist())
+        words[:5, fallback] = np.frombuffer(text, "<i8").reshape(fallback.size, 5).T
+        words[5, fallback] &= 0xFF << 40
+    return words.T.astype("<i8", copy=False).tobytes().translate(None, b"\0")
 
 
 def write_csv(path, meta: dict, columns: dict, trailer=()) -> None:

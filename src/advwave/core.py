@@ -27,8 +27,9 @@ here and used everywhere else:
 * a scalar in gives a Python scalar out, and an array keeps its shape
   (``_like``).
 
-Two numerical helpers live here too: Dekker's exact product (``_two_prod``)
-and the fixed-seed stdlib uniform stream (``_uniform_stream``).
+Two numerical helpers live here too: Dekker's exact product (``_two_prod``,
+with Veltkamp's split ``_split``) and the fixed-seed stdlib uniform stream
+(``_uniform_stream``).
 """
 from __future__ import annotations
 
@@ -49,6 +50,7 @@ __all__ = [
 _GAMMA_REL_TOL = 1e-12
 _MARKOV_RATIO_WARN = 0.1
 _SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into two 26-bit halves
+_HIGH_26 = np.uint64(2**64 - 2**27)  # a double's sign, exponent and 26 leading bits
 # Past 2^53 rad a time's rounding (half an ulp) moves the fastest carrier,
 # 2 omega0 t, by more than a radian: no phase there has a meaning.
 _MAX_PHASE = 2.0**53
@@ -72,12 +74,28 @@ def _cubed(x, name: str) -> float:
     return _power(_positive(x, name), 3, name)
 
 
-def _two_prod(a, b):
+def _split(a):
+    """Veltkamp's split of a into two halves of 26 bits each, hi + lo = a."""
+    s = a * _SPLIT
+    hi = s - (s - a)
+    return hi, a - hi
+
+
+def _two_prod(a, b, b_halves=None):
     """a b - fl(a b), exactly, where neither the product nor its split leaves the
-    normal range: Dekker's exact product (T. J. Dekker, Numer. Math. 18, 224 (1971))."""
-    sa, sb = a * _SPLIT, b * _SPLIT
-    ah, bh = sa - (sa - a), sb - (sb - b)
-    al, bl = a - ah, b - bh
+    normal range: Dekker's exact product (T. J. Dekker, Numer. Math. 18, 224 (1971)).
+
+    ``b_halves`` is ``_split(b)`` read from a table.  The float64 array a is then
+    split by clearing its 27 low mantissa bits, two passes instead of four:
+    halves of 26 and 27 bits, whose products with b's 26-bit halves are all
+    exact.  Only one factor may be split so: two 27-bit low halves can need 54
+    bits."""
+    if b_halves is None:
+        (ah, al), (bh, bl) = _split(a), _split(b)
+    else:
+        ah = (a.view(np.uint64) & _HIGH_26).view(np.float64)
+        al = a - ah
+        bh, bl = b_halves
     return (((ah * bh - a * b) + ah * bl) + al * bh) + al * bl
 
 

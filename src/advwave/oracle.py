@@ -98,8 +98,10 @@ class ModeGrid:
     def _interval(self) -> tuple[float, float]:
         """(center, half): [min D - |g|, max D + |g|] holds the spectrum of the N=1 star
         H = D + V (Weyl: |V|_2 = |g|), about half as wide as row 0's Gershgorin disc;
-        a non-finite one raises."""
-        diag, norm = np.concatenate(([0.0], self.detunings)), float(np.linalg.norm(self.couplings))
+        a non-finite one raises, also where |g|^2 overflows."""
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(self.couplings))
+        diag = np.concatenate(([0.0], self.detunings))
         lo, hi = float(np.min(diag)) - norm, float(np.max(diag)) + norm
         if not math.isfinite(hi - lo):
             raise ValueError(f"spectral interval [{lo:g}, {hi:g}] is not finite")

@@ -3,6 +3,7 @@ import math
 import struct
 import warnings
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from advwave import _report
 from advwave._report import _format_points, _pixel_extremes, _pixel_runs, write_csv, write_svg
+from advwave.core import _split, _two_prod
 
 
 def reference_csv(path, meta, columns):
@@ -200,12 +202,57 @@ def test_write_csv_matches_percent_formatting(values, shape, tmp_path_factory):
 
 
 def test_powers_of_ten_are_correctly_rounded_pairs():
-    from fractions import Fraction
-
     for p in range(-260, 270):  # every exponent the kernel can ask for
         hi, lo = _report._pow10(p)
         exact = Fraction(10) ** p
         assert hi == float(exact) and lo == float(exact - Fraction(hi)), p
+
+
+def test_table_fed_two_prod_is_exact_on_every_power_of_ten():
+    # the kernel's product: |x| split by its mantissa bits, 10**p by the table's
+    # Veltkamp halves; random |x| with |x| 10**p in [1e16, 1e17), as the kernel
+    # scales it, and one with an all-ones mantissa, on every row of the table
+    powers = _report._tables()[-1]
+    rng = np.random.default_rng(30)
+    for row, p in enumerate(range(_report._P_MIN, _report._P_MAX + 1)):
+        hi, lo, *halves = powers[:, row]
+        assert (hi, lo) == _report._pow10(p) and halves == list(_split(hi)), p
+        ax = rng.uniform(1.0, 10.0, 20) * 10.0 ** (16 - p)
+        ax = np.append(ax, np.nextafter(2.0 ** math.floor(math.log2(ax[0])), 0.0))
+        err = _two_prod(ax, hi, [np.full_like(ax, h) for h in halves])
+        for a, e in zip(ax.tolist(), err.tolist()):
+            assert Fraction(e) == Fraction(a) * Fraction(hi) - Fraction(a * hi), (p, a)
+
+
+def test_class_and_exponent_tables_follow_the_notation():
+    # fixed notation for -4 <= k < 17, which keeps every digit up to the point
+    # (digit k); scientific notation otherwise, with the exponent "e+XX" or
+    # "e-XXX" and, as in every value's last word, a comma after it
+    _, _, classes, kept, exponents, _ = _report._tables()
+    for k in range(_report._X_MIN, _report._X_MAX + 1):
+        j = k - _report._X_MIN
+        fixed = -4 <= k < 17
+        for last in range(17):
+            cls = ((k if fixed else 17) + 4) * 17 + max(k if fixed and k > 0 else 0, last)
+            assert classes[j] + max(kept[j], last) == cls, (k, last)
+        text = b"" if fixed else f"e{'-' if k < 0 else '+'}{abs(k):02d}".encode()
+        assert exponents[j] == int.from_bytes(text.ljust(5, b"\0") + b",", "little"), k
+
+
+def test_write_csv_matches_percent_formatting_at_every_decade_edge(tmp_path):
+    # each power of ten the kernel renders and its two neighbours, both signs:
+    # log10 puts some a decade above their 17 digits (the fix-up), and some
+    # below 10**e round up to it (q = 10**17, the carry into the next decade)
+    values = np.array([v for p in range(-250, 250) for ten in [float(f"1e{p}")]
+                       for v in (np.nextafter(ten, 0.0), ten, np.nextafter(ten, math.inf))])
+    digits = ["%.16e" % v for v in values.tolist()]
+    exps = [int(d.split("e")[1]) for d in digits]
+    assert any(np.floor(np.log10(values)) > exps)
+    assert any(d.startswith("1.0000000000000000e") and Fraction(v) < Fraction(10) ** e
+               for d, v, e in zip(digits, values.tolist(), exps))
+    values = np.concatenate([values, -values])
+    assert_same_csv(tmp_path, {"x": values})
+    assert_same_csv(tmp_path, as_columns(values, 3))
 
 
 def test_write_csv_without_rows(tmp_path):
