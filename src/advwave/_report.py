@@ -119,7 +119,7 @@ def _scaled(ax, k, powers):
 @functools.cache
 def _tables():
     """The kernel's lookup tables, built on its first call."""
-    # group j of four digits (digits 4j+1..4j+4), each followed by a point slot,
+    # group g of four digits (digits 4g+1..4g+4), each followed by a point slot,
     # as one word; the last slot holds the index (1-16) of its last nonzero digit,
     # or 0 if it has none
     d = np.arange(100, dtype=np.int64)
@@ -127,7 +127,7 @@ def _tables():
     in_pair = np.where(d % 10 > 0, 2, np.where(d > 0, 1, 0))  # 1-based, 0: none
     within = np.where(in_pair > 0, in_pair + 2, in_pair[:, None]).ravel()  # group 100 a + b
     top = np.where(within > 0, within + np.arange(0, 16, 4)[:, None], 0)
-    quads = ((pairs[:, None] | pairs << 32).ravel() | top << 56).reshape(4, -1)  # by j
+    quads = ((pairs[:, None] | pairs << 32).ravel() | top << 56).reshape(4, -1)  # by g
     # by (position class, last kept digit): lead, point and cleared zeros of words
     # 0-4, and the "0" of the lead digit, which the canvas holds as 0-9
     patch = np.zeros((_SCI + 5, 17, 40), np.uint8)
@@ -208,20 +208,20 @@ def _format_rows(block) -> bytes:
     for i in range(3, -1, -1):
         np.floor_divide(digits[i + 1], 10 ** 4, out=digits[i])
         digits[i + 1] -= digits[i] * 10 ** 4
-    for j in range(4):  # in range: clip skips the buffer
-        np.take(quads[j], digits[j + 1], out=words[1 + j], mode="clip")
+    for g in range(4):  # in range: clip skips the buffer
+        np.take(quads[g], digits[g + 1], out=words[1 + g], mode="clip")
     np.left_shift(digits[0], 48, out=words[0])
     words[0] |= x.view(np.int64) >> 63 & 0x2D  # "-" where the sign bit is set
     last = np.maximum.reduce(words[1:5])  # the top bytes differ unless both are 0
     last >>= 56
     words[1:5] &= 2 ** 56 - 1
-    j = k - _X_MIN
-    cls = np.take(kept, j)
+    ki = k - _X_MIN
+    cls = np.take(kept, ki)
     np.maximum(cls, last, out=cls)
-    cls += np.take(classes, j)
+    cls += np.take(classes, ki)
     words[:5] ^= np.take(patch, cls, axis=1, out=digits, mode="clip")  # digits' buffer, done with
     del digits
-    np.take(exponents, j, out=words[5], mode="clip")
+    np.take(exponents, ki, out=words[5], mode="clip")
     words[5, ncols - 1::ncols] ^= (ord(",") ^ ord("\n")) << 40  # each row's last value ends it
     if fallback.size:  # "%.17g" % writes at most 24 bytes: words 0-2
         text = b"".join((_FMT % v).encode().ljust(40, b"\0") for v in x[fallback].tolist())

@@ -28,8 +28,8 @@ here and used everywhere else:
   (``_like``).
 
 Two numerical helpers live here too: Dekker's exact product (``_two_prod``,
-with Veltkamp's split ``_split``) and the fixed-seed stdlib uniform stream
-(``_uniform_stream``).
+with Veltkamp's split ``_split`` of its second factor) and the fixed-seed
+stdlib uniform stream (``_uniform_stream``).
 """
 from __future__ import annotations
 
@@ -85,17 +85,15 @@ def _two_prod(a, b, b_halves=None):
     """a b - fl(a b), exactly, where neither the product nor its split leaves the
     normal range: Dekker's exact product (T. J. Dekker, Numer. Math. 18, 224 (1971)).
 
-    ``b_halves`` is ``_split(b)`` read from a table.  The float64 array a is then
-    split by clearing its 27 low mantissa bits, two passes instead of four:
-    halves of 26 and 27 bits, whose products with b's 26-bit halves are all
-    exact.  Only one factor may be split so: two 27-bit low halves can need 54
-    bits."""
-    if b_halves is None:
-        (ah, al), (bh, bl) = _split(a), _split(b)
-    else:
-        ah = (a.view(np.uint64) & _HIGH_26).view(np.float64)
-        al = a - ah
-        bh, bl = b_halves
+    a is split by clearing its 27 low mantissa bits, into halves of 26 and 27
+    bits, and b by Veltkamp's split into two of 26 bits, or ``b_halves``, its
+    ``_split(b)`` read from a table: all four partial products are exact.
+    Only one factor may be split by its bits: two 27-bit low halves can need
+    54 bits."""
+    a = np.asarray(a, float)
+    ah = (a.view(np.uint64) & _HIGH_26).view(np.float64)
+    al = a - ah
+    bh, bl = _split(b) if b_halves is None else b_halves
     return (((ah * bh - a * b) + ah * bl) + al * bh) + al * bl
 
 

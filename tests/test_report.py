@@ -1,4 +1,5 @@
 """Output writers: exact bytes, and the CSV kernel against Python's own formatting."""
+import itertools
 import math
 import struct
 import warnings
@@ -224,19 +225,35 @@ def test_table_fed_two_prod_is_exact_on_every_power_of_ten():
             assert Fraction(e) == Fraction(a) * Fraction(hi) - Fraction(a * hi), (p, a)
 
 
-def test_class_and_exponent_tables_follow_the_notation():
-    # fixed notation for -4 <= k < 17, which keeps every digit up to the point
-    # (digit k); scientific notation otherwise, with the exponent "e+XX" or
-    # "e-XXX" and, as in every value's last word, a comma after it
-    _, _, classes, kept, exponents, _ = _report._tables()
+def test_write_csv_matches_percent_formatting_in_every_notation_class(tmp_path):
+    # a value for each exponent k the kernel renders and each last nonzero digit
+    # (0-16) of its 17, which together pick its notation class; every mantissa
+    # with at most one digit after the lead is tried, so only such a pair can
+    # be one that no double prints
+    values, missing = [], []
+    for k, last in itertools.product(range(-250, 250), range(17)):
+        for mid, lead, end in itertools.product("0123456789", "123456789", "123456789"):
+            v = float(f"{lead}.{(mid * (last - 1) + end)[:last]}e{k}")
+            text = "%.16e" % v
+            if (int(text[19:]), len((text[0] + text[2:18]).rstrip("0")) - 1) == (k, last):
+                values.append(v)
+                break
+        else:
+            missing.append((k, last))
+    assert all(last <= 1 for _, last in missing)
+    assert _report._round17(np.array(values), _report._tables()[-1])[2].size == 0  # the kernel renders all
+    values = np.concatenate([values, np.negative(values)])
+    assert_same_csv(tmp_path, {"x": values})
+    assert_same_csv(tmp_path, as_columns(values, 3))
+
+
+def test_exponent_words_follow_the_notation():
+    # fixed notation for -4 <= k < 17; scientific notation otherwise, with the
+    # exponent "e+XX" or "e-XXX" and, as in every value's last word, a comma after it
+    exponents = _report._tables()[4]
     for k in range(_report._X_MIN, _report._X_MAX + 1):
-        j = k - _report._X_MIN
-        fixed = -4 <= k < 17
-        for last in range(17):
-            cls = ((k if fixed else 17) + 4) * 17 + max(k if fixed and k > 0 else 0, last)
-            assert classes[j] + max(kept[j], last) == cls, (k, last)
-        text = b"" if fixed else f"e{'-' if k < 0 else '+'}{abs(k):02d}".encode()
-        assert exponents[j] == int.from_bytes(text.ljust(5, b"\0") + b",", "little"), k
+        text = b"" if -4 <= k < 17 else f"e{'-' if k < 0 else '+'}{abs(k):02d}".encode()
+        assert exponents[k - _report._X_MIN] == int.from_bytes(text.ljust(5, b"\0") + b",", "little"), k
 
 
 def test_write_csv_matches_percent_formatting_at_every_decade_edge(tmp_path):
