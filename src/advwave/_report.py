@@ -53,10 +53,10 @@ lies within 6e-11 of the exact 100 v, so q is printf's rounding unless s lies
 within 1e-6 of a half unit (exact ties such as 576.125 among them).  Those
 values, and values that are not finite, carry the sign bit (-0.0 prints as
 ``-0.00``) or lie outside [0, 1e4), are formatted by ``"%.2f" %`` and spliced
-in.  The series whose values are all finite share one pass over x for
-their pixel columns and the runs of points within each (``_pixel_runs``); a
-series with a non-finite value keeps its own.  Only the points a series
-keeps are mapped to y pixels and formatted.
+in.  ``write_svg`` plots finite series only, so every series shares one pass
+over x for its pixel columns and the runs of points within each
+(``_pixel_runs``).  Only the points a series keeps are mapped to y pixels and
+formatted.
 """
 from __future__ import annotations
 
@@ -336,22 +336,17 @@ def _pixel_extremes(runs, y):
     return np.flatnonzero(keep)
 
 
-def _extent(v, mask):
-    """(min, max) of v where ``mask`` holds; a mask of None holds everywhere."""
-    if mask is None:
-        return float(v.min()), float(v.max())
-    return float(np.min(v, initial=np.inf, where=mask)), float(np.max(v, initial=-np.inf, where=mask))
-
-
 def write_svg(path, x, series: dict, title: str, xlabel: str, ylabel: str) -> None:
     """Plot ``series`` (name -> y array) against ``x`` as SVG polylines.
 
-    Points with a non-finite x or y are skipped.  A series with more finite
-    points than the plot has pixel columns keeps, per pixel column (for x in
-    order), only its first, minimum, maximum and last point: the line looks
-    the same at the plot's resolution, and the file stops growing with the
-    number of points.  The series whose every y is finite share one pass over
-    x for their pixel columns.  Labels and series names are XML-escaped.
+    x and every y must be finite, and the plot's x and y ranges finite and
+    nonzero (a flat range is first widened by 1), or ValueError is raised
+    before the file is opened.  A series with more points than the plot has
+    pixel columns keeps, per pixel column (for x in order), only its first,
+    minimum, maximum and last point: the line looks the same at the plot's
+    resolution, and the file stops growing with the number of points.  Every
+    series shares one pass over x for its pixel columns.  Labels and series
+    names are XML-escaped.
     """
     width, height = 860, 560
     ml, mr, mt, mb = 80, 24, 48, 56
@@ -360,36 +355,24 @@ def write_svg(path, x, series: dict, title: str, xlabel: str, ylabel: str) -> No
     yas = [np.asarray(ys, dtype=float) for ys in series.values()]
     if any(ya.shape != xa.shape for ya in yas):
         raise ValueError("every series must have the shape of x")
-    finite_x = np.isfinite(xa)
-    shared = None if finite_x.all() else finite_x  # the points of an all-finite series; None: all
-    masks = []
-    for ya in yas:
-        finite = np.isfinite(ya)
-        masks.append(shared if finite.all() else finite_x & finite)
-    if not xa.size or not any(m is None or m.any() for m in masks):
+    if not xa.size or not yas:
         raise ValueError("nothing to plot")
-    # a +-0 extreme gives the same ticks and pixels whichever zero numpy picks
-    x_lo, x_hi = _extent(xa, shared)
-    y_lo = min(_extent(ya, m)[0] for ya, m in zip(yas, masks))
-    y_hi = max(_extent(ya, m)[1] for ya, m in zip(yas, masks))
+    # min and max carry a NaN, and an inf or an overflow makes a range inf or
+    # NaN; a +-0 extreme gives the same ticks and pixels whichever zero numpy picks
+    x_lo, x_hi = float(xa.min()), float(xa.max())
+    y_lo, y_hi = float(np.min([ya.min() for ya in yas])), float(np.max([ya.max() for ya in yas]))
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     pad = 0.05 * (y_hi - y_lo) or 1.0
     y_lo, y_hi = y_lo - pad, y_hi + pad
+    if not 0.0 < x_hi - x_lo < np.inf or not 0.0 < y_hi - y_lo < np.inf:
+        raise ValueError("x and every series must be finite, over a finite range")
 
     def px(v):
         return ml + (v - x_lo) / (x_hi - x_lo) * plot_w
 
     def py(v):
         return height - mb - (v - y_lo) / (y_hi - y_lo) * (height - mt - mb)
-
-    def pixels(mask):
-        # px of the points ``mask`` keeps, and their pixel-column runs where they
-        # outnumber the columns
-        pxs = px(xa if mask is None else xa[mask])
-        if pxs.size <= plot_w:
-            return pxs, None
-        return pxs, _pixel_runs(np.minimum((pxs - ml).astype(np.int64), plot_w - 1))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}" '
@@ -409,15 +392,13 @@ def write_svg(path, x, series: dict, title: str, xlabel: str, ylabel: str) -> No
     for ty in _ticks(y_lo, y_hi):
         parts.append(f'<line x1="{ml - 5}" y1="{py(ty):.2f}" x2="{ml}" y2="{py(ty):.2f}" stroke="black"/>')
         parts.append(f'<text x="{ml - 8}" y="{py(ty) + 4:.2f}" text-anchor="end">{ty:.4g}</text>')
-    shared_pixels = pixels(shared) if any(m is shared for m in masks) else None
-    for idx, (name, ya, mask) in enumerate(zip(series, yas, masks)):
+    pxs = px(xa)
+    # the points' pixel-column runs, where they outnumber the columns
+    runs = _pixel_runs(np.minimum((pxs - ml).astype(np.int64), plot_w - 1)) if pxs.size > plot_w else None
+    for idx, (name, ya) in enumerate(zip(series, yas)):
         color = _PALETTE[idx % len(_PALETTE)]
-        pxs, runs = shared_pixels if mask is shared else pixels(mask)
-        ys = ya if mask is None else ya[mask]
-        if runs is not None:
-            keep = _pixel_extremes(runs, ys)
-            pxs, ys = pxs[keep], ys[keep]
-        pts = _format_points(pxs, py(ys))
+        keep = slice(None) if runs is None else _pixel_extremes(runs, ya)
+        pts = _format_points(pxs[keep], py(ya[keep]))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         parts.append(f'<text x="{width - mr - 8}" y="{mt + 20 * (idx + 1)}" text-anchor="end" '
                      f'fill="{color}">{_escape(name)}</text>')

@@ -14,9 +14,8 @@ Exit codes: 0 success, 1 usage/configuration error, 2 numerical-validation
 failure, 3 I/O failure.  A table of more than ``_MAX_ROWS`` rows (corr has
 points^2) is a usage error, raised before any grid is allocated; only an
 explicit ``--points`` can ask for one.
-``ADVWAVE_THREADS`` caps BLAS/OpenMP parallelism and is applied before the
-numeric stack is first imported, which is why all numpy imports in this
-module are local to the command functions.
+The numpy imports in this module are local to the command functions, so each
+command imports only the modules it uses.
 
 Configuration precedence: per-command defaults < ``--config`` file < flags.
 ``_CONFIG_KEYS`` is the one list of the settings: each key names a config-file
@@ -45,21 +44,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _apply_thread_env():
-    raw = os.environ.get("ADVWAVE_THREADS", "").strip()
-    if not raw:
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ValueError(f"ADVWAVE_THREADS must be a positive integer, got {raw!r}")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, str(n))
 
 
 # config key, and flag name with "-" for "_" -> (RunConfig field, type, flag help)
@@ -571,7 +555,6 @@ _FIGURE_DEFAULTS = {
 
 def main(argv=None) -> int:
     try:
-        _apply_thread_env()
         argv = sys.argv[1:] if argv is None else list(argv)
         if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
             raise ValueError(f"{argv[0]} comes before the command; flags follow the "

@@ -95,7 +95,6 @@ class DiffusionCurve:
     cum_source: np.ndarray
     cum_vacsource: np.ndarray
     cum_total: np.ndarray
-    norm_constant: float
     gamma: float
 
 
@@ -119,7 +118,6 @@ class CycleAverage:
     avg_total: np.ndarray
     lo_total: np.ndarray
     hi_total: np.ndarray
-    norm_constant: float
     gamma: float
 
 
@@ -129,22 +127,16 @@ def _inv_norm(params: DipoleParams, charge: ChargeParams) -> float:
     return charge.q**2 * float(np.real(e @ np.conj(e))) / ((params.gamma / 2.0) ** 2 + params.omega0**2)
 
 
-def _curve_norm(params: DipoleParams, charge: ChargeParams) -> float:
-    # N for the curve records: inf where the rates vanish (q = 0 or E_rad(r0) = 0)
-    inv = _inv_norm(params, charge)
-    return 1.0 / inv if inv != 0.0 else float("inf")
-
-
 def norm_constant(params: DipoleParams, charge: ChargeParams) -> float:
     """N = ((gamma/2)^2 + omega0^2) / (q^2 |E_rad(r0)|^2).
 
     Raises ValueError where N is infinite: for q = 0, and for a charge on the
     dipole axis, where E_rad(r0) = 0.
     """
-    n = _curve_norm(params, charge)
-    if n == np.inf:
+    inv = _inv_norm(params, charge)
+    if inv == 0.0:
         raise ValueError("norm constant is undefined for q = 0 and where E_rad(r0) = 0 (on the dipole axis)")
-    return n
+    return 1.0 / inv
 
 
 def _exp(c, x, shift=0.0):
@@ -309,24 +301,29 @@ def momdiff_vacsource(t, params: DipoleParams, charge: ChargeParams):
     return _rate(1, t, params, charge)
 
 
+def _times(t_grid, params: DipoleParams) -> np.ndarray:
+    """``t_grid`` as a 1-d float array of finite times within the carrier's phase range."""
+    t = _finite(t_grid, "t_grid (a 1-d array of finite times)")
+    if t.ndim != 1:
+        raise ValueError("t_grid must be a 1-d array of finite times")
+    _check_carrier(params.omega0, t)
+    return t
+
+
 def dispersion_change(t_grid, params: DipoleParams, charge: ChargeParams) -> DiffusionCurve:
     """N-scaled momentum changes, the rates' time integrals from t = 0, on a user grid.
 
-    The grid must be 1-d, finite, strictly increasing and start at 0; any step
-    works, because each curve is the closed form Re sum_j c_j M0(lam_j, b)
-    over its rate's terms, with b the time since the gate.  Both are exactly
-    0 before their gates open.  ``norm_constant`` is inf where N is (q = 0,
-    or a charge on the dipole axis); the N-scaled curves are the same there.
+    ``t_grid`` is any 1-d array of finite times; each point is independent,
+    because each curve is the closed form Re sum_j c_j M0(lam_j, b) over its
+    rate's terms, with b the time since the gate.  Both are exactly 0 before
+    their gates open.  The N-scaled curves are defined where N is infinite
+    (q = 0, or a charge on the dipole axis).
     """
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size < 2 or t[0] != 0.0 or np.any(np.diff(t) <= 0.0):
-        raise ValueError("t_grid must be a strictly increasing 1-d grid of at least two "
-                         "points, and its times must start at 0")
-    _check_carrier(params.omega0, t)
+    t = _times(t_grid, params)
     cs, cv = (_gated_sum(t, lambda lam, b: _moments(lam, b, order=0)[0], *rate)
               for rate in _rate_terms(params, charge.r0_abs))
     return DiffusionCurve(times=t.copy(), cum_source=cs, cum_vacsource=cv, cum_total=cs + cv,
-                          norm_constant=_curve_norm(params, charge), gamma=params.gamma)
+                          gamma=params.gamma)
 
 
 def cycle_averaged(t_grid, params: DipoleParams, charge: ChargeParams) -> CycleAverage:
@@ -350,13 +347,9 @@ def cycle_averaged(t_grid, params: DipoleParams, charge: ChargeParams) -> CycleA
     b = t - 2|r0| and d = the rate's sum of c/a.
 
     Every curve is exactly 0 before its gate (the averages: while the whole
-    window is).  ``norm_constant`` is inf for q = 0 or a charge on the dipole
-    axis, as in `dispersion_change`.
+    window is), and is defined where N is infinite, as in `dispersion_change`.
     """
-    t = _finite(t_grid, "t_grid (a 1-d array of finite times)")
-    if t.ndim != 1:
-        raise ValueError("t_grid must be a 1-d array of finite times")
-    _check_carrier(params.omega0, t)
+    t = _times(t_grid, params)
     period = 2.0 * np.pi / params.omega0
     cols, carrier, smooth_sum, last, lo, hi = {}, 0j, 0.0, 0.0, 0.0, 0.0
     for name, (gate, terms) in zip(("source", "vacsource"), _rate_terms(params, charge.r0_abs)):
@@ -393,7 +386,7 @@ def cycle_averaged(t_grid, params: DipoleParams, charge: ChargeParams) -> CycleA
     return CycleAverage(
         times=t.copy(), period=period, **cols,
         avg_total=cols["avg_source"] + cols["avg_vacsource"], lo_total=lo, hi_total=hi,
-        norm_constant=_curve_norm(params, charge), gamma=params.gamma,
+        gamma=params.gamma,
     )
 
 

@@ -114,7 +114,6 @@ class SuppressionReport:
     """Glauber vs full detection rates on a time grid: ``diff`` is rate_C - rate_G
     as computed, not a difference of two rounded rates, and ``rate_c`` is rate_g + diff."""
 
-    times: np.ndarray
     rate_g: np.ndarray
     diff: np.ndarray
 
@@ -134,4 +133,4 @@ def suppression_report(cfg: DetectorConfig, t_grid, part: str = "full") -> Suppr
     if times.ndim != 1 or times.size == 0:
         raise ValueError("t_grid must be a 1-d array of times")
     rg, diff = _rates(times, cfg, part)
-    return SuppressionReport(times=times, rate_g=rg, diff=diff)
+    return SuppressionReport(rate_g=rg, diff=diff)

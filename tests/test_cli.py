@@ -465,20 +465,6 @@ def test_config_file_errors(tmp_path, capsys):
     assert "cannot read config file" in capsys.readouterr().err
 
 
-def test_thread_cap_env(tmp_path, monkeypatch):
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    monkeypatch.setenv("ADVWAVE_THREADS", "3")
-    import os
-
-    assert run_cli("power", "pert", "--out", str(tmp_path)) == EXIT_OK
-    assert os.environ["OMP_NUM_THREADS"] == "3"
-
-    monkeypatch.setenv("ADVWAVE_THREADS", "zero")
-    assert run_cli("power", "pert", "--out", str(tmp_path)) == EXIT_USAGE
-
-
 @pytest.mark.parametrize("argv,code,message", [
     (("--omega0-ratio", "1e8", "figure", "3"), EXIT_USAGE, "--omega0-ratio comes before the command"),
     (("--out", "X", "validate"), EXIT_USAGE, "--out comes before the command"),
@@ -558,13 +544,34 @@ DEFAULT_DIGESTS = {
 }
 
 
-def test_default_tables_keep_their_bytes(tmp_path):
+# The same for two runs at omega0 = 1000 gamma: figure 3 plots five cycle-averaged
+# series of 2 001 points through the shared pixel pass, detect 60 points.
+OPTICAL_DIGESTS = {
+    "figure-3/fig3.csv": "051240686908eec675a72589255239f63fd06a2aa49eb1af95583957662daef5",
+    "figure-3/fig3.svg": "0163341b3f94178962c8ce0445c0b43196f2eeee1a8f383b1f35d31fe4030cf4",
+    "detect/detect.csv": "127a32d158bf3b20ba656bca97a9fd7aa998be5e2544bd19c4dd1b4ae8980265",
+    "detect/detect.svg": "46203ab4a8e265233e7a6db40007507ccedbc720842b49d8dbbf7a63b5536a9c",
+}
+
+
+def _digests(tmp_path, commands, *flags):
     written = {}
-    for command in ("figure 1", "figure 2", "figure 3", "power pert", "power nonpert", "corr", "detect"):
+    for command in commands:
         out = tmp_path / command.replace(" ", "-")
-        assert run_cli(*command.split(), "--out", str(out)) == EXIT_OK
+        assert run_cli(*command.split(), *flags, "--out", str(out)) == EXIT_OK
         for path in out.iterdir():
             lines = path.read_bytes().splitlines(keepends=True)
             body = b"".join(line for line in lines if not line.startswith(b"# out = "))
             written[f"{out.name}/{path.name}"] = hashlib.sha256(body).hexdigest()
-    assert written == DEFAULT_DIGESTS
+    return written
+
+
+def test_default_tables_keep_their_bytes(tmp_path):
+    commands = ("figure 1", "figure 2", "figure 3", "power pert", "power nonpert", "corr", "detect")
+    assert _digests(tmp_path, commands) == DEFAULT_DIGESTS
+
+
+def test_optical_ratio_outputs_keep_their_bytes(tmp_path):
+    written = _digests(tmp_path, ("figure 3",), "--omega0-ratio", "1000")
+    written.update(_digests(tmp_path, ("detect",), "--omega0-ratio", "1000", "--points", "60"))
+    assert written == OPTICAL_DIGESTS

@@ -2,12 +2,12 @@
 import itertools
 import math
 import struct
-import warnings
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from xml.sax.saxutils import escape
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -72,22 +72,19 @@ def old_pixel_extremes(column, y):
 
 
 def reference_polylines(x, series):
-    """The per-series route for every polyline's points: each series' own mask
-    of finite points, its own pixel columns and runs, and ``"%.2f,%.2f" %``."""
+    """The per-series route for every polyline's points: each series' own pixel
+    columns and runs, and ``"%.2f,%.2f" %``."""
     x = np.asarray(x, dtype=float)
     ys = [np.asarray(y, dtype=float) for y in series.values()]
-    masks = [np.isfinite(x) & np.isfinite(y) for y in ys]
-    x_lo, x_hi = x[np.isfinite(x)].min(), x[np.isfinite(x)].max()
-    y_lo = min(y[m].min() for y, m in zip(ys, masks) if m.any())
-    y_hi = max(y[m].max() for y, m in zip(ys, masks) if m.any())
+    y_lo, y_hi = min(y.min() for y in ys), max(y.max() for y in ys)
     pad = 0.05 * (y_hi - y_lo) or 1.0
     y_lo, y_hi = y_lo - pad, y_hi + pad
     lines = []
-    for y, m in zip(ys, masks):
-        pxs = 80 + (x[m] - x_lo) / (x_hi - x_lo) * 756
-        pys = 504 - (y[m] - y_lo) / (y_hi - y_lo) * 456
+    for y in ys:
+        pxs = 80 + (x - x.min()) / (x.max() - x.min()) * 756  # its own pixel columns
+        pys = 504 - (y - y_lo) / (y_hi - y_lo) * 456
         if pxs.size > 756:
-            keep = old_pixel_extremes(np.minimum((pxs - 80).astype(np.int64), 755), y[m])
+            keep = old_pixel_extremes(np.minimum((pxs - 80).astype(np.int64), 755), y)
             pxs, pys = pxs[keep], pys[keep]
         lines.append(reference_points(pxs, pys))
     return lines
@@ -117,18 +114,18 @@ PINNED_SVG = (
     '<line x1="836.00" y1="504" x2="836.00" y2="509" stroke="black"/>\n'
     '<text x="836.00" y="524" text-anchor="middle">1</text>\n'
     '<line x1="75" y1="504.00" x2="80" y2="504.00" stroke="black"/>\n'
-    '<text x="72" y="508.00" text-anchor="end">0.9</text>\n'
+    '<text x="72" y="508.00" text-anchor="end">-0.675</text>\n'
     '<line x1="75" y1="390.00" x2="80" y2="390.00" stroke="black"/>\n'
-    '<text x="72" y="394.00" text-anchor="end">1.45</text>\n'
+    '<text x="72" y="394.00" text-anchor="end">0.2875</text>\n'
     '<line x1="75" y1="276.00" x2="80" y2="276.00" stroke="black"/>\n'
-    '<text x="72" y="280.00" text-anchor="end">2</text>\n'
+    '<text x="72" y="280.00" text-anchor="end">1.25</text>\n'
     '<line x1="75" y1="162.00" x2="80" y2="162.00" stroke="black"/>\n'
-    '<text x="72" y="166.00" text-anchor="end">2.55</text>\n'
+    '<text x="72" y="166.00" text-anchor="end">2.212</text>\n'
     '<line x1="75" y1="48.00" x2="80" y2="48.00" stroke="black"/>\n'
-    '<text x="72" y="52.00" text-anchor="end">3.1</text>\n'
-    '<polyline points="80.00,483.27 836.00,68.73" fill="none" stroke="#1f77b4" stroke-width="1.5"/>\n'
+    '<text x="72" y="52.00" text-anchor="end">3.175</text>\n'
+    '<polyline points="80.00,305.61 458.00,483.27 836.00,68.73" fill="none" stroke="#1f77b4" stroke-width="1.5"/>\n'
     '<text x="828" y="68" text-anchor="end" fill="#1f77b4">a</text>\n'
-    '<polyline points="80.00,276.00 458.00,172.36" fill="none" stroke="#d62728" stroke-width="1.5"/>\n'
+    '<polyline points="80.00,187.17 458.00,127.95 836.00,394.44" fill="none" stroke="#d62728" stroke-width="1.5"/>\n'
     '<text x="828" y="88" text-anchor="end" fill="#d62728">b</text>\n'
     '</svg>\n'
 )
@@ -278,10 +275,10 @@ def test_write_csv_without_rows(tmp_path):
 
 
 def test_write_svg_exact_bytes(tmp_path):
-    # non-finite points are skipped from each polyline and from the y range
+    # an ndarray and a list series; the y range spans both, padded by 5 %
     path = tmp_path / "t.svg"
     write_svg(path, np.array([0.0, 0.5, 1.0]),
-              {"a": np.array([1.0, np.inf, 3.0]), "b": [2.0, 2.5, float("nan")]},
+              {"a": np.array([1.0, -0.5, 3.0]), "b": [2.0, 2.5, 0.25]},
               title="T", xlabel="x", ylabel="y")
     assert path.read_bytes() == PINNED_SVG.encode()
 
@@ -295,24 +292,22 @@ def test_write_svg_decimation_keeps_each_pixel_columns_extremes(tmp_path):
     rng = np.random.default_rng(7)
     x = np.linspace(0.0, 3.0, 20_000)
     y = np.cumsum(rng.normal(size=x.size)) + 5.0 * np.sin(40.0 * x)
-    y[::997] = np.nan
     path = tmp_path / "d.svg"
     write_svg(path, x, {"y": y}, title="T", xlabel="x", ylabel="y")
     kept = _polyline_points(path.read_text())
-    finite = np.isfinite(y)
-    assert len(kept) <= 4 * 756 < np.count_nonzero(finite)
+    assert len(kept) <= 4 * 756 < y.size
     # the plot's own coordinates: 756 pixel columns from x = 80, y range padded by 5 %
-    y_lo, y_hi = np.nanmin(y), np.nanmax(y)
+    y_lo, y_hi = y.min(), y.max()
     pad = 0.05 * (y_hi - y_lo)
-    px = 80 + (x[finite] - 0.0) / 3.0 * 756
-    py = 504 - (y[finite] - (y_lo - pad)) / (y_hi - y_lo + 2.0 * pad) * 456
+    px = 80 + (x - 0.0) / 3.0 * 756
+    py = 504 - (y - (y_lo - pad)) / (y_hi - y_lo + 2.0 * pad) * 456
     points = ["%.2f,%.2f" % p for p in zip(px, py)]
     column = np.minimum(np.floor(px - 80).astype(int), 755)
     kept_x = [float(p.split(",")[0]) for p in kept]
     assert kept_x == sorted(kept_x)  # in index order
     for c in np.unique(column):
         idx = np.flatnonzero(column == c)
-        for i in (idx[0], idx[-1], idx[np.argmin(y[finite][idx])], idx[np.argmax(y[finite][idx])]):
+        for i in (idx[0], idx[-1], idx[np.argmin(y[idx])], idx[np.argmax(y[idx])]):
             assert points[i] in kept
 
 
@@ -376,22 +371,16 @@ def _all_polyline_points(svg):
     return [ln.split('points="', 1)[1].split('"', 1)[0] for ln in svg.splitlines() if ln.startswith("<polyline")]
 
 
-def test_write_svg_shares_pixel_runs_only_between_all_finite_series(tmp_path):
-    # all-finite series share one pixel pass; those with a NaN or an inf keep their own
+def test_write_svg_shares_one_pixel_pass_between_its_series(tmp_path):
+    # every series takes its points from one pass over x; each keeps its own extremes
     rng = np.random.default_rng(5)
     x = np.linspace(0.0, 4.0, 9_000)
     walk = np.cumsum(rng.normal(size=x.size))
-    with_nan, with_inf = walk + 1.0, 0.5 * walk
-    with_nan[rng.integers(0, x.size, 300)] = np.nan
-    with_inf[::611], with_inf[5::613] = np.inf, -np.inf
-    series = {"walk": walk, "nan": with_nan, "sin": np.sin(30.0 * x), "inf": with_inf,
-              "steps": np.round(walk / 4.0)}  # integer steps: ties within a pixel column
-    x_gap = x.copy()
-    x_gap[[0, 4_000, 4_001]] = [np.nan, np.inf, np.nan]  # then every series has its own mask
-    for xs in (x, x_gap):
-        path = tmp_path / "mixed.svg"
-        write_svg(path, xs, series, title="T", xlabel="x", ylabel="y")
-        assert _all_polyline_points(path.read_text()) == reference_polylines(xs, series)
+    series = {"walk": walk, "gated": np.where(x < 1.5, 0.0, walk - walk[x >= 1.5][0]),
+              "sin": np.sin(30.0 * x), "steps": np.round(walk / 4.0)}  # integer steps: ties in a column
+    path = tmp_path / "shared.svg"
+    write_svg(path, x, series, title="T", xlabel="x", ylabel="y")
+    assert _all_polyline_points(path.read_text()) == reference_polylines(x, series)
 
 
 def test_write_svg_matches_the_per_series_route_on_the_optical_figure(tmp_path):
@@ -410,22 +399,24 @@ def test_write_svg_matches_the_per_series_route_on_the_optical_figure(tmp_path):
     assert _all_polyline_points(path.read_text()) == reference_polylines(t, series)
 
 
-def test_write_svg_skips_points_with_a_non_finite_x(tmp_path):
-    y = np.array([1.0, 2.0, 3.0, 4.0])
-    for x in ([0.0, np.nan, 1.0, 2.0], [np.nan, 0.0, 1.0, 2.0], [0.0, 1.0, np.inf, 2.0], [-np.inf, 0.0, 1.0, 2.0]):
-        path = tmp_path / "x.svg"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            write_svg(path, np.array(x), {"y": y}, title="T", xlabel="x", ylabel="y")
-        root = ET.parse(path).getroot()
-        (points,) = [line.get("points") for line in root.iter("{http://www.w3.org/2000/svg}polyline")]
-        assert "nan" not in points and "inf" not in points
-        kept = [tuple(map(float, p.split(","))) for p in points.split()]
-        assert len(kept) == 3
-        assert kept[0][0] == 80.0 and kept[-1][0] == 836.0  # the finite x span the plot
-        labels = [e for e in root.iter("{http://www.w3.org/2000/svg}text") if e.get("y") == "524"]
-        assert [float(e.get("x")) for e in labels] == [80.0, 269.0, 458.0, 647.0, 836.0]
-        assert [e.text for e in labels] == ["0", "0.5", "1", "1.5", "2"]
+def test_write_svg_refuses_non_finite_values_and_ranges(tmp_path):
+    # a NaN or an inf in x or in any series, and finite values whose range, or
+    # padded y range, overflows or stays flat, would put nan coordinates in the
+    # plot: each is refused before the file is opened
+    ok = np.array([0.0, 1.0, 2.0])
+    big = np.array([-1e308, 0.0, 1e308])
+    cases = [(big, {"y": ok}), (ok, {"y": big}), (ok, {"y": ok, "z": [-1.7e308, 0.0, 0.0]}),
+             (np.full(3, 1e300), {"y": ok}), (ok, {"y": np.full(3, 1e300)})]
+    for bad in (np.nan, np.inf, -np.inf):
+        for i in range(3):
+            v = ok.copy()
+            v[i] = bad
+            cases += [(v, {"y": ok}), (ok, {"y": ok, "z": v})]
+    for x, series in cases:
+        path = tmp_path / "refused.svg"
+        with pytest.raises(ValueError, match="finite, over a finite range"):
+            write_svg(path, x, series, title="T", xlabel="x", ylabel="y")
+        assert not path.exists()
 
 
 def test_write_svg_escapes_its_labels(tmp_path):
