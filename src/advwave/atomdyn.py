@@ -8,6 +8,9 @@ rotating-wave + Markov solution of the Heisenberg equations:
 
 Two-time correlators are only derived for ordered arguments u <= v; callers
 needing the other ordering should use hermiticity, S(u, v) = conj(S(v, u)).
+All three are evaluated by one kernel, ``_evaluate``, whose phase is formed
+from omega0 (u - v), so its error grows with omega0 |u - v|, not omega0 u.
+The public correlators keep the carrier contract of :mod:`advwave.core`.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import DipoleParams, _finite, _like
+from .core import DipoleParams, _check_carrier, _finite, _like
 
 __all__ = ["AtomCorrKind", "sigma_z_expect", "corr_plus_minus", "corr_minus_plus", "commutator_expect"]
 
@@ -29,8 +32,9 @@ class AtomCorrKind(Enum):
 # Each correlator is a short list of exponential terms (c, lam_u, lam_v),
 #     S(u, v) = sum_j c_j e^{lam_u,j u + lam_v,j v}    for u <= v,
 # the one place the rest of the package takes them from.  The raw kernels
-# evaluate these lists with no argument validation; the tensor layer gates and
-# conjugates as needed, and kinetics and photodetect integrate them.
+# evaluate these lists with no argument validation and stay finite on negative
+# or reversed times; the tensor layer gates and conjugates as needed, and
+# kinetics and photodetect integrate them.
 
 def _terms(kind: AtomCorrKind, p: DipoleParams):
     """The terms of ``kind`` with a = i omega0 - gamma/2.
@@ -48,20 +52,18 @@ def _terms(kind: AtomCorrKind, p: DipoleParams):
 
 
 def _evaluate(terms, u, v):
-    """sum_j c_j e^{lam_u,j u + lam_v,j v} on arrays u, v >= 0, one pass per term.
+    """sum_j c_j e^{lam_u,j u + lam_v,j v} on arrays u, v, in the coordinates
+    d = u - v and s = u + v.
 
-    Where every factor decays (Re lam <= 0) each term is e^{lam_u u} e^{lam_v v}.
-    A list with a growing factor (the e^{gamma u / 2} of <s-(u) s+(v)>) is taken
-    in the coordinates d = u - v, s = u + v instead: the common phase
-    e^{i Im lam_u d} once, times the real sum of c_j e^{min(x_j, 0)} with
-    x_j = Re(lam_u - lam_v) d/2 + Re(lam_u + lam_v) s/2.  The growing exponent
-    is merged with its decay before exp, so nothing overflows once gamma u > 709,
-    and past u = v, outside the branch, x_j is held at 0, so the entries that
-    callers gate away stay finite too.
+    The result is the common phase e^{i Im lam_u d}, formed once, so the large
+    phases omega0 u and omega0 v are never rounded apart, times the real sum
+    of c_j e^{min(x_j, 0)} with x_j = Re(lam_u - lam_v) d/2 + Re(lam_u + lam_v) s/2.
+    A growing factor (the e^{gamma u / 2} of <s-(u) s+(v)>) is merged with its
+    decay before exp, so nothing overflows once gamma u > 709.  Every x_j <= 0
+    on 0 <= u <= v, and for <s+ s-> on any u, v >= 0; elsewhere x_j is held at
+    0, so the entries that callers gate away (negative or reversed times) stay
+    finite wherever d, s and gamma s are floats.
     """
-    if all(lu.real <= 0.0 and lv.real <= 0.0 for _, lu, lv in terms):
-        vals = [c * np.exp(lu * u) * np.exp(lv * v) for c, lu, lv in terms]
-        return sum(vals[1:], vals[0])
     d, s = u - v, u + v
     env = [c * np.exp(np.minimum((lu - lv).real / 2.0 * d + (lu + lv).real / 2.0 * s, 0.0))
            for c, lu, lv in terms]
@@ -84,6 +86,7 @@ def sigma_z_expect(t, p: DipoleParams):
 
 def _correlator(kind: AtomCorrKind, u, v, p: DipoleParams):
     uu, vv = _finite(u, "u", nonneg=True), _finite(v, "v", nonneg=True)
+    _check_carrier(p.omega0, uu, vv)
     if kind is not AtomCorrKind.PLUS_MINUS and np.any(uu > vv):
         raise ValueError("two-time correlators require u <= v; use hermiticity for the reverse ordering")
     return _like(_evaluate(_terms(kind, p), uu, vv), uu, vv)

@@ -165,7 +165,7 @@ def _check_carrier(cfg: RunConfig, end_gamma: float) -> None:
     ``end_gamma``, reaches ``core._MAX_PHASE``."""
     from .core import _check_carrier
 
-    _check_carrier(cfg.omega0_over_gamma, end_gamma, f"tmax_gamma = {cfg.tmax_gamma:g}")
+    _check_carrier(cfg.omega0_over_gamma, end_gamma, subject=f"tmax_gamma = {cfg.tmax_gamma:g}")
 
 
 # Output rows per table (the corr table has points^2 rows), checked before any
@@ -302,6 +302,7 @@ def cmd_corr(cfg: RunConfig) -> int:
 
     params, position = _dipole_geometry(cfg)
     n = _points(cfg, "corr", 41, square=True)
+    _check_carrier(cfg, cfg.tmax_gamma)
     ts = np.linspace(0.0, cfg.tmax_gamma / cfg.gamma, n)
     t, tp = np.meshgrid(ts, ts, indexing="ij")
     g, d = corr_traces(FieldKind.ELECTRIC, FieldKind.ELECTRIC, t, position, tp, position, params)

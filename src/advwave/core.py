@@ -23,7 +23,9 @@ here and used everywhere else:
   ``ValueError`` naming the argument;
 * a time whose fastest carrier phase 2 omega0 t reaches 2^53 rad raises
   ``ValueError`` naming it (``_check_carrier``): a time's rounding moves
-  that phase by more than a radian there;
+  that phase by more than a radian there.  The correlator layer (the atomic
+  correlators, the tensors and ``corr_traces``) checks every time it is
+  given, as kinetics and photodetect do;
 * a scalar in gives a Python scalar out, and an array keeps its shape
   (``_like``).
 
@@ -117,11 +119,11 @@ def _finite(x, name: str, nonneg: bool = False) -> np.ndarray:
     return arr
 
 
-def _check_carrier(omega0: float, t, subject: str | None = None) -> None:
-    """ValueError when 2 omega0 t at the latest finite time in ``t`` reaches
-    ``_MAX_PHASE``, naming ``subject`` (by default that time).  Non-finite
-    times are left to ``_finite``."""
-    latest = float(np.max(t, initial=-np.inf))
+def _check_carrier(omega0: float, *times, subject: str | None = None) -> None:
+    """ValueError when 2 omega0 t at the latest time in the arrays ``times``
+    reaches ``_MAX_PHASE``, naming ``subject`` (by default that time).
+    Non-finite times are left to ``_finite``."""
+    latest = max(float(np.max(t, initial=-np.inf)) for t in times)
     phase = 2.0 * omega0 * latest
     if math.isfinite(latest) and not phase < _MAX_PHASE:
         raise ValueError(f"{subject or f't = {latest:.6g}'} is too large: the carrier phase 2 omega0 t "

@@ -22,7 +22,11 @@ event and Xc(x), Yc(x') for the spatial coefficient vectors
 The gates of G and D are written once, for ``corr_traces`` and the tensor functions;
 ``commutator_parts`` keeps its own as the independent side of the identity below.
 Every gate is a mask: a gated-out entry is an exact zero, and a term whose gate
-is shut for the whole batch is never evaluated.
+is shut for the whole batch is never evaluated.  The atomic kernels take the
+retarded and advanced times as they are, unclipped: they stay finite on the
+negative or reversed times that a shut gate then zeroes.  Every function here
+refuses observation times whose carrier phase 2 omega0 t reaches 2^53 rad, as
+:mod:`advwave.core` states.
 
 th is the unit step with th(0) := 1, so all support boundaries are inclusive.
 With that convention the cancellation identity
@@ -43,7 +47,7 @@ import functools
 import numpy as np
 
 from . import atomdyn
-from .core import DipoleParams, Event, FieldKind, _finite, _like, _norm3, _vec3
+from .core import DipoleParams, Event, FieldKind, _check_carrier, _finite, _like, _norm3, _vec3
 from .fieldcoeffs import _check_part, field_coeff
 
 __all__ = [
@@ -61,27 +65,27 @@ def _gated_terms(kind_x: FieldKind, kind_y: FieldKind, t, x, tp, y,
 
     A term is outer(left, right) * factor where its gate holds, exactly zero
     elsewhere.  ``x`` and ``y`` are (..., 3) positions whose batch shapes
-    broadcast with ``t`` and ``tp``.  Times are clipped to >= 0 per axis, so the
-    raw kernels f(u) h(v) evaluate each exponential once per axis and only
-    their product is masked.  Nothing but the gates is evaluated here.
+    broadcast with ``t`` and ``tp``.  The raw kernels take the retarded and
+    advanced times as they are: they stay finite where a gate is shut, and only
+    the evaluated product is masked.  Nothing but the gates is evaluated here.
     """
     _check_part(part)
+    _check_carrier(p.omega0, t, tp)
     rx, ry = _norm3(x), _norm3(y)
     tr, ta, tr2, ta2 = t - rx, t + rx, tp - ry, tp + ry
-    u, v = np.maximum(tr, 0.0), np.maximum(tr2, 0.0)
 
     def coeffs():
         return field_coeff(kind_x, x, p, part), field_coeff(kind_y, y, p, part)
 
     def glauber(xc, yc):
-        return 2.0 * xc, np.conj(yc), atomdyn._pm_raw(u, v, p)
+        return 2.0 * xc, np.conj(yc), atomdyn._pm_raw(tr, tr2, p)
 
     def advanced_x(xc, yc):  # advanced time of the first event in the second's retarded past
-        return kind_x.advanced_sign * xc, yc, atomdyn._comm_raw(np.maximum(ta, 0.0), v, p)
+        return kind_x.advanced_sign * xc, yc, atomdyn._comm_raw(ta, tr2, p)
 
     def advanced_y(xc, yc):  # and the mirror image
         return (kind_y.advanced_sign * np.conj(xc), np.conj(yc),
-                np.conj(atomdyn._comm_raw(np.maximum(ta2, 0.0), u, p)))
+                np.conj(atomdyn._comm_raw(ta2, tr, p)))
 
     return coeffs, (((tr >= 0.0) & (tr2 >= 0.0), glauber), ((ta >= 0.0) & (tr2 >= ta), advanced_x),
                     ((ta2 >= 0.0) & (tr >= ta2), advanced_y))
@@ -157,26 +161,25 @@ def commutator_parts(kind_x: FieldKind, kind_y: FieldKind, ev_x: Event, ev_y: Ev
     advanced-wave term, which survives into ``delta_expect_tensor``.
     """
     _check_part(part)
+    _check_carrier(params.omega0, ev_x.t, ev_y.t)
     tr, ta = ev_x.t_ret, ev_x.t_adv
     tr2, ta2 = ev_y.t_ret, ev_y.t_adv
+    comm = atomdyn._comm_raw
     coeffs = functools.cache(lambda: (field_coeff(kind_x, ev_x.x, params, part),
                                       field_coeff(kind_y, ev_y.x, params, part)))
 
-    def comm(u, v):  # the u <= v kernel, on times clipped to >= 0 so shut entries stay finite
-        return atomdyn._comm_raw(np.maximum(u, 0.0), np.maximum(v, 0.0), params)
-
     def source_source(xc, yc):  # the hermitian reflection of the ordered kernel
-        ordered = comm(np.minimum(tr, tr2), np.maximum(tr, tr2))
+        ordered = comm(np.minimum(tr, tr2), np.maximum(tr, tr2), params)
         return np.conj(xc), yc, np.where(tr <= tr2, ordered, np.conj(ordered))
 
     return (_tensor(coeffs, ((tr >= 0.0) & (tr2 >= 0.0), source_source)),
             _tensor(coeffs,  # vac_source: the vacuum part at the first event
-                    ((tr >= 0.0) & (tr2 >= tr), lambda xc, yc: (-np.conj(xc), yc, comm(tr, tr2))),
+                    ((tr >= 0.0) & (tr2 >= tr), lambda xc, yc: (-np.conj(xc), yc, comm(tr, tr2, params))),
                     ((ta >= 0.0) & (tr2 >= ta),
-                     lambda xc, yc: (kind_x.advanced_sign * xc, yc, comm(ta, tr2)))),
+                     lambda xc, yc: (kind_x.advanced_sign * xc, yc, comm(ta, tr2, params)))),
             _tensor(coeffs,  # source_vac: the vacuum part at the second event
                     ((tr2 >= 0.0) & (tr >= tr2),
-                     lambda xc, yc: (-np.conj(xc), yc, np.conj(comm(tr2, tr)))),
+                     lambda xc, yc: (-np.conj(xc), yc, np.conj(comm(tr2, tr, params)))),
                     ((ta2 >= 0.0) & (tr >= ta2),
                      lambda xc, yc: (kind_y.advanced_sign * np.conj(xc), np.conj(yc),
-                                     np.conj(comm(ta2, tr))))))
+                                     np.conj(comm(ta2, tr, params))))))

@@ -1,9 +1,14 @@
 """Closed-form two-level correlators."""
+import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from advwave import atomdyn
 from advwave.atomdyn import (
     AtomCorrKind,
     commutator_expect,
@@ -120,3 +125,58 @@ def test_vectorization_matches_scalars():
     for i in range(3):
         assert arr[i] == pytest.approx(corr_plus_minus(float(us[i]), float(vs[i]), P), abs=1e-15)
     assert np.isscalar(corr_plus_minus(0.1, 0.2, P))
+
+
+_PI50 = Decimal("3.14159265358979323846264338327950288419716939937510")
+
+
+def _reference(kind, u, v, omega0):
+    """(S, scale): <s+(u) s-(v)>, <s-(u) s+(v)> or the commutator at gamma = 1 from
+    60-digit arithmetic on the doubles u, v, omega0, and the sum of its terms'
+    moduli.  The envelope comes from Decimal.exp, the phase omega0 (u - v) from an
+    exact Fraction reduced modulo 2 pi."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        du, dv = Decimal(u), Decimal(v)
+        decay = (-(du + dv) / 2).exp()
+        if kind is AtomCorrKind.PLUS_MINUS:
+            terms, sign = (decay,), 1
+        else:
+            k = 1 if kind is AtomCorrKind.MINUS_PLUS else 2
+            terms, sign = (((du - dv) / 2).exp(), -k * decay), -1
+        exact = Fraction(omega0) * (Fraction(u) - Fraction(v))
+        phase = float((Decimal(exact.numerator) / Decimal(exact.denominator)) % (2 * _PI50))
+        return float(sum(terms)) * complex(math.cos(phase), sign * math.sin(phase)), float(sum(map(abs, terms)))
+
+
+@pytest.mark.parametrize("ratio", [1e2, 1e4, 1e8, 1e9])
+def test_correlators_match_a_60_digit_reference(ratio):
+    """The three correlators evaluate their closed forms to the accuracy the phase allows.
+
+    This checks evaluation, not derivation: the reference takes the same
+    formulas in exact or 60-digit arithmetic.  The phase omega0 (u - v)
+    conditions the result, so the bound is C eps (omega0 |u - v| + 1) times the
+    terms' moduli, with C = 4: over six seeds the largest ratio measured is 1.1.
+    Rounding omega0 u and omega0 v apart costs about eps omega0 u instead, a
+    ratio of 15 to 190 at omega0/gamma = 1e8.
+    """
+    p = DipoleParams.from_rates(omega0=ratio, gamma=1.0)
+    rng = np.random.default_rng(11)
+    u = rng.uniform(0.0, 5.0, 40)
+    v = u + rng.uniform(0.0, 0.5, 40)
+    cond = np.finfo(float).eps * (ratio * (v - u) + 1.0)
+    for kind, fn in ((AtomCorrKind.PLUS_MINUS, corr_plus_minus), (AtomCorrKind.MINUS_PLUS, corr_minus_plus),
+                     (AtomCorrKind.COMMUTATOR, commutator_expect)):
+        ref, scale = np.array([_reference(kind, a, b, p.omega0) for a, b in zip(u, v)]).T
+        err = np.abs(fn(u, v, p) - ref) / (cond * scale.real)
+        assert np.max(err) <= 4.0, (kind, np.max(err))
+
+
+def test_raw_kernels_stay_finite_on_negative_reversed_and_late_times():
+    # the tensors pass retarded and advanced times unclipped: negative,
+    # reversed, and past gamma |t| = 1420, where e^{gamma |t| / 2} alone
+    # overflows; RuntimeWarnings are errors here
+    times = np.array([-3000.0, -1500.0, -1420.5, -1.0, 0.0, 1.0, 1420.5, 1500.0, 3000.0])
+    u, v = np.meshgrid(times, times, indexing="ij")
+    for raw in (atomdyn._pm_raw, atomdyn._comm_raw):
+        assert np.all(np.isfinite(raw(u, v, P)))

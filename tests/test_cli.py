@@ -349,6 +349,7 @@ def test_an_underflowing_omega0_is_a_usage_error(argv, capsys, tmp_path):
     (("figure", "1", "--tmax-gamma", "1e200"), "tmax_gamma = 1e+200 is too large: the carrier phase"),
     (("figure", "2", "--tmax-gamma", "1e200"), "tmax_gamma = 1e+200 is too large: the carrier phase"),
     (("detect", "--tmax-gamma", "1e200"), "tmax_gamma = 1e+200 is too large: the carrier phase"),
+    (("corr", "--tmax-gamma", "1e200"), "tmax_gamma = 1e+200 is too large: the carrier phase"),
 ])
 def test_out_of_range_distances_and_windows_are_usage_errors(argv, setting, capsys, tmp_path):
     # r0^3 or the square of the near field leaves the float range (the near
@@ -538,7 +539,7 @@ DEFAULT_DIGESTS = {
     "figure-3/fig3.svg": "f921d54cf93b777ffa52376e1c3e1f539068df8b7ec0c300ad7e732a18a13d3c",
     "power-pert/power.csv": "288113d6cc9acf1974b916f4f8e145d155d2348f794a154f6be811004c60f3b2",
     "power-nonpert/power.csv": "49a5c1afc38f47d2b7218aff57edd3fafcaf29a8a3bd980dd25556d40e988bbb",
-    "corr/corr.csv": "3337552f8ec025590941d9a4c0aab97a19fd867f83b09e03494c4eaf329a5a6d",
+    "corr/corr.csv": "47b885777b0071da0d5b1a75f295161173aa20770c360f268ec055d524df45e9",
     "detect/detect.csv": "0ab136f796af401dfaf1111f13e9e560b22c054ad3a411ef1797ccf3f4fd57f8",
     "detect/detect.svg": "2cd143ae21cf7958b9410542402558c7411b68425bf22626dad9315adffc46ac",
 }

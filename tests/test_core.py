@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from advwave.atomdyn import commutator_expect, corr_minus_plus, corr_plus_minus, sigma_z_expect
 from advwave.core import DipoleParams, Event, FieldKind, _two_prod, _uniform_stream
-from advwave.correlations import corr_traces
+from advwave.correlations import commutator_parts, corr_traces, delta_expect_tensor, glauber_tensor
 from advwave.fieldcoeffs import tau_kernel
 from advwave.kinetics import (ChargeParams, cycle_averaged, dispersion_change, momdiff_source,
                               momdiff_vacsource, norm_constant, posdisp_change)
@@ -151,6 +151,9 @@ OTHER_TIME_TAKERS = {
     "cycle_averaged": lambda t: cycle_averaged(np.array([0.5, t]), P, CHARGE),
     "suppression_report": lambda t: suppression_report(DETECTOR, [0.5, t]),
     "Event": lambda t: Event(t, X),
+    "glauber_tensor": lambda t: glauber_tensor(E, B, Event(t, X), Event(1.1, Y), P),
+    "delta_expect_tensor": lambda t: delta_expect_tensor(E, B, Event(1.1, X), Event(t, Y), P),
+    "commutator_parts": lambda t: commutator_parts(E, B, Event(t, X), Event(1.1, Y), P),
     "tau_kernel(z)": lambda z: tau_kernel(z, (0.0, 0.0, 1.0)),
     "sphere_integrate(radius)": lambda r: sphere_integrate(lambda xhat: 1.0, r, 4),
 }
@@ -209,6 +212,26 @@ def test_non_finite_times_raise(name, bad):
         fn(bad)
     with pytest.raises(ValueError):
         fn(np.array([1.3, bad]))
+
+
+# 2 omega0 t = 2^53 rad: a time's rounding moves the carrier by a radian
+_CARRIER_LIMIT_T = 2.0**53 / (2.0 * P.omega0)
+
+
+@pytest.mark.parametrize("name", [
+    "corr_plus_minus", "corr_minus_plus", "commutator_expect", "corr_traces(t)", "corr_traces(tp)",
+    "glauber_tensor", "delta_expect_tensor", "commutator_parts",
+    "dispersion_change", "cycle_averaged", "posdisp_change", "momdiff_source", "momdiff_vacsource",
+    "suppression_report", "detection_rate_G", "detection_rate_C",
+])
+def test_carrier_phases_past_2_53_rad_are_refused(name):
+    # RuntimeWarnings are errors here: t = 1e170 used to overflow in kinetics._exp's phase correction
+    call = SCALAR_IN_SCALAR_OUT.get(name) or OTHER_TIME_TAKERS[name]
+    with pytest.raises(ValueError, match=r"t = 1e\+170 is too large: the carrier phase 2 omega0 t"):
+        call(1e170)
+    with pytest.raises(ValueError, match="past 2\\^53 rad"):
+        call(_CARRIER_LIMIT_T)
+    call(0.9999 * _CARRIER_LIMIT_T)
 
 
 @pytest.mark.parametrize("name", sorted(SCALAR_IN_SCALAR_OUT) + ["oracle_sigma_z"])

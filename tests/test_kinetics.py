@@ -344,26 +344,6 @@ def test_posdisp_validation():
             posdisp_change(t, P, CH)
 
 
-# 2 omega0 t = 2^53 rad at omega0 = 100 gamma: a time's rounding moves the carrier by a radian
-_CARRIER_LIMIT_T = 2.0**53 / (2.0 * P.omega0)
-
-
-@pytest.mark.parametrize("call", [
-    lambda t: dispersion_change([0.0, t], P, CH),
-    lambda t: cycle_averaged([t], P, CH),
-    lambda t: posdisp_change(t, P, CH),
-    lambda t: momdiff_source(t, P, CH),
-    lambda t: momdiff_vacsource(t, P, CH),
-], ids=["dispersion_change", "cycle_averaged", "posdisp_change", "momdiff_source", "momdiff_vacsource"])
-def test_carrier_phases_past_2_53_rad_are_refused(call):
-    # RuntimeWarnings are errors here: t = 1e170 used to overflow in _exp's phase correction
-    with pytest.raises(ValueError, match=r"t = 1e\+170 is too large: the carrier phase 2 omega0 t"):
-        call(1e170)
-    with pytest.raises(ValueError, match="past 2\\^53 rad"):
-        call(_CARRIER_LIMIT_T)
-    call(0.9999 * _CARRIER_LIMIT_T)
-
-
 def test_posdisp_against_literal_quadrature():
     # small independent check: literal (t - t3)(t - t4)-weighted double
     # trapezoid over the full correlation trace at the charge position
