@@ -350,6 +350,9 @@ def cmd_detect(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+_ORACLE_T_MAX = 6.5    # oracle-sigma-z's latest time, the longest series of any row
+
+
 def _run_checks(cfg: RunConfig, p, grid, span: float, full: bool):
     """Yield (name, tolerance, measured, note) validation rows.
 
@@ -436,10 +439,10 @@ def _run_checks(cfg: RunConfig, p, grid, span: float, full: bool):
 
     def oracle_population():
         # discretized-field oracle for the population decay
-        times = np.arange(0.5, 6.51, 0.5)
+        times = np.arange(0.5, _ORACLE_T_MAX + 0.01, 0.5)
         vals = oracle_sigma_z(times, grid)
         err = float(np.max(np.abs(vals - sigma_z_expect(times, p))))
-        return err, f"count={grid.count} span={span:g}, grid t in [0.5, 6.5]/gamma"
+        return err, f"count={grid.count} span={span:g}, grid t in [0.5, {_ORACLE_T_MAX:g}]/gamma"
 
     def markov_mass():
         # resonance-kernel mass carried by the comb bandwidth
@@ -481,15 +484,19 @@ def cmd_validate(cfg: RunConfig, count: int, span: float, full: bool) -> int:
     resolved configuration, count, span and full as a ``# key = value`` block.
     """
     from .core import DipoleParams, _cubed
-    from .oracle import build_grid
+    from .oracle import _check_terms, _markov_band, build_grid
 
     _cubed(cfg.r0_gamma, "r0")      # the checks' field points, at gamma = 1
     if span / 2.0 >= cfg.omega0_over_gamma:     # the comb would reach zero frequency
         raise ValueError(f"span must be below 2 * omega0-ratio = "
                          f"{2.0 * cfg.omega0_over_gamma:g}, got {span:g}")
-    # refuses a bad count or span with a ValueError, before any check runs
+    # refuses a bad count or span, or a span too wide for the oracle's series
+    # or the Markov check's grids, with a ValueError, before any check runs
     params = DipoleParams.from_rates(cfg.omega0_over_gamma, 1.0)
-    rows = list(_run_checks(cfg, params, build_grid(params, count, span), span, full))
+    grid = build_grid(params, count, span)
+    _check_terms(grid, _ORACLE_T_MAX)
+    _markov_band(params, span)
+    rows = list(_run_checks(cfg, params, grid, span, full))
     width = max(len(r[0]) for r in rows)
     lines = [f"{'check':<{width}}  {'tolerance':>11}  {'measured':>12}  result",
              "-" * (width + 48)]

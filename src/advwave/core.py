@@ -21,11 +21,12 @@ here and used everywhere else:
 * a power of a non-time argument that the code forms (omega0^3, q^2, m^2,
   a radius^2, z^3) stays in the float range, or ``_power`` raises
   ``ValueError`` naming the argument;
-* a time whose fastest carrier phase 2 omega0 t reaches 2^53 rad raises
-  ``ValueError`` naming it (``_check_carrier``): a time's rounding moves
-  that phase by more than a radian there.  The correlator layer (the atomic
-  correlators, the tensors and ``corr_traces``) checks every time it is
-  given, as kinetics and photodetect do;
+* a time whose fastest carrier phase 2 omega0 |t| reaches 2^53 rad, before
+  t = 0 as after it, raises ``ValueError`` naming it (``_check_carrier``):
+  a time's rounding moves that phase by more than a radian there.  The
+  correlator layer (the atomic correlators, the tensors and
+  ``corr_traces``) checks every time it is given, as kinetics and
+  photodetect do;
 * a scalar in gives a Python scalar out, and an array keeps its shape
   (``_like``).
 
@@ -120,15 +121,17 @@ def _finite(x, name: str, nonneg: bool = False) -> np.ndarray:
 
 
 def _check_carrier(omega0: float, *times, subject: str | None = None) -> None:
-    """ValueError when 2 omega0 t at the latest time in the arrays ``times``
-    reaches ``_MAX_PHASE``, naming ``subject`` (by default that time).
-    Non-finite times are left to ``_finite``."""
-    latest = max(float(np.max(t, initial=-np.inf)) for t in times)
-    phase = 2.0 * omega0 * latest
-    if math.isfinite(latest) and not phase < _MAX_PHASE:
-        raise ValueError(f"{subject or f't = {latest:.6g}'} is too large: the carrier phase 2 omega0 t "
-                         f"reaches {phase:.3g} rad, past 2^53 rad, where a time's rounding moves it by "
-                         f"more than a radian")
+    """ValueError when 2 omega0 |t| at the time of largest modulus in the arrays
+    ``times`` reaches ``_MAX_PHASE``, naming ``subject`` (by default that time).
+    Each array costs one min and one max.  Non-finite times are left to ``_finite``."""
+    far = 0.0
+    for t in times:
+        far = max(far, float(np.max(t, initial=0.0)), float(np.min(t, initial=0.0)), key=abs)
+    phase = 2.0 * omega0 * abs(far)
+    if math.isfinite(far) and not phase < _MAX_PHASE:
+        raise ValueError(f"{subject or f't = {far:.6g}'} is too large: the carrier phase 2 omega0 t "
+                         f"reaches {phase:.3g} rad in modulus, past 2^53 rad, where a time's rounding "
+                         f"moves it by more than a radian")
 
 
 def _positive(x, name: str):

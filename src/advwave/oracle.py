@@ -60,7 +60,11 @@ _ROMBERG_TARGET = 1e-12       # the grid halves until the correction is below th
 # A batch of Bessel FFTs, and a block of Gram rows with the moment rows it
 # meets, each fit one core's 2 MiB L2 cache.
 _BLOCK_BYTES = 2 << 20
-_WEIGHTS_BYTES = 1 << 26      # the Bessel weights of a Volterra grid
+_WEIGHTS_BYTES = 1 << 26      # the Bessel weights of a Volterra grid; a Markov check's grid
+# The unitarity check reads the Gram matrix of the series' terms at every time,
+# 2 terms^2 products a time: 3.4e7 at this limit, where validate's 13 times take
+# 0.25 s on 2 vCPUs.  The series of a time t is about t times the comb's half-width.
+_TERM_LIMIT = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -161,6 +165,16 @@ def _chebyshev_coeffs(a) -> np.ndarray:
         size *= 2
 
 
+def _check_terms(grid: ModeGrid, t: float) -> None:
+    """ValueError naming ``t`` when its Bessel series on ``grid``, about t times the
+    half-width of the spectral interval, would pass ``_TERM_LIMIT`` terms."""
+    half = grid._interval[1]
+    if not t * half <= _TERM_LIMIT:
+        raise ValueError(f"t = {t:.6g} needs about {t * half:.3g} Chebyshev terms on a comb of "
+                         f"half-width {half:.6g}, past the limit of {_TERM_LIMIT:,}; use a "
+                         "narrower span or a shorter time")
+
+
 def _moments(grid: ModeGrid, t: float):
     """(mu, width): mu_m = <e|T_m(X)|e> for m < 2 width, e = |e,0>, X = (H - center) / half,
     and ``width`` the length of the Bessel series of the time ``t``.
@@ -170,8 +184,9 @@ def _moments(grid: ModeGrid, t: float):
     mu_2k = 2 |T_k e|^2 - mu_0, mu_2k+1 = 2 <T_k e, T_k+1 e> - mu_1.  The comb keeps
     the longest sequence, read-only, and serves a shorter request from its prefix:
     the recurrence is the same up to there, so the prefix has the bits of a
-    shorter run.
+    shorter run.  A series past ``_TERM_LIMIT`` is refused before any allocation.
     """
+    _check_terms(grid, t)
     center, half = grid._interval
     width = _chebyshev_coeffs(t * half).size
     if grid._mu is not None and grid._mu.size >= 2 * width:
@@ -401,6 +416,28 @@ class MarkovKernelReport:
     width: float
 
 
+def _markov_band(params: DipoleParams, span_gammas: float) -> tuple[float, float]:
+    """(half, sigma): the band's half-width and the packet width of ``markov_kernel_check``.
+
+    ValueError, before any allocation, for a span that is not positive and
+    finite or reaches zero frequency, a gamma whose 2 sigma^2 is not a normal
+    float, or a band whose grids pass ``_WEIGHTS_BYTES``.  The time grid spans
+    44 sigma and the width scan's frequency grid resolves delays up to
+    56 sigma + 5 pi / half, both at 40 points a period, so the second is the
+    larger: about 90 points per gamma of span.
+    """
+    half = _span(params, span_gammas) / 2.0
+    sigma = 0.25 / params.gamma
+    if not np.finfo(float).tiny <= 2.0 * sigma * sigma < math.inf:
+        raise ValueError(f"gamma = {params.gamma:.6g}: the packet's 2 sigma^2 is not a "
+                         "normal float")
+    points = 40.0 * (56.0 * sigma + 5.0 * np.pi / half) * half / np.pi
+    if not 16.0 * points <= _WEIGHTS_BYTES:
+        raise ValueError(f"span = {span_gammas:.6g} gamma needs a frequency grid of about "
+                         f"{points:.3g} points, over {_WEIGHTS_BYTES >> 20} MiB; use a narrower span")
+    return half, sigma
+
+
 def markov_kernel_check(params: DipoleParams, span_gammas: float) -> MarkovKernelReport:
     """Check the delta collapse of Int e^{i w t'} (e^{-i w t_r} + e^{-i w t_a}) dw, w in the band.
 
@@ -417,15 +454,10 @@ def markov_kernel_check(params: DipoleParams, span_gammas: float) -> MarkovKerne
     on the advanced peak's part of the kernel.  The packet at t_a is the mirror
     image of this one about the window's centre (t_r + t_a) / 2, and its kernel
     the conjugate of this one's, so its action is the conjugate of ``action``
-    and only the retarded packet is transformed.  A span that is not positive
-    and finite or reaches zero frequency, or a gamma whose 2 sigma^2 is not a
-    normal float, raises ``ValueError`` before any transform.
+    and only the retarded packet is transformed.  ``_markov_band`` refuses a
+    bad span or gamma, or a band too wide for its grids, before any transform.
     """
-    half = _span(params, span_gammas) / 2.0
-    sigma = 0.25 / params.gamma
-    if not np.finfo(float).tiny <= 2.0 * sigma * sigma < math.inf:
-        raise ValueError(f"gamma = {params.gamma:.6g}: the packet's 2 sigma^2 is not a "
-                         "normal float")
+    half, sigma = _markov_band(params, span_gammas)
     t_r, t_a = 2.0 * sigma, 22.0 * sigma
     a, b = t_r - 12.0 * sigma, t_a + 12.0 * sigma
     n_t = n_for_oscillation(half, a, b, 40)      # 40 points per period, here and in d

@@ -28,6 +28,8 @@ from advwave.radiometry import (
     spont_rate,
 )
 
+import routes
+
 EE = FieldKind.ELECTRIC
 
 
@@ -131,18 +133,6 @@ def test_criterion_3_sphere_quadrature():
     _report(3, "sphere quadrature", f"projector {err_a:.1e}, intensity {worst:.1e}", elapsed, 5.0)
 
 
-def _segment_richardson(fn, a: float, b: float, omega0: float, per_period: int = 512) -> complex:
-    """Trapezoid + one Richardson step on [a, b] resolving oscillation omega0."""
-    n = max(32, int(np.ceil(per_period * omega0 * (b - a) / (2.0 * np.pi))))
-    n += n % 2
-    ts = np.linspace(a, b, n + 1)
-    vals = fn(ts)
-    h = (b - a) / n
-    t_h = h * (vals.sum() - 0.5 * (vals[0] + vals[-1]))
-    t_2h = 2.0 * h * (vals[::2].sum() - 0.5 * (vals[0] + vals[-1]))
-    return (4.0 * t_h - t_2h) / 3.0
-
-
 def test_criterion_4_momentum_diffusion_oracle():
     t0 = time.perf_counter()
     p = DipoleParams.from_rates(omega0=100.0, gamma=1.0)
@@ -170,26 +160,21 @@ def test_criterion_4_momentum_diffusion_oracle():
         assert abs(g_trace(t, np.array([tp_g]))[0] - lit_g) <= 1e-12 * abs(lit_g)
         assert abs(d_trace(t, np.array([tp_d]))[0] - lit_d) <= 1e-12 * abs(lit_d)
 
-    # integrate each kernel over its exact support segment; the upper Delta
-    # endpoint is shrunk by a relative 1e-12 sliver so a one-ulp rounding of
-    # the gate comparison cannot zero the boundary node
+    # integrate each kernel over its exact support segment (empty before its
+    # gate, where the integral is 0); the upper Delta endpoint is shrunk by a
+    # relative 1e-12 sliver so a one-ulp rounding of the gate comparison cannot
+    # zero the boundary node
     sliver = 1e-12
     worst_g = worst_d = 0.0
     for t in np.linspace(0.1, 6.0, 20):
         closed = kinetics.momdiff_source(t, p, charge)
-        num = (
-            2.0 * np.real(_segment_richardson(lambda ts: g_trace(t, ts), r0 * (1.0 + sliver), t, p.omega0))
-            if t > r0
-            else 0.0
-        )
+        num = 2.0 * np.real(routes.richardson_trapezoid(lambda ts: g_trace(t, ts), r0 * (1.0 + sliver),
+                                                        t, p.omega0, 512))
         worst_g = max(worst_g, abs(num - closed) / max(abs(closed), 1e-12))
 
         closed = kinetics.momdiff_vacsource(t, p, charge)
-        num = (
-            2.0 * np.real(_segment_richardson(lambda ts: d_trace(t, ts), 0.0, (t - 2.0 * r0) * (1.0 - sliver), p.omega0))
-            if t > 2.0 * r0
-            else 0.0
-        )
+        num = 2.0 * np.real(routes.richardson_trapezoid(lambda ts: d_trace(t, ts), 0.0,
+                                                        (t - 2.0 * r0) * (1.0 - sliver), p.omega0, 512))
         worst_d = max(worst_d, abs(num - closed) / max(abs(closed), 1e-12))
     elapsed = time.perf_counter() - t0
     assert worst_g < 1e-6, f"source-rate closed form vs kernel quadrature: {worst_g:.3e} >= 1e-6"

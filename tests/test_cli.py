@@ -350,6 +350,9 @@ def test_an_underflowing_omega0_is_a_usage_error(argv, capsys, tmp_path):
     (("figure", "2", "--tmax-gamma", "1e200"), "tmax_gamma = 1e+200 is too large: the carrier phase"),
     (("detect", "--tmax-gamma", "1e200"), "tmax_gamma = 1e+200 is too large: the carrier phase"),
     (("corr", "--tmax-gamma", "1e200"), "tmax_gamma = 1e+200 is too large: the carrier phase"),
+    # the oracle's series at t = 6.5/gamma on a comb 1e5 gamma wide
+    (("validate", "--count", "200", "--span", "1e5", "--omega0-ratio", "1e9"),
+     "t = 6.5 needs about 3.24e+05 Chebyshev terms on a comb of half-width 49876.2, past the limit"),
 ])
 def test_out_of_range_distances_and_windows_are_usage_errors(argv, setting, capsys, tmp_path):
     # r0^3 or the square of the near field leaves the float range (the near

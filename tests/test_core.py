@@ -1,5 +1,6 @@
 """Value types, parameter validation and the input contract of every time-taking function."""
 import dataclasses
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -174,6 +175,9 @@ NON_TIME_ARGUMENTS = {
     # the packet's 2 sigma^2 = 0.125 / gamma^2 overflows, or underflows below a normal float
     "markov_kernel_check(gamma=1e-160)": (
         "gamma", lambda: markov_kernel_check(DipoleParams(1.0, 1e-160, (0.0, 0.0, 1.0)), 50.0)),
+    # its frequency grid would take 14 PB
+    "markov_kernel_check(span=1e13)": (
+        r"span = 1e\+13", lambda: markov_kernel_check(DipoleParams.from_rates(1e14, 1.0), 1e13)),
     "markov_kernel_check(gamma=1e160)": (
         "gamma", lambda: markov_kernel_check(DipoleParams(1e163, 1e160, (0.0, 0.0, 1.0)), 50.0)),
     "sphere_integrate(order=1e6)": ("order", lambda: sphere_integrate(lambda xhat: 1.0, 1.0, 10**6)),
@@ -232,6 +236,22 @@ def test_carrier_phases_past_2_53_rad_are_refused(name):
     with pytest.raises(ValueError, match="past 2\\^53 rad"):
         call(_CARRIER_LIMIT_T)
     call(0.9999 * _CARRIER_LIMIT_T)
+    # the earliest time is bounded as the latest is (the other four are
+    # defined from t = 0 and refuse it); inside the limit the gates give zeros
+    if name not in ("corr_plus_minus", "corr_minus_plus", "commutator_expect", "posdisp_change"):
+        with pytest.raises(ValueError, match=r"t = -1e\+170 is too large: the carrier phase 2 omega0 t"):
+            call(-1e170)
+        gated = call(-0.9999 * _CARRIER_LIMIT_T)
+        if isinstance(gated, (float, tuple, np.ndarray)):
+            assert all(np.all(v == 0.0) for v in _values(gated))
+
+
+@pytest.mark.parametrize("name", ["oracle_sigma_z", "oracle_two_time(u)"])
+@pytest.mark.parametrize("t", [1e14, 1e170])
+def test_oracle_series_past_the_term_limit_are_refused(name, t):
+    # a ValueError naming the time before the series is sized: it would take 2 PiB at t = 1e14
+    with pytest.raises(ValueError, match=re.escape(f"t = {t:g} needs about")):
+        OTHER_TIME_TAKERS[name](t)
 
 
 @pytest.mark.parametrize("name", sorted(SCALAR_IN_SCALAR_OUT) + ["oracle_sigma_z"])

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import cumulative_trapezoid
 
 from advwave.core import DipoleParams, Event, FieldKind
-from advwave.correlations import corr_traces, delta_expect_tensor, glauber_tensor
+from advwave.correlations import delta_expect_tensor, glauber_tensor
 from advwave.kinetics import (
     ChargeParams,
     CycleAverage,
@@ -26,112 +25,11 @@ from advwave.kinetics import (
 )
 from advwave.photodetect import DetectorConfig, suppression_report
 
+import routes
+
 P = DipoleParams.from_rates(omega0=100.0, gamma=1.0)
 CH = ChargeParams(q=1.0, m=1.0, r0=np.array([1.0 / 3.0, 0.0, 0.0]))
 EE = FieldKind.ELECTRIC
-
-
-# Independent routes for the closed forms: the rates and the radiation-zone
-# kernel integrated numerically.
-
-def _trapezoid_curves(t, params, charge):
-    """Cumulative trapezoid of the N-scaled source and vacuum-source rates."""
-    n = norm_constant(params, charge)
-    return (cumulative_trapezoid(n * momdiff_source(t, params, charge), t, initial=0.0),
-            cumulative_trapezoid(n * momdiff_vacsource(t, params, charge), t, initial=0.0))
-
-
-def _richardson_curves(t, params, charge):
-    """Two Richardson steps on cumulative trapezoids with the steps of t, halved and quartered.
-
-    Exact to O(h^6) at the nodes of ``t`` when every kink of the rates (at
-    |r0| and 2|r0|) is a node.
-    """
-    fine = np.linspace(t[0], t[-1], 4 * (t.size - 1) + 1)
-    levels = [_trapezoid_curves(fine[::k], params, charge) for k in (4, 2, 1)]
-    out = []
-    for coarse, mid, finest in zip(*levels):
-        r1, r2 = (4.0 * mid[::2] - coarse) / 3.0, (4.0 * finest[::2] - mid) / 3.0
-        out.append((16.0 * r2[::2] - r1) / 15.0)
-    return out
-
-
-def _richardson_window_average(t, period, params, charge, n=256):
-    """Average of the raw curves over [t - P/2, t + P/2] by a Richardson trapezoid.
-
-    The window is split at 0, |r0| and 2|r0|, so each piece is smooth; each
-    piece takes trapezoids with n, 2n and 4n steps and two Richardson steps.
-    """
-    lo, hi = t - period / 2.0, t + period / 2.0
-    cuts = [lo] + [c for c in (0.0, charge.r0_abs, 2.0 * charge.r0_abs) if lo < c < hi] + [hi]
-    total = np.zeros(2)
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if b <= 0.0:
-            continue
-        levels = []
-        for k in (n, 2 * n, 4 * n):
-            x = np.linspace(a, b, k + 1)
-            w = np.full(k + 1, (b - a) / k)
-            w[0] = w[-1] = (b - a) / (2 * k)
-            curve = dispersion_change(x, params, charge)
-            levels.append(np.array([w @ curve.cum_source, w @ curve.cum_vacsource]))
-        r1, r2 = (4.0 * levels[1] - levels[0]) / 3.0, (4.0 * levels[2] - levels[1]) / 3.0
-        total += (16.0 * r2 - r1) / 15.0
-    return total / period
-
-
-def _trapezoid_posdisp(t, params, charge, n):
-    """Field part of the position dispersion: uniform tensor-product trapezoid.
-
-    First order in 1/n, because the advanced-wave gate |t3 - t4| >= 2 |r0|
-    cuts the grid diagonally.
-    """
-    ts = np.linspace(0.0, t, n + 1)
-    w = np.full(n + 1, t / n)
-    w[0] = w[-1] = t / (2 * n)
-    wt = w * (t - ts)
-    acc = 0.0 + 0.0j
-    block = max(1, int(4e6) // (n + 1))
-    for lo in range(0, n + 1, block):
-        g, d = corr_traces(EE, EE, ts[lo:lo + block, None], charge.r0, ts[None, :], charge.r0,
-                           params, part="rad")
-        acc += np.einsum("i,ij,j->", wt[lo:lo + block], g + d, wt)
-    return charge.q**2 / charge.m**2 * 2.0 * float(np.real(acc))
-
-
-def _gauss_legendre(lo, hi, n):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return lo + (hi - lo) * (x + 1.0) / 2.0, w * (hi - lo) / 2.0
-
-
-def _gauss_legendre_posdisp(t, params, charge):
-    """Field part of the position dispersion, each gated segment by Gauss-Legendre.
-
-    The Glauber square t3, t4 in [|r0|, t] is a tensor product; each
-    advanced-wave triangle (one time at least 2|r0| after the other) takes
-    outer nodes on [2|r0|, t] and inner nodes on [0, outer - 2|r0|].  All
-    nodes are interior, so no gate edge is sampled.
-    """
-    r0 = charge.r0_abs
-
-    def nodes(length):
-        return int(0.6 * params.omega0 * length) + 40
-
-    total = 0.0j
-    s, w = _gauss_legendre(r0, t, nodes(t - r0))
-    g, _ = corr_traces(EE, EE, s[:, None], charge.r0, s[None, :], charge.r0, params, part="rad")
-    total += (w * (t - s)) @ g @ (w * (t - s))
-    b = t - 2.0 * r0
-    if b > 0.0:
-        outer, w_out = _gauss_legendre(2.0 * r0, t, nodes(b))
-        x, w_in = np.polynomial.legendre.leggauss(nodes(b))
-        span = outer[:, None] - 2.0 * r0
-        inner = span * (x + 1.0) / 2.0
-        weight = w_out[:, None] * (t - outer[:, None]) * (w_in * span / 2.0) * (t - inner)
-        for first, second in ((inner, outer[:, None]), (outer[:, None], inner)):
-            _, d = corr_traces(EE, EE, first, charge.r0, second, charge.r0, params, part="rad")
-            total += np.sum(weight * d)
-    return charge.q**2 / charge.m**2 * 2.0 * total.real
 
 
 def test_charge_validation():
@@ -186,21 +84,16 @@ def test_rates_vectorized():
             assert arr[i] == rate(float(t), P, CH)
 
 
-def _grid(tmax, per_period=60):
-    n = int(np.ceil(per_period * P.omega0 * tmax / (2.0 * np.pi)))
-    return np.linspace(0.0, tmax, n + 1)
-
-
 @pytest.mark.parametrize("ratio", [10.0, 100.0, 1000.0])
 def test_dispersion_matches_richardson_quadrature(ratio):
     p = DipoleParams.from_rates(omega0=ratio, gamma=1.0)
     ch = ChargeParams(q=1.0, m=1.0, r0=np.array([0.0, 0.25, 0.0]))
     # |r0| = 1/4 and 2|r0| = 1/2 are nodes of a grid on [0, 3] with 12 k steps;
     # 128 or more steps per optical period
-    steps = 12 * int(np.ceil(128.0 * ratio * 3.0 / (2.0 * np.pi) / 12.0))
+    steps = 12 * math.ceil(routes.oscillation_intervals(ratio, 0.0, 3.0, 128) / 12)
     t = np.linspace(0.0, 3.0, steps + 1)
     curve = dispersion_change(t, p, ch)
-    ref_s, ref_v = _richardson_curves(t, p, ch)
+    ref_s, ref_v = routes.dispersion_curves(t, p, ch)
     assert np.max(np.abs(curve.cum_source - ref_s)) <= 1e-9 * np.max(np.abs(ref_s))
     assert np.max(np.abs(curve.cum_vacsource - ref_v)) <= 1e-9 * np.max(np.abs(ref_v))
 
@@ -229,7 +122,7 @@ def test_moments_match_gauss_legendre():
     for c in (1.0, -1.0, 1j, complex(-0.5, 100.0), complex(0.5, -3.0)):
         for z in (1e-8, 0.3, 1.0 - 1e-12, 1.0 + 1e-12, 7.0):
             b = z / abs(c)
-            s, w = _gauss_legendre(0.0, b, 40)
+            s, w = routes.gauss_legendre(0.0, b, 40)
             for k, m in enumerate(_moments(c, b)):
                 assert abs(m - w @ (s**k * np.exp(c * s))) <= 1e-13 * abs(m)
     # a shift merged into the exponent: no overflow where e^{c b} alone would
@@ -256,7 +149,7 @@ def test_exp_phase_is_exact_at_optical_phases():
 
 
 def test_dispersion_curve_consistency():
-    t = _grid(3.0)
+    t = routes.oscillation_grid(P.omega0, 0.0, 3.0, 60)
     curve = dispersion_change(t, P, CH)
     assert np.all(curve.cum_total == curve.cum_source + curve.cum_vacsource)
     assert curve.cum_source[0] == 0.0
@@ -264,7 +157,7 @@ def test_dispersion_curve_consistency():
 
 
 def test_dispersion_curves_are_charge_independent():
-    t = _grid(1.0)
+    t = routes.oscillation_grid(P.omega0, 0.0, 1.0, 60)
     a = dispersion_change(t, P, CH)
     b = dispersion_change(t, P, ChargeParams(q=3.0, m=2.0, r0=CH.r0))
     assert np.all(a.cum_total == b.cum_total)
@@ -286,7 +179,7 @@ def test_dispersion_grid_validation():
 
 
 def test_longtime_fit_slope():
-    t = _grid(13.0)
+    t = routes.oscillation_grid(P.omega0, 0.0, 13.0, 60)
     curve = dispersion_change(t, P, CH)
     slope, intercept = longtime_fit(curve, (6.0, 13.0))
     assert slope == pytest.approx(P.gamma, rel=0.02)
@@ -299,7 +192,7 @@ def test_longtime_fit_slope():
 
 
 def test_longtime_fit_window_must_be_finite():
-    curve = dispersion_change(_grid(13.0), P, CH)
+    curve = dispersion_change(routes.oscillation_grid(P.omega0, 0.0, 13.0, 60), P, CH)
     for window in ((6.0, np.inf), (np.nan, 13.0), (6.0, np.nan)):
         with pytest.raises(ValueError, match=r"fit window \(t_lo, t_hi\) must be finite"):
             longtime_fit(curve, window)
@@ -353,16 +246,11 @@ def test_posdisp_against_literal_quadrature():
     lib = posdisp_change(t, p, ch)
     n = 161
     ts = np.linspace(0.0, t, n)
-    ee = FieldKind.ELECTRIC
-    vals = np.empty((n, n), dtype=complex)
-    for i, t3 in enumerate(ts):
-        for j, t4 in enumerate(ts):
-            e3, e4 = Event(t=t3, x=ch.r0), Event(t=t4, x=ch.r0)
-            vals[i, j] = np.trace(glauber_tensor(ee, ee, e3, e4, p, part="rad")
-                                  + delta_expect_tensor(ee, ee, e3, e4, p, part="rad"))
-    w = np.full(n, t / (n - 1))
-    w[0] = w[-1] = 0.5 * t / (n - 1)
-    wt = w * (t - ts)
+    # every (t3, t4) pair as one batch of events, both at the charge
+    e3, e4 = (Event(t=tt, x=np.broadcast_to(ch.r0, (n, n, 3))) for tt in np.meshgrid(ts, ts, indexing="ij"))
+    vals = np.trace(glauber_tensor(EE, EE, e3, e4, p, part="rad")
+                    + delta_expect_tensor(EE, EE, e3, e4, p, part="rad"), axis1=-2, axis2=-1)
+    wt = routes.trapezoid_weights(0.0, t, n - 1) * (t - ts)
     ref = 2.0 * float(np.real(wt @ vals @ wt)) * ch.q**2 / ch.m**2
     assert lib == pytest.approx(ref, rel=0.05)
 
@@ -374,7 +262,7 @@ def test_posdisp_against_literal_quadrature():
 def test_posdisp_matches_gauss_legendre(ratio, t):
     p = DipoleParams.from_rates(omega0=ratio, gamma=1.0)
     ch = ChargeParams(q=1.5, m=0.5, r0=np.array([0.2, -0.1, 0.25]))
-    ref = _gauss_legendre_posdisp(t, p, ch)
+    ref = routes.posdisp_gauss_legendre(t, p, ch)
     assert abs(posdisp_change(t, p, ch) - ref) <= 1e-10 * abs(ref)
 
 
@@ -382,7 +270,7 @@ def test_posdisp_trapezoid_converges_to_closed_form():
     p = DipoleParams.from_rates(omega0=40.0, gamma=1.0)
     ch = ChargeParams(q=1.0, m=1.0, r0=np.array([0.02, 0.0, 0.0]))
     exact = posdisp_change(0.1, p, ch)
-    coarse, fine = (_trapezoid_posdisp(0.1, p, ch, n) for n in (1000, 2000))
+    coarse, fine = (routes.posdisp_trapezoid(0.1, p, ch, n) for n in (1000, 2000))
     # first-order error: halves with the step, and one Richardson step removes it
     assert 0.4 <= (fine - exact) / (coarse - exact) <= 0.6
     assert abs(2.0 * fine - coarse - exact) <= 5e-5 * exact
@@ -436,7 +324,7 @@ def test_cycle_averages_match_richardson_quadrature(ratio):
     offsets = period * np.array([-0.6, -0.5, -0.3, 0.0, 0.2, 0.5, 0.7])
     t = np.concatenate([ch.r0_abs + offsets, 2.0 * ch.r0_abs + offsets, [1.0, 2.5, 5.0]])
     curves = cycle_averaged(t, p, ch)
-    ref = np.array([_richardson_window_average(ti, period, p, ch) for ti in t])
+    ref = np.array([routes.window_average(ti, period, p, ch) for ti in t])
     for k, name in enumerate(("avg_source", "avg_vacsource")):
         got = getattr(curves, name)
         assert np.max(np.abs(got - ref[:, k])) <= 1e-10 * np.max(np.abs(ref[:, k]))
@@ -456,7 +344,7 @@ def test_straddling_window_width_at_an_optical_ratio():
     # cum_source is 2 |e^{a x} - 1|^2 a time x past its gate, 5 rad of
     # carrier phase over the width: 80 Gauss-Legendre nodes integrate it to
     # rounding (40 and 80 nodes agree to 3e-15)
-    x, w = _gauss_legendre(0.0, width, 80)
+    x, w = routes.gauss_legendre(0.0, width, 80)
     cum = 2.0 * (np.expm1(-gamma * x / 2.0) ** 2
                  + 4.0 * np.exp(-gamma * x / 2.0) * np.sin(omega0 * x / 2.0) ** 2)
     ref = (w @ cum) / period

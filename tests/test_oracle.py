@@ -38,6 +38,8 @@ from advwave.oracle import (
 )
 from advwave.radiometry import sphere_integrate
 
+import routes
+
 P30 = DipoleParams.from_rates(omega0=30.0, gamma=1.0)
 P100 = DipoleParams.from_rates(omega0=100.0, gamma=1.0)
 
@@ -740,19 +742,13 @@ def test_markov_banded_mass():
     assert markov_kernel_check(P100, 10.0).mass_rel_err > 0.1   # band too narrow for the packet: mass leaks
 
 
-def _hand_built_weights(a, b, n):
-    # the trapezoid weights written out: (b - a) / n inside, half that at both ends
-    w = np.full(n + 1, (b - a) / n)
-    w[0] = w[-1] = (b - a) / (2 * n)
-    return w
-
-
 def test_trapezoid_weights_keep_the_markov_report_bits(monkeypatch):
+    # against the weights written out in the tests' routes
     for a, b, n in ((0.0, 1.0, 1), (-1.3, 4.7, 999), (20.0, 40.0, 1234), (75.0, 125.0, 64)):
-        assert np.array_equal(trapezoid_weights(a, b, n), _hand_built_weights(a, b, n))
+        assert np.array_equal(trapezoid_weights(a, b, n), routes.trapezoid_weights(a, b, n))
     cases = ((P30, 50.0), (P100, 10.0))
     reports = [markov_kernel_check(*case) for case in cases]
-    monkeypatch.setattr(oracle, "trapezoid_weights", _hand_built_weights)
+    monkeypatch.setattr(oracle, "trapezoid_weights", routes.trapezoid_weights)
     for case, rep in zip(cases, reports):
         ref = markov_kernel_check(*case)
         assert [repr(v) for v in dataclasses.astuple(rep)] == [repr(v) for v in dataclasses.astuple(ref)]

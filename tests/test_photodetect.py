@@ -3,10 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from advwave import atomdyn
-from advwave._quad import n_for_oscillation
-from advwave.core import DipoleParams, FieldKind
-from advwave.fieldcoeffs import field_coeff
+from advwave.core import DipoleParams
 from advwave.kinetics import _exp, _moments, _segments
 from advwave.photodetect import (
     DetectorConfig,
@@ -16,53 +13,17 @@ from advwave.photodetect import (
     suppression_report,
 )
 
+import routes
+
 P = DipoleParams.from_rates(omega0=50.0, gamma=1.0)
 CFG = DetectorConfig(position=np.array([0.4, 0.0, 0.0]), source=P)
-
-
-# Independent route: the detection integrands written out from the atomic
-# correlators, integrated by a trapezoid plus one Richardson step.
-def _richardson_trapezoid(f, a, b, n):
-    if b <= a:
-        return 0.0
-    n += n % 2
-    xs = np.linspace(a, b, n + 1)
-    ys = f(xs)
-    return (4.0 * np.trapezoid(ys, xs) - np.trapezoid(ys[::2], xs[::2])) / 3.0
-
-
-def _contraction(cfg, part):
-    return complex(cfg.dvec @ field_coeff(FieldKind.ELECTRIC, cfg.position, cfg.source, part))
-
-
-def _quad_rate_g(t, cfg, part, per_period):
-    p, x = cfg.source, cfg.r
-    c2 = abs(_contraction(cfg, part)) ** 2
-
-    def integrand(tp):
-        return 2.0 * c2 * atomdyn._pm_raw(t - x, tp - x, p) * np.exp(-1j * p.omega0 * (t - tp))
-
-    n = n_for_oscillation(p.omega0, x, t, per_period)
-    return 2.0 * float(np.real(_richardson_trapezoid(integrand, x, t, n)))
-
-
-def _quad_diff(t, cfg, part, per_period):
-    p, x = cfg.source, cfg.r
-    coeff = np.conj(_contraction(cfg, part)) ** 2
-
-    def integrand(tp):
-        return coeff * np.conj(atomdyn._comm_raw(tp + x, t - x, p)) * np.exp(-1j * p.omega0 * (t - tp))
-
-    b = t - 2.0 * x
-    n = n_for_oscillation(2.0 * p.omega0, 0.0, b, per_period)
-    return 2.0 * float(np.real(_richardson_trapezoid(integrand, 0.0, b, n)))
 
 
 def _hand_groups(cfg, part):
     # the moment groups of rate_G and rate_C - rate_G as they were derived by
     # hand: (gate, ((coefficient, lam, shift(b)), ...)), each rate being
     # Re sum coefficient M0(lam, b, shift(b)) with b = t - gate
-    c = _contraction(cfg, part)
+    c = routes.contraction(cfg, part)
     g, w0, x = cfg.source.gamma, cfg.source.omega0, cfg.r
     turn = 2.0 * c.conjugate() ** 2 * complex(_exp(-2j * w0, x))
     return ((x, ((4.0 * abs(c) ** 2, -g / 2.0, lambda b: g * b / 2.0),)),
@@ -80,7 +41,7 @@ def test_moment_groups_derived_from_atomdyn_match_the_hand_forms(ratio, x_gamma,
     # Delta's groups come conjugated (a rate is a real part), G's are real.
     cfg = DetectorConfig(position=x_gamma * np.array([0.6, 0.0, 0.8]),
                          source=DipoleParams.from_rates(omega0=ratio, gamma=1.0))
-    c = _contraction(cfg, part)
+    c = routes.contraction(cfg, part)
     t = cfg.r + np.linspace(0.0, 20.0, 401)
     rep = suppression_report(cfg, t, part=part)
     derived = _segments(cfg.source, cfg.r, 4.0 * abs(c) ** 2, 2.0 * c**2, ratio)
@@ -122,7 +83,7 @@ def test_rates_equal_before_round_trip():
 def test_glauber_rate_closed_form():
     # radiation-zone integrand is non-oscillatory: rate_G = (8 c^2 / gamma)
     # * exp(-gamma tau / 2) (1 - exp(-gamma tau / 2)) with tau = t - |x|
-    c2 = abs(_contraction(CFG, "rad")) ** 2
+    c2 = abs(routes.contraction(CFG, "rad")) ** 2
     for t in (0.6, 1.1, 2.7):
         tau = t - CFG.r
         ref = 8.0 * c2 / P.gamma * np.exp(-P.gamma * tau / 2.0) * (1.0 - np.exp(-P.gamma * tau / 2.0))
@@ -142,8 +103,8 @@ def test_closed_forms_match_quadrature(ratio, part):
     cfg = DetectorConfig(position=CFG.position, source=DipoleParams.from_rates(omega0=ratio, gamma=1.0))
     ts = np.array([0.6, 0.95, 1.7, 2.5])
     rep = suppression_report(cfg, ts, part=part)
-    ref_g = np.array([_quad_rate_g(t, cfg, part, 2560) for t in ts])
-    ref_d = np.array([_quad_diff(t, cfg, part, 2560) for t in ts])
+    ref_g = np.array([routes.detection_rate_g(t, cfg, part) for t in ts])
+    ref_d = np.array([routes.detection_diff(t, cfg, part) for t in ts])
     assert np.all(np.abs(rep.rate_g - ref_g) <= 1e-9 * np.abs(ref_g))
     assert np.all(np.abs(rep.diff - ref_d) <= 1e-9 * np.max(np.abs(ref_d)))
     assert ref_d[0] == 0.0 and np.all(ref_d[1:] != 0.0)
